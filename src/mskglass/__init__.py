@@ -13,12 +13,9 @@ from .errors import (
     BadZeta,
     CertificateNotFound,
     InternalInconsistency,
-    LogDomain,
     MskGlassError,
-    NonFiniteIntegrand,
     NonmonotoneOverlap,
     NotConverged,
-    Overflow,
     Unsupported,
 )
 from .model import (
@@ -31,16 +28,11 @@ from .model import (
 )
 from .quadrature import (
     DEFAULT_ORDER,
-    GaussianArg,
     QuadRule,
-    expect,
-    expect_cosh_closed,
+    cavity_expect,
     gauss_hermite,
     log_cosh,
-    nested_expect,
-    safe_cosh,
     sech4,
-    tanh_sq,
 )
 from .parisi import ParisiParams
 from .parisi import evaluate as parisi_value
@@ -74,9 +66,7 @@ from .simulate import (
     DisorderSample,
     FreeEnergyEstimate,
     OverlapHistogram,
-    SpinConfig,
     free_energy_exact,
-    hamiltonian,
     overlap_histogram,
     sample_disorder,
 )

@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InternalInconsistency, NotConverged, Unsupported
-from .model import ModelSpec, TempField
-from .quadrature import QuadRule, sech4
+from .model import ModelSpec, TempField, stability_window
+from .quadrature import QuadRule, cavity_expect, sech4
 from .rs import RSSolution, solve_fixed_point
 
 _WITNESS_REL_TOL = 1e-14
@@ -84,9 +84,7 @@ def quartic_susceptibility(spec: ModelSpec, tf: TempField, sol: RSSolution, rule
     """gamma_s = lam_s E sech^4(beta eta sqrt(C_s) + h) at the critical point."""
     if not sol.converged:
         raise ValueError("quartic susceptibility requires a converged solution")
-    scale = np.sqrt(np.clip(sol.coupling, 0.0, None))
-    args = tf.beta * scale[:, None] * rule.nodes + tf.h
-    return spec.lam * (sech4(args) @ rule.weights)
+    return spec.lam * cavity_expect(sech4, rule, tf.beta, sol.coupling, tf.h)
 
 
 def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -109,23 +107,13 @@ def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
     With a unit variance product (the classical reduction) the upper
     threshold degenerates to infinity and beta2_v = beta2_m.
     """
-    if spec.m != 2:
-        raise Unsupported("closed-form thresholds exist for two species only")
-    if abs(spec.delta2[0, 1] - 1.0) > 1e-12:
-        raise Unsupported("closed-form thresholds require unit cross variance")
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2,) or (gamma <= 0).any():
-        raise ValueError("gamma must be a positive 2-vector")
+    beta2_m, beta2_M = stability_window(spec, gamma)
     d11, d22 = spec.delta2[0, 0], spec.delta2[1, 1]
     g1, g2 = float(gamma[0]), float(gamma[1])
-    a, b = g1 * d11, g2 * d22
-    root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2)
-    beta2_m = 1.0 / (a + b + root)
-    beta2_M = math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root)
     return Thresholds(
         beta2_u=d11 / (2.0 * (g1 * d11 * d11 + g2)),
         beta2_t=d22 / (2.0 * (g1 + g2 * d22 * d22)),
-        beta2_v=1.0 / (2.0 * (a + b)),
+        beta2_v=1.0 / (2.0 * (g1 * d11 + g2 * d22)),
         beta2_m=beta2_m,
         beta2_M=beta2_M,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .atline import Verdict, at_line_beta, at_verdict
 from .errors import MskGlassError, NotConverged, CertificateNotFound
-from .model import ModelSpec, TempField, validate
+from .model import ModelSpec, TempField, two_species_standard, validate
 from .onersb import certify_rsb
 from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
@@ -182,7 +182,7 @@ def _model_spec(cfg: dict) -> ModelSpec:
 
 
 def _require_standard(spec: ModelSpec) -> None:
-    if not (validate(spec, "two-species-standard").ok or (spec.m == 2 and spec.sk_reduction)):
+    if not two_species_standard(spec):
         raise ConfigError(
             "this command requires the two-species standard normalization "
             "(unit cross variance, variance product > 1) or its classical reduction"
@@ -200,7 +200,10 @@ def _temp_field(cfg: dict) -> TempField:
 
 @functools.lru_cache(maxsize=8)
 def _rule(order: int):
-    return gauss_hermite(order)
+    try:
+        return gauss_hermite(order)
+    except ValueError as exc:
+        raise ConfigError(f"quadrature order {order} is unusable: {exc}") from exc
 
 
 def _emit_json(cfg: dict, result: dict, out: str | None) -> None:
@@ -325,6 +328,7 @@ def cmd_phase_diagram(args) -> int:
         h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))),
     )
     order = int(cfg.get("order", DEFAULT_ORDER))
+    _rule(order)  # reject a bad order before dispatching work
     if (grid.h_values() <= 0).any():
         raise ConfigError("phase-diagram requires h > 0 everywhere on the grid")
     do_certify = bool(cfg.get("certify", True))

@@ -5,23 +5,6 @@ class MskGlassError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonFiniteIntegrand(MskGlassError):
-    """An integrand returned NaN or infinity at a quadrature node."""
-
-    def __init__(self, node, value):
-        self.node = node
-        self.value = value
-        super().__init__(f"integrand evaluated to {value!r} at node {node!r}")
-
-
-class Overflow(MskGlassError, OverflowError):
-    """A closed-form exponential exceeds the float64 exponent range."""
-
-
-class LogDomain(MskGlassError):
-    """An inner expectation is non-positive, so its logarithm is undefined."""
-
-
 class BadZeta(MskGlassError, ValueError):
     """A cluster weight exponent is outside its admissible interval."""
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension
+from .errors import BadDimension, Unsupported
 
 VALIDATION_MODES = ("convex", "two-species-standard", "unchecked")
 
@@ -159,6 +159,34 @@ def validate(spec: ModelSpec, mode: str = "convex") -> ValidationReport:
                 )
 
     return ValidationReport(mode=mode, checks=tuple(checks), sk_reduction=spec.sk_reduction, rigorous=rigorous)
+
+
+def two_species_standard(spec: ModelSpec) -> bool:
+    """Two species under the standard normalization or its classical reduction
+    (every variance 1): the class the closed-form thresholds cover."""
+    return spec.m == 2 and (validate(spec, "two-species-standard").ok or spec.sk_reduction)
+
+
+def stability_window(spec: ModelSpec, gamma) -> tuple[float, float]:
+    """(beta2_m, beta2_M) = 1 / (a + b +- r) for two species with unit cross variance.
+
+    a = g1 d11, b = g2 d22 and r = sqrt((a - b)^2 + 4 g1 g2) for a positive
+    weight vector gamma; beta2_M is infinite when a + b <= r.  At gamma = lam,
+    beta2_m is the zero-field uniqueness threshold, and at gamma the quartic
+    susceptibility it is the phase boundary.
+    """
+    if spec.m != 2:
+        raise Unsupported("closed-form thresholds exist for two species only")
+    if abs(spec.delta2[0, 1] - 1.0) > 1e-12:
+        raise Unsupported("closed-form thresholds require unit cross variance")
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (2,) or (gamma <= 0).any():
+        raise ValueError("gamma must be a positive 2-vector")
+    g1, g2 = float(gamma[0]), float(gamma[1])
+    a, b = g1 * spec.delta2[0, 0], g2 * spec.delta2[1, 1]
+    root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2)
+    beta2_upper = math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root)
+    return 1.0 / (a + b + root), beta2_upper
 
 
 class Contractions(NamedTuple):

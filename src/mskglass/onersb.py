@@ -1,8 +1,8 @@
 """One-step symmetry-breaking functional and the constructive certificate.
 
 The one-step ansatz splits each species overlap into an inner atom q_s, an
-outer atom p_s >= q_s and a cluster weight zeta in (0, 1].  Its closed-form
-value is
+outer atom p_s >= q_s and a cluster weight zeta in (0, 1].  Its value, the
+k = 1 case of the hierarchical functional in `parisi`, is
 
     log 2 + sum_s lam_s (1/zeta) E1 log E2 cosh^zeta(Y2_s)
           + (beta^2/2) sum_s lam_s (C1_s(1) - C1_s(p))
@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import BadPoint, BadZeta, CertificateNotFound
 from .model import ModelSpec, TempField, overlap_contractions
-from .quadrature import QuadRule, log_cosh, nested_expect, safe_cosh
+from .parisi import ParisiParams, evaluate
+from .quadrature import QuadRule
 from .rs import rs_functional
 
-_LOG2 = math.log(2.0)
 _INCREMENT_TOL = 1e-12
 
 DEFAULT_GAP_FLOOR = 1e-10
@@ -92,33 +92,14 @@ def _increments(spec: ModelSpec, q, p):
 
 
 def one_rsb_functional(spec: ModelSpec, tf: TempField, pt: OneRSBPoint, rule: QuadRule) -> float:
-    """Closed-form value of the one-step ansatz at (q, p, zeta)."""
-    c_q, c_p, d = _increments(spec, pt.q, pt.p)
-    c_one = overlap_contractions(spec, np.ones(spec.m))
-    beta, h = tf.beta, tf.h
-
-    nested = np.array(
-        [
-            nested_expect(
-                rule,
-                rule,
-                inner_scale=math.sqrt(d[s]),
-                outer_scale=math.sqrt(max(c_q.species[s], 0.0)),
-                h=h,
-                beta=beta,
-                zeta=pt.zeta,
-                f=safe_cosh,
-            )
-            for s in range(spec.m)
-        ]
-    )
-    half_b2 = 0.5 * beta * beta
-    value = (
-        _LOG2
-        + spec.lam @ (nested + half_b2 * (c_one.species - c_p.species))
-        - half_b2 * (c_one.scalar - c_p.scalar + pt.zeta * (c_p.scalar - c_q.scalar))
-    )
-    return float(value)
+    """Value of the one-step ansatz at (q, p, zeta): the k = 1 functional,
+    or its k = 0 collapse at q when zeta = 1."""
+    _increments(spec, pt.q, pt.p)
+    if pt.zeta == 1.0:
+        params = ParisiParams(zeta=np.zeros(0), q=pt.q[:, None])
+    else:
+        params = ParisiParams(zeta=np.array([pt.zeta]), q=np.column_stack([pt.q, pt.p]))
+    return evaluate(spec, tf, params, rule)
 
 
 def zeta_derivative(spec: ModelSpec, tf: TempField, q_star, p, rule: QuadRule) -> float:

@@ -10,11 +10,14 @@ where the X recursion runs backward from
     X_{k+2}^s = log cosh(h + beta sum_l eta_{l+1} sqrt(Q_{l+1}^s - Q_l^s))
 
 through X_l^s = (1/zeta_l) log E_{l+1} exp(zeta_l X_{l+1}^s), the l = 0 step
-being a plain expectation.  Each X_l^s depends on the noise only through the
-accumulated field, so the recursion is evaluated bottom-up on the tensor grid
-of quadrature nodes while holding at most an order x order slice in memory.
-Cost grows as order**(k+2); levels k <= 3 are practical at moderate order and
-nothing is ever truncated.  Levels whose overlap increment vanishes are
+being a plain expectation.  The top level has zeta_{k+1} = 1 and integrates
+out in closed form, log E cosh(y + s eta) = log cosh y + s^2 / 2, so k = 0 is
+the single-atom functional and k = 1 the one-step functional of `onersb`.
+Each X_l^s depends on the noise only through the accumulated field, so the
+remaining k + 1 levels are evaluated bottom-up on the tensor grid of
+quadrature nodes while holding at most an order x order slice in memory.
+Cost grows as order**(k+1); levels k <= 3 are practical at moderate order
+and nothing is ever truncated.  Levels whose overlap increment vanishes are
 integrated out exactly (the reduction is the identity there), which keeps
 coalesced ladders bit-stable.
 """
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BadZeta, NonmonotoneOverlap
 from .model import ModelSpec, TempField, overlap_contractions
@@ -78,41 +80,47 @@ class ParisiParams:
         return self.q.shape[0]
 
 
-def _reduce(values: np.ndarray, zeta: float, log_w: np.ndarray, w: np.ndarray):
+def _reduce(values: np.ndarray, zeta: float, w: np.ndarray):
     """Integrate the last axis: plain mean for zeta == 0, else (1/z) log E e^{z x}."""
     if zeta == 0.0:
         return values @ w
-    return logsumexp(zeta * values + log_w, axis=-1) / zeta
+    a = zeta * values
+    top = a.max(axis=-1)
+    return (np.log(np.exp(a - top[..., None]) @ w) + top) / zeta
 
 
-def _x_zero(h: float, scales: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> float:
+def _x_zero(h: float, beta: float, increments: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> float:
     """Backward recursion for one species, as a function of accumulated field.
 
-    `scales[l]` is the noise amplitude beta * sqrt(Q_{l+1}^s - Q_l^s) of level
-    l (outermost first) and `zetas[l]` the exponent applied when that level is
-    integrated out.  Zero-scale levels drop out exactly.  The two innermost
-    active levels are vectorized; outer levels recurse node by node, so peak
-    memory is order**2 regardless of k.
+    Level l (outermost first) has noise amplitude beta * sqrt(increments[l]),
+    with increments[l] = Q_{l+1}^s - Q_l^s, and `zetas[l]` is the exponent
+    applied when it is integrated out.  The last level (zeta = 1) contributes
+    its closed form beta^2 increments[-1] / 2; of the others, zero-scale
+    levels drop out exactly.  The two innermost active levels are vectorized;
+    outer levels recurse node by node, so peak memory is order**2 regardless
+    of k.
     """
-    live = [(s, z) for s, z in zip(scales, zetas) if s > 0.0]
+    top = 0.5 * beta * beta * increments[-1]
+    scales = beta * np.sqrt(increments[:-1])
+    live = [(s, z) for s, z in zip(scales, zetas[:-1]) if s > 0.0]
     if not live:
-        return float(log_cosh(h))
-    nodes, w, log_w = rule.nodes, rule.weights, rule.log_weights
+        return float(log_cosh(h)) + top
+    nodes, w = rule.nodes, rule.weights
 
     def rec(i: int, shift: float):
         scale, zeta = live[i]
         if i == len(live) - 1:
             x = log_cosh(shift + scale * nodes)
-            return _reduce(x, zeta, log_w, w)
+            return _reduce(x, zeta, w)
         if i == len(live) - 2:
             inner_scale, inner_zeta = live[i + 1]
             x = log_cosh(shift + scale * nodes[:, None] + inner_scale * nodes[None, :])
-            x = _reduce(x, inner_zeta, log_w, w)
-            return _reduce(x, zeta, log_w, w)
+            x = _reduce(x, inner_zeta, w)
+            return _reduce(x, zeta, w)
         x = np.array([rec(i + 1, shift + scale * node) for node in nodes])
-        return _reduce(x, zeta, log_w, w)
+        return _reduce(x, zeta, w)
 
-    return float(rec(0, h))
+    return float(rec(0, h)) + top
 
 
 def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule) -> float:
@@ -136,9 +144,7 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
 
     zetas = np.concatenate([[0.0], params.zeta, [1.0]])  # reduction exponent per level
     beta = tf.beta
-    x0 = np.array(
-        [_x_zero(tf.h, beta * np.sqrt(increments[s]), zetas, rule) for s in range(m)]
-    )
+    x0 = np.array([_x_zero(tf.h, beta, increments[s], zetas, rule) for s in range(m)])
 
     correction = float(np.sum(zetas[1:] * np.diff(q_scalar)[1:]))
     return float(_LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction)

@@ -1,21 +1,21 @@
 """Deterministic Gaussian expectations via Gauss-Hermite quadrature.
 
-Every thermodynamic quantity in this package reduces to one- or two-level
-standard-normal expectations
+Every single-atom quantity in this package is a cavity-field expectation
 
-    E f(beta * eta * scale + shift)                      (one level)
-    (1/zeta) E1 log E2 f(inner + outer + shift)**zeta    (two levels)
+    E f(beta * sqrt(C_s) * eta + h),    eta ~ N(0, 1),
 
-with eta ~ N(0, 1).  Gauss-Hermite nodes are rescaled so that the weights
-integrate against the standard normal measure directly:
+one per species coupling C_s; `cavity_expect` evaluates it for a whole batch
+of couplings at once.  The hierarchical functional (`parisi.py`) nests the
+same rule level by level in the log domain.  Gauss-Hermite nodes are
+rescaled so that the weights integrate against the standard normal measure
+directly:
 
     E f(eta) ~= sum_i w_i f(z_i),    sum_i w_i = 1.
 
-The integrands are entire functions of moderate growth (cosh, log cosh,
-tanh^2, sech^4), for which the rule converges spectrally; order 61 is the
-package default.  Arguments of cosh/exp are clamped at +-700 before
-exponentiation, and log cosh is computed as |y| + log1p(exp(-2|y|)) - log 2,
-so no integrand overflows for any admissible model parameters.
+The integrands are entire functions of moderate growth (tanh^2, sech^4,
+log cosh), for which the rule converges spectrally; order 61 is the package
+default.  log cosh is computed as |y| + log1p(exp(-2|y|)) - log 2 and sech^4
+from it, so no integrand overflows for any admissible model parameters.
 """
 
 from __future__ import annotations
@@ -26,15 +26,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import logsumexp
-
-from .errors import BadZeta, LogDomain, NonFiniteIntegrand, Overflow
 
 DEFAULT_ORDER = 61
 
 _LN2 = math.log(2.0)
-_EXP_CLAMP = 700.0
-_MAX_LOG = math.log(np.finfo(float).max)  # ~709.78
 
 
 @dataclass(frozen=True)
@@ -61,139 +56,40 @@ class QuadRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
-
 
 def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
     """Gauss-Hermite rule transformed to standard-normal weighting.
 
     hermgauss targets integral exp(-x^2) g(x) dx; substituting z = sqrt(2) x
     and dividing the weights by sqrt(pi) yields nodes/weights for E f(z) with
-    z ~ N(0, 1).  Weights sum to 1 up to rounding.
+    z ~ N(0, 1).  Weights sum to 1 up to rounding.  Above order 370 the
+    weights leave the float64 range and the rule is rejected (ValueError).
     """
     if order < 1:
         raise ValueError("quadrature order must be positive")
-    x, w = hermgauss(order)
+    with np.errstate(all="ignore"):
+        x, w = hermgauss(order)
     return QuadRule(order=order, nodes=np.sqrt(2.0) * x, weights=w / math.sqrt(math.pi))
 
 
-@dataclass(frozen=True)
-class GaussianArg:
-    """Affine argument beta * node * scale + shift fed to an integrand.
+def cavity_expect(
+    f: Callable[[np.ndarray], np.ndarray], rule: QuadRule, beta: float, coupling, h: float
+) -> np.ndarray:
+    """E f(beta * sqrt(C) * eta + h) for every entry C of `coupling` (shape (...,)).
 
-    `scale` is the square-root overlap prefactor (dimensionless, >= 0) and
-    `shift` the external field.  `beta` may be zero: the noise then drops out
-    and the expectation degenerates to a point evaluation at `shift`.
+    Negative couplings (rounding below zero) are read as 0; `f` must be
+    vectorized.  Returns an array of the coupling's shape.
     """
-
-    scale: float
-    shift: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and math.isfinite(self.shift) and math.isfinite(self.beta)):
-            raise ValueError("GaussianArg fields must be finite")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+    scale = beta * np.sqrt(np.maximum(coupling, 0.0))
+    return f(scale[..., None] * rule.nodes + h) @ rule.weights
 
 
 def log_cosh(y):
-    """Overflow-safe log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2."""
+    """log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2, free of overflow."""
     a = np.abs(y)
     return a + np.log1p(np.exp(-2.0 * a)) - _LN2
-
-
-def safe_cosh(y):
-    """cosh with the argument clamped at +-700 to stay inside float64."""
-    return np.cosh(np.clip(y, -_EXP_CLAMP, _EXP_CLAMP))
-
-
-def tanh_sq(y):
-    return np.tanh(y) ** 2
 
 
 def sech4(y):
     """sech^4(y), computed in log space so large |y| underflows to 0."""
     return np.exp(-4.0 * log_cosh(y))
-
-
-def _check_finite(args: np.ndarray, values: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        raise NonFiniteIntegrand(node=float(np.asarray(args)[tuple(idx)]), value=float(values[tuple(idx)]))
-
-
-def expect(rule: QuadRule, arg: GaussianArg, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """E f(beta * eta * scale + shift) for eta ~ N(0,1).
-
-    `f` must accept an ndarray (vectorized evaluation).  Deterministic for a
-    fixed rule; raises NonFiniteIntegrand if f blows up at any node.
-    """
-    args = arg.beta * arg.scale * rule.nodes + arg.shift
-    values = np.asarray(f(args), dtype=float)
-    if values.shape != args.shape:
-        raise ValueError("integrand must be vectorized (return one value per node)")
-    _check_finite(args, values)
-    return float(rule.weights @ values)
-
-
-def expect_cosh_closed(sigma: float, h: float) -> float:
-    """Closed form E cosh(sigma * eta + h) = exp(sigma^2 / 2) * cosh(h)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    log_value = 0.5 * sigma * sigma + float(log_cosh(h))
-    if log_value > _MAX_LOG:
-        raise Overflow(f"exp({log_value:.3g}) exceeds the float64 range")
-    return math.exp(log_value)
-
-
-def nested_expect(
-    rule1: QuadRule,
-    rule2: QuadRule,
-    inner_scale: float,
-    outer_scale: float,
-    h: float,
-    beta: float,
-    zeta: float,
-    f: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Two-level expectation (1/zeta) E1 log E2 f(Y)^zeta.
-
-    Y = beta * eta2 * inner_scale + beta * eta1 * outer_scale + h with
-    independent standard normals eta1 (outer, rule1) and eta2 (inner, rule2).
-    The power f^zeta is taken as exp(zeta * log f), so f must be positive
-    wherever the inner expectation is formed.  A zero inner_scale takes the
-    exact degenerate branch E1 log f (the inner level carries no noise).
-    """
-    if not 0.0 < zeta <= 1.0:
-        raise BadZeta(f"zeta must lie in (0, 1], got {zeta}")
-    if inner_scale < 0 or outer_scale < 0:
-        raise ValueError("scales must be nonnegative")
-    outer = beta * outer_scale * rule1.nodes + h
-
-    if inner_scale == 0.0:
-        values = np.asarray(f(outer), dtype=float)
-        _check_finite(outer, values)
-        if (values <= 0).any():
-            raise LogDomain("inner value is non-positive at a node")
-        return float(rule1.weights @ np.log(values))
-
-    grid = outer[:, None] + beta * inner_scale * rule2.nodes[None, :]
-    values = np.asarray(f(grid), dtype=float)
-    _check_finite(grid, values)
-
-    if zeta == 1.0:
-        inner = values @ rule2.weights
-        if (inner <= 0).any():
-            raise LogDomain("inner expectation is non-positive")
-        return float(rule1.weights @ np.log(inner))
-
-    if (values <= 0).any():
-        raise LogDomain("integrand is non-positive where raised to a fractional power")
-    inner_log = logsumexp(zeta * np.log(values) + rule2.log_weights[None, :], axis=1)
-    return float(rule1.weights @ inner_log) / zeta

@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, InternalInconsistency, NotConverged, Unsupported
-from .model import ModelSpec, TempField, overlap_contractions, validate
-from .quadrature import QuadRule, log_cosh
+from .errors import BadDimension, InternalInconsistency, NotConverged
+from .model import ModelSpec, TempField, overlap_contractions, stability_window, two_species_standard
+from .quadrature import QuadRule, cavity_expect, log_cosh
 
 _LOG2 = math.log(2.0)
 
@@ -68,17 +68,14 @@ def fixed_point_map(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.nda
     if q.shape[-1] != spec.m:
         raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
     coupling = 2.0 * ((q * spec.lam) @ spec.delta2)
-    coupling = np.clip(coupling, 0.0, None)
-    args = tf.beta * np.sqrt(coupling)[..., None] * rule.nodes + tf.h
-    return np.tanh(args) ** 2 @ rule.weights
+    return cavity_expect(lambda y: np.tanh(y) ** 2, rule, tf.beta, coupling, tf.h)
 
 
 def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> float:
     """Free-energy value of the single-atom ansatz at overlap vector q."""
     c_q = overlap_contractions(spec, q)
     c_one = overlap_contractions(spec, np.ones(spec.m))
-    args = tf.beta * np.sqrt(np.clip(c_q.species, 0.0, None))[:, None] * rule.nodes + tf.h
-    expected_log_cosh = log_cosh(args) @ rule.weights
+    expected_log_cosh = cavity_expect(log_cosh, rule, tf.beta, c_q.species, tf.h)
     half_b2 = 0.5 * tf.beta * tf.beta
     per_species = expected_log_cosh + half_b2 * (c_one.species - c_q.species)
     return float(_LOG2 + spec.lam @ per_species - half_b2 * (c_one.scalar - c_q.scalar))
@@ -95,27 +92,14 @@ def uniqueness_threshold(spec: ModelSpec) -> float:
     """Closed-form beta^2 below which the h = 0 critical point is unique.
 
     Two species with unit cross variance only.  Returns
-    1 / (l1 d11 + l2 d22 + sqrt((l1 d11 - l2 d22)^2 + 4 l1 l2)).
+    1 / (l1 d11 + l2 d22 + sqrt((l1 d11 - l2 d22)^2 + 4 l1 l2)), the lower
+    stability root at gamma = lam.
     """
-    if spec.m != 2:
-        raise Unsupported("the closed-form threshold exists for two species only")
-    if abs(spec.delta2[0, 1] - 1.0) > 1e-12:
-        raise Unsupported("the closed-form threshold requires unit cross variance")
-    a = spec.lam[0] * spec.delta2[0, 0]
-    b = spec.lam[1] * spec.delta2[1, 1]
-    root = math.sqrt((a - b) ** 2 + 4.0 * spec.lam[0] * spec.lam[1])
-    return 1.0 / (a + b + root)
+    return stability_window(spec, spec.lam)[0]
 
 
 def _uniqueness_guaranteed(spec: ModelSpec, tf: TempField) -> bool:
-    if spec.m != 2:
-        return False
-    standard = validate(spec, "two-species-standard").ok or spec.sk_reduction
-    if not standard:
-        return False
-    if tf.h > 0:
-        return True
-    return tf.beta ** 2 < uniqueness_threshold(spec)
+    return two_species_standard(spec) and (tf.h > 0 or tf.beta ** 2 < uniqueness_threshold(spec))
 
 
 class _Run(NamedTuple):

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import BadDimension, Unsupported
+from .errors import Unsupported
 from .model import ModelSpec, TempField
 
 MAX_EXACT_N = 24
@@ -112,20 +111,6 @@ class DisorderSample:
         return self.g.shape[0]
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    """A +-1 configuration together with the site -> species map."""
-
-    sigma: np.ndarray
-    species: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not np.isin(sigma, (-1.0, 1.0)).all():
-            raise ValueError("spins must be +-1")
-        object.__setattr__(self, "sigma", sigma)
-
-
 def sample_disorder(spec: ModelSpec, n: int, seed: int) -> DisorderSample:
     """Draw the N x N coupling matrix with block variances delta2_st."""
     species = species_partition(spec, n)
@@ -135,16 +120,15 @@ def sample_disorder(spec: ModelSpec, n: int, seed: int) -> DisorderSample:
     return DisorderSample(seed=seed, g=std * z, species=species)
 
 
-def hamiltonian(d: DisorderSample, c: SpinConfig, tf: TempField) -> float:
-    """H(sigma) = (beta / sqrt(N)) sigma' g sigma + h sum(sigma)."""
-    if c.sigma.shape != (d.n,):
-        raise BadDimension("configuration length does not match the disorder sample")
-    return float(tf.beta / math.sqrt(d.n) * (c.sigma @ d.g @ c.sigma) + tf.h * c.sigma.sum())
-
-
 def _all_spins(m: int) -> np.ndarray:
     """All 2^m sign vectors; row d holds the bits of d mapped to +-1."""
     return ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1) * 2.0 - 1.0
+
+
+def _log_sum_exp(a) -> float:
+    """log sum exp(a) over all entries, shifted by the largest one."""
+    top = float(np.max(a))
+    return top + math.log(float(np.exp(np.asarray(a) - top).sum()))
 
 
 def log_partition_exact(d: DisorderSample, tf: TempField, return_energies: bool = False):
@@ -167,15 +151,15 @@ def log_partition_exact(d: DisorderSample, tf: TempField, return_energies: bool 
 
     if return_energies:
         energies = ea[:, None] + eb[None, :] + mix @ sb.T
-        return float(logsumexp(energies)), energies.ravel()
+        return _log_sum_exp(energies), energies.ravel()
 
     chunk = max(1, 2**22 // sb.shape[0])
     partial = []
     for start in range(0, sa.shape[0], chunk):
         stop = start + chunk
         block = ea[start:stop, None] + eb[None, :] + mix[start:stop] @ sb.T
-        partial.append(logsumexp(block))
-    return float(logsumexp(partial))
+        partial.append(_log_sum_exp(block))
+    return _log_sum_exp(partial)
 
 
 class FreeEnergyEstimate(NamedTuple):

@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the library's Gauss-Hermite path:
 expectations go through scipy's adaptive quadrature, fixed points through
-scalar bisection, derivatives through finite differences.  The Monte Carlo
+scalar bisection, derivatives through finite differences, thresholds through
+an eigenvalue.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -69,6 +72,58 @@ def two_species_bisection(spec, beta, h, tol=1e-13):
     x = 0.5 * (lo + hi)
     big_q = np.array([q1_of(x), x])
     return inv @ big_q
+
+
+def one_step_value(spec, beta, h, q, p, zeta):
+    """One-step functional at (q, p, zeta) by nested adaptive quadrature:
+
+        log 2 + sum_s lam_s [(1/zeta) E1 log E2 cosh^zeta(Y2_s)
+                             + (beta^2/2) (C_s(1) - C_s(p))]
+              - (beta^2/2) [E(1) - E(p) + zeta (E(p) - E(q))]
+
+    with Y2_s = h + beta sqrt(C_s(q)) eta1 + beta sqrt(C_s(p) - C_s(q)) eta2,
+    C(x) = 2 delta2 (lam x) and E(x) = (lam x)' delta2 (lam x).  Plain cosh,
+    so |Y2| must stay below about 700 over the integration range.
+    """
+    lam, d = np.asarray(spec.lam), np.asarray(spec.delta2)
+
+    def contractions(x):
+        w = lam * np.asarray(x, dtype=float)
+        return w @ d @ w, 2.0 * d @ w
+
+    e_q, c_q = contractions(q)
+    e_p, c_p = contractions(p)
+    e_1, c_1 = contractions(np.ones(lam.size))
+    value = np.log(2.0) - 0.5 * beta**2 * (e_1 - e_p + zeta * (e_p - e_q))
+    for s in range(lam.size):
+        outer = beta * np.sqrt(max(c_q[s], 0.0))
+        inner = beta * np.sqrt(max(c_p[s] - c_q[s], 0.0))
+
+        def log_inner(y1):
+            # log E2 cosh^zeta(y1 + inner eta2), taken relative to cosh^zeta(y1)
+            base = math.cosh(y1)
+            ratio = gauss_expect(lambda y: (math.cosh(y) / base) ** zeta, inner, y1)
+            return zeta * math.log(base) + math.log(ratio)
+
+        nested = gauss_expect(log_inner, outer, h) / zeta
+        value += lam[s] * (nested + 0.5 * beta**2 * (c_1[s] - c_p[s]))
+    return value
+
+
+def zero_field_stability_threshold(spec):
+    """beta^2 at which q = 0 stops being a linearly stable fixed point at h = 0.
+
+    Near q = 0 the map is q -> 2 beta^2 delta2 lam q, so stability ends at
+    1 / (2 lambda_max(L^1/2 delta2 L^1/2)) with L = diag(lam).
+    """
+    root = np.sqrt(np.asarray(spec.lam))
+    return 1.0 / (2.0 * np.linalg.eigvalsh(root[:, None] * np.asarray(spec.delta2) * root[None, :])[-1])
+
+
+def hamiltonian(d, sigma, tf):
+    """H(sigma) = (beta / sqrt(N)) sigma' g sigma + h sum(sigma) for a +-1 array."""
+    sigma = np.asarray(sigma, dtype=float)
+    return float(tf.beta / np.sqrt(d.n) * (sigma @ d.g @ sigma) + tf.h * sigma.sum())
 
 
 def single_species_rs_value(beta, h, q):

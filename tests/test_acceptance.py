@@ -17,8 +17,8 @@ from mskglass import (
     TempField,
     Verdict,
     at_verdict,
+    cavity_expect,
     certify_rsb,
-    expect,
     fixed_point_map,
     gauss_hermite,
     one_rsb_functional,
@@ -26,15 +26,18 @@ from mskglass import (
     rs_functional,
     solve_fixed_point,
     stability_matrices,
-    tanh_sq,
     two_species_thresholds,
     uniqueness_threshold,
     zeta_derivative,
-    GaussianArg,
     free_energy_exact,
 )
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
-from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum
+from .oracles import (
+    fd_gradient_at_minimum,
+    fd_hessian_at_minimum,
+    one_step_value,
+    zero_field_stability_threshold,
+)
 
 
 @contextmanager
@@ -70,21 +73,26 @@ def _beta_at_ratio(spec, rule, ratio, h):
 
 
 def test_criterion_01_sk_uniqueness_threshold(sk_spec):
-    """Closed-form threshold equals the classical value 1/2 exactly."""
+    """Closed-form threshold equals the classical value 1/2 exactly, and the
+    h = 0 linear-stability threshold (an eigenvalue) agrees."""
     uniqueness_threshold(sk_spec)  # warm up
     with criterion(1, "SK-reduction uniqueness threshold = 0.5", budget_seconds=1e-3):
         value = uniqueness_threshold(sk_spec)
     assert abs(value - 0.5) <= 1e-15
+    assert abs(zero_field_stability_threshold(sk_spec) - 0.5) <= 1e-15
 
 
 def test_criterion_02_threshold_coincidence_at_zero_field():
-    """With gamma = lambda the two closed forms coincide to 1e-14."""
+    """With gamma = lambda, beta2_m coincides to 1e-14 with the h = 0
+    linear-stability threshold 1 / (2 lambda_max(L^1/2 D L^1/2))."""
     rng = np.random.default_rng(2026)
     with criterion(2, "beta2_m(gamma=lambda) = beta0^2 on 10^3 random specs", budget_seconds=1.0):
         for _ in range(1000):
             spec = _random_standard_spec(rng)
             th = two_species_thresholds(spec, spec.lam)
-            assert abs(th.beta2_m - uniqueness_threshold(spec)) < 1e-14
+            beta0_sq = zero_field_stability_threshold(spec)
+            assert abs(th.beta2_m - beta0_sq) < 1e-14
+            assert abs(uniqueness_threshold(spec) - beta0_sq) < 1e-14
 
 
 def test_criterion_03_hessian_vs_finite_differences(reference_spec, rule):
@@ -120,7 +128,8 @@ def test_criterion_04_slope_and_gradient_vanish(reference_spec, rule):
 
 def test_criterion_05_zeta_one_collapse(reference_spec, rule):
     """One-step value at zeta = 1 equals the single-atom value, 100 random points;
-    the generic evaluator agrees with both closed forms."""
+    the generic evaluator agrees with the single-atom closed form at k = 0 and
+    with nested scipy quadrature of the one-step form at k = 1."""
     with criterion(5, "zeta = 1 collapse and generic-evaluator agreement", budget_seconds=120.0):
         tf = TempField(beta=0.6, h=0.4)
         rng = np.random.default_rng(5)
@@ -137,11 +146,8 @@ def test_criterion_05_zeta_one_collapse(reference_spec, rule):
             p = q + rng.uniform(0.02, 0.3, 2)
             zeta = rng.uniform(0.15, 0.95)
             params1 = ParisiParams(zeta=np.array([zeta]), q=np.column_stack([q, p]))
-            pt = OneRSBPoint(q=q, p=p, zeta=zeta)
-            assert (
-                abs(parisi_value(reference_spec, tf, params1, rule) - one_rsb_functional(reference_spec, tf, pt, rule))
-                < 1e-9
-            )
+            want = one_step_value(reference_spec, tf.beta, tf.h, q, p, zeta)
+            assert abs(parisi_value(reference_spec, tf, params1, rule) - want) < 1e-9
 
 
 def test_criterion_06_rsb_certificate(reference_spec, rule):
@@ -182,7 +188,7 @@ def test_criterion_08_latala_guerra_monotonicity(rule):
     with criterion(8, "overlap-map monotonicity on (0, 20]", budget_seconds=5.0):
         xs = np.linspace(0.1, 20.0, 200)
         for h in (0.1, 0.5, 1.0, 2.0):
-            phi = np.array([expect(rule, GaussianArg(math.sqrt(x), h), tanh_sq) / x for x in xs])
+            phi = cavity_expect(lambda y: np.tanh(y) ** 2, rule, 1.0, xs, h) / xs
             assert (np.diff(phi) < 0).all()
 
 

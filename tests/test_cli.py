@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional, solve_fixed_point
 from mskglass.cli import ScanGrid, ConfigError, main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
@@ -58,9 +60,13 @@ def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, rule, referenc
     assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star, rule)
 
 
-def test_solve_rs_missing_field(ref_config):
+def test_solve_rs_missing_field(ref_config, capsys):
     assert main(["solve-rs", "--config", ref_config]) == 1  # no beta
     assert main(["solve-rs", "--beta", "0.5"]) == 1  # no model
+    for order in ("0", "400"):  # no Gauss-Hermite rule of that order
+        capsys.readouterr()
+        assert main(["solve-rs", "--config", ref_config, "--beta", "0.5", "--order", order]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -296,10 +302,14 @@ def test_scan_grid_validation():
 
 
 def test_console_entry_point(sk_config):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(mskglass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "mskglass", "solve-rs", "--config", sk_config, "--beta", "0.2", "--h", "0.1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -7,13 +7,12 @@ from mskglass import (
     BadPoint,
     BadZeta,
     CertificateNotFound,
-    GaussianArg,
     OneRSBPoint,
     TempField,
     Verdict,
     at_verdict,
+    cavity_expect,
     certify_rsb,
-    expect,
     one_rsb_functional,
     quartic_susceptibility,
     rs_functional,
@@ -21,8 +20,7 @@ from mskglass import (
     two_species_thresholds,
     zeta_derivative,
 )
-from mskglass.parisi import ParisiParams, evaluate as parisi_value
-from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum
+from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value
 
 
 def _beta_at_ratio(spec, rule, ratio, h):
@@ -67,6 +65,7 @@ def test_p_equals_q_collapse(reference_spec, rule):
 
 
 def test_generic_point_matches_k1_evaluator(reference_spec, rule):
+    """The one-step value (the k = 1 recursion) against nested scipy quadrature."""
     tf = TempField(beta=0.7, h=0.35)
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -74,8 +73,8 @@ def test_generic_point_matches_k1_evaluator(reference_spec, rule):
         p = q + rng.uniform(0.05, 0.3, 2)
         zeta = rng.uniform(0.1, 0.95)
         pt = OneRSBPoint(q=q, p=p, zeta=zeta)
-        params = ParisiParams(zeta=np.array([zeta]), q=np.column_stack([q, p]))
-        assert abs(one_rsb_functional(reference_spec, tf, pt, rule) - parisi_value(reference_spec, tf, params, rule)) < 1e-9
+        want = one_step_value(reference_spec, tf.beta, tf.h, q, p, zeta)
+        assert abs(one_rsb_functional(reference_spec, tf, pt, rule) - want) < 1e-9
 
 
 def test_slope_vanishes_at_critical_point(reference_spec, rule):
@@ -144,10 +143,10 @@ def test_integration_by_parts_identity(rule):
         step = 1e-5
 
         def g_of(xx):
-            return expect(rule, GaussianArg(scale=math.sqrt(xx), shift=h, beta=beta), f)
+            return cavity_expect(f, rule, beta, xx, h)
 
         fd = (g_of(x + step) - g_of(x - step)) / (2.0 * step)
-        rhs = 0.5 * beta * beta * expect(rule, GaussianArg(scale=math.sqrt(x), shift=h, beta=beta), f_second)
+        rhs = 0.5 * beta * beta * cavity_expect(f_second, rule, beta, x, h)
         assert abs(fd - rhs) < 1e-6
 
 

@@ -4,20 +4,39 @@ import numpy as np
 import pytest
 
 from mskglass import (
-    GaussianArg,
-    LogDomain,
-    NonFiniteIntegrand,
-    Overflow,
+    BadZeta,
+    ModelSpec,
+    OneRSBPoint,
     QuadRule,
-    expect,
-    expect_cosh_closed,
+    TempField,
+    cavity_expect,
     gauss_hermite,
     log_cosh,
-    nested_expect,
-    safe_cosh,
+    one_rsb_functional,
     sech4,
-    tanh_sq,
 )
+from mskglass.parisi import ParisiParams, evaluate
+
+
+def tanh_sq(y):
+    return np.tanh(y) ** 2
+
+
+def _nested_value(outer, inner, h, zeta, rule):
+    """(1/zeta) E1 log E2 cosh^zeta(h + outer eta1 + inner eta2) from the one-step
+    recursion.
+
+    All variances c = (outer^2 + inner^2) / 2 and equal proportions give the
+    couplings C(x) = 2 c x; the point q = outer^2 / (2 c), p = 1 has level
+    scales (outer, inner) at beta = 1 and no top-level noise, so the value is
+    log 2 + X_0 - zeta c (1 - q^2) / 2.
+    """
+    c = 0.5 * (outer * outer + inner * inner)
+    spec = ModelSpec(delta2=np.full((2, 2), c), lam=[0.5, 0.5])
+    x = outer * outer / (2.0 * c)
+    pt = OneRSBPoint(q=np.full(2, x), p=np.ones(2), zeta=zeta)
+    value = one_rsb_functional(spec, TempField(beta=1.0, h=h), pt, rule)
+    return value - math.log(2.0) + 0.5 * zeta * c * (1.0 - x * x)
 
 
 def test_rule_invariants(rule):
@@ -25,9 +44,9 @@ def test_rule_invariants(rule):
     # node set symmetric about 0
     assert np.abs(np.sort(rule.nodes) + np.sort(rule.nodes)[::-1]).max() < 1e-12
     # first three moments of the standard normal
-    assert abs(expect(rule, GaussianArg(1.0, 0.0), lambda y: np.ones_like(y)) - 1.0) < 1e-12
-    assert abs(expect(rule, GaussianArg(1.0, 0.0), lambda y: y)) < 1e-12
-    assert abs(expect(rule, GaussianArg(1.0, 0.0), lambda y: y * y) - 1.0) < 1e-12
+    assert abs(cavity_expect(np.ones_like, rule, 1.0, 1.0, 0.0) - 1.0) < 1e-12
+    assert abs(cavity_expect(lambda y: y, rule, 1.0, 1.0, 0.0)) < 1e-12
+    assert abs(cavity_expect(lambda y: y * y, rule, 1.0, 1.0, 0.0) - 1.0) < 1e-12
 
 
 def test_rule_construction_rejects_bad_input():
@@ -37,75 +56,96 @@ def test_rule_construction_rejects_bad_input():
         QuadRule(order=2, nodes=np.zeros(2), weights=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         gauss_hermite(0)
+    gauss_hermite(370)
+    with pytest.raises(ValueError):
+        gauss_hermite(371)  # the weights leave the float64 range
 
 
 def test_expect_degenerate_scale(rule):
-    # scale = 0 kills the noise regardless of order
+    # a zero coupling kills the noise regardless of order
     for order in (5, 21, 61):
         r = gauss_hermite(order)
-        got = expect(r, GaussianArg(scale=0.0, shift=0.8), tanh_sq)
+        got = cavity_expect(tanh_sq, r, 1.0, 0.0, 0.8)
         assert abs(got - math.tanh(0.8) ** 2) < 1e-15
 
 
 def test_expect_beta_zero(rule):
-    got = expect(rule, GaussianArg(scale=1.7, shift=0.8, beta=0.0), sech4)
+    got = cavity_expect(sech4, rule, 0.0, 1.7 ** 2, 0.8)
     assert abs(got - 1.0 / math.cosh(0.8) ** 4) < 1e-15
+
+
+def test_expect_batched_over_couplings(rule):
+    couplings = np.array([[0.0, 0.3], [1.1, 2.4]])
+    got = cavity_expect(log_cosh, rule, 0.9, couplings, 0.2)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        one = cavity_expect(log_cosh, rule, 0.9, couplings[idx], 0.2)
+        assert abs(got[idx] - one) < 1e-15
 
 
 def test_expect_against_frozen_monte_carlo(rule):
     # 10^7-sample oracle, seed 20260810 (tests/oracles.py: mc_log_cosh)
     mc_mean, mc_stderr = 0.129599612080, 4.474e-05
-    got = expect(rule, GaussianArg(scale=math.sqrt(0.5), shift=0.4, beta=0.5), log_cosh)
+    got = cavity_expect(log_cosh, rule, 0.5, 0.5, 0.4)
     assert abs(got - mc_mean) < 3.0 * mc_stderr
 
 
-def test_expect_raises_on_nonfinite(rule):
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrand):
-        expect(rule, GaussianArg(scale=100.0, shift=0.0), np.cosh)  # raw cosh overflows
-
-
 def test_expect_cosh_closed_values(rule):
-    assert expect_cosh_closed(0.0, 0.0) == 1.0
-    assert abs(expect_cosh_closed(1.0, 0.0) - math.exp(0.5)) < 1e-15
-    quad_value = expect(rule, GaussianArg(scale=0.7, shift=0.3), safe_cosh)
-    assert abs(expect_cosh_closed(0.7, 0.3) - quad_value) < 1e-10
+    """E cosh(sigma eta + h) = exp(sigma^2 / 2) cosh(h): the identity behind the
+    recursion's closed-form top level."""
+    assert cavity_expect(np.cosh, rule, 1.0, 0.0, 0.0) == 1.0
+    assert abs(cavity_expect(np.cosh, rule, 1.0, 1.0, 0.0) - math.exp(0.5)) < 1e-14
+    quad_value = cavity_expect(np.cosh, rule, 1.0, 0.7 ** 2, 0.3)
+    assert abs(math.exp(0.5 * 0.7 ** 2) * math.cosh(0.3) - quad_value) < 1e-10
 
 
-def test_expect_cosh_closed_overflow():
-    with pytest.raises(Overflow):
-        expect_cosh_closed(60.0, 0.0)
+def test_expect_cosh_closed_overflow(rule):
+    """The closed-form top level stays in the log domain: at q = 0 and beta = 40
+    E cosh of the cavity field is exp(~1600), far beyond float64, yet the
+    k = 0 value is the exact log 2 + sum_s lam_s (log cosh h + beta^2 C_s(1) / 2)
+    - beta^2 E(1) / 2."""
+    spec = ModelSpec(delta2=[[1.5, 1.0], [1.0, 1.2]], lam=[0.6, 0.4])
+    beta, h = 40.0, 0.3
+    value = evaluate(spec, TempField(beta=beta, h=h), ParisiParams(zeta=np.zeros(0), q=np.zeros((2, 1))), rule)
+    w = spec.lam
+    coupling, energy = 2.0 * spec.delta2 @ w, w @ spec.delta2 @ w
+    want = math.log(2.0) + w @ (math.log(math.cosh(h)) + 0.5 * beta * beta * coupling) - 0.5 * beta * beta * energy
+    assert math.isfinite(value)
+    assert abs(value - want) < 1e-12 * abs(want)
 
 
 def test_nested_zeta_one_collapse(rule):
-    # E2 integrates out in closed form when zeta = 1
-    beta, sigma, outer, h = 0.9, 0.5, 0.8, 0.4
-    got = nested_expect(rule, rule, sigma, outer, h, beta, 1.0, safe_cosh)
-    want = 0.5 * (beta * sigma) ** 2 + expect(rule, GaussianArg(outer, h, beta), log_cosh)
+    # the zeta = 1 level integrates out in closed form; compare with explicit
+    # two-level quadrature of E1 log E2 cosh
+    outer, inner, h = 0.72, 0.45, 0.4
+    got = _nested_value(outer, inner, h, 1.0, rule)
+    y = h + outer * rule.nodes[:, None] + inner * rule.nodes[None, :]
+    want = rule.weights @ np.log(np.cosh(y) @ rule.weights)
     assert abs(got - want) < 1e-10
 
 
 def test_nested_inner_scale_zero(rule):
-    got = nested_expect(rule, rule, 0.0, 0.8, 0.4, 0.9, 0.37, safe_cosh)
-    want = expect(rule, GaussianArg(0.8, 0.4, 0.9), log_cosh)
+    # a zero inner scale leaves E1 log cosh, whatever zeta
+    got = _nested_value(0.72, 0.0, 0.4, 0.37, rule)
+    want = cavity_expect(log_cosh, rule, 1.0, 0.72 ** 2, 0.4)
     assert abs(got - want) < 1e-12
 
 
 def test_nested_against_frozen_monte_carlo(rule):
     # 10^4 x 10^3 two-level oracle, seed 20260811 (tests/oracles.py: mc_nested_cosh)
     mc_mean, mc_stderr = 0.254854193857, 2.463e-03
-    got = nested_expect(rule, rule, 0.3, 0.6, 0.4, 1.0, 0.5, safe_cosh)
+    got = _nested_value(0.6, 0.3, 0.4, 0.5, rule)
     assert abs(got - mc_mean) < 3.0 * mc_stderr
 
 
-def test_nested_error_conditions(rule):
-    from mskglass.errors import BadZeta
-
+def test_nested_error_conditions():
+    q, p = np.array([0.3, 0.3]), np.array([0.6, 0.6])
     with pytest.raises(BadZeta):
-        nested_expect(rule, rule, 0.3, 0.6, 0.4, 1.0, 0.0, safe_cosh)
+        OneRSBPoint(q=q, p=p, zeta=0.0)
     with pytest.raises(BadZeta):
-        nested_expect(rule, rule, 0.3, 0.6, 0.4, 1.0, 1.5, safe_cosh)
-    with pytest.raises(LogDomain):
-        nested_expect(rule, rule, 0.3, 0.6, 0.4, 1.0, 0.5, np.sin)
+        OneRSBPoint(q=q, p=p, zeta=1.5)
+    with pytest.raises(BadZeta):
+        ParisiParams(zeta=np.array([1.0]), q=np.column_stack([q, p]))
 
 
 def test_log_cosh_stability():
@@ -128,8 +168,8 @@ def test_order_doubling_spec_window(rule40, rule80):
     for f in (tanh_sq, sech4, log_cosh):
         for bs in (0.5, 1.0, 2.0, 3.0, 4.0):
             for h in (-4.0, -1.0, 0.0, 1.0, 4.0):
-                a = GaussianArg(scale=bs, shift=h)
-                worst = max(worst, abs(expect(rule40, a, f) - expect(rule80, a, f)))
+                a, b = (cavity_expect(f, r, 1.0, bs * bs, h) for r in (rule40, rule80))
+                worst = max(worst, abs(a - b))
     assert worst < 1e-10
 
 
@@ -138,14 +178,14 @@ def test_order_doubling_calibrated_window(rule40, rule80):
     for f in (tanh_sq, sech4, log_cosh):
         for bs in (0.1, 0.3, 0.5, 0.55):
             for h in (-4.0, 0.0, 0.7, 4.0):
-                a = GaussianArg(scale=bs, shift=h)
-                assert abs(expect(rule40, a, f) - expect(rule80, a, f)) < 1e-10
+                a, b = (cavity_expect(f, r, 1.0, bs * bs, h) for r in (rule40, rule80))
+                assert abs(a - b) < 1e-10
 
 
 def test_nested_order_doubling(rule40, rule80):
     for zeta in (0.4, 1.0):
-        v40 = nested_expect(rule40, rule40, 0.2, 0.5, 0.7, 1.0, zeta, safe_cosh)
-        v80 = nested_expect(rule80, rule80, 0.2, 0.5, 0.7, 1.0, zeta, safe_cosh)
+        v40 = _nested_value(0.5, 0.2, 0.7, zeta, rule40)
+        v80 = _nested_value(0.5, 0.2, 0.7, zeta, rule80)
         assert abs(v40 - v80) < 1e-10
 
 
@@ -153,7 +193,7 @@ def test_latala_guerra_monotonicity(rule):
     """x -> E tanh^2(eta sqrt(x) + h) / x strictly decreasing for h > 0."""
     xs = np.linspace(0.1, 20.0, 120)
     for h in (0.1, 1.0):
-        phi = np.array([expect(rule, GaussianArg(math.sqrt(x), h), tanh_sq) / x for x in xs])
+        phi = cavity_expect(tanh_sq, rule, 1.0, xs, h) / xs
         assert (np.diff(phi) < 0).all()
         assert phi[-1] < phi[0]
 
