@@ -11,7 +11,8 @@ field).  A direction x >= 0 with x' K x > 0 certifies that the single-atom
 value is not optimal.  For two species with unit cross variance the existence
 of such a direction collapses to the single inequality beta^2 > beta2_m, one
 of five closed-form thresholds computed here; the AT line in the (beta, h)
-plane is the zero set of beta^2 - beta2_m(beta), located by bisection.
+plane is the zero set of beta^2 - beta2_m(beta), located by a bracketed
+secant search (Illinois regula falsi).
 
 For three or more species no closed-form threshold is known; the witness
 search is best-effort (top eigenvector, then a nonnegative-cone ascent) and a
@@ -269,10 +270,13 @@ def at_line_beta(
     beta_lo: float = 1e-3,
     beta_max: float = 64.0,
 ) -> float:
-    """Bisect g(beta) = beta^2 - beta2_m(beta) to locate the phase boundary.
+    """Locate the phase boundary as the zero of g(beta) = beta^2 - beta2_m(beta).
 
     beta2_m depends on beta through the critical point, so the line is found
-    pointwise in h by scalar root-finding; tolerance is in beta.
+    pointwise in h by scalar root-finding: g(beta_lo) < 0 is checked, the
+    upper end is doubled from 1 until g >= 0 (NotConverged past `beta_max`),
+    and a bracketed secant search shrinks the bracket to a width of `tol` in
+    beta.  Every evaluation of g is one critical-point solve.
     """
     if h <= 0:
         raise Unsupported("the phase boundary is computed for h > 0")
@@ -283,18 +287,40 @@ def at_line_beta(
         gamma = quartic_susceptibility(spec, tf, sol, rule)
         return beta * beta - two_species_thresholds(spec, gamma).beta2_m
 
-    lo = beta_lo
-    if gap(lo) >= 0:
+    lo, g_lo = beta_lo, gap(beta_lo)
+    if g_lo >= 0:
         raise NotConverged(f"no bracket: g({lo}) >= 0")
     hi = min(1.0, beta_max)
-    while gap(hi) < 0:
+    g_hi = gap(hi)
+    while g_hi < 0:
         hi *= 2.0
         if hi > beta_max:
             raise NotConverged(f"no bracket: g(beta) < 0 up to beta = {beta_max}")
+        g_hi = gap(hi)
+    return _illinois(gap, lo, hi, g_lo, g_hi, tol)
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of f on [lo, hi], where f(lo) < 0 <= f(hi), to a bracket width of tol.
+
+    Regula falsi with the Illinois rule: when the same end survives twice in a
+    row its stored value is halved, so both ends close in superlinearly.  Each
+    trial point is kept tol/2 inside the bracket, so a secant estimate that has
+    converged onto the root still moves the far end next to it.
+    """
+    kept = 0  # +1: hi survived the last step, -1: lo did
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        f_x = f(x)
+        if f_x < 0:
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)

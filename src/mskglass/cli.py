@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -31,6 +32,8 @@ from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
 from .rs import rs_functional, solve_fixed_point
 from .simulate import free_energy_exact, overlap_histogram
+
+_log = logging.getLogger("mskglass")
 
 
 class ConfigError(ValueError):
@@ -287,10 +290,10 @@ def cmd_at_line(args) -> int:
             beta = at_line_beta(spec, float(h), rule)
             rows.append((h, beta, "ok"))
             if previous is not None and spacing > 0 and abs(beta - previous) > 10.0 * spacing:
-                print(
-                    f"warning: boundary jump {abs(beta - previous):.3g} at h = {h:.6g} "
-                    f"exceeds 10x the grid resolution",
-                    file=sys.stderr,
+                _log.warning(
+                    "boundary jump %.3g at h = %.6g exceeds 10x the grid resolution",
+                    abs(beta - previous),
+                    h,
                 )
             previous = beta
         except NotConverged:
@@ -349,10 +352,11 @@ def cmd_phase_diagram(args) -> int:
         verdicts = [r["verdict"] for r in results[slice_start : slice_start + n_beta]]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
         if flips > 1:
-            print(
-                f"warning: verdict flips {flips} times along the h-slice starting at row "
-                f"{slice_start}; expected a single transition",
-                file=sys.stderr,
+            _log.warning(
+                "verdict flips %d times along the h-slice starting at row %d; "
+                "expected a single transition",
+                flips,
+                slice_start,
             )
     rows = [(r["beta"], r["h"], r["verdict"], r["beta2_m"], r["gap"]) for r in results]
     _emit_csv(cfg, ("beta", "h", "verdict", "beta2_m", "gap"), rows, cfg.get("out"))

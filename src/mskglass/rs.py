@@ -11,7 +11,10 @@ critical point solves the self-consistency system
 
     q_s = E tanh^2(beta eta sqrt(C_s) + h),
 
-which the solver iterates with damping and multiple starts.  For two species
+which the solver iterates from three starts.  Each run takes the plain step
+q <- T(q), halves it only on an overshoot and restores it right after; near
+q* the map contracts (Jacobian spectral radius below 0.77 on the README
+phase-diagram grid), so the plain step is also the fast one.  For two species
 under the standard normalization the critical point is unique whenever h > 0
 or beta^2 is below the closed-form threshold `uniqueness_threshold`; outside
 that regime all distinct limits found are reported and the functional value
@@ -34,7 +37,6 @@ _LOG2 = math.log(2.0)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
-DEFAULT_DAMPING = 0.5
 _MIN_DAMPING = 1.0 / 64.0
 _DISTINCT_TOL = 1e-7
 _BOUNDARY_TOL = 1e-12
@@ -109,19 +111,26 @@ class _Run(NamedTuple):
     converged: bool
 
 
-def _iterate(spec, tf, rule, q0, tol, max_iter, damping) -> _Run:
+def _iterate(spec, tf, rule, q0, tol, max_iter) -> _Run:
     q = np.clip(np.asarray(q0, dtype=float), 0.0, 1.0)
-    alpha = damping
-    prev = math.inf
+    alpha = 1.0
+    prev_residual, prev_step = math.inf, None
     residual = math.inf
     for it in range(1, max_iter + 1):
         target = fixed_point_map(spec, tf, q, rule)
-        residual = float(np.abs(q - target).max())
+        step = target - q
+        residual = float(np.abs(step).max())
         if residual < tol:
             return _Run(q, residual, it, True)
-        if residual > prev:
+        # A rise with a reversed step is an overshoot: halve alpha.  A rise along
+        # the previous direction is an escape from where the map expands (near
+        # q = 0 above the h = 0 threshold), which damping would only slow; like
+        # every other step it doubles alpha back towards 1.
+        if residual > prev_residual and float(step @ prev_step) < 0.0:
             alpha = max(alpha / 2.0, _MIN_DAMPING)
-        prev = residual
+        else:
+            alpha = min(2.0 * alpha, 1.0)
+        prev_residual, prev_step = residual, step
         q = np.clip((1.0 - alpha) * q + alpha * target, 0.0, 1.0)
     return _Run(q, residual, max_iter, False)
 
@@ -132,13 +141,14 @@ def solve_fixed_point(
     rule: QuadRule,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-    extra_starts=(),
 ) -> RSSolution:
-    """Damped multistart iteration of the self-consistency system.
+    """Multistart fixed-point iteration of the self-consistency system.
 
     Starts from the zero vector, the all-ones vector and the decoupled value
-    tanh^2(h); the damping factor is halved whenever the residual increases.
+    tanh^2(h).  Each run steps q <- q + alpha (T(q) - q), clipped to the box,
+    from alpha = 1: alpha is halved (down to 1/64) when the residual rises
+    and the step reverses, and doubled back (up to 1) after any other step.
+    A run converges when the sup-norm residual |T(q) - q| falls below `tol`.
     When the uniqueness hypotheses hold, distinct limits raise
     InternalInconsistency (a bug signal); otherwise every distinct limit is
     reported in `candidates` and `q_star` minimizes the functional over them.
@@ -146,9 +156,8 @@ def solve_fixed_point(
     """
     m = spec.m
     starts = [np.zeros(m), np.ones(m), np.full(m, math.tanh(tf.h) ** 2)]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
 
-    runs = [_iterate(spec, tf, rule, q0, tol, max_iter, damping) for q0 in starts]
+    runs = [_iterate(spec, tf, rule, q0, tol, max_iter) for q0 in starts]
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)

@@ -19,6 +19,7 @@ from mskglass import (
     two_species_thresholds,
     uniqueness_threshold,
 )
+from mskglass import atline
 from .oracles import single_species_at_beta
 
 
@@ -232,6 +233,23 @@ def test_at_line_small_field_approaches_closed_form(reference_spec, rule):
         dev.append((beta * beta - b0) / b0)
     assert dev[0] > dev[1] > 0
     assert dev[1] < 0.06
+
+
+def test_at_line_search_cost_and_accuracy(reference_spec, rule, monkeypatch):
+    """At most 16 critical-point solves per h, bracket included, at the default tol."""
+    solves = []
+    solve = atline.solve_fixed_point
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(atline, "solve_fixed_point", counting)
+    for h in (0.1, 0.5, 1.0):
+        solves.clear()
+        beta = at_line_beta(reference_spec, h, rule)
+        assert len(solves) <= 16
+        assert abs(beta - at_line_beta(reference_spec, h, rule, tol=1e-13)) < 1e-9
 
 
 def test_at_line_bracket_failure(reference_spec, rule):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional, solve_fixed_point
+from mskglass import cli
 from mskglass.cli import ScanGrid, ConfigError, main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta
@@ -119,6 +122,16 @@ def test_at_line_sk_matches_classical(sk_config, tmp_path):
     assert abs(beta - single_species_at_beta(0.2)) < 1e-6
 
 
+def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, caplog):
+    betas = iter([0.9, 1.5])
+    monkeypatch.setattr(cli, "at_line_beta", lambda spec, h, rule: next(betas))
+    argv = ["at-line", "--config", ref_config, "--h-range", "0.3,0.31,2", "--out", str(tmp_path / "l.csv")]
+    with caplog.at_level(logging.WARNING, logger="mskglass"):
+        assert main(argv) == 0
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)]
+    assert "boundary jump 0.6 at h = 0.31" in caplog.records[0].getMessage()
+
+
 def test_at_line_rejects_zero_field(ref_config):
     assert main(["at-line", "--config", ref_config, "--h-range", "0,0.5,3"]) == 1
 
@@ -154,6 +167,22 @@ def test_phase_diagram_grid(ref_config, tmp_path):
             else:
                 assert r[2] == "RSB-certified"
                 assert float(r[4]) > 0
+
+
+def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatch, caplog):
+    verdicts = itertools.cycle(["RS-consistent", "RSB-certified"])
+
+    def alternating(task):
+        _, beta, h, _, _ = task
+        return {"beta": beta, "h": h, "verdict": next(verdicts), "beta2_m": 0.5, "gap": None}
+
+    monkeypatch.setattr(cli, "_phase_point", alternating)
+    argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,1.0,4",
+            "--h-range", "0.3,0.3,1", "--workers", "1", "--out", str(tmp_path / "pd.csv")]
+    with caplog.at_level(logging.WARNING, logger="mskglass"):
+        assert main(argv) == 0
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)]
+    assert "verdict flips 3 times along the h-slice starting at row 0" in caplog.records[0].getMessage()
 
 
 def test_phase_diagram_all_below_line(ref_config, tmp_path):

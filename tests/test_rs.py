@@ -14,6 +14,7 @@ from mskglass import (
     solve_fixed_point,
     uniqueness_threshold,
 )
+from mskglass import rs
 from .oracles import single_species_rs_value, two_species_bisection
 
 
@@ -89,6 +90,32 @@ def test_solver_multistart_above_threshold(reference_spec, rule):
     assert len(sol.candidates) == 2  # paramagnetic and glassy branches
     values = [rs_functional(reference_spec, TempField(beta=beta, h=0.0), q, rule) for q in sol.candidates]
     assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star, rule) - min(values)) < 1e-14
+
+
+def test_every_start_converges_quickly(reference_spec, rule, monkeypatch):
+    """All three starts converge, so the distinct-limits check compares three runs.
+
+    At (0.68, 0.01) beta^2 is above the h = 0 threshold, so the map expands
+    near q = 0 and the 0 and tanh^2 h starts leave it with a rising residual;
+    at (1.2, 0.3) an early residual rise must not leave the step damped for
+    the rest of the run.
+    """
+    runs = []
+    iterate = rs._iterate
+
+    def recording(*args):
+        runs.append(iterate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(rs, "_iterate", recording)
+    solve_fixed_point(reference_spec, TempField(beta=0.68, h=0.01), rule)
+    assert len(runs) == 3
+    assert all(run.converged for run in runs)
+
+    runs.clear()
+    solve_fixed_point(reference_spec, TempField(beta=1.2, h=0.3), rule)
+    assert len(runs) == 3
+    assert all(run.converged and run.iterations <= 60 for run in runs)
 
 
 def test_solver_not_converged():
