@@ -213,8 +213,6 @@ def at_verdict(
     spec: ModelSpec,
     tf: TempField,
     rule: QuadRule,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
 ) -> ATReport:
     """Solve the critical point at (beta, h) and classify the phase.
 
@@ -226,7 +224,7 @@ def at_verdict(
     """
     if tf.h <= 0:
         raise Unsupported("the phase verdict is defined for h > 0")
-    sol = solve_fixed_point(spec, tf, rule, tol=tol, max_iter=max_iter)
+    sol = solve_fixed_point(spec, tf, rule)
     gamma = quartic_susceptibility(spec, tf, sol, rule)
     thresholds = two_species_thresholds(spec, gamma)
     _check_ordering(spec, thresholds)
@@ -277,6 +275,9 @@ def at_line_beta(
     upper end is doubled from 1 until g >= 0 (NotConverged past `beta_max`),
     and a bracketed secant search shrinks the bracket to a width of `tol` in
     beta.  Every evaluation of g is one critical-point solve.
+
+    `tol` is the bracket width, not the error in beta_m: at small h the
+    solves' own tolerance moves the root more (2.2e-8 at h = 0.005).
     """
     if h <= 0:
         raise Unsupported("the phase boundary is computed for h > 0")

@@ -4,7 +4,8 @@ One JSON config file holds the model (M, delta2 row-major, lambda, mode) plus
 any run parameters; command-line flags override file fields.  Every output
 embeds the resolved config and the library version so a result file is a
 complete experiment record.  CSV floats carry 17 significant digits so
-regression baselines round-trip bit-faithfully.
+regression baselines round-trip bit-faithfully.  Grid scans run serially in
+one process and write their rows in grid order (h outer, beta inner).
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
 """
@@ -12,13 +13,10 @@ Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +48,6 @@ class ScanGrid:
 
     beta_range: tuple = (0.1, 1.0, 10)
     h_range: tuple = (0.1, 1.0, 10)
-    outputs: str | None = None
 
     def __post_init__(self):
         for name, rng in (("beta_range", self.beta_range), ("h_range", self.h_range)):
@@ -128,7 +125,6 @@ _FLAG_KEYS = (
     ("sweeps", "sweeps"),
     ("n_disorder", "n_disorder"),
     ("bins", "bins"),
-    ("workers", "workers"),
     ("zeta", "zeta"),
     ("q", "q"),
     ("eps_grid", "eps_grid"),
@@ -201,7 +197,6 @@ def _temp_field(cfg: dict) -> TempField:
         raise ConfigError(str(exc)) from exc
 
 
-@functools.lru_cache(maxsize=8)
 def _rule(order: int):
     try:
         return gauss_hermite(order)
@@ -303,23 +298,16 @@ def cmd_at_line(args) -> int:
     return 0
 
 
-def _phase_point(task):
-    spec, beta, h, order, do_certify = task
-    rule = _rule(order)
-    report = at_verdict(spec, TempField(beta=beta, h=h), rule)
+def _phase_point(spec: ModelSpec, tf: TempField, rule) -> tuple:
+    """One phase-diagram row: (beta, h, verdict, beta2_m, gap)."""
+    report = at_verdict(spec, tf, rule)
     gap = None
-    if do_certify and report.verdict == Verdict.RSB_CERTIFIED:
+    if report.verdict == Verdict.RSB_CERTIFIED:
         try:
-            gap = certify_rsb(spec, TempField(beta=beta, h=h), report, rule).gap
+            gap = certify_rsb(spec, tf, report, rule).gap
         except CertificateNotFound:
-            gap = None  # quadratically small near the line; left empty
-    return {
-        "beta": beta,
-        "h": h,
-        "verdict": report.verdict.value,
-        "beta2_m": report.beta2_m,
-        "gap": gap,
-    }
+            pass  # quadratically small near the line; left empty
+    return tf.beta, tf.h, report.verdict.value, report.beta2_m, gap
 
 
 def cmd_phase_diagram(args) -> int:
@@ -330,35 +318,21 @@ def cmd_phase_diagram(args) -> int:
         beta_range=tuple(cfg.get("beta_range", (0.2, 1.2, 10))),
         h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))),
     )
-    order = int(cfg.get("order", DEFAULT_ORDER))
-    _rule(order)  # reject a bad order before dispatching work
+    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
     if (grid.h_values() <= 0).any():
         raise ConfigError("phase-diagram requires h > 0 everywhere on the grid")
-    do_certify = bool(cfg.get("certify", True))
-    tasks = [
-        (spec, float(beta), float(h), order, do_certify)
-        for h in grid.h_values()
-        for beta in grid.beta_values()
-    ]
-    workers = int(cfg.get("workers", 0)) or min(os.cpu_count() or 1, 8)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_phase_point, tasks, chunksize=4))
-    else:
-        results = [_phase_point(task) for task in tasks]
-
-    n_beta = grid.beta_values().size
-    for slice_start in range(0, len(results), n_beta):
-        verdicts = [r["verdict"] for r in results[slice_start : slice_start + n_beta]]
-        flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
+    betas = grid.beta_values()
+    rows: list = []
+    for h in grid.h_values():
+        h_slice = [_phase_point(spec, TempField(beta=float(beta), h=float(h)), rule) for beta in betas]
+        flips = sum(1 for a, b in zip(h_slice, h_slice[1:]) if a[2] != b[2])
         if flips > 1:
             _log.warning(
-                "verdict flips %d times along the h-slice starting at row %d; "
-                "expected a single transition",
+                "verdict flips %d times along the h-slice starting at row %d; expected a single transition",
                 flips,
-                slice_start,
+                len(rows),
             )
-    rows = [(r["beta"], r["h"], r["verdict"], r["beta2_m"], r["gap"]) for r in results]
+        rows += h_slice
     _emit_csv(cfg, ("beta", "h", "verdict", "beta2_m", "gap"), rows, cfg.get("out"))
     return 0
 
@@ -401,6 +375,8 @@ def cmd_parisi_eval(args) -> int:
         raise ConfigError("missing q field (M rows of k+1 nondecreasing overlaps)")
     zeta = np.asarray(cfg.get("zeta", []), dtype=float)
     q = np.asarray(cfg["q"], dtype=float)
+    if zeta.ndim > 1:
+        raise ConfigError("invalid functional parameters: zeta must be a vector")
     try:
         params = ParisiParams(zeta=zeta, q=q)
     except (ValueError, MskGlassError) as exc:
@@ -504,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--beta-range", dest="beta_range", type=_range_triple, help="min,max,steps")
     p.add_argument("--h-range", dest="h_range", type=_range_triple, help="min,max,steps")
-    p.add_argument("--workers", type=int, help="worker processes (default: cpu count, capped at 8)")
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("certify", help="one-step symmetry-breaking certificate at one (beta, h)")

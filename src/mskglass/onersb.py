@@ -41,11 +41,11 @@ _NEAR_LINE_MARGIN = 1.05
 
 @dataclass(frozen=True)
 class OneRSBPoint:
-    """Inner overlap q, outer overlap p >= q and cluster weight zeta."""
+    """Inner overlap q, outer overlap p >= q and cluster weight zeta (or a vector of them)."""
 
     q: np.ndarray
     p: np.ndarray
-    zeta: float
+    zeta: float | np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -56,14 +56,16 @@ class OneRSBPoint:
             raise BadPoint("overlaps must lie in [0, 1]")
         if (p - q < -_INCREMENT_TOL).any():
             raise BadPoint("p must dominate q componentwise")
-        if not 0.0 < self.zeta <= 1.0:
+        zeta = np.asarray(self.zeta, dtype=float)
+        if zeta.ndim > 1 or not ((zeta > 0.0) & (zeta <= 1.0)).all():
             raise BadZeta(f"zeta must lie in (0, 1], got {self.zeta}")
         q = np.clip(q, 0.0, 1.0)
         p = np.clip(p, 0.0, 1.0)
-        q.setflags(write=False)
-        p.setflags(write=False)
+        for arr in (q, p, zeta):
+            arr.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "zeta", zeta if zeta.ndim else float(zeta))
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,20 @@ def _increments(spec: ModelSpec, q, p):
     return c_q, c_p, np.clip(d, 0.0, None)
 
 
-def one_rsb_functional(spec: ModelSpec, tf: TempField, pt: OneRSBPoint, rule: QuadRule) -> float:
+def one_rsb_functional(spec: ModelSpec, tf: TempField, pt: OneRSBPoint, rule: QuadRule):
     """Value of the one-step ansatz at (q, p, zeta): the k = 1 functional,
-    or its k = 0 collapse at q when zeta = 1."""
+    or its k = 0 collapse at q when zeta = 1; one value per weight of a
+    vector zeta, those below 1 evaluated as one batch."""
     _increments(spec, pt.q, pt.p)
-    if pt.zeta == 1.0:
-        params = ParisiParams(zeta=np.zeros(0), q=pt.q[:, None])
-    else:
-        params = ParisiParams(zeta=np.array([pt.zeta]), q=np.column_stack([pt.q, pt.p]))
-    return evaluate(spec, tf, params, rule)
+    zeta = np.atleast_1d(pt.zeta)
+    values = np.empty(zeta.shape)
+    inner = zeta < 1.0
+    if not inner.all():
+        values[~inner] = evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=pt.q[:, None]), rule)
+    if inner.any():
+        params = ParisiParams(zeta=zeta[inner, None], q=np.column_stack([pt.q, pt.p]))
+        values[inner] = evaluate(spec, tf, params, rule)
+    return values if np.ndim(pt.zeta) else float(values[0])
 
 
 def zeta_derivative(spec: ModelSpec, tf: TempField, q_star, p, rule: QuadRule) -> float:
@@ -154,16 +161,17 @@ def certify_rsb(
     rule: QuadRule,
     eps_grid=None,
     zeta_grid=None,
-    gap_floor: float = DEFAULT_GAP_FLOOR,
 ) -> OneRSBCertificate:
     """Scan (epsilon, zeta) for a one-step value strictly below the single-atom one.
 
     The report's witness certifies positivity against the stability matrix;
     the slope's curvature is its conjugation by the proportions, so the
     displacement direction is the witness divided componentwise by lam
-    (nonnegativity is preserved), normalized to unit max entry.  The point
-    with the largest observed gap above `gap_floor` wins; the floor sits
-    above the quadrature noise at the default order.  Raises
+    (nonnegativity is preserved), normalized to unit max entry.  Each
+    epsilon with p in [0, 1] evaluates the whole zeta grid in one pass (a
+    zeta outside (0, 1] raises BadZeta).  The first point with the largest
+    gap above DEFAULT_GAP_FLOOR wins; the floor sits above the quadrature
+    noise at the default order.  Raises
     CertificateNotFound when the scan finds nothing; `near_line`
     distinguishes the benign case beta^2 < 1.05 beta2_m, where the
     attainable gap is quadratically small, from a genuine failure.
@@ -186,17 +194,17 @@ def certify_rsb(
         p = q_star + eps * x
         if (p > 1.0).any() or (p < 0.0).any():
             continue
-        for zeta in zeta_grid:
-            value = one_rsb_functional(spec, tf, OneRSBPoint(q=q_star, p=p, zeta=float(zeta)), rule)
-            gap = rs_value - value
-            if gap > best_gap:
-                best_gap = gap
-                best = (float(eps), float(zeta), float(value))
+        values = one_rsb_functional(spec, tf, OneRSBPoint(q=q_star, p=p, zeta=zeta_grid), rule)
+        gaps = rs_value - values
+        if gaps.size and gaps.max() > best_gap:
+            j = int(np.argmax(gaps))
+            best_gap = float(gaps[j])
+            best = (float(eps), float(zeta_grid[j]), float(values[j]))
 
-    if best is None or best_gap <= gap_floor:
+    if best is None or best_gap <= DEFAULT_GAP_FLOOR:
         near = tf.beta ** 2 < _NEAR_LINE_MARGIN * report.beta2_m
         raise CertificateNotFound(
-            f"no one-step point beats the single-atom value by more than {gap_floor:g} "
+            f"no one-step point beats the single-atom value by more than {DEFAULT_GAP_FLOOR:g} "
             f"(best gap {best_gap:.3e}; {'near the phase line, expected' if near else 'unexpected'})",
             best_gap=best_gap,
             near_line=near,

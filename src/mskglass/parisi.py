@@ -19,7 +19,8 @@ quadrature nodes while holding at most an order x order slice in memory.
 Cost grows as order**(k+1); levels k <= 3 are practical at moderate order
 and nothing is ever truncated.  Levels whose overlap increment vanishes are
 integrated out exactly (the reduction is the identity there), which keeps
-coalesced ladders bit-stable.
+coalesced ladders bit-stable.  A batch of Z weight vectors on one ladder
+shares every log-cosh grid and runs through the recursion as one.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ _INCREMENT_TOL = 1e-12
 class ParisiParams:
     """Cluster weights zeta (length k) and overlap ladder q (M x (k+1)).
 
-    The boundary columns q_0 = 0 and q_{k+2} = 1 are implicit.  Weights must
-    be strictly increasing inside the open interval (0, 1); the endpoint
-    values 0 and 1 are handled analytically by the evaluator, never fed to
-    the 1/zeta * log E exp(zeta *) form.
+    zeta may also be a batch (Z x k) sharing the ladder.  The boundary columns
+    q_0 = 0 and q_{k+2} = 1 are implicit.  Weights must be strictly
+    increasing inside the open interval (0, 1); the endpoint values 0 and 1
+    are handled analytically by the evaluator, never fed to the
+    1/zeta * log E exp(zeta *) form.
     """
 
     zeta: np.ndarray
@@ -53,14 +55,15 @@ class ParisiParams:
     def __post_init__(self):
         zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
         q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        if zeta.ndim != 1:
-            raise BadZeta("zeta must be a vector")
+        if zeta.ndim > 2:
+            raise BadZeta("zeta must be a vector or a batch (Z x k) of vectors")
         if ((zeta <= 0.0) | (zeta >= 1.0)).any():
             raise BadZeta("cluster weights must lie strictly inside (0, 1)")
-        if zeta.size > 1 and (np.diff(zeta) <= 0).any():
+        if (np.diff(zeta, axis=-1) <= 0).any():
             raise BadZeta("cluster weights must be strictly increasing")
-        if q.ndim != 2 or q.shape[1] != zeta.size + 1:
-            raise ValueError(f"q must be M x (k+1) with k = {zeta.size}")
+        k = zeta.shape[-1]
+        if q.ndim != 2 or q.shape[1] != k + 1:
+            raise ValueError(f"q must be M x (k+1) with k = {k}")
         if ((q < -_INCREMENT_TOL) | (q > 1 + _INCREMENT_TOL)).any():
             raise ValueError("overlaps must lie in [0, 1]")
         if q.shape[1] > 1 and (np.diff(q, axis=1) < -_INCREMENT_TOL).any():
@@ -73,58 +76,66 @@ class ParisiParams:
 
     @property
     def k(self) -> int:
-        return self.zeta.size
+        return self.zeta.shape[-1]
 
     @property
     def m(self) -> int:
         return self.q.shape[0]
 
 
-def _reduce(values: np.ndarray, zeta: float, w: np.ndarray):
-    """Integrate the last axis: plain mean for zeta == 0, else (1/z) log E e^{z x}."""
-    if zeta == 0.0:
+def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Integrate the last axis, one row per exponent in `zeta` (shape (Z,)):
+    a plain mean where all are 0 (the outermost level), else (1/z) log E e^{z x}.
+
+    `values` leads with the batch axis, of length Z or 1 (shared by every row).
+    """
+    if not zeta.any():
         return values @ w
-    a = zeta * values
-    top = a.max(axis=-1)
-    return (np.log(np.exp(a - top[..., None]) @ w) + top) / zeta
+    z = zeta.reshape((-1,) + (1,) * (values.ndim - 1))
+    a = z * values
+    top = a.max(axis=-1, keepdims=True)
+    a -= top
+    np.exp(a, out=a)
+    return (np.log(a @ w) + top[..., 0]) / z[..., 0]
 
 
-def _x_zero(h: float, beta: float, increments: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> float:
+def _x_zero(h: float, beta: float, increments: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> np.ndarray:
     """Backward recursion for one species, as a function of accumulated field.
 
     Level l (outermost first) has noise amplitude beta * sqrt(increments[l]),
-    with increments[l] = Q_{l+1}^s - Q_l^s, and `zetas[l]` is the exponent
-    applied when it is integrated out.  The last level (zeta = 1) contributes
-    its closed form beta^2 increments[-1] / 2; of the others, zero-scale
-    levels drop out exactly.  The two innermost active levels are vectorized;
-    outer levels recurse node by node, so peak memory is order**2 regardless
-    of k.
+    with increments[l] = Q_{l+1}^s - Q_l^s, and column l of `zetas` (Z x
+    levels) holds the exponents applied when it is integrated out.  The last
+    level (zeta = 1) contributes its closed form beta^2 increments[-1] / 2; of
+    the others, zero-scale levels drop out exactly.  The two innermost active
+    levels are vectorized; outer levels recurse node by node, so peak memory
+    is Z * order**2 regardless of k.  Returns shape (Z,), or (1,) when no
+    active level depends on the weights.
     """
     top = 0.5 * beta * beta * increments[-1]
     scales = beta * np.sqrt(increments[:-1])
-    live = [(s, z) for s, z in zip(scales, zetas[:-1]) if s > 0.0]
+    live = [(s, z) for s, z in zip(scales, zetas[:, :-1].T) if s > 0.0]
     if not live:
-        return float(log_cosh(h)) + top
+        return np.array([log_cosh(h) + top])
     nodes, w = rule.nodes, rule.weights
 
     def rec(i: int, shift: float):
         scale, zeta = live[i]
         if i == len(live) - 1:
             x = log_cosh(shift + scale * nodes)
-            return _reduce(x, zeta, w)
+            return _reduce(x[None], zeta, w)
         if i == len(live) - 2:
             inner_scale, inner_zeta = live[i + 1]
             x = log_cosh(shift + scale * nodes[:, None] + inner_scale * nodes[None, :])
-            x = _reduce(x, inner_zeta, w)
-            return _reduce(x, zeta, w)
-        x = np.array([rec(i + 1, shift + scale * node) for node in nodes])
+            return _reduce(_reduce(x[None], inner_zeta, w), zeta, w)
+        x = np.stack([rec(i + 1, shift + scale * node) for node in nodes], axis=-1)
         return _reduce(x, zeta, w)
 
-    return float(rec(0, h)) + top
+    return rec(0, h) + top
 
 
-def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule) -> float:
-    """Value of the k-level functional at the given weights and ladder."""
+def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule):
+    """Value of the k-level functional at the given weights and ladder: a
+    float, or one value per row of a batched `params.zeta` (Z x k)."""
     if params.m != spec.m:
         raise ValueError("params and spec disagree on the species count")
     k = params.k
@@ -142,9 +153,11 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
         )
     increments = np.clip(increments, 0.0, None)
 
-    zetas = np.concatenate([[0.0], params.zeta, [1.0]])  # reduction exponent per level
+    # reduction exponent per level, one row per weight vector
+    zetas = np.pad(np.atleast_2d(params.zeta), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
     beta = tf.beta
-    x0 = np.array([_x_zero(tf.h, beta, increments[s], zetas, rule) for s in range(m)])
+    x0 = np.stack(np.broadcast_arrays(*[_x_zero(tf.h, beta, increments[s], zetas, rule) for s in range(m)]))
 
-    correction = float(np.sum(zetas[1:] * np.diff(q_scalar)[1:]))
-    return float(_LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction)
+    correction = np.sum(zetas[:, 1:] * np.diff(q_scalar)[1:], axis=1)
+    value = _LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction
+    return value if params.zeta.ndim == 2 else float(value[0])

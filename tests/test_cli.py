@@ -138,25 +138,16 @@ def test_at_line_rejects_zero_field(ref_config):
 
 def test_phase_diagram_grid(ref_config, tmp_path):
     out = tmp_path / "pd.csv"
-    code = main(
-        [
-            "phase-diagram",
-            "--config",
-            ref_config,
-            "--beta-range",
-            "0.5,1.4,4",
-            "--h-range",
-            "0.2,0.4,2",
-            "--workers",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.5,1.4,4", "--h-range", "0.2,0.4,2"]
+    assert main(argv + ["--out", str(out)]) == 0
     _, columns, rows = _read_csv(out)
     assert columns == ["beta", "h", "verdict", "beta2_m", "gap"]
     assert len(rows) == 8
+    # rows come out in grid order: h outer, beta inner
+    assert [(float(r[0]), float(r[1])) for r in rows] == [
+        (beta, h) for h in np.linspace(0.2, 0.4, 2) for beta in np.linspace(0.5, 1.4, 4)
+    ]
+    assert main(argv + ["--workers", "2"]) == 1  # the scan is serial; the option is gone
     for h_slice in (rows[:4], rows[4:]):
         verdicts = [r[2] for r in h_slice]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
@@ -172,13 +163,12 @@ def test_phase_diagram_grid(ref_config, tmp_path):
 def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatch, caplog):
     verdicts = itertools.cycle(["RS-consistent", "RSB-certified"])
 
-    def alternating(task):
-        _, beta, h, _, _ = task
-        return {"beta": beta, "h": h, "verdict": next(verdicts), "beta2_m": 0.5, "gap": None}
+    def alternating(spec, tf, rule):
+        return tf.beta, tf.h, next(verdicts), 0.5, None
 
     monkeypatch.setattr(cli, "_phase_point", alternating)
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,1.0,4",
-            "--h-range", "0.3,0.3,1", "--workers", "1", "--out", str(tmp_path / "pd.csv")]
+            "--h-range", "0.3,0.3,1", "--out", str(tmp_path / "pd.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv) == 0
     assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)]
@@ -196,8 +186,6 @@ def test_phase_diagram_all_below_line(ref_config, tmp_path):
             "0.2,0.4,3",
             "--h-range",
             "0.3,0.3,1",
-            "--workers",
-            "1",
             "--out",
             str(out),
         ]
@@ -212,9 +200,10 @@ def test_certify_above_and_below(ref_config, capsys):
     assert doc["result"]["gap"] > 0
     assert doc["result"]["verdict"] == "RSB-certified"
     assert main(["certify", "--config", ref_config, "--beta", "0.4", "--h", "0.3"]) == 2
+    assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0,0.5"]) == 2
 
 
-def test_parisi_eval_matches_library(ref_config, capsys, reference_spec, rule):
+def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spec, rule):
     doc = _run_json(
         capsys,
         [
@@ -235,6 +224,11 @@ def test_parisi_eval_matches_library(ref_config, capsys, reference_spec, rule):
     want = parisi_value(reference_spec, TempField(beta=0.5, h=0.4), params, rule)
     assert doc["result"]["value"] == want
     assert doc["result"]["k"] == 1
+    # a batch of weight vectors is library-only; the CLI evaluates one point
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({**json.loads(open(ref_config).read()), "zeta": [[0.6], [0.7]]}))
+    argv = ["parisi-eval", "--config", str(batch), "--beta", "0.5", "--h", "0.4", "--q", "0.2,0.5;0.3,0.6"]
+    assert main(argv) == 1
 
 
 def test_mc_free_energy_pass_through(ref_config, capsys, reference_spec):
@@ -296,25 +290,6 @@ def test_overlap_hist_csv(sk_config, tmp_path, capsys):
     assert counts == 2 * 2 * 20
     summary = json.loads(capsys.readouterr().out)
     assert summary["result"]["n_measurements"] == 40
-
-
-def test_phase_diagram_worker_pool_deterministic(ref_config, tmp_path):
-    """Rows come out in grid order with identical bits regardless of the pool."""
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    argv = [
-        "phase-diagram",
-        "--config",
-        ref_config,
-        "--beta-range",
-        "0.7,1.3,2",
-        "--h-range",
-        "0.3,0.3,1",
-    ]
-    assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
-    assert main(argv + ["--workers", "2", "--out", str(parallel)]) == 0
-    _, _, rows_serial = _read_csv(serial)
-    _, _, rows_parallel = _read_csv(parallel)
-    assert rows_serial == rows_parallel
 
 
 def test_model_dimension_mismatch_exits_one():

@@ -13,6 +13,7 @@ from mskglass import (
     at_verdict,
     cavity_expect,
     certify_rsb,
+    gauss_hermite,
     one_rsb_functional,
     quartic_susceptibility,
     rs_functional,
@@ -20,6 +21,8 @@ from mskglass import (
     two_species_thresholds,
     zeta_derivative,
 )
+from mskglass.onersb import default_zeta_grid
+
 from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value
 
 
@@ -161,6 +164,33 @@ def test_certificate_above_line(reference_spec, rule):
     assert 0.0 < cert.zeta < 1.0
     p = report.solution.q_star + cert.epsilon * cert.x
     assert (p >= 0).all() and (p <= 1).all()
+    # a zeta = 1 entry takes the single-atom collapse and cannot win
+    with_one = certify_rsb(reference_spec, tf, report, rule, zeta_grid=[*default_zeta_grid(), 1.0])
+    assert (with_one.epsilon, with_one.zeta, with_one.value, with_one.gap) == (
+        cert.epsilon, cert.zeta, cert.value, cert.gap)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param(61, marks=pytest.mark.xfail(
+            strict=True,
+            reason="Gauss-Hermite order 61 is off by 2.7e-7 (beta/beta_m = 1.5) and 6.3e-7 "
+                   "(beta = 1.6) at these points; error-controlled quadrature is ROADMAP item 3")),
+        201,
+    ],
+)
+def test_certificate_value_matches_oracle(reference_spec, order):
+    """The certificate's value against nested scipy quadrature at its own
+    (q*, q* + eps x, zeta), in the beta range the CLI scans."""
+    rule = gauss_hermite(order)
+    for beta, h in ((_beta_at_ratio(reference_spec, rule, 1.5, 0.3), 0.3), (1.6, 0.3)):
+        tf = TempField(beta=beta, h=h)
+        report = at_verdict(reference_spec, tf, rule)
+        cert = certify_rsb(reference_spec, tf, report, rule)
+        q = report.solution.q_star
+        want = one_step_value(reference_spec, beta, h, q, q + cert.epsilon * cert.x, cert.zeta)
+        assert abs(cert.value - want) < 1e-9
 
 
 def test_certificate_mid_band_direction(reference_spec, rule):
@@ -228,3 +258,6 @@ def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
         certify_rsb(reference_spec, tf, report, rule, eps_grid=[1e-3], zeta_grid=[0.5])
     assert not info.value.near_line
     assert info.value.best_gap is not None
+    for bad in (0.0, 1.5):
+        with pytest.raises(BadZeta):
+            certify_rsb(reference_spec, tf, report, rule, zeta_grid=[0.5, bad])

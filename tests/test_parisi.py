@@ -18,6 +18,24 @@ def test_params_validation():
         ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4, 0.2], [0.1, 0.3]]))
     with pytest.raises(ValueError):
         ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4], [0.1]]))  # wrong width
+    with pytest.raises(BadZeta):
+        ParisiParams(zeta=np.array([[0.3, 0.6], [0.6, 0.3]]), q=np.zeros((2, 3)))  # one row decreases
+    with pytest.raises(BadZeta):
+        ParisiParams(zeta=np.full((2, 1, 1), 0.5), q=np.zeros((2, 2)))
+
+
+def test_batched_weights_match_single_rows(reference_spec, rule):
+    """A batch of weight vectors gives the values of its rows evaluated one at a time."""
+    from mskglass import gauss_hermite
+
+    tf = TempField(beta=1.3, h=0.35)
+    q = np.array([[0.2, 0.5, 0.7], [0.3, 0.6, 0.65]])
+    zetas = np.array([[0.1, 0.4], [0.3, 0.6], [0.5, 0.95]])
+    for ladder, weights, quad in ((q[:, 1:], zetas[:, 1:], rule), (q, zetas, gauss_hermite(15))):
+        batched = evaluate(reference_spec, tf, ParisiParams(zeta=weights, q=ladder), quad)
+        singles = [evaluate(reference_spec, tf, ParisiParams(zeta=row, q=ladder), quad) for row in weights]
+        assert batched.shape == (weights.shape[0],)
+        np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
 
 
 def test_k0_matches_rs(reference_spec, rule):
