@@ -12,11 +12,9 @@ value is not optimal.  For two species with unit cross variance the existence
 of such a direction collapses to the single inequality beta^2 > beta2_m, one
 of five closed-form thresholds computed here; the AT line in the (beta, h)
 plane is the zero set of beta^2 - beta2_m(beta), located by a bracketed
-secant search (Illinois regula falsi).
-
-For three or more species no closed-form threshold is known; the witness
-search is best-effort (top eigenvector, then a nonnegative-cone ascent) and a
-failed search never reports the single-atom phase as consistent.
+secant search (Illinois regula falsi).  The matrices are built for any M,
+but thresholds, witnesses and verdicts exist only for two species: for three
+or more no closed form is known and they raise Unsupported.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .rs import RSSolution, solve_fixed_point
 
 _WITNESS_REL_TOL = 1e-14
 _VERDICT_BAND = 1e-12
+_BETA_LO = 1e-3  # lower end of every AT-line bracket
 
 
 class Verdict(str, enum.Enum):
@@ -137,76 +136,41 @@ def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
 
 
 def positivity_witness(k_matrix) -> Optional[np.ndarray]:
-    """Nonnegative direction x with x' K x > 0, or None if none is found.
+    """Nonnegative direction x with x' K x > 0 for a 2 x 2 K, or None if none exists.
 
-    For M = 2 the search follows the exact case split on the entries
-    (u, v, t): a coordinate axis when a diagonal entry is positive, otherwise
-    the strictly positive pair (sqrt(-t), sqrt(-u)) when sqrt(ut) < v.  Every
-    candidate is verified numerically before being returned.  For M > 2 the
-    search is best-effort: the top eigenvector when it is sign-constant, then
-    projected power ascent inside the nonnegative cone from each axis; None
-    means "no witness found", never "none exists".
+    Follows the exact case split on the entries (u, v, t): a coordinate axis
+    when a diagonal entry is positive, otherwise the strictly positive pair
+    (sqrt(-t), sqrt(-u)) when sqrt(ut) < v.  Every candidate is verified
+    numerically before being returned.  Raises Unsupported for M != 2.
     """
     k = np.asarray(k_matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("expected a square matrix")
-    m = k.shape[0]
+    if k.shape[0] != 2:
+        raise Unsupported("the positivity witness is defined for two species only")
     norm = float(np.linalg.norm(k, 2))
     if norm == 0.0 or not np.isfinite(norm):
         return None
     if np.abs(k - k.T).max() > 1e-12 * max(1.0, norm):
         raise ValueError("stability matrix must be symmetric")
-    floor = _WITNESS_REL_TOL * norm
 
-    def accept(x: np.ndarray) -> Optional[np.ndarray]:
-        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+    u, v, t = k[0, 0], k[0, 1], k[1, 1]
+    candidates = []
+    if u > 0:
+        candidates.append(np.array([1.0, 0.0]))
+    if t > 0:
+        candidates.append(np.array([0.0, 1.0]))
+    if u <= 0 and t <= 0 and math.sqrt(u * t) < v:
+        candidates.append(np.array([math.sqrt(-t), math.sqrt(-u)]))
+        candidates.append(np.array([1.0, 1.0]))
+    for x in candidates:
+        x = np.clip(x, 0.0, None)
         if x.max() <= 0.0:
-            return None
+            continue
         x = x / x.max()
-        if float(x @ k @ x) > floor:
+        if float(x @ k @ x) > _WITNESS_REL_TOL * norm:
             return x
-        return None
-
-    if m == 2:
-        u, v, t = k[0, 0], k[0, 1], k[1, 1]
-        candidates = []
-        if u > 0:
-            candidates.append(np.array([1.0, 0.0]))
-        if t > 0:
-            candidates.append(np.array([0.0, 1.0]))
-        if u <= 0 and t <= 0 and math.sqrt(u * t) < v:
-            candidates.append(np.array([math.sqrt(-t), math.sqrt(-u)]))
-            candidates.append(np.array([1.0, 1.0]))
-        for cand in candidates:
-            found = accept(cand)
-            if found is not None:
-                return found
-        return None
-
-    eigvals, eigvecs = np.linalg.eigh(k)
-    if eigvals[-1] <= floor:
-        return None
-    top = eigvecs[:, -1]
-    top = top if top[np.argmax(np.abs(top))] >= 0 else -top
-    if (top >= -1e-12).all():
-        found = accept(top)
-        if found is not None:
-            return found
-    best, best_val = None, floor
-    for axis in range(m):
-        x = np.zeros(m)
-        x[axis] = 1.0
-        for _ in range(200):
-            step = x + (k @ x) / norm
-            step = np.clip(step, 0.0, None)
-            size = np.linalg.norm(step)
-            if size == 0.0:
-                break
-            x = step / size
-        val = float(x @ k @ x)
-        if val > best_val:
-            best, best_val = x / x.max(), val
-    return best
+    return None
 
 
 def at_verdict(
@@ -265,13 +229,12 @@ def at_line_beta(
     h: float,
     rule: QuadRule,
     tol: float = 1e-10,
-    beta_lo: float = 1e-3,
     beta_max: float = 64.0,
 ) -> float:
     """Locate the phase boundary as the zero of g(beta) = beta^2 - beta2_m(beta).
 
     beta2_m depends on beta through the critical point, so the line is found
-    pointwise in h by scalar root-finding: g(beta_lo) < 0 is checked, the
+    pointwise in h by scalar root-finding: g(1e-3) < 0 is checked, the
     upper end is doubled from 1 until g >= 0 (NotConverged past `beta_max`),
     and a bracketed secant search shrinks the bracket to a width of `tol` in
     beta.  Every evaluation of g is one critical-point solve.
@@ -288,7 +251,7 @@ def at_line_beta(
         gamma = quartic_susceptibility(spec, tf, sol, rule)
         return beta * beta - two_species_thresholds(spec, gamma).beta2_m
 
-    lo, g_lo = beta_lo, gap(beta_lo)
+    lo, g_lo = _BETA_LO, gap(_BETA_LO)
     if g_lo >= 0:
         raise NotConverged(f"no bracket: g({lo}) >= 0")
     hi = min(1.0, beta_max)

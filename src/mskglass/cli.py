@@ -18,13 +18,14 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .atline import Verdict, at_line_beta, at_verdict
 from .errors import MskGlassError, NotConverged, CertificateNotFound
-from .model import ModelSpec, TempField, two_species_standard, validate
+from .model import VALIDATION_MODES, ModelSpec, TempField, two_species_standard, validate
 from .onersb import certify_rsb
 from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
@@ -40,22 +41,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Inclusive (min, max, steps) ranges for the phase-plane scans.
+    """Inclusive (min, max, steps) ranges of positive values for the phase-plane scans.
 
     steps == 1 denotes a single point at min (min == max allowed there);
-    multi-step ranges require min < max.
+    multi-step ranges require min < max.  `beta_range` is None for a scan
+    over h alone.
     """
 
-    beta_range: tuple = (0.1, 1.0, 10)
-    h_range: tuple = (0.1, 1.0, 10)
+    beta_range: Optional[tuple]
+    h_range: tuple
 
     def __post_init__(self):
         for name, rng in (("beta_range", self.beta_range), ("h_range", self.h_range)):
+            if rng is None:
+                continue
             lo, hi, steps = rng
             if steps < 1:
                 raise ConfigError(f"{name}: steps must be >= 1")
             if steps > 1 and not lo < hi:
                 raise ConfigError(f"{name}: min must be < max for multi-step ranges")
+            if not (lo > 0 and math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"{name}: values must be positive and finite")
 
     @staticmethod
     def _values(rng) -> np.ndarray:
@@ -204,6 +210,16 @@ def _rule(order: int):
         raise ConfigError(f"quadrature order {order} is unusable: {exc}") from exc
 
 
+def _finite_n(fn, *args, **kwargs):
+    """Run a finite-N routine; its count checks (plain ValueError) are config errors."""
+    try:
+        return fn(*args, **kwargs)
+    except MskGlassError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _emit_json(cfg: dict, result: dict, out: str | None) -> None:
     envelope = {"version": __version__, "config": _jsonable(cfg), "result": _jsonable(result)}
     text = json.dumps(envelope, indent=2)
@@ -271,11 +287,9 @@ def cmd_at_line(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     _require_standard(spec)
-    grid = ScanGrid(h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))))
+    grid = ScanGrid(beta_range=None, h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))))
     rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
     h_values = grid.h_values()
-    if (h_values <= 0).any():
-        raise ConfigError("at-line requires h > 0 everywhere on the grid")
 
     rows = []
     previous = None
@@ -319,8 +333,6 @@ def cmd_phase_diagram(args) -> int:
         h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))),
     )
     rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
-    if (grid.h_values() <= 0).any():
-        raise ConfigError("phase-diagram requires h > 0 everywhere on the grid")
     betas = grid.beta_values()
     rows: list = []
     for h in grid.h_values():
@@ -392,7 +404,8 @@ def cmd_mc_free_energy(args) -> int:
     tf = _temp_field(cfg)
     if "N" not in cfg:
         raise ConfigError("missing N field")
-    estimate = free_energy_exact(
+    estimate = _finite_n(
+        free_energy_exact,
         spec,
         tf,
         n=int(cfg["N"]),
@@ -416,7 +429,8 @@ def cmd_overlap_hist(args) -> int:
     tf = _temp_field(cfg)
     if "N" not in cfg:
         raise ConfigError("missing N field")
-    hist = overlap_histogram(
+    hist = _finite_n(
+        overlap_histogram,
         spec,
         tf,
         n=int(cfg["N"]),
@@ -456,7 +470,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h", type=float)
     p.add_argument("--delta2", type=_float_list, help="row-major variance entries, comma-separated")
     p.add_argument("--lambda", dest="lam", type=_float_list, help="species proportions, comma-separated")
-    p.add_argument("--mode", choices=("convex", "two-species-standard", "unchecked"))
+    p.add_argument("--mode", choices=VALIDATION_MODES)
     p.add_argument("--order", type=int, help="quadrature order (default 61)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default stdout)")

@@ -11,12 +11,11 @@ critical point solves the self-consistency system
 
     q_s = E tanh^2(beta eta sqrt(C_s) + h),
 
-which the solver iterates from three starts.  Each run takes the plain step
-q <- T(q), halves it only on an overshoot and restores it right after; near
-q* the map contracts (Jacobian spectral radius below 0.77 on the README
-phase-diagram grid), so the plain step is also the fast one.  For two species
-under the standard normalization the critical point is unique whenever h > 0
-or beta^2 is below the closed-form threshold `uniqueness_threshold`; outside
+which the solver iterates from three starts by the plain step q <- T(q),
+clipped to the box; near q* the map contracts (Jacobian spectral radius
+below 0.77 on the README phase-diagram grid).  For two species under the
+standard normalization the critical point is unique whenever h > 0 or
+beta^2 is below the closed-form threshold `uniqueness_threshold`; outside
 that regime all distinct limits found are reported and the functional value
 is the minimum over them (a heuristic, flagged via `guaranteed_unique`).
 """
@@ -37,7 +36,6 @@ _LOG2 = math.log(2.0)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
-_MIN_DAMPING = 1.0 / 64.0
 _DISTINCT_TOL = 1e-7
 _BOUNDARY_TOL = 1e-12
 
@@ -113,25 +111,13 @@ class _Run(NamedTuple):
 
 def _iterate(spec, tf, rule, q0, tol, max_iter) -> _Run:
     q = np.clip(np.asarray(q0, dtype=float), 0.0, 1.0)
-    alpha = 1.0
-    prev_residual, prev_step = math.inf, None
     residual = math.inf
     for it in range(1, max_iter + 1):
         target = fixed_point_map(spec, tf, q, rule)
-        step = target - q
-        residual = float(np.abs(step).max())
+        residual = float(np.abs(target - q).max())
         if residual < tol:
             return _Run(q, residual, it, True)
-        # A rise with a reversed step is an overshoot: halve alpha.  A rise along
-        # the previous direction is an escape from where the map expands (near
-        # q = 0 above the h = 0 threshold), which damping would only slow; like
-        # every other step it doubles alpha back towards 1.
-        if residual > prev_residual and float(step @ prev_step) < 0.0:
-            alpha = max(alpha / 2.0, _MIN_DAMPING)
-        else:
-            alpha = min(2.0 * alpha, 1.0)
-        prev_residual, prev_step = residual, step
-        q = np.clip((1.0 - alpha) * q + alpha * target, 0.0, 1.0)
+        q = np.clip(target, 0.0, 1.0)
     return _Run(q, residual, max_iter, False)
 
 
@@ -145,13 +131,11 @@ def solve_fixed_point(
     """Multistart fixed-point iteration of the self-consistency system.
 
     Starts from the zero vector, the all-ones vector and the decoupled value
-    tanh^2(h).  Each run steps q <- q + alpha (T(q) - q), clipped to the box,
-    from alpha = 1: alpha is halved (down to 1/64) when the residual rises
-    and the step reverses, and doubled back (up to 1) after any other step.
-    A run converges when the sup-norm residual |T(q) - q| falls below `tol`.
-    When the uniqueness hypotheses hold, distinct limits raise
-    InternalInconsistency (a bug signal); otherwise every distinct limit is
-    reported in `candidates` and `q_star` minimizes the functional over them.
+    tanh^2(h).  Each run steps q <- T(q), clipped to the box, and converges
+    when the sup-norm residual |T(q) - q| falls below `tol`.  When the
+    uniqueness hypotheses hold, distinct limits raise InternalInconsistency
+    (a bug signal); otherwise every distinct limit is reported in
+    `candidates` and `q_star` minimizes the functional over them.
     Raises NotConverged when no start converges within `max_iter`.
     """
     m = spec.m

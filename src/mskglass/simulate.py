@@ -131,7 +131,7 @@ def _log_sum_exp(a) -> float:
     return top + math.log(float(np.exp(np.asarray(a) - top).sum()))
 
 
-def log_partition_exact(d: DisorderSample, tf: TempField, return_energies: bool = False):
+def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     """log Z by exact enumeration, meet-in-the-middle over two index halves.
 
     Energies are combined in log space (log-sum-exp), processed in row blocks
@@ -149,10 +149,6 @@ def log_partition_exact(d: DisorderSample, tf: TempField, return_energies: bool 
     eb = c * np.einsum("ij,ij->i", sb @ gbb, sb) + tf.h * sb.sum(axis=1)
     mix = c * (sa @ cross)
 
-    if return_energies:
-        energies = ea[:, None] + eb[None, :] + mix @ sb.T
-        return _log_sum_exp(energies), energies.ravel()
-
     chunk = max(1, 2**22 // sb.shape[0])
     partial = []
     for start in range(0, sa.shape[0], chunk):
@@ -160,6 +156,13 @@ def log_partition_exact(d: DisorderSample, tf: TempField, return_energies: bool 
         block = ea[start:stop, None] + eb[None, :] + mix[start:stop] @ sb.T
         partial.append(_log_sum_exp(block))
     return _log_sum_exp(partial)
+
+
+def _check_counts(spec: ModelSpec, n: int, n_disorder: int) -> None:
+    if species_sizes(spec, n).min() < 1:
+        raise ValueError(f"N = {n} leaves a species block empty")
+    if n_disorder < 1:
+        raise ValueError(f"n_disorder must be >= 1, got {n_disorder}")
 
 
 class FreeEnergyEstimate(NamedTuple):
@@ -178,9 +181,11 @@ def free_energy_exact(
 
     Deterministic for fixed (spec, tf, n, n_disorder, seed); disorder sample r
     uses the child seed derive_seed(seed, r).  stderr is 0 for a single sample.
+    Raises ValueError when a species block is empty or n_disorder < 1.
     """
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
+    _check_counts(spec, n, n_disorder)
     values = np.empty(n_disorder)
     for r in range(n_disorder):
         d = sample_disorder(spec, n, derive_seed(seed, r))
@@ -208,20 +213,22 @@ def overlap_histogram(
     n_disorder: int = 1,
     seed: int = 0,
     bins: int = 40,
-    burn_in: int | None = None,
 ) -> OverlapHistogram:
     """Metropolis single-flip sampling of the species overlaps.
 
-    Two independent replicas share each disorder sample; after `burn_in`
-    sweeps (default sweeps // 2) the absolute species overlap
+    Two independent replicas share each disorder sample; after a burn-in of
+    sweeps // 2 sweeps the absolute species overlap
     |sum_{i in I_s} sigma^1_i sigma^2_i| / |I_s| is recorded once per sweep.
     Below the phase line the mass concentrates; above it spreading is
     expected but nothing about mixing is guaranteed or asserted here.
+    Raises ValueError when a species block is empty or a count is below 1.
     """
     if n > MAX_MC_N:
         raise Unsupported(f"Monte Carlo sampling supports N <= {MAX_MC_N}, got {n}")
-    if burn_in is None:
-        burn_in = sweeps // 2
+    _check_counts(spec, n, n_disorder)
+    if sweeps < 1 or bins < 1:
+        raise ValueError(f"sweeps and bins must be >= 1, got {sweeps} and {bins}")
+    burn_in = sweeps // 2
     species = species_partition(spec, n)
     sizes = species_sizes(spec, n)
     masks = [species == s for s in range(spec.m)]
@@ -256,12 +263,12 @@ def overlap_histogram(
                     samples[s].append(overlap)
 
     arrays = [np.asarray(vals) for vals in samples]
-    means = np.array([a.mean() if a.size else math.nan for a in arrays])
+    means = np.array([a.mean() for a in arrays])
     stds = np.array([a.std(ddof=1) if a.size > 1 else math.nan for a in arrays])
     return OverlapHistogram(
         bin_edges=edges,
         counts=counts,
         means=means,
         stds=stds,
-        n_measurements=int(arrays[0].size if arrays else 0),
+        n_measurements=int(arrays[0].size),
     )

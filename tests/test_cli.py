@@ -148,6 +148,8 @@ def test_phase_diagram_grid(ref_config, tmp_path):
         (beta, h) for h in np.linspace(0.2, 0.4, 2) for beta in np.linspace(0.5, 1.4, 4)
     ]
     assert main(argv + ["--workers", "2"]) == 1  # the scan is serial; the option is gone
+    for bad in ("0,1,3", "-0.5,1,3"):  # beta must be positive on the whole grid
+        assert main(argv + ["--beta-range", bad]) == 1
     for h_slice in (rows[:4], rows[4:]):
         verdicts = [r[2] for r in h_slice]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
@@ -292,6 +294,23 @@ def test_overlap_hist_csv(sk_config, tmp_path, capsys):
     assert summary["result"]["n_measurements"] == 40
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-free-energy", "--n", "0"],
+        ["mc-free-energy", "--n", "-3"],
+        ["overlap-hist", "--n", "1", "--sweeps", "4"],
+        ["overlap-hist", "--n", "8", "--sweeps", "4", "--bins", "0"],
+        ["overlap-hist", "--n", "8", "--sweeps", "0"],
+        ["mc-free-energy", "--n", "6", "--n-disorder", "0"],
+        ["overlap-hist", "--n", "8", "--sweeps", "4", "--n-disorder", "0"],
+    ],
+)
+def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
+    assert main(argv + ["--config", ref_config, "--beta", "0.3", "--h", "0.4"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_model_dimension_mismatch_exits_one():
     argv = ["solve-rs", "--delta2", "1,1,1,1", "--lambda", "0.3,0.3,0.4", "--beta", "0.2"]
     assert main(argv) == 1
@@ -303,6 +322,8 @@ def test_scan_grid_validation():
         ScanGrid(beta_range=(0.5, 0.4, 3), h_range=(0.1, 0.2, 3))
     with pytest.raises(ConfigError):
         ScanGrid(beta_range=(0.5, 0.6, 0), h_range=(0.1, 0.2, 3))
+    with pytest.raises(ConfigError):
+        ScanGrid(beta_range=None, h_range=(0.0, 0.2, 3))
 
 
 def test_console_entry_point(sk_config):

@@ -97,8 +97,7 @@ def test_every_start_converges_quickly(reference_spec, rule, monkeypatch):
 
     At (0.68, 0.01) beta^2 is above the h = 0 threshold, so the map expands
     near q = 0 and the 0 and tanh^2 h starts leave it with a rising residual;
-    at (1.2, 0.3) an early residual rise must not leave the step damped for
-    the rest of the run.
+    at (1.2, 0.3) every start takes the plain step to the fixed point quickly.
     """
     runs = []
     iterate = rs._iterate
