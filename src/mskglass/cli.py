@@ -157,16 +157,40 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+_REQUIRED = object()
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _range(value) -> tuple:
+    lo, hi, steps = value
+    return float(lo), float(hi), int(steps)
+
+
+def _get(cfg: dict, key: str, convert, default=_REQUIRED):
+    """cfg[key] through `convert`, or `default` when the field is absent.
+
+    A missing field without a default, or a value `convert` rejects, is a
+    config error (exit 1), whether it came from a flag or the config file.
+    """
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key} field")
+        return default
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} field {cfg[key]!r} is unreadable: {exc}") from exc
+
+
 def _model_spec(cfg: dict) -> ModelSpec:
-    if "lambda" not in cfg:
-        raise ConfigError("missing lambda field")
-    if "delta2" not in cfg:
-        raise ConfigError("missing delta2 field")
-    lam = np.asarray(cfg["lambda"], dtype=float)
-    m = int(cfg.get("M", lam.size))
+    lam = _get(cfg, "lambda", _floats)
+    delta2 = _get(cfg, "delta2", _floats)
+    m = _get(cfg, "M", int, lam.size)
     if m != lam.size:
         raise ConfigError(f"M = {m} but lambda has {lam.size} entries")
-    delta2 = np.asarray(cfg["delta2"], dtype=float)
     if delta2.ndim == 1:
         if delta2.size != m * m:
             raise ConfigError(f"delta2 must hold {m * m} row-major entries")
@@ -195,15 +219,15 @@ def _require_standard(spec: ModelSpec) -> None:
 
 
 def _temp_field(cfg: dict) -> TempField:
-    if "beta" not in cfg:
-        raise ConfigError("missing beta field")
+    beta, h = _get(cfg, "beta", float), _get(cfg, "h", float, 0.0)
     try:
-        return TempField(beta=float(cfg["beta"]), h=float(cfg.get("h", 0.0)))
+        return TempField(beta=beta, h=h)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _rule(order: int):
+def _rule(cfg: dict):
+    order = _get(cfg, "order", int, DEFAULT_ORDER)
     try:
         return gauss_hermite(order)
     except ValueError as exc:
@@ -266,7 +290,7 @@ def cmd_solve_rs(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     tf = _temp_field(cfg)
-    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
+    rule = _rule(cfg)
     sol = solve_fixed_point(spec, tf, rule)
     result = {
         "q_star": sol.q_star,
@@ -287,8 +311,8 @@ def cmd_at_line(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     _require_standard(spec)
-    grid = ScanGrid(beta_range=None, h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))))
-    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
+    grid = ScanGrid(beta_range=None, h_range=_get(cfg, "h_range", _range, (0.1, 1.0, 10)))
+    rule = _rule(cfg)
     h_values = grid.h_values()
 
     rows = []
@@ -329,10 +353,10 @@ def cmd_phase_diagram(args) -> int:
     spec = _model_spec(cfg)
     _require_standard(spec)
     grid = ScanGrid(
-        beta_range=tuple(cfg.get("beta_range", (0.2, 1.2, 10))),
-        h_range=tuple(cfg.get("h_range", (0.1, 1.0, 10))),
+        beta_range=_get(cfg, "beta_range", _range, (0.2, 1.2, 10)),
+        h_range=_get(cfg, "h_range", _range, (0.1, 1.0, 10)),
     )
-    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
+    rule = _rule(cfg)
     betas = grid.beta_values()
     rows: list = []
     for h in grid.h_values():
@@ -354,15 +378,15 @@ def cmd_certify(args) -> int:
     spec = _model_spec(cfg)
     _require_standard(spec)
     tf = _temp_field(cfg)
-    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
+    rule = _rule(cfg)
     report = at_verdict(spec, tf, rule)
     if report.verdict != Verdict.RSB_CERTIFIED:
         raise CertificateNotFound(
             f"verdict at (beta={tf.beta}, h={tf.h}) is {report.verdict.value}; "
             "no symmetry-breaking certificate exists below the phase line"
         )
-    eps_grid = cfg.get("eps_grid")
-    zeta_grid = cfg.get("zeta_grid")
+    eps_grid = _get(cfg, "eps_grid", _floats, None)
+    zeta_grid = _get(cfg, "zeta_grid", _floats, None)
     cert = certify_rsb(spec, tf, report, rule, eps_grid=eps_grid, zeta_grid=zeta_grid)
     result = {
         "verdict": report.verdict.value,
@@ -382,11 +406,9 @@ def cmd_parisi_eval(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     tf = _temp_field(cfg)
-    rule = _rule(int(cfg.get("order", DEFAULT_ORDER)))
-    if "q" not in cfg:
-        raise ConfigError("missing q field (M rows of k+1 nondecreasing overlaps)")
-    zeta = np.asarray(cfg.get("zeta", []), dtype=float)
-    q = np.asarray(cfg["q"], dtype=float)
+    rule = _rule(cfg)
+    q = _get(cfg, "q", _floats)
+    zeta = _get(cfg, "zeta", _floats, np.empty(0))
     if zeta.ndim > 1:
         raise ConfigError("invalid functional parameters: zeta must be a vector")
     try:
@@ -402,23 +424,9 @@ def cmd_mc_free_energy(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     tf = _temp_field(cfg)
-    if "N" not in cfg:
-        raise ConfigError("missing N field")
-    estimate = _finite_n(
-        free_energy_exact,
-        spec,
-        tf,
-        n=int(cfg["N"]),
-        n_disorder=int(cfg.get("n_disorder", 1)),
-        seed=int(cfg.get("seed", 0)),
-    )
-    result = {
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
-        "N": int(cfg["N"]),
-        "n_disorder": int(cfg.get("n_disorder", 1)),
-        "seed": int(cfg.get("seed", 0)),
-    }
+    n, n_disorder, seed = _get(cfg, "N", int), _get(cfg, "n_disorder", int, 1), _get(cfg, "seed", int, 0)
+    estimate = _finite_n(free_energy_exact, spec, tf, n=n, n_disorder=n_disorder, seed=seed)
+    result = {"mean": estimate.mean, "stderr": estimate.stderr, "N": n, "n_disorder": n_disorder, "seed": seed}
     _emit_json(cfg, result, cfg.get("out"))
     return 0
 
@@ -427,19 +435,17 @@ def cmd_overlap_hist(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     tf = _temp_field(cfg)
-    if "N" not in cfg:
-        raise ConfigError("missing N field")
     hist = _finite_n(
         overlap_histogram,
         spec,
         tf,
-        n=int(cfg["N"]),
-        sweeps=int(cfg.get("sweeps", 200)),
-        n_disorder=int(cfg.get("n_disorder", 1)),
-        seed=int(cfg.get("seed", 0)),
-        bins=int(cfg.get("bins", 40)),
+        n=_get(cfg, "N", int),
+        sweeps=_get(cfg, "sweeps", int, 200),
+        n_disorder=_get(cfg, "n_disorder", int, 1),
+        seed=_get(cfg, "seed", int, 0),
+        bins=_get(cfg, "bins", int, 40),
     )
-    rows: list = []
+    rows: list = [f"# acceptance: {_fmt(hist.acceptance)}"]
     for s in range(spec.m):
         rows.append(f"# species {s}: mean {_fmt(hist.means[s])} std {_fmt(hist.stds[s])}")
         for b in range(hist.counts.shape[1]):
@@ -452,6 +458,7 @@ def cmd_overlap_hist(args) -> int:
                 "means": hist.means,
                 "stds": hist.stds,
                 "n_measurements": hist.n_measurements,
+                "acceptance": hist.acceptance,
                 "csv": cfg.get("out"),
             },
             None,

@@ -10,6 +10,7 @@ the bottom with the seeds recorded there.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -121,9 +122,52 @@ def zero_field_stability_threshold(spec):
 
 
 def hamiltonian(d, sigma, tf):
-    """H(sigma) = (beta / sqrt(N)) sigma' g sigma + h sum(sigma) for a +-1 array."""
+    """H(sigma) = (beta / sqrt(N)) sigma' g sigma + h sum(sigma) for a +-1 array.
+
+    A (K, N) array gives the K energies as an array, a length-N one a float.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    return float(tf.beta / np.sqrt(d.n) * (sigma @ d.g @ sigma) + tf.h * sigma.sum())
+    energy = tf.beta / np.sqrt(d.n) * ((sigma @ d.g) * sigma).sum(axis=-1) + tf.h * sigma.sum(axis=-1)
+    return float(energy) if sigma.ndim == 1 else energy
+
+
+def all_configurations(n):
+    """Every +-1 vector of length n, one per row (2^n rows)."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+
+
+def metropolis_counts(disorders, rng_seeds, tf, sweeps, bins):
+    """Overlap histogram counts of two-replica Metropolis, without a local-field cache.
+
+    The same protocol as the library sampler: per disorder sample a generator
+    seeded with its rng seed draws both replicas' starting spins, then per
+    sweep the (2, N) sites and the (2, N) uniforms.  Flipping spin i of a
+    replica is accepted when dH >= 0 or u < exp(dH), with
+    dH = hamiltonian(sigma') - hamiltonian(sigma) from two full energies.
+    From sweep sweeps // 2 on, each species overlap |sum sigma^1 sigma^2| / |I_s|
+    is binned into `bins` equal bins of [0, 1].
+    """
+    m = int(disorders[0].species.max()) + 1
+    counts = np.zeros((m, bins), dtype=int)
+    for d, rng_seed in zip(disorders, rng_seeds):
+        rng = np.random.default_rng(rng_seed)
+        sigma = rng.choice((-1.0, 1.0), size=(2, d.n))
+        for sweep in range(sweeps):
+            sites = rng.integers(0, d.n, size=(2, d.n))
+            uniforms = rng.random(size=(2, d.n))
+            for rep in range(2):
+                for i, u in zip(sites[rep], uniforms[rep]):
+                    trial = sigma[rep].copy()
+                    trial[i] = -trial[i]
+                    delta = hamiltonian(d, trial, tf) - hamiltonian(d, sigma[rep], tf)
+                    if delta >= 0.0 or u < math.exp(delta):
+                        sigma[rep] = trial
+            if sweep >= sweeps // 2:
+                prod = sigma[0] * sigma[1]
+                for s in range(m):
+                    overlap = abs(prod[d.species == s].sum()) / np.count_nonzero(d.species == s)
+                    counts[s, min(int(overlap * bins), bins - 1)] += 1
+    return counts
 
 
 def single_species_rs_value(beta, h, q):

@@ -292,6 +292,8 @@ def test_overlap_hist_csv(sk_config, tmp_path, capsys):
     assert counts == 2 * 2 * 20
     summary = json.loads(capsys.readouterr().out)
     assert summary["result"]["n_measurements"] == 40
+    assert 0.0 < summary["result"]["acceptance"] < 1.0
+    assert float(header["acceptance"]) == summary["result"]["acceptance"]
 
 
 @pytest.mark.parametrize(
@@ -308,6 +310,23 @@ def test_overlap_hist_csv(sk_config, tmp_path, capsys):
 )
 def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
     assert main(argv + ["--config", ref_config, "--beta", "0.3", "--h", "0.4"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("mc-free-energy", {"beta": 0.3, "N": "abc"}),
+        ("at-line", {"h_range": [0.1, 1.0]}),
+        ("solve-rs", {"beta": [0.3]}),
+    ],
+)
+def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys, command, fields):
+    with open(ref_config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, **fields}))
+    assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
 
 

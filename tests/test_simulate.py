@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -15,12 +14,13 @@ from mskglass import (
     sample_disorder,
 )
 from mskglass.simulate import (
+    derive_seed,
     disorder_normals,
     log_partition_exact,
     species_partition,
     species_sizes,
 )
-from .oracles import hamiltonian
+from .oracles import all_configurations, hamiltonian, metropolis_counts
 
 
 def test_disorder_normals_reproducible():
@@ -111,24 +111,30 @@ def test_free_energy_size_guard(reference_spec):
         free_energy_exact(reference_spec, TempField(beta=0.3), n=25)
 
 
-def _oracle_energies(d, tf, configs):
-    return np.array([hamiltonian(d, sigma, tf) for sigma in configs])
-
-
 def test_log_partition_shift_invariance(reference_spec):
     """log Z matches the log-sum-exp of the oracle energy over all 2^10 configurations."""
     d = sample_disorder(reference_spec, 10, seed=3)
     tf = TempField(beta=0.5, h=0.2)
-    energies = _oracle_energies(d, tf, itertools.product((-1.0, 1.0), repeat=10))
+    energies = hamiltonian(d, all_configurations(10), tf)
     assert abs(logsumexp(energies) - log_partition_exact(d, tf)) < 5e-13
+
+
+@pytest.mark.parametrize("beta", [0.5, 4.0])
+def test_log_partition_multi_block(reference_spec, beta):
+    """N = 18 spans four enumeration blocks (at beta = 4 their maxima spread over
+    60.5..70.2); log Z matches the oracle log-sum-exp over all 2^18 configurations."""
+    d = sample_disorder(reference_spec, 18, seed=6)
+    tf = TempField(beta=beta, h=0.2)
+    want = logsumexp(hamiltonian(d, all_configurations(18), tf))
+    assert abs(log_partition_exact(d, tf) - want) < 1e-12 * abs(want)
 
 
 def test_gauge_symmetry_zero_field(reference_spec):
     """At h = 0 flipping every spin is a symmetry: Z is twice the sum over sigma_1 = +1."""
     d = sample_disorder(reference_spec, 10, seed=4)
     tf = TempField(beta=0.6, h=0.0)
-    half = [(1.0, *rest) for rest in itertools.product((-1.0, 1.0), repeat=9)]
-    energies = _oracle_energies(d, tf, half)
+    configs = all_configurations(10)
+    energies = hamiltonian(d, configs[configs[:, 0] == 1.0], tf)
     assert abs(math.log(2.0) + logsumexp(energies) - log_partition_exact(d, tf)) < 5e-13
 
 
@@ -144,6 +150,7 @@ def test_overlap_beta_to_zero_iid_value(sk_spec):
     )
     for s in range(2):
         assert abs(hist.means[s] - want) < 0.1
+    assert hist.acceptance > 0.97
 
 
 def test_overlap_large_field(sk_spec):
@@ -151,6 +158,7 @@ def test_overlap_large_field(sk_spec):
         sk_spec, TempField(beta=0.05, h=3.0), n=64, sweeps=200, n_disorder=2, seed=22
     )
     assert (hist.means > 0.9).all()
+    assert hist.acceptance < 0.1
 
 
 def test_overlap_concentrates_below_line(sk_spec):
@@ -168,6 +176,16 @@ def test_overlap_deterministic(sk_spec):
     b = overlap_histogram(sk_spec, TempField(beta=0.4, h=0.2), **kwargs)
     np.testing.assert_array_equal(a.counts, b.counts)
     np.testing.assert_array_equal(a.means, b.means)
+
+
+@pytest.mark.parametrize("beta, h", [(0.4, 0.2), (1.5, 0.1)])
+def test_overlap_matches_reference_sampler(reference_spec, beta, h):
+    """Same counts as a sampler that takes every energy change from two full energies."""
+    tf, n, sweeps, seed = TempField(beta=beta, h=h), 24, 40, 13
+    hist = overlap_histogram(reference_spec, tf, n=n, sweeps=sweeps, n_disorder=2, seed=seed, bins=20)
+    disorders = [sample_disorder(reference_spec, n, derive_seed(seed, r, 1)) for r in range(2)]
+    rng_seeds = [derive_seed(seed, r, 2) for r in range(2)]
+    np.testing.assert_array_equal(hist.counts, metropolis_counts(disorders, rng_seeds, tf, sweeps, bins=20))
 
 
 def test_overlap_size_guard(sk_spec):
