@@ -40,7 +40,6 @@ from .rs import (
     RSSolution,
     fixed_point_map,
     rs_functional,
-    rs_gradient,
     solve_fixed_point,
     uniqueness_threshold,
 )
@@ -60,7 +59,6 @@ from .onersb import (
     OneRSBPoint,
     certify_rsb,
     one_rsb_functional,
-    zeta_derivative,
 )
 from .simulate import (
     DisorderSample,

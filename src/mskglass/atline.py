@@ -1,7 +1,8 @@
 """de Almeida-Thouless machinery: stability matrices, thresholds, verdicts.
 
 At a converged critical point the second derivative of the symmetry-breaking
-slope (see `onersb.zeta_derivative`) has the closed form
+slope (the one-step functional's slope in zeta at zeta = 1, see `onersb`)
+has the closed form
 
     H = beta^2 L K L,    K = 2 beta^2 D G D - D,
 

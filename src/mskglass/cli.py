@@ -164,9 +164,16 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _count(value) -> int:
+    """An integral number as int; booleans and fractional values are refused."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _range(value) -> tuple:
     lo, hi, steps = value
-    return float(lo), float(hi), int(steps)
+    return float(lo), float(hi), _count(steps)
 
 
 def _get(cfg: dict, key: str, convert, default=_REQUIRED):
@@ -181,14 +188,14 @@ def _get(cfg: dict, key: str, convert, default=_REQUIRED):
         return default
     try:
         return convert(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} field {cfg[key]!r} is unreadable: {exc}") from exc
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
     lam = _get(cfg, "lambda", _floats)
     delta2 = _get(cfg, "delta2", _floats)
-    m = _get(cfg, "M", int, lam.size)
+    m = _get(cfg, "M", _count, lam.size)
     if m != lam.size:
         raise ConfigError(f"M = {m} but lambda has {lam.size} entries")
     if delta2.ndim == 1:
@@ -227,7 +234,7 @@ def _temp_field(cfg: dict) -> TempField:
 
 
 def _rule(cfg: dict):
-    order = _get(cfg, "order", int, DEFAULT_ORDER)
+    order = _get(cfg, "order", _count, DEFAULT_ORDER)
     try:
         return gauss_hermite(order)
     except ValueError as exc:
@@ -409,8 +416,8 @@ def cmd_parisi_eval(args) -> int:
     rule = _rule(cfg)
     q = _get(cfg, "q", _floats)
     zeta = _get(cfg, "zeta", _floats, np.empty(0))
-    if zeta.ndim > 1:
-        raise ConfigError("invalid functional parameters: zeta must be a vector")
+    if zeta.ndim > 1 or q.ndim > 2:
+        raise ConfigError("invalid functional parameters: zeta must be a vector and q a matrix")
     try:
         params = ParisiParams(zeta=zeta, q=q)
     except (ValueError, MskGlassError) as exc:
@@ -424,7 +431,7 @@ def cmd_mc_free_energy(args) -> int:
     cfg = _resolve_config(args)
     spec = _model_spec(cfg)
     tf = _temp_field(cfg)
-    n, n_disorder, seed = _get(cfg, "N", int), _get(cfg, "n_disorder", int, 1), _get(cfg, "seed", int, 0)
+    n, n_disorder, seed = _get(cfg, "N", _count), _get(cfg, "n_disorder", _count, 1), _get(cfg, "seed", _count, 0)
     estimate = _finite_n(free_energy_exact, spec, tf, n=n, n_disorder=n_disorder, seed=seed)
     result = {"mean": estimate.mean, "stderr": estimate.stderr, "N": n, "n_disorder": n_disorder, "seed": seed}
     _emit_json(cfg, result, cfg.get("out"))
@@ -439,11 +446,11 @@ def cmd_overlap_hist(args) -> int:
         overlap_histogram,
         spec,
         tf,
-        n=_get(cfg, "N", int),
-        sweeps=_get(cfg, "sweeps", int, 200),
-        n_disorder=_get(cfg, "n_disorder", int, 1),
-        seed=_get(cfg, "seed", int, 0),
-        bins=_get(cfg, "bins", int, 40),
+        n=_get(cfg, "N", _count),
+        sweeps=_get(cfg, "sweeps", _count, 200),
+        n_disorder=_get(cfg, "n_disorder", _count, 1),
+        seed=_get(cfg, "seed", _count, 0),
+        bins=_get(cfg, "bins", _count, 40),
     )
     rows: list = [f"# acceptance: {_fmt(hist.acceptance)}"]
     for s in range(spec.m):

@@ -190,7 +190,7 @@ def stability_window(spec: ModelSpec, gamma) -> tuple[float, float]:
 
 
 class Contractions(NamedTuple):
-    """Quadratic and per-species linear contractions of an overlap vector."""
+    """Quadratic and per-species linear contractions of an overlap vector (or a batch)."""
 
     scalar: float
     species: np.ndarray
@@ -201,10 +201,13 @@ def overlap_contractions(spec: ModelSpec, q) -> Contractions:
 
     Returns (sum_{s,t} delta2_st lam_s lam_t q_s q_t,
              2 * sum_t delta2_st lam_t q_t) -- the scalar energy contraction
-    and the per-species coupling vector driving the cavity-field scale.
+    and the per-species coupling vector driving the cavity-field scale.  A
+    batch (..., M) of overlap vectors gives one contraction per vector, each
+    bit-equal to its own single-vector call.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (spec.m,):
-        raise BadDimension(f"expected overlap vector of length {spec.m}, got shape {q.shape}")
-    w = spec.lam * q
-    return Contractions(scalar=float(w @ spec.delta2 @ w), species=2.0 * (spec.delta2 @ w))
+    if q.ndim < 1 or q.shape[-1] != spec.m:
+        raise BadDimension(f"expected overlap vectors of length {spec.m}, got shape {q.shape}")
+    w = (spec.lam * q)[..., None]
+    scalar = (w.swapaxes(-1, -2) @ spec.delta2 @ w)[..., 0, 0]
+    return Contractions(scalar=scalar if scalar.ndim else float(scalar), species=(2.0 * (spec.delta2 @ w))[..., 0])

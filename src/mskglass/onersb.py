@@ -12,12 +12,11 @@ with Y1_s = beta eta1 sqrt(C_s(q)) + h and Y2_s = beta eta2
 sqrt(C_s(p) - C_s(q)) + Y1_s.  At zeta = 1, and likewise at p = q, the value
 collapses to the single-atom functional.
 
-`zeta_derivative` is the slope of this functional in zeta at zeta = 1; it
-vanishes with its gradient at the critical point, and its Hessian there is
-the closed form carried by `atline.stability_matrices`.  A direction in which
-the slope turns positive yields, for some zeta < 1, a one-step value strictly
-below the single-atom one: `certify_rsb` scans for such a point and returns
-it as a certificate.
+The slope of this functional in zeta at zeta = 1 vanishes with its gradient
+at the critical point, and its Hessian there is the closed form carried by
+`atline.stability_matrices`.  A direction in which the slope turns positive
+yields, for some zeta < 1, a one-step value strictly below the single-atom
+one: `certify_rsb` scans for such a point and returns it as a certificate.
 """
 
 from __future__ import annotations
@@ -41,7 +40,11 @@ _NEAR_LINE_MARGIN = 1.05
 
 @dataclass(frozen=True)
 class OneRSBPoint:
-    """Inner overlap q, outer overlap p >= q and cluster weight zeta (or a vector of them)."""
+    """Inner overlap q, outer overlap p >= q and cluster weight zeta.
+
+    p may also be a batch (E x M) of outer overlaps sharing q, and zeta a
+    vector of weights; every weight meets every outer overlap.
+    """
 
     q: np.ndarray
     p: np.ndarray
@@ -50,8 +53,8 @@ class OneRSBPoint:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if q.ndim != 1 or p.shape != q.shape:
-            raise BadPoint("q and p must be vectors of equal length")
+        if q.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1:] != q.shape:
+            raise BadPoint("q and p (or each row of p) must be vectors of equal length")
         if ((q < -_INCREMENT_TOL) | (p > 1.0 + _INCREMENT_TOL)).any():
             raise BadPoint("overlaps must lie in [0, 1]")
         if (p - q < -_INCREMENT_TOL).any():
@@ -95,53 +98,21 @@ def _increments(spec: ModelSpec, q, p):
 
 def one_rsb_functional(spec: ModelSpec, tf: TempField, pt: OneRSBPoint, rule: QuadRule):
     """Value of the one-step ansatz at (q, p, zeta): the k = 1 functional,
-    or its k = 0 collapse at q when zeta = 1; one value per weight of a
-    vector zeta, those below 1 evaluated as one batch."""
+    or its k = 0 collapse at q when zeta = 1.  A batch of p rows and a
+    vector zeta give an array indexed (p row, weight), every weight below 1
+    evaluated in one call of the recursion."""
     _increments(spec, pt.q, pt.p)
     zeta = np.atleast_1d(pt.zeta)
-    values = np.empty(zeta.shape)
+    values = np.empty(pt.p.shape[:-1] + zeta.shape)
     inner = zeta < 1.0
     if not inner.all():
-        values[~inner] = evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=pt.q[:, None]), rule)
+        values[..., ~inner] = evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=pt.q[:, None]), rule)
     if inner.any():
-        params = ParisiParams(zeta=zeta[inner, None], q=np.column_stack([pt.q, pt.p]))
-        values[inner] = evaluate(spec, tf, params, rule)
-    return values if np.ndim(pt.zeta) else float(values[0])
-
-
-def zeta_derivative(spec: ModelSpec, tf: TempField, q_star, p, rule: QuadRule) -> float:
-    """Slope of the one-step functional in zeta at zeta = 1, as a function of p.
-
-    Evaluates, per species,
-
-        E1 [ E2 (log cosh Y2 - log cosh Y1) cosh Y2 / E2 cosh Y2 ]
-        - (beta^2 / 2) (C_s(p) - C_s(q))
-
-    minus the scalar term (beta^2/2)(E(p) - E(q)).  The inner normalizer
-    log(E2 cosh Y2 / cosh Y1) is replaced by its exact Gaussian closed form
-    (beta^2/2)(C_s(p) - C_s(q)), and the log-cosh difference is formed before
-    exponentiation, so the value degrades gracefully to exactly 0 at p = q.
-    """
-    c_q, c_p, d = _increments(spec, q_star, p)
-    beta, h = tf.beta, tf.h
-    half_b2 = 0.5 * beta * beta
-    nodes, w = rule.nodes, rule.weights
-
-    per_species = np.zeros(spec.m)
-    for s in range(spec.m):
-        if d[s] == 0.0:
-            continue
-        y1 = beta * math.sqrt(max(c_q.species[s], 0.0)) * nodes + h
-        t = np.clip(beta * math.sqrt(d[s]) * nodes, -700.0, 700.0)
-        # log cosh(y1 + t) - log cosh(y1) = log1p(2 sinh^2(t/2) + sinh(t) tanh(y1)),
-        # accurate to relative precision even when the increment is tiny
-        r = np.log1p(2.0 * np.sinh(0.5 * t[None, :]) ** 2 + np.sinh(t)[None, :] * np.tanh(y1)[:, None])
-        shift = r.max(axis=1, keepdims=True)
-        e = np.exp(r - shift)
-        ratio = ((r * e) @ w) / (e @ w)
-        per_species[s] = float(w @ ratio) - half_b2 * d[s]
-
-    return float(spec.lam @ per_species - half_b2 * (c_p.scalar - c_q.scalar))
+        ladder = np.stack([np.broadcast_to(pt.q, pt.p.shape), pt.p], axis=-1)
+        values[..., inner] = evaluate(spec, tf, ParisiParams(zeta=zeta[inner, None], q=ladder), rule)
+    if not np.ndim(pt.zeta):
+        values = values[..., 0]
+    return values if values.ndim else float(values)
 
 
 def default_epsilon_grid() -> np.ndarray:
@@ -167,11 +138,12 @@ def certify_rsb(
     The report's witness certifies positivity against the stability matrix;
     the slope's curvature is its conjugation by the proportions, so the
     displacement direction is the witness divided componentwise by lam
-    (nonnegativity is preserved), normalized to unit max entry.  Each
-    epsilon with p in [0, 1] evaluates the whole zeta grid in one pass (a
-    zeta outside (0, 1] raises BadZeta).  The first point with the largest
-    gap above DEFAULT_GAP_FLOOR wins; the floor sits above the quadrature
-    noise at the default order.  Raises
+    (nonnegativity is preserved), normalized to unit max entry.  The
+    epsilons whose p stays in [0, 1] are validated together and evaluated
+    against the whole zeta grid in one call of the recursion (a zeta
+    outside (0, 1] raises BadZeta).  The first point in (epsilon, zeta)
+    order with the largest gap above DEFAULT_GAP_FLOOR wins; the floor sits
+    above the quadrature noise at the default order.  Raises
     CertificateNotFound when the scan finds nothing; `near_line`
     distinguishes the benign case beta^2 < 1.05 beta2_m, where the
     attainable gap is quadratically small, from a genuine failure.
@@ -185,21 +157,19 @@ def certify_rsb(
     q_star = report.solution.q_star
     rs_value = rs_functional(spec, tf, q_star, rule)
 
-    eps_grid = default_epsilon_grid() if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    zeta_grid = default_zeta_grid() if zeta_grid is None else np.asarray(zeta_grid, dtype=float)
+    eps_grid = default_epsilon_grid() if eps_grid is None else np.array(eps_grid, dtype=float, ndmin=1)
+    zeta_grid = default_zeta_grid() if zeta_grid is None else np.array(zeta_grid, dtype=float, ndmin=1)
 
     best = None
     best_gap = -math.inf
-    for eps in eps_grid:
-        p = q_star + eps * x
-        if (p > 1.0).any() or (p < 0.0).any():
-            continue
-        values = one_rsb_functional(spec, tf, OneRSBPoint(q=q_star, p=p, zeta=zeta_grid), rule)
+    p = q_star + eps_grid[:, None] * x
+    inside = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+    if inside.any() and zeta_grid.size:
+        values = one_rsb_functional(spec, tf, OneRSBPoint(q=q_star, p=p[inside], zeta=zeta_grid), rule)
         gaps = rs_value - values
-        if gaps.size and gaps.max() > best_gap:
-            j = int(np.argmax(gaps))
-            best_gap = float(gaps[j])
-            best = (float(eps), float(zeta_grid[j]), float(values[j]))
+        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
+        best_gap = float(gaps[i, j])
+        best = (float(eps_grid[inside][i]), float(zeta_grid[j]), float(values[i, j]))
 
     if best is None or best_gap <= DEFAULT_GAP_FLOOR:
         near = tf.beta ** 2 < _NEAR_LINE_MARGIN * report.beta2_m

@@ -19,8 +19,10 @@ quadrature nodes while holding at most an order x order slice in memory.
 Cost grows as order**(k+1); levels k <= 3 are practical at moderate order
 and nothing is ever truncated.  Levels whose overlap increment vanishes are
 integrated out exactly (the reduction is the identity there), which keeps
-coalesced ladders bit-stable.  A batch of Z weight vectors on one ladder
-shares every log-cosh grid and runs through the recursion as one.
+coalesced ladders bit-stable.  A batch of Z weight vectors shares every
+log-cosh grid and runs through the recursion as one; a batch of E ladders
+shares one pass of contractions, increments and the weight correction, so a
+whole (E x Z) scan costs one call with one validation.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ _INCREMENT_TOL = 1e-12
 class ParisiParams:
     """Cluster weights zeta (length k) and overlap ladder q (M x (k+1)).
 
-    zeta may also be a batch (Z x k) sharing the ladder.  The boundary columns
-    q_0 = 0 and q_{k+2} = 1 are implicit.  Weights must be strictly
-    increasing inside the open interval (0, 1); the endpoint values 0 and 1
-    are handled analytically by the evaluator, never fed to the
+    zeta may also be a batch (Z x k) of weight vectors and q a batch
+    (E x M x (k+1)) of ladders; every weight vector meets every ladder.  The
+    boundary columns q_0 = 0 and q_{k+2} = 1 are implicit.  Weights must be
+    strictly increasing inside the open interval (0, 1); the endpoint values
+    0 and 1 are handled analytically by the evaluator, never fed to the
     1/zeta * log E exp(zeta *) form.
     """
 
@@ -62,11 +65,11 @@ class ParisiParams:
         if (np.diff(zeta, axis=-1) <= 0).any():
             raise BadZeta("cluster weights must be strictly increasing")
         k = zeta.shape[-1]
-        if q.ndim != 2 or q.shape[1] != k + 1:
-            raise ValueError(f"q must be M x (k+1) with k = {k}")
+        if q.ndim > 3 or q.shape[-1] != k + 1:
+            raise ValueError(f"q must be M x (k+1), or a batch of them, with k = {k}")
         if ((q < -_INCREMENT_TOL) | (q > 1 + _INCREMENT_TOL)).any():
             raise ValueError("overlaps must lie in [0, 1]")
-        if q.shape[1] > 1 and (np.diff(q, axis=1) < -_INCREMENT_TOL).any():
+        if (np.diff(q, axis=-1) < -_INCREMENT_TOL).any():
             raise NonmonotoneOverlap("each species row of q must be nondecreasing")
         q = np.clip(q, 0.0, 1.0)
         zeta.setflags(write=False)
@@ -80,7 +83,7 @@ class ParisiParams:
 
     @property
     def m(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-2]
 
 
 def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -92,8 +95,9 @@ def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     if not zeta.any():
         return values @ w
     z = zeta.reshape((-1,) + (1,) * (values.ndim - 1))
+    # z > 0 preserves order under rounding, so this is the max of z * values
+    top = z * values.max(axis=-1, keepdims=True)
     a = z * values
-    top = a.max(axis=-1, keepdims=True)
     a -= top
     np.exp(a, out=a)
     return (np.log(a @ w) + top[..., 0]) / z[..., 0]
@@ -135,18 +139,15 @@ def _x_zero(h: float, beta: float, increments: np.ndarray, zetas: np.ndarray, ru
 
 def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule):
     """Value of the k-level functional at the given weights and ladder: a
-    float, or one value per row of a batched `params.zeta` (Z x k)."""
+    float, or an array indexed (ladder, weight vector) over the batched axes
+    of `params.q` (E) and `params.zeta` (Z), in that order."""
     if params.m != spec.m:
         raise ValueError("params and spec disagree on the species count")
-    k = params.k
-    m = spec.m
-
-    ladder = np.hstack([np.zeros((m, 1)), params.q, np.ones((m, 1))])  # columns 0 .. k+2
-    cons = [overlap_contractions(spec, ladder[:, col]) for col in range(k + 3)]
-    q_scalar = np.array([c.scalar for c in cons])
-    q_species = np.column_stack([c.species for c in cons])  # (M, k+3)
-
-    increments = np.diff(q_species, axis=1)  # (M, k+2)
+    q = params.q.reshape((-1,) + params.q.shape[-2:])  # (E, M, k+1)
+    # ladder columns 0 .. k+2, boundary columns included
+    ladder = np.concatenate([np.zeros_like(q[..., :1]), q, np.ones_like(q[..., :1])], axis=-1)
+    cons = overlap_contractions(spec, ladder.swapaxes(-1, -2))  # one per (ladder, column)
+    increments = np.diff(cons.species, axis=-2)  # (E, k+2, M)
     if (increments < -_INCREMENT_TOL).any():
         raise NonmonotoneOverlap(
             f"species coupling ladder decreases by {float(-increments.min()):.3e}"
@@ -156,8 +157,11 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
     # reduction exponent per level, one row per weight vector
     zetas = np.pad(np.atleast_2d(params.zeta), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
     beta = tf.beta
-    x0 = np.stack(np.broadcast_arrays(*[_x_zero(tf.h, beta, increments[s], zetas, rule) for s in range(m)]))
+    x0 = np.empty((len(q), spec.m, len(zetas)))
+    for e, s in np.ndindex(x0.shape[:2]):
+        x0[e, s] = _x_zero(tf.h, beta, increments[e, :, s], zetas, rule)
 
-    correction = np.sum(zetas[:, 1:] * np.diff(q_scalar)[1:], axis=1)
+    correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)
     value = _LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction
-    return value if params.zeta.ndim == 2 else float(value[0])
+    value = value.reshape(params.q.shape[:-2] + params.zeta.shape[:-1])
+    return value if value.ndim else float(value)

@@ -1,4 +1,4 @@
-"""Replica-symmetric functional, gradient, and self-consistency solver.
+"""Replica-symmetric functional and self-consistency solver.
 
 The single-atom ansatz assigns each species one overlap q_s in [0, 1].  Its
 free-energy value is
@@ -13,8 +13,10 @@ critical point solves the self-consistency system
 
 which the solver iterates from three starts by the plain step q <- T(q),
 clipped to the box; near q* the map contracts (Jacobian spectral radius
-below 0.77 on the README phase-diagram grid).  For two species under the
-standard normalization the critical point is unique whenever h > 0 or
+below 0.77 on the README phase-diagram grid).  The three starts run as one
+batch through the map, each row frozen once it converges, so a solve costs
+as many map calls as its slowest start takes iterations.  For two species
+under the standard normalization the critical point is unique whenever h > 0 or
 beta^2 is below the closed-form threshold `uniqueness_threshold`; outside
 that regime all distinct limits found are reported and the functional value
 is the minimum over them (a heuristic, flagged via `guaranteed_unique`).
@@ -81,13 +83,6 @@ def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> float:
     return float(_LOG2 + spec.lam @ per_species - half_b2 * (c_one.scalar - c_q.scalar))
 
 
-def rs_gradient(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.ndarray:
-    """Analytic gradient: beta^2 lam_t sum_s delta2_st lam_s (q_s - T_s(q))."""
-    q = np.asarray(q, dtype=float)
-    defect = q - fixed_point_map(spec, tf, q, rule)
-    return tf.beta ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
-
-
 def uniqueness_threshold(spec: ModelSpec) -> float:
     """Closed-form beta^2 below which the h = 0 critical point is unique.
 
@@ -109,16 +104,23 @@ class _Run(NamedTuple):
     converged: bool
 
 
-def _iterate(spec, tf, rule, q0, tol, max_iter) -> _Run:
-    q = np.clip(np.asarray(q0, dtype=float), 0.0, 1.0)
-    residual = math.inf
+def _iterate(spec, tf, rule, starts, tol, max_iter) -> list[_Run]:
+    """Step every start (rows of `starts`) at once; a row leaves the batch
+    when its residual drops below tol, so its iterates match a lone run."""
+    q = np.clip(np.asarray(starts, dtype=float), 0.0, 1.0)
+    residual = np.full(len(q), math.inf)
+    iterations = np.full(len(q), max_iter)
+    live = np.arange(len(q))
     for it in range(1, max_iter + 1):
-        target = fixed_point_map(spec, tf, q, rule)
-        residual = float(np.abs(target - q).max())
-        if residual < tol:
-            return _Run(q, residual, it, True)
-        q = np.clip(target, 0.0, 1.0)
-    return _Run(q, residual, max_iter, False)
+        target = fixed_point_map(spec, tf, q[live], rule)
+        residual[live] = np.abs(target - q[live]).max(axis=1)
+        done = residual[live] < tol
+        iterations[live[done]] = it
+        q[live[~done]] = np.clip(target[~done], 0.0, 1.0)
+        live = live[~done]
+        if not live.size:
+            break
+    return [_Run(q[i], float(residual[i]), int(iterations[i]), i not in live) for i in range(len(q))]
 
 
 def solve_fixed_point(
@@ -131,17 +133,18 @@ def solve_fixed_point(
     """Multistart fixed-point iteration of the self-consistency system.
 
     Starts from the zero vector, the all-ones vector and the decoupled value
-    tanh^2(h).  Each run steps q <- T(q), clipped to the box, and converges
-    when the sup-norm residual |T(q) - q| falls below `tol`.  When the
-    uniqueness hypotheses hold, distinct limits raise InternalInconsistency
-    (a bug signal); otherwise every distinct limit is reported in
-    `candidates` and `q_star` minimizes the functional over them.
+    tanh^2(h), iterated together as one batch.  Each run steps q <- T(q),
+    clipped to the box, and converges when the sup-norm residual |T(q) - q|
+    falls below `tol`.  When the uniqueness hypotheses hold, distinct limits
+    raise InternalInconsistency (a bug signal); otherwise every distinct
+    limit is reported in `candidates` and `q_star` minimizes the functional
+    over them.
     Raises NotConverged when no start converges within `max_iter`.
     """
     m = spec.m
     starts = [np.zeros(m), np.ones(m), np.full(m, math.tanh(tf.h) ** 2)]
 
-    runs = [_iterate(spec, tf, rule, q0, tol, max_iter) for q0 in starts]
+    runs = _iterate(spec, tf, rule, starts, tol, max_iter)
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's Gauss-Hermite path:
 expectations go through scipy's adaptive quadrature, fixed points through
 scalar bisection, derivatives through finite differences, thresholds through
-an eigenvalue.  The Monte Carlo
+an eigenvalue.  The two exceptions are the closed-form derivatives
+`rs_gradient` and `zeta_derivative`, which take the library's rule: the tests
+hold them against finite differences of the library's functionals, so they
+live here rather than in the package.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.
 """
@@ -244,6 +247,55 @@ def fd_gradient_at_minimum(func, dim, delta):
         e_t = np.eye(dim)[t]
         grad[t] = (4.0 * func(delta * e_t) - func(2.0 * delta * e_t)) / (2.0 * delta)
     return grad
+
+
+def rs_gradient(spec, tf, q, rule):
+    """Gradient of the single-atom functional in q:
+    beta^2 lam_t sum_s delta2_st lam_s (q_s - T_s(q))."""
+    from mskglass import fixed_point_map
+
+    q = np.asarray(q, dtype=float)
+    defect = q - fixed_point_map(spec, tf, q, rule)
+    return tf.beta ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
+
+
+def zeta_derivative(spec, tf, q_star, p, rule):
+    """Slope of the one-step functional in zeta at zeta = 1, as a function of p.
+
+    Evaluates, per species,
+
+        E1 [ E2 (log cosh Y2 - log cosh Y1) cosh Y2 / E2 cosh Y2 ]
+        - (beta^2 / 2) (C_s(p) - C_s(q))
+
+    minus the scalar term (beta^2/2)(E(p) - E(q)).  The inner normalizer
+    log(E2 cosh Y2 / cosh Y1) is replaced by its exact Gaussian closed form
+    (beta^2/2)(C_s(p) - C_s(q)), and the log-cosh difference is formed before
+    exponentiation, so the value degrades gracefully to exactly 0 at p = q.
+    """
+    from mskglass import overlap_contractions
+
+    c_q = overlap_contractions(spec, np.asarray(q_star, dtype=float))
+    c_p = overlap_contractions(spec, np.asarray(p, dtype=float))
+    d = np.clip(c_p.species - c_q.species, 0.0, None)
+    beta, h = tf.beta, tf.h
+    half_b2 = 0.5 * beta * beta
+    nodes, w = rule.nodes, rule.weights
+
+    per_species = np.zeros(spec.m)
+    for s in range(spec.m):
+        if d[s] == 0.0:
+            continue
+        y1 = beta * math.sqrt(max(c_q.species[s], 0.0)) * nodes + h
+        t = np.clip(beta * math.sqrt(d[s]) * nodes, -700.0, 700.0)
+        # log cosh(y1 + t) - log cosh(y1) = log1p(2 sinh^2(t/2) + sinh(t) tanh(y1)),
+        # accurate to relative precision even when the increment is tiny
+        r = np.log1p(2.0 * np.sinh(0.5 * t[None, :]) ** 2 + np.sinh(t)[None, :] * np.tanh(y1)[:, None])
+        shift = r.max(axis=1, keepdims=True)
+        e = np.exp(r - shift)
+        ratio = ((r * e) @ w) / (e @ w)
+        per_species[s] = float(w @ ratio) - half_b2 * d[s]
+
+    return float(spec.lam @ per_species - half_b2 * (c_p.scalar - c_q.scalar))
 
 
 # ----------------------------------------------------------------------

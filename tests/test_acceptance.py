@@ -28,7 +28,6 @@ from mskglass import (
     stability_matrices,
     two_species_thresholds,
     uniqueness_threshold,
-    zeta_derivative,
     free_energy_exact,
 )
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
@@ -37,6 +36,7 @@ from .oracles import (
     fd_hessian_at_minimum,
     one_step_value,
     zero_field_stability_threshold,
+    zeta_derivative,
 )
 
 

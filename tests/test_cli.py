@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -197,12 +198,17 @@ def test_phase_diagram_all_below_line(ref_config, tmp_path):
     assert all(r[2] == "RS-consistent" for r in rows)
 
 
-def test_certify_above_and_below(ref_config, capsys):
+def test_certify_above_and_below(ref_config, tmp_path, capsys):
     doc = _run_json(capsys, ["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3"])
     assert doc["result"]["gap"] > 0
     assert doc["result"]["verdict"] == "RSB-certified"
     assert main(["certify", "--config", ref_config, "--beta", "0.4", "--h", "0.3"]) == 2
     assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0,0.5"]) == 2
+    # a single number in the config is a one-point grid
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({**json.loads(open(ref_config).read()), "eps_grid": 0.05, "zeta_grid": 0.9}))
+    doc = _run_json(capsys, ["certify", "--config", str(single), "--beta", "1.2", "--h", "0.3"])
+    assert (doc["result"]["epsilon"], doc["result"]["zeta"]) == (0.05, 0.9)
 
 
 def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spec, rule):
@@ -226,11 +232,13 @@ def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spe
     want = parisi_value(reference_spec, TempField(beta=0.5, h=0.4), params, rule)
     assert doc["result"]["value"] == want
     assert doc["result"]["k"] == 1
-    # a batch of weight vectors is library-only; the CLI evaluates one point
+    # a batch of weight vectors or of ladders is library-only; the CLI evaluates one point
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps({**json.loads(open(ref_config).read()), "zeta": [[0.6], [0.7]]}))
     argv = ["parisi-eval", "--config", str(batch), "--beta", "0.5", "--h", "0.4", "--q", "0.2,0.5;0.3,0.6"]
     assert main(argv) == 1
+    batch.write_text(json.dumps({**json.loads(open(ref_config).read()), "q": [[[0.2, 0.5], [0.3, 0.6]]] * 2}))
+    assert main(["parisi-eval", "--config", str(batch), "--beta", "0.5", "--h", "0.4", "--zeta", "0.6"]) == 1
 
 
 def test_mc_free_energy_pass_through(ref_config, capsys, reference_spec):
@@ -319,6 +327,13 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         ("mc-free-energy", {"beta": 0.3, "N": "abc"}),
         ("at-line", {"h_range": [0.1, 1.0]}),
         ("solve-rs", {"beta": [0.3]}),
+        # integer fields refuse fractional, boolean and infinite values instead of truncating
+        ("mc-free-energy", {"beta": 0.3, "N": 6.9}),
+        ("mc-free-energy", {"beta": 0.3, "N": 6, "n_disorder": True}),
+        ("solve-rs", {"beta": 0.3, "order": 61.7}),
+        ("solve-rs", {"beta": 0.3, "M": 2.5}),
+        ("overlap-hist", {"beta": 0.3, "N": 8, "sweeps": 4, "seed": 1e400}),
+        ("at-line", {"h_range": [0.1, 1.0, 2.5]}),
     ],
 )
 def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys, command, fields):
@@ -328,6 +343,29 @@ def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys,
     path.write_text(json.dumps({**doc, **fields}))
     assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_readme_phase_diagram_matches_golden_output(tmp_path):
+    """The README phase-diagram scan against its checked-in output.
+
+    Verdicts and which cells carry a gap must match exactly.  beta2_m must
+    agree to 1e-13 relative.  A gap is a difference of two functional values
+    of order 1, so it must agree to 1e-13 of those values (absolute).
+    """
+    golden = pathlib.Path(__file__).parent / "data" / "phase_diagram_readme.csv"
+    out = tmp_path / "phase.csv"
+    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
+            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10", "--out", str(out)]
+    assert main(argv) == 0
+    _, want_columns, want = _read_csv(golden)
+    _, columns, rows = _read_csv(out)
+    assert columns == want_columns and len(rows) == len(want) == 250
+    for row, ref in zip(rows, want):
+        assert row[:3] == ref[:3]
+        assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-13, abs=0)
+        assert (row[4] == "") == (ref[4] == "")
+        if ref[4]:
+            assert abs(float(row[4]) - float(ref[4])) <= 1e-13
 
 
 def test_model_dimension_mismatch_exits_one():

@@ -19,11 +19,10 @@ from mskglass import (
     rs_functional,
     solve_fixed_point,
     two_species_thresholds,
-    zeta_derivative,
 )
 from mskglass.onersb import default_zeta_grid
 
-from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value
+from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, zeta_derivative
 
 
 def _beta_at_ratio(spec, rule, ratio, h):
@@ -248,6 +247,68 @@ def test_no_gap_below_line(reference_spec, rule):
     # and certify refuses to run from a consistent report
     with pytest.raises(BadPoint):
         certify_rsb(reference_spec, tf, report_check, rule)
+
+
+def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
+    """The certificate scan one epsilon at a time: (eps, zeta, gap) of the first largest gap."""
+    q = report.solution.q_star
+    x = report.witness_x / spec.lam
+    x = x / x.max()
+    rs_value = rs_functional(spec, tf, q, rule)
+    best = (None, None, -math.inf)
+    for eps in eps_grid:
+        p = q + eps * x
+        if (p < 0).any() or (p > 1).any():
+            continue
+        gaps = rs_value - one_rsb_functional(spec, tf, OneRSBPoint(q=q, p=p, zeta=zeta_grid), rule)
+        if gaps.max() > best[2]:
+            best = (eps, zeta_grid[int(np.argmax(gaps))], gaps.max())
+    return best
+
+
+@pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.5, 0.6)])
+def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
+    tf = TempField(beta=beta, h=h)
+    report = at_verdict(reference_spec, tf, rule)
+    eps_grid, zeta_grid = np.geomspace(1e-3, 1e-1, 10), default_zeta_grid()
+    cert = certify_rsb(reference_spec, tf, report, rule)
+    eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, zeta_grid)
+    assert (cert.epsilon, cert.zeta) == (eps, zeta)
+    assert abs(cert.gap - gap) < 1e-14
+
+
+def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
+    """Large epsilons leave [0, 1] and are skipped; the rest still scan as one call."""
+    tf = TempField(beta=1.5, h=0.6)
+    report = at_verdict(reference_spec, tf, rule)
+    q = report.solution.q_star
+    x = report.witness_x / reference_spec.lam
+    x = x / x.max()
+    eps_grid = np.array([1e-3, 1e-2, 0.05, 1.0 - q.max() - 1e-9, 0.5, 2.0])
+    assert ((q + eps_grid[-2:, None] * x) > 1).any(axis=1).all()
+    cert = certify_rsb(reference_spec, tf, report, rule, eps_grid=eps_grid)
+    eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, default_zeta_grid())
+    assert (cert.epsilon, cert.zeta) == (eps, zeta)
+    assert abs(cert.gap - gap) < 1e-14
+    assert cert.epsilon <= eps_grid[3]
+    with pytest.raises(CertificateNotFound):
+        certify_rsb(reference_spec, tf, report, rule, eps_grid=[2.0, 5.0])
+
+
+def test_batched_p_rows_match_single_points(reference_spec, rule):
+    tf = TempField(beta=0.7, h=0.35)
+    q = np.array([0.2, 0.3])
+    p = q + np.array([[0.0, 0.0], [0.1, 0.05], [0.3, 0.0]])
+    zeta = np.array([0.3, 0.8, 1.0])
+    batched = one_rsb_functional(reference_spec, tf, OneRSBPoint(q=q, p=p, zeta=zeta), rule)
+    assert batched.shape == (3, 3)
+    for row, values in zip(p, batched):
+        single = one_rsb_functional(reference_spec, tf, OneRSBPoint(q=q, p=row, zeta=zeta), rule)
+        np.testing.assert_allclose(values, single, rtol=1e-14, atol=0)
+    at_half = one_rsb_functional(reference_spec, tf, OneRSBPoint(q=q, p=p, zeta=0.8), rule)
+    np.testing.assert_allclose(at_half, batched[:, 1], rtol=1e-14, atol=0)
+    with pytest.raises(BadPoint):
+        OneRSBPoint(q=q, p=np.array([[0.3, 0.4], [0.1, 0.4]]), zeta=0.5)
 
 
 def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):

@@ -38,6 +38,29 @@ def test_batched_weights_match_single_rows(reference_spec, rule):
         np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
 
 
+def test_batched_ladders_match_single_ladders(reference_spec, rule):
+    """An E-ladder x Z-weight batch gives the values of its ladders evaluated
+    one at a time; the third ladder has a zero increment (a level that drops
+    out exactly) and the fourth a zero increment in one species only."""
+    tf = TempField(beta=1.3, h=0.35)
+    ladders = np.array([
+        [[0.2, 0.5], [0.3, 0.6]],
+        [[0.05, 0.9], [0.1, 0.15]],
+        [[0.4, 0.4], [0.35, 0.35]],
+        [[0.4, 0.4], [0.2, 0.7]],
+    ])
+    zetas = np.array([[0.1], [0.45], [0.95]])
+    batched = evaluate(reference_spec, tf, ParisiParams(zeta=zetas, q=ladders), rule)
+    assert batched.shape == (4, 3)
+    for ladder, row in zip(ladders, batched):
+        single = evaluate(reference_spec, tf, ParisiParams(zeta=zetas, q=ladder), rule)
+        np.testing.assert_allclose(row, single, rtol=1e-14, atol=0)
+    unweighted = evaluate(reference_spec, tf, ParisiParams(zeta=zetas[1], q=ladders), rule)
+    np.testing.assert_allclose(unweighted, batched[:, 1], rtol=1e-14, atol=0)
+    with pytest.raises(NonmonotoneOverlap):
+        ParisiParams(zeta=zetas, q=np.array([ladders[0], [[0.5, 0.2], [0.3, 0.6]]]))
+
+
 def test_k0_matches_rs(reference_spec, rule):
     tf = TempField(beta=0.4, h=0.4)
     for q in (np.array([0.1, 0.2]), np.array([0.35, 0.3]), np.zeros(2)):

@@ -10,12 +10,11 @@ from mskglass import (
     Unsupported,
     fixed_point_map,
     rs_functional,
-    rs_gradient,
     solve_fixed_point,
     uniqueness_threshold,
 )
 from mskglass import rs
-from .oracles import single_species_rs_value, two_species_bisection
+from .oracles import rs_gradient, single_species_rs_value, two_species_bisection
 
 
 def test_functional_beta_to_zero(reference_spec, rule):
@@ -103,8 +102,9 @@ def test_every_start_converges_quickly(reference_spec, rule, monkeypatch):
     iterate = rs._iterate
 
     def recording(*args):
-        runs.append(iterate(*args))
-        return runs[-1]
+        batch = iterate(*args)
+        runs.extend(batch)
+        return batch
 
     monkeypatch.setattr(rs, "_iterate", recording)
     solve_fixed_point(reference_spec, TempField(beta=0.68, h=0.01), rule)
@@ -115,6 +115,42 @@ def test_every_start_converges_quickly(reference_spec, rule, monkeypatch):
     solve_fixed_point(reference_spec, TempField(beta=1.2, h=0.3), rule)
     assert len(runs) == 3
     assert all(run.converged and run.iterations <= 60 for run in runs)
+
+
+def test_starts_share_each_map_call(reference_spec, rule, monkeypatch):
+    """The three starts step as one batch: a solve makes as many map calls
+    as its slowest start takes iterations, not the sum over the starts."""
+    calls, runs = [], []
+    step, iterate = rs.fixed_point_map, rs._iterate
+
+    def counting(*args):
+        calls.append(args[2])
+        return step(*args)
+
+    def recording(*args):
+        batch = iterate(*args)
+        runs.extend(batch)
+        return batch
+
+    monkeypatch.setattr(rs, "fixed_point_map", counting)
+    monkeypatch.setattr(rs, "_iterate", recording)
+    solve_fixed_point(reference_spec, TempField(beta=1.2, h=0.3), rule)
+    assert len(runs) == 3 and all(run.converged for run in runs)
+    assert len(calls) <= max(run.iterations for run in runs) + 1
+    assert len(calls) < sum(run.iterations for run in runs)
+
+
+def test_batched_runs_match_lone_runs(reference_spec, rule):
+    """Each start's iterate, residual and iteration count are bit-equal to
+    those of the same start iterated alone."""
+    for beta, h in ((1.2, 0.3), (0.68, 0.01), (1.6, 0.9)):
+        tf = TempField(beta=beta, h=h)
+        starts = np.array([[0.0, 0.0], [1.0, 1.0], [math.tanh(h) ** 2] * 2])
+        batch = rs._iterate(reference_spec, tf, rule, starts, rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
+        for start, run in zip(starts, batch):
+            (lone,) = rs._iterate(reference_spec, tf, rule, start[None], rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
+            np.testing.assert_array_equal(run.q, lone.q)
+            assert (run.residual, run.iterations, run.converged) == (lone.residual, lone.iterations, lone.converged)
 
 
 def test_solver_not_converged():
