@@ -22,7 +22,6 @@ from .model import (
     Contractions,
     ModelSpec,
     TempField,
-    ValidationReport,
     overlap_contractions,
     validate,
 )

@@ -17,8 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,48 +38,7 @@ class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Inclusive (min, max, steps) ranges of positive values for the phase-plane scans.
-
-    steps == 1 denotes a single point at min (min == max allowed there);
-    multi-step ranges require min < max.  `beta_range` is None for a scan
-    over h alone.
-    """
-
-    beta_range: Optional[tuple]
-    h_range: tuple
-
-    def __post_init__(self):
-        for name, rng in (("beta_range", self.beta_range), ("h_range", self.h_range)):
-            if rng is None:
-                continue
-            lo, hi, steps = rng
-            if steps < 1:
-                raise ConfigError(f"{name}: steps must be >= 1")
-            if steps > 1 and not lo < hi:
-                raise ConfigError(f"{name}: min must be < max for multi-step ranges")
-            if not (lo > 0 and math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"{name}: values must be positive and finite")
-
-    @staticmethod
-    def _values(rng) -> np.ndarray:
-        lo, hi, steps = rng
-        return np.array([lo]) if steps == 1 else np.linspace(lo, hi, int(steps))
-
-    def beta_values(self) -> np.ndarray:
-        return self._values(self.beta_range)
-
-    def h_values(self) -> np.ndarray:
-        return self._values(self.h_range)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract here is exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+# flag text -> config value
 
 
 def _float_list(text: str) -> list[float]:
@@ -96,6 +54,110 @@ def _range_triple(text: str) -> tuple:
 
 def _matrix_rows(text: str) -> list[list[float]]:
     return [[float(tok) for tok in row.split(",") if tok.strip()] for row in text.split(";")]
+
+
+# config value -> the value a command reads; TypeError/ValueError on bad input
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _real(value) -> float:
+    """A real number as float; booleans are refused."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _count(value) -> int:
+    """An integral number as int; booleans and fractional values are refused."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _range(value) -> np.ndarray:
+    """The values of an inclusive (min, max, steps) range of positive numbers.
+
+    steps == 1 denotes the single point min (min == max allowed there);
+    multi-step ranges require min < max.
+    """
+    lo, hi, steps = value
+    lo, hi, steps = _real(lo), _real(hi), _count(steps)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if steps > 1 and not lo < hi:
+        raise ValueError("min must be < max for multi-step ranges")
+    if not (lo > 0 and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be positive and finite")
+    return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
+
+
+def _grid(value) -> np.ndarray:
+    """A number (a one-point grid) or a nonempty list of finite numbers."""
+    grid = np.array(value, dtype=float, ndmin=1)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+        raise ValueError("expected a number or a nonempty list of finite numbers")
+    return grid
+
+
+def _mode(value) -> str:
+    if value not in VALIDATION_MODES:
+        raise ValueError(f"expected one of {', '.join(VALIDATION_MODES)}")
+    return value
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a file path")
+    return value
+
+
+def _rule(value):
+    """The Gauss-Hermite rule of the given order."""
+    return gauss_hermite(_count(value))
+
+
+_REQUIRED = object()
+
+_ALL = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
+_POINT = ("solve-rs", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
+_QUADRATURE = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval")
+_FINITE_N = ("mc-free-energy", "overlap-hist")
+
+
+class Field(NamedTuple):
+    parse: Optional[Callable]  # flag text -> config value; None for a file-only field
+    convert: Callable  # config value -> the value commands read
+    default: object  # converted like a given value; None stays None
+    commands: tuple  # the subcommands that read the field and take its flag
+    help: Optional[str] = None
+
+
+# A field's flag is "--" + its key, lowercase, "_" -> "-".  Flags overlay the
+# file fields in table order, which fixes the key order of the recorded config.
+FIELDS = {
+    "delta2": Field(_float_list, _floats, _REQUIRED, _ALL, "row-major variance entries, comma-separated"),
+    "beta": Field(float, _real, _REQUIRED, _POINT),
+    "h": Field(float, _real, 0.0, _POINT),
+    "lambda": Field(_float_list, _floats, _REQUIRED, _ALL, "species proportions, comma-separated"),
+    "mode": Field(str, _mode, "convex", _ALL, " | ".join(VALIDATION_MODES)),
+    "order": Field(int, _rule, DEFAULT_ORDER, _QUADRATURE, f"quadrature order (default {DEFAULT_ORDER})"),
+    "seed": Field(int, _count, 0, _FINITE_N),
+    "out": Field(str, _path, None, _ALL, "output path (default stdout)"),
+    "beta_range": Field(_range_triple, _range, (0.2, 1.2, 10), ("phase-diagram",), "min,max,steps"),
+    "h_range": Field(_range_triple, _range, (0.1, 1.0, 10), ("at-line", "phase-diagram"), "min,max,steps"),
+    "N": Field(int, _count, _REQUIRED, _FINITE_N, "system size N (<= 24 exact, <= 256 Metropolis)"),
+    "sweeps": Field(int, _count, 200, ("overlap-hist",)),
+    "n_disorder": Field(int, _count, 1, _FINITE_N),
+    "bins": Field(int, _count, 40, ("overlap-hist",)),
+    "zeta": Field(_float_list, _floats, (), ("parisi-eval",), "cluster weights, comma-separated (empty for k=0)"),
+    "q": Field(_matrix_rows, _floats, _REQUIRED, ("parisi-eval",), "overlap ladder rows, ';' between species"),
+    "eps_grid": Field(_float_list, _grid, None, ("certify",)),
+    "zeta_grid": Field(_float_list, _grid, None, ("certify",)),
+    "M": Field(None, _count, None, _ALL),
+}
 
 
 def _jsonable(obj):
@@ -117,30 +179,15 @@ def _jsonable(obj):
     return obj
 
 
-_FLAG_KEYS = (
-    ("beta", "beta"),
-    ("h", "h"),
-    ("lam", "lambda"),
-    ("mode", "mode"),
-    ("order", "order"),
-    ("seed", "seed"),
-    ("out", "out"),
-    ("beta_range", "beta_range"),
-    ("h_range", "h_range"),
-    ("n", "N"),
-    ("sweeps", "sweeps"),
-    ("n_disorder", "n_disorder"),
-    ("bins", "bins"),
-    ("zeta", "zeta"),
-    ("q", "q"),
-    ("eps_grid", "eps_grid"),
-    ("zeta_grid", "zeta_grid"),
-)
+def _resolve_config(args) -> tuple[dict, dict]:
+    """(recorded config, converted value of each field the command reads).
 
-
-def _resolve_config(args) -> dict:
+    The record holds the file fields with the flags overlaid.  An absent or
+    null field takes its default; a missing required field, or a value the
+    converter rejects, is a config error (exit 1).
+    """
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -148,56 +195,27 @@ def _resolve_config(args) -> dict:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    if getattr(args, "delta2", None) is not None:
-        cfg["delta2"] = args.delta2
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
-_REQUIRED = object()
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _count(value) -> int:
-    """An integral number as int; booleans and fractional values are refused."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError("expected an integer")
-    return int(value)
-
-
-def _range(value) -> tuple:
-    lo, hi, steps = value
-    return float(lo), float(hi), _count(steps)
-
-
-def _get(cfg: dict, key: str, convert, default=_REQUIRED):
-    """cfg[key] through `convert`, or `default` when the field is absent.
-
-    A missing field without a default, or a value `convert` rejects, is a
-    config error (exit 1), whether it came from a flag or the config file.
-    """
-    if key not in cfg:
-        if default is _REQUIRED:
+    values = {}
+    for key, field in FIELDS.items():
+        if args.command not in field.commands:
+            continue  # a command takes only the flags of the fields it reads
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+        raw = field.default if cfg.get(key) is None else cfg[key]
+        if raw is _REQUIRED:
             raise ConfigError(f"missing {key} field")
-        return default
-    try:
-        return convert(cfg[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} field {cfg[key]!r} is unreadable: {exc}") from exc
+        try:
+            values[key] = None if raw is None else field.convert(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key} field {raw!r} is unusable: {exc}") from exc
+    return cfg, values
 
 
-def _model_spec(cfg: dict) -> ModelSpec:
-    lam = _get(cfg, "lambda", _floats)
-    delta2 = _get(cfg, "delta2", _floats)
-    m = _get(cfg, "M", _count, lam.size)
-    if m != lam.size:
-        raise ConfigError(f"M = {m} but lambda has {lam.size} entries")
+def _model_spec(v: dict, standard: bool = False) -> ModelSpec:
+    """The validated model; `standard` also requires the two-species standard class."""
+    lam, delta2, m = v["lambda"], v["delta2"], v["lambda"].size
+    if v["M"] not in (None, m):
+        raise ConfigError(f"M = {v['M']} but lambda has {m} entries")
     if delta2.ndim == 1:
         if delta2.size != m * m:
             raise ConfigError(f"delta2 must hold {m * m} row-major entries")
@@ -206,39 +224,22 @@ def _model_spec(cfg: dict) -> ModelSpec:
         spec = ModelSpec(delta2=delta2, lam=lam)
     except (ValueError, MskGlassError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
-    mode = cfg.get("mode", "convex")
-    try:
-        report = validate(spec, mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.failed())
-        raise ConfigError(f"model fails {mode!r} validation: {failed}")
-    return spec
-
-
-def _require_standard(spec: ModelSpec) -> None:
-    if not two_species_standard(spec):
+    failed = validate(spec, v["mode"])
+    if failed:
+        raise ConfigError(f"model fails {v['mode']!r} validation: {', '.join(failed)}")
+    if standard and not two_species_standard(spec):
         raise ConfigError(
             "this command requires the two-species standard normalization "
             "(unit cross variance, variance product > 1) or its classical reduction"
         )
+    return spec
 
 
-def _temp_field(cfg: dict) -> TempField:
-    beta, h = _get(cfg, "beta", float), _get(cfg, "h", float, 0.0)
+def _temp_field(v: dict) -> TempField:
     try:
-        return TempField(beta=beta, h=h)
+        return TempField(beta=v["beta"], h=v["h"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _rule(cfg: dict):
-    order = _get(cfg, "order", _count, DEFAULT_ORDER)
-    try:
-        return gauss_hermite(order)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature order {order} is unusable: {exc}") from exc
 
 
 def _finite_n(fn, *args, **kwargs):
@@ -251,14 +252,20 @@ def _finite_n(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _write(text: str, out: str | None) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
+
+
 def _emit_json(cfg: dict, result: dict, out: str | None) -> None:
     envelope = {"version": __version__, "config": _jsonable(cfg), "result": _jsonable(result)}
-    text = json.dumps(envelope, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(envelope, indent=2) + "\n", out)
 
 
 def _fmt(value) -> str:
@@ -280,24 +287,16 @@ def _emit_csv(cfg: dict, columns, rows, out: str | None) -> None:
             lines.append(row)
         else:
             lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the recorded config and the converted fields
 # ----------------------------------------------------------------------
 
 
-def cmd_solve_rs(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    tf = _temp_field(cfg)
-    rule = _rule(cfg)
+def cmd_solve_rs(cfg: dict, v: dict) -> int:
+    spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
     sol = solve_fixed_point(spec, tf, rule)
     result = {
         "q_star": sol.q_star,
@@ -310,17 +309,12 @@ def cmd_solve_rs(args) -> int:
         "guaranteed_unique": sol.guaranteed_unique,
         "rs_value": rs_functional(spec, tf, sol.q_star, rule),
     }
-    _emit_json(cfg, result, cfg.get("out"))
+    _emit_json(cfg, result, v["out"])
     return 0
 
 
-def cmd_at_line(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    _require_standard(spec)
-    grid = ScanGrid(beta_range=None, h_range=_get(cfg, "h_range", _range, (0.1, 1.0, 10)))
-    rule = _rule(cfg)
-    h_values = grid.h_values()
+def cmd_at_line(cfg: dict, v: dict) -> int:
+    spec, rule, h_values = _model_spec(v, standard=True), v["order"], v["h_range"]
 
     rows = []
     previous = None
@@ -339,7 +333,7 @@ def cmd_at_line(args) -> int:
         except NotConverged:
             rows.append((h, math.nan, "bracket-failure"))
             previous = None
-    _emit_csv(cfg, ("h", "beta_m", "status"), rows, cfg.get("out"))
+    _emit_csv(cfg, ("h", "beta_m", "status"), rows, v["out"])
     return 0
 
 
@@ -355,18 +349,10 @@ def _phase_point(spec: ModelSpec, tf: TempField, rule) -> tuple:
     return tf.beta, tf.h, report.verdict.value, report.beta2_m, gap
 
 
-def cmd_phase_diagram(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    _require_standard(spec)
-    grid = ScanGrid(
-        beta_range=_get(cfg, "beta_range", _range, (0.2, 1.2, 10)),
-        h_range=_get(cfg, "h_range", _range, (0.1, 1.0, 10)),
-    )
-    rule = _rule(cfg)
-    betas = grid.beta_values()
+def cmd_phase_diagram(cfg: dict, v: dict) -> int:
+    spec, rule, betas = _model_spec(v, standard=True), v["order"], v["beta_range"]
     rows: list = []
-    for h in grid.h_values():
+    for h in v["h_range"]:
         h_slice = [_phase_point(spec, TempField(beta=float(beta), h=float(h)), rule) for beta in betas]
         flips = sum(1 for a, b in zip(h_slice, h_slice[1:]) if a[2] != b[2])
         if flips > 1:
@@ -376,25 +362,19 @@ def cmd_phase_diagram(args) -> int:
                 len(rows),
             )
         rows += h_slice
-    _emit_csv(cfg, ("beta", "h", "verdict", "beta2_m", "gap"), rows, cfg.get("out"))
+    _emit_csv(cfg, ("beta", "h", "verdict", "beta2_m", "gap"), rows, v["out"])
     return 0
 
 
-def cmd_certify(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    _require_standard(spec)
-    tf = _temp_field(cfg)
-    rule = _rule(cfg)
+def cmd_certify(cfg: dict, v: dict) -> int:
+    spec, tf, rule = _model_spec(v, standard=True), _temp_field(v), v["order"]
     report = at_verdict(spec, tf, rule)
     if report.verdict != Verdict.RSB_CERTIFIED:
         raise CertificateNotFound(
             f"verdict at (beta={tf.beta}, h={tf.h}) is {report.verdict.value}; "
             "no symmetry-breaking certificate exists below the phase line"
         )
-    eps_grid = _get(cfg, "eps_grid", _floats, None)
-    zeta_grid = _get(cfg, "zeta_grid", _floats, None)
-    cert = certify_rsb(spec, tf, report, rule, eps_grid=eps_grid, zeta_grid=zeta_grid)
+    cert = certify_rsb(spec, tf, report, rule, eps_grid=v["eps_grid"], zeta_grid=v["zeta_grid"])
     result = {
         "verdict": report.verdict.value,
         "beta2_m": report.beta2_m,
@@ -405,17 +385,13 @@ def cmd_certify(args) -> int:
         "rs_value": cert.rs_value,
         "gap": cert.gap,
     }
-    _emit_json(cfg, result, cfg.get("out"))
+    _emit_json(cfg, result, v["out"])
     return 0
 
 
-def cmd_parisi_eval(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    tf = _temp_field(cfg)
-    rule = _rule(cfg)
-    q = _get(cfg, "q", _floats)
-    zeta = _get(cfg, "zeta", _floats, np.empty(0))
+def cmd_parisi_eval(cfg: dict, v: dict) -> int:
+    spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
+    zeta, q = v["zeta"], v["q"]
     if zeta.ndim > 1 or q.ndim > 2:
         raise ConfigError("invalid functional parameters: zeta must be a vector and q a matrix")
     try:
@@ -423,42 +399,30 @@ def cmd_parisi_eval(args) -> int:
     except (ValueError, MskGlassError) as exc:
         raise ConfigError(f"invalid functional parameters: {exc}") from exc
     result = {"k": params.k, "value": parisi_value(spec, tf, params, rule)}
-    _emit_json(cfg, result, cfg.get("out"))
+    _emit_json(cfg, result, v["out"])
     return 0
 
 
-def cmd_mc_free_energy(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    tf = _temp_field(cfg)
-    n, n_disorder, seed = _get(cfg, "N", _count), _get(cfg, "n_disorder", _count, 1), _get(cfg, "seed", _count, 0)
+def cmd_mc_free_energy(cfg: dict, v: dict) -> int:
+    spec, tf = _model_spec(v), _temp_field(v)
+    n, n_disorder, seed = v["N"], v["n_disorder"], v["seed"]
     estimate = _finite_n(free_energy_exact, spec, tf, n=n, n_disorder=n_disorder, seed=seed)
     result = {"mean": estimate.mean, "stderr": estimate.stderr, "N": n, "n_disorder": n_disorder, "seed": seed}
-    _emit_json(cfg, result, cfg.get("out"))
+    _emit_json(cfg, result, v["out"])
     return 0
 
 
-def cmd_overlap_hist(args) -> int:
-    cfg = _resolve_config(args)
-    spec = _model_spec(cfg)
-    tf = _temp_field(cfg)
-    hist = _finite_n(
-        overlap_histogram,
-        spec,
-        tf,
-        n=_get(cfg, "N", _count),
-        sweeps=_get(cfg, "sweeps", _count, 200),
-        n_disorder=_get(cfg, "n_disorder", _count, 1),
-        seed=_get(cfg, "seed", _count, 0),
-        bins=_get(cfg, "bins", _count, 40),
-    )
+def cmd_overlap_hist(cfg: dict, v: dict) -> int:
+    spec, tf = _model_spec(v), _temp_field(v)
+    hist = _finite_n(overlap_histogram, spec, tf, n=v["N"], sweeps=v["sweeps"], n_disorder=v["n_disorder"],
+                     seed=v["seed"], bins=v["bins"])
     rows: list = [f"# acceptance: {_fmt(hist.acceptance)}"]
     for s in range(spec.m):
         rows.append(f"# species {s}: mean {_fmt(hist.means[s])} std {_fmt(hist.stds[s])}")
         for b in range(hist.counts.shape[1]):
             rows.append((hist.bin_edges[b], hist.bin_edges[b + 1], int(hist.counts[s, b])))
-    _emit_csv(cfg, ("bin_left", "bin_right", "count"), rows, cfg.get("out"))
-    if cfg.get("out"):
+    _emit_csv(cfg, ("bin_left", "bin_right", "count"), rows, v["out"])
+    if v["out"]:
         _emit_json(
             cfg,
             {
@@ -466,7 +430,7 @@ def cmd_overlap_hist(args) -> int:
                 "stds": hist.stds,
                 "n_measurements": hist.n_measurements,
                 "acceptance": hist.acceptance,
-                "csv": cfg.get("out"),
+                "csv": v["out"],
             },
             None,
         )
@@ -477,65 +441,29 @@ def cmd_overlap_hist(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--delta2", type=_float_list, help="row-major variance entries, comma-separated")
-    p.add_argument("--lambda", dest="lam", type=_float_list, help="species proportions, comma-separated")
-    p.add_argument("--mode", choices=VALIDATION_MODES)
-    p.add_argument("--order", type=int, help="quadrature order (default 61)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path (default stdout)")
+COMMANDS = {
+    "solve-rs": (cmd_solve_rs, "solve the self-consistency system at one (beta, h)"),
+    "at-line": (cmd_at_line, "phase boundary beta(h) over an h grid"),
+    "phase-diagram": (cmd_phase_diagram, "verdict grid over (beta, h)"),
+    "certify": (cmd_certify, "one-step symmetry-breaking certificate at one (beta, h)"),
+    "parisi-eval": (cmd_parisi_eval, "evaluate the generic k-level functional"),
+    "mc-free-energy": (cmd_mc_free_energy, "exact-enumeration quenched free energy"),
+    "overlap-hist": (cmd_overlap_hist, "Metropolis overlap histograms"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mskglass", description=__doc__)
+    """One subparser per command, taking the flags of the fields it reads."""
+    parser = argparse.ArgumentParser(prog="mskglass", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
     sub.required = True
-
-    p = sub.add_parser("solve-rs", help="solve the self-consistency system at one (beta, h)")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve_rs)
-
-    p = sub.add_parser("at-line", help="phase boundary beta(h) over an h grid")
-    _add_common(p)
-    p.add_argument("--h-range", dest="h_range", type=_range_triple, help="min,max,steps")
-    p.set_defaults(func=cmd_at_line)
-
-    p = sub.add_parser("phase-diagram", help="verdict grid over (beta, h)")
-    _add_common(p)
-    p.add_argument("--beta-range", dest="beta_range", type=_range_triple, help="min,max,steps")
-    p.add_argument("--h-range", dest="h_range", type=_range_triple, help="min,max,steps")
-    p.set_defaults(func=cmd_phase_diagram)
-
-    p = sub.add_parser("certify", help="one-step symmetry-breaking certificate at one (beta, h)")
-    _add_common(p)
-    p.add_argument("--eps-grid", dest="eps_grid", type=_float_list)
-    p.add_argument("--zeta-grid", dest="zeta_grid", type=_float_list)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("parisi-eval", help="evaluate the generic k-level functional")
-    _add_common(p)
-    p.add_argument("--zeta", type=_float_list, help="cluster weights, comma-separated (empty for k=0)")
-    p.add_argument("--q", type=_matrix_rows, help="overlap ladder rows, ';' between species")
-    p.set_defaults(func=cmd_parisi_eval)
-
-    p = sub.add_parser("mc-free-energy", help="exact-enumeration quenched free energy")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="system size N (<= 24)")
-    p.add_argument("--n-disorder", dest="n_disorder", type=int)
-    p.set_defaults(func=cmd_mc_free_energy)
-
-    p = sub.add_parser("overlap-hist", help="Metropolis overlap histograms")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="system size N (<= 256)")
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--n-disorder", dest="n_disorder", type=int)
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_overlap_hist)
-
+    for name, (func, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        for key, field in FIELDS.items():
+            if field.parse is not None and name in field.commands:
+                p.add_argument("--" + key.lower().replace("_", "-"), dest=key, type=field.parse, help=field.help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -543,10 +471,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits with 2 on usage errors; the contract here is exit 1
+        return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(*_resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,11 @@ with species proportions `lam` summing to 1.  Three validation modes exist:
 * ``two-species-standard``: M = 2, unit cross variance, variance product > 1
   and lambda_1 * delta2_11 >= lambda_2 * delta2_22 -- the normalization under
   which the closed-form temperature thresholds hold.
-* ``unchecked``: everything passes, but results are tagged non-rigorous
-  (exploration of non-convex couplings such as the bipartite model).
+* ``unchecked``: every check is waived (exploration of non-convex couplings
+  such as the bipartite model); the CLI records the mode in every output's
+  config.
+
+`validate` returns the names of the assumptions a model fails.
 
 Proportions are stored exactly as given; a sum away from 1 is rejected rather
 than silently renormalized.
@@ -90,81 +93,32 @@ class TempField:
             raise ValueError("h must be nonnegative")
 
 
-class AssumptionCheck(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
+    """Names of the standing assumptions `spec` fails under `mode`; () when all hold.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    mode: str
-    checks: tuple
-    sk_reduction: bool
-    rigorous: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate(spec: ModelSpec, mode: str = "convex") -> ValidationReport:
-    """Check the standing assumptions, one report entry per assumption.
-
-    Failures are report entries, never exceptions.  ``two-species-standard``
-    implies the convex checks; ``unchecked`` passes everything but flags the
-    report (and all downstream results) as non-rigorous.
+    Symmetry, nonnegative variances and proportions are enforced at
+    construction.  ``two-species-standard`` implies the convex check;
+    ``unchecked`` waives every check.  Failures are returned, never raised.
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
-
-    d, lam = spec.delta2, spec.lam
-    checks = [
-        AssumptionCheck("symmetric-variances", True, "enforced at construction"),
-        AssumptionCheck("nonnegative-variances", True, "enforced at construction"),
-        AssumptionCheck("proportions", True, "in (0,1), sum 1; enforced at construction"),
-    ]
-    rigorous = True
-
     if mode == "unchecked":
-        checks.append(AssumptionCheck("unchecked", True, "all assumptions waived; results are non-rigorous"))
-        rigorous = False
-    else:
-        min_eig = float(np.linalg.eigvalsh(d)[0])
-        checks.append(
-            AssumptionCheck(
-                "positive-semidefinite",
-                min_eig >= -_PSD_TOL,
-                f"smallest eigenvalue {min_eig:.3e}",
-            )
-        )
-        if mode == "two-species-standard":
-            two = spec.m == 2
-            checks.append(AssumptionCheck("two-species", two, f"M = {spec.m}"))
-            if two:
-                cross_ok = abs(d[0, 1] - 1.0) <= 1e-12
-                prod = d[0, 0] * d[1, 1]
-                order_ok = lam[0] * d[0, 0] >= lam[1] * d[1, 1] - 1e-12
-                checks.append(AssumptionCheck("unit-cross-variance", cross_ok, f"delta2_12 = {d[0, 1]!r}"))
-                checks.append(AssumptionCheck("variance-product", prod > 1.0, f"delta2_11 * delta2_22 = {prod!r}"))
-                checks.append(
-                    AssumptionCheck(
-                        "species-ordering",
-                        order_ok,
-                        f"lam1*delta2_11 = {lam[0] * d[0, 0]!r} vs lam2*delta2_22 = {lam[1] * d[1, 1]!r}",
-                    )
-                )
-
-    return ValidationReport(mode=mode, checks=tuple(checks), sk_reduction=spec.sk_reduction, rigorous=rigorous)
+        return ()
+    d, lam = spec.delta2, spec.lam
+    holds = {"positive-semidefinite": np.linalg.eigvalsh(d)[0] >= -_PSD_TOL}
+    if mode == "two-species-standard":
+        holds["two-species"] = spec.m == 2
+        if spec.m == 2:
+            holds["unit-cross-variance"] = abs(d[0, 1] - 1.0) <= 1e-12
+            holds["variance-product"] = d[0, 0] * d[1, 1] > 1.0
+            holds["species-ordering"] = lam[0] * d[0, 0] >= lam[1] * d[1, 1] - 1e-12
+    return tuple(name for name, ok in holds.items() if not ok)
 
 
 def two_species_standard(spec: ModelSpec) -> bool:
     """Two species under the standard normalization or its classical reduction
     (every variance 1): the class the closed-form thresholds cover."""
-    return spec.m == 2 and (validate(spec, "two-species-standard").ok or spec.sk_reduction)
+    return spec.m == 2 and (not validate(spec, "two-species-standard") or spec.sk_reduction)
 
 
 def stability_window(spec: ModelSpec, gamma) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import pytest
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional, solve_fixed_point
 from mskglass import cli
-from mskglass.cli import ScanGrid, ConfigError, main
+from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta
 
@@ -334,6 +334,17 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         ("solve-rs", {"beta": 0.3, "M": 2.5}),
         ("overlap-hist", {"beta": 0.3, "N": 8, "sweeps": 4, "seed": 1e400}),
         ("at-line", {"h_range": [0.1, 1.0, 2.5]}),
+        # real fields refuse booleans instead of reading them as 1 and 0
+        ("solve-rs", {"beta": True}),
+        ("solve-rs", {"beta": 0.3, "h": False}),
+        ("at-line", {"h_range": [0.1, True, 3]}),
+        # a certificate grid is a number or a nonempty list of finite numbers
+        ("certify", {"beta": 1.2, "h": 0.3, "eps_grid": [[0.01, 0.02]]}),
+        ("certify", {"beta": 1.2, "h": 0.3, "eps_grid": []}),
+        ("certify", {"beta": 1.2, "h": 0.3, "zeta_grid": [0.5, float("inf")]}),
+        # the output path is a string
+        ("solve-rs", {"beta": 0.3, "out": 5}),
+        ("solve-rs", {"beta": 0.3, "out": ["a"]}),
     ],
 )
 def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys, command, fields):
@@ -345,20 +356,43 @@ def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_readme_phase_diagram_matches_golden_output(tmp_path):
+def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["solve-rs", "--config", ref_config, "--beta", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-rs", "--beta", "0.5", "--seed", "3"],
+        ["at-line", "--beta", "7", "--seed", "3"],
+        ["phase-diagram", "--beta", "0.5"],
+        ["mc-free-energy", "--beta", "0.3", "--n", "6", "--order", "5000"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(ref_config, capsys, argv):
+    assert main(argv + ["--config", ref_config]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
     """The README phase-diagram scan against its checked-in output.
 
-    Verdicts and which cells carry a gap must match exactly.  beta2_m must
-    agree to 1e-13 relative.  A gap is a difference of two functional values
-    of order 1, so it must agree to 1e-13 of those values (absolute).
+    The recorded config must match exactly, key order included.  Verdicts
+    and which cells carry a gap must match exactly.  beta2_m must agree to
+    1e-13 relative.  A gap is a difference of two functional values of
+    order 1, so it must agree to 1e-13 of those values (absolute).
     """
     golden = pathlib.Path(__file__).parent / "data" / "phase_diagram_readme.csv"
     out = tmp_path / "phase.csv"
     argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
-            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10", "--out", str(out)]
+            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
     assert main(argv) == 0
-    _, want_columns, want = _read_csv(golden)
-    _, columns, rows = _read_csv(out)
+    out.write_text(capsys.readouterr().out)
+    want_header, want_columns, want = _read_csv(golden)
+    header, columns, rows = _read_csv(out)
+    assert header["config"] == want_header["config"]
     assert columns == want_columns and len(rows) == len(want) == 250
     for row, ref in zip(rows, want):
         assert row[:3] == ref[:3]
@@ -373,14 +407,23 @@ def test_model_dimension_mismatch_exits_one():
     assert main(argv) == 1
 
 
-def test_scan_grid_validation():
-    ScanGrid(beta_range=(0.5, 0.5, 1), h_range=(0.1, 0.2, 3))  # single point allowed
-    with pytest.raises(ConfigError):
-        ScanGrid(beta_range=(0.5, 0.4, 3), h_range=(0.1, 0.2, 3))
-    with pytest.raises(ConfigError):
-        ScanGrid(beta_range=(0.5, 0.6, 0), h_range=(0.1, 0.2, 3))
-    with pytest.raises(ConfigError):
-        ScanGrid(beta_range=None, h_range=(0.0, 0.2, 3))
+@pytest.mark.parametrize(
+    "ranges, code",
+    [
+        (["--beta-range", "0.5,0.5,1", "--h-range", "0.1,0.2,3"], 0),  # a single point may have min == max
+        (["--beta-range", "0.5,0.4,3", "--h-range", "0.1,0.2,3"], 1),  # min > max
+        (["--beta-range", "0.5,0.6,0", "--h-range", "0.1,0.2,3"], 1),  # no steps
+        (["--beta-range", "0.5,0.6,3", "--h-range", "0.0,0.2,3"], 1),  # h must be positive
+    ],
+)
+def test_scan_ranges(ref_config, tmp_path, capsys, ranges, code):
+    out = tmp_path / "pd.csv"
+    assert main(["phase-diagram", "--config", ref_config, *ranges, "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error:")
+    else:
+        _, _, rows = _read_csv(out)
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.5, h) for h in np.linspace(0.1, 0.2, 3)]
 
 
 def test_console_entry_point(sk_config):

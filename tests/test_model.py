@@ -5,30 +5,20 @@ from mskglass import BadDimension, ModelSpec, TempField, overlap_contractions, v
 
 
 def test_two_species_standard_passes(reference_spec):
-    report = validate(reference_spec, "two-species-standard")
-    assert report.ok
-    assert not report.sk_reduction
-    assert report.rigorous
+    assert validate(reference_spec, "two-species-standard") == ()
+    assert not reference_spec.sk_reduction
 
 
 def test_bipartite_fails_convex_passes_unchecked():
     spec = ModelSpec(delta2=[[0.0, 1.0], [1.0, 0.0]], lam=[0.5, 0.5])
-    report = validate(spec, "convex")
-    assert not report.ok
-    assert any(c.name == "positive-semidefinite" and not c.passed for c in report.checks)
-    unchecked = validate(spec, "unchecked")
-    assert unchecked.ok
-    assert not unchecked.rigorous
+    assert validate(spec, "convex") == ("positive-semidefinite",)
+    assert validate(spec, "unchecked") == ()
 
 
 def test_sk_reduction_flag(sk_spec):
-    report = validate(sk_spec, "convex")
-    assert report.ok
-    assert report.sk_reduction
-    standard = validate(sk_spec, "two-species-standard")
-    assert not standard.ok  # product exactly 1, not > 1
-    assert any(c.name == "variance-product" and not c.passed for c in standard.checks)
-    assert standard.sk_reduction
+    assert validate(sk_spec, "convex") == ()
+    assert sk_spec.sk_reduction
+    assert validate(sk_spec, "two-species-standard") == ("variance-product",)  # product exactly 1, not > 1
 
 
 def test_construction_rejects_malformed():
