@@ -27,10 +27,14 @@ The generator is fixed bit-exactly:
 
 Species blocks are contiguous index ranges with sizes round(lam_s N)
 (largest-remainder rounding so the sizes always sum to N).
+
+Z is summed exactly for N <= 24: the sum over the second index half is one
+GEMM per chunk of first-half configurations (log_partition_exact).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,14 +47,8 @@ from .model import ModelSpec, TempField
 MAX_EXACT_N = 24
 MAX_MC_N = 256
 
-# Cells in the enumeration block of log_partition_exact: 2^16 float64 cells
-# (512 KB) stay in L2 and keep the block's matmul, against a contiguous copy
-# of the transposed second-half spins, on one OpenBLAS thread.
-# Measured on a 2-CPU host (ms per N = 20 / N = 24 sample, wall = CPU unless
-# shown): 2^14 6.0 / 103, 2^15 6.0 / 88, 2^16 5.3 / 83, and from 2^17 to 2^20
-# 6.4-7.6 / 99-112 wall at twice that CPU, since OpenBLAS splits the larger
-# products over two threads.
-_BLOCK_CELLS = 2**16
+_CHUNK_MACS = 2**18  # per chunk GEMM of log_partition_exact: one OpenBLAS thread
+_TINY = 1e-280  # a factored row sum this small is re-summed directly
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -129,52 +127,54 @@ def sample_disorder(spec: ModelSpec, n: int, seed: int) -> DisorderSample:
     return DisorderSample(seed=seed, g=std * z, species=species)
 
 
+@functools.cache  # m <= MAX_EXACT_N - MAX_EXACT_N // 2: 13 tables, 0.7 MB at most
 def _all_spins(m: int) -> np.ndarray:
-    """All 2^m sign vectors; row d holds the bits of d mapped to +-1."""
-    return ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1) * 2.0 - 1.0
-
-
-def _log_sum_exp(a) -> float:
-    """log sum exp(a) over all entries, shifted by the largest one."""
-    top = float(np.max(a))
-    return top + math.log(float(np.exp(np.asarray(a) - top).sum()))
+    """All 2^m sign vectors, read-only; row d holds the bits of d mapped to +-1."""
+    spins = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1) * 2.0 - 1.0
+    spins.flags.writeable = False
+    return spins
 
 
 def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     """log Z by exact enumeration, meet-in-the-middle over two index halves.
 
-    The 2^N energies are built and summed in place in one reused block of
-    _BLOCK_CELLS cells (rows of first-half configurations against every
-    second-half one); each block is reduced to its own max-shifted log-sum-exp
-    and the block results are combined the same way.
+    Split the second half into its low nl = nb // 2 and high nh spins, so
+    b = bh 2^nl + bl, and let (ml, mh) be first-half configuration a's field on
+    them.  Row a of Z is e^{ea} sum_bh e^{mh.s_bh} sum_bl W[bh, bl] e^{ml.s_bl}
+    with W = e^{eb}.  Per chunk of _CHUNK_MACS / 2^nb rows that is one GEMM of
+    Pl = e^{ml.s_bl - sum|ml|} against W / max W, times Ph = e^{mh.s_bh - sum|mh|}:
+    2^na (2^nl + 2^nh) exps, not 2^N.  A row sum below _TINY (some underflow at
+    beta = 200, N = 18) is redone directly under the row's own maximum, so log Z
+    is exact to rounding at every beta.
     """
     n = d.n
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
-    c = tf.beta / math.sqrt(n)
-    na = n // 2
+    c, na = tf.beta / math.sqrt(n), n // 2
+    nl = (n - na) // 2
     sa, sb = _all_spins(na), _all_spins(n - na)
-    gaa, gbb = d.g[:na, :na], d.g[na:, na:]
-    cross = d.g[:na, na:] + d.g[na:, :na].T
-    ea = c * np.einsum("ij,ij->i", sa @ gaa, sa) + tf.h * sa.sum(axis=1)
-    eb = c * np.einsum("ij,ij->i", sb @ gbb, sb) + tf.h * sb.sum(axis=1)
-    mix = c * (sa @ cross)
-    sbT = np.ascontiguousarray(sb.T)
-
-    chunk = min(max(1, _BLOCK_CELLS // sb.shape[0]), sa.shape[0])
-    buffer = np.empty((chunk, sb.shape[0]))
-    partial = []
-    for start in range(0, sa.shape[0], chunk):
-        rows = slice(start, min(start + chunk, sa.shape[0]))
-        block = buffer[: rows.stop - start]
-        np.matmul(mix[rows], sbT, out=block)
-        block += ea[rows, None]
-        block += eb
-        top = block.max()
-        block -= top
-        np.exp(block, out=block)
-        partial.append(top + math.log(block.sum()))
-    return _log_sum_exp(partial)
+    sl, sh = _all_spins(nl), _all_spins(n - na - nl)
+    ea = c * np.einsum("ij,ij->i", sa @ d.g[:na, :na], sa) + tf.h * sa.sum(axis=1)
+    eb = c * np.einsum("ij,ij->i", sb @ d.g[na:, na:], sb) + tf.h * sb.sum(axis=1)
+    field = c * (sa @ (d.g[:na, na:] + d.g[na:, :na].T))
+    shift_l, shift_h = np.abs(field[:, :nl]).sum(axis=1), np.abs(field[:, nl:]).sum(axis=1)
+    top = eb.max()
+    wt = np.exp(eb - top).reshape(len(sh), len(sl)).T
+    shift, sums = shift_l + shift_h + top, np.empty(len(sa))
+    step = max(1, _CHUNK_MACS // len(sb))
+    for start in range(0, len(sa), step):
+        rows = slice(start, start + step)
+        block = np.exp(field[rows, :nl] @ sl.T - shift_l[rows, None]) @ wt
+        block *= np.exp(field[rows, nl:] @ sh.T - shift_h[rows, None])
+        sums[rows] = block.sum(axis=1)
+    redo = np.flatnonzero(sums < _TINY)
+    for start in range(0, len(redo), step):
+        rows = redo[start : start + step]
+        block = field[rows] @ sb.T + eb
+        shift[rows] = block.max(axis=1)
+        sums[rows] = np.exp(block - shift[rows, None]).sum(axis=1)
+    terms = ea + shift + np.log(sums)
+    return float(terms.max()) + math.log(np.exp(terms - terms.max()).sum())
 
 
 def _check_counts(spec: ModelSpec, n: int, n_disorder: int) -> None:

@@ -175,7 +175,7 @@ def test_certificate_above_line(reference_spec, rule):
         pytest.param(61, marks=pytest.mark.xfail(
             strict=True,
             reason="Gauss-Hermite order 61 is off by 2.7e-7 (beta/beta_m = 1.5) and 6.3e-7 "
-                   "(beta = 1.6) at these points; error-controlled quadrature is ROADMAP item 3")),
+                   "(beta = 1.6) at these points; error-controlled quadrature is ROADMAP item 2")),
         201,
     ],
 )

@@ -13,6 +13,7 @@ from mskglass import (
     overlap_histogram,
     sample_disorder,
 )
+from mskglass import simulate
 from mskglass.simulate import (
     derive_seed,
     disorder_normals,
@@ -119,14 +120,46 @@ def test_log_partition_shift_invariance(reference_spec):
     assert abs(logsumexp(energies) - log_partition_exact(d, tf)) < 5e-13
 
 
-@pytest.mark.parametrize("beta", [0.5, 4.0])
-def test_log_partition_multi_block(reference_spec, beta):
-    """N = 18 spans four enumeration blocks (at beta = 4 their maxima spread over
-    60.5..70.2); log Z matches the oracle log-sum-exp over all 2^18 configurations."""
-    d = sample_disorder(reference_spec, 18, seed=6)
+@pytest.fixture(scope="module")
+def configs18():
+    return all_configurations(18)
+
+
+def _assert_matches_oracle(d, tf, configs):
+    """log Z is finite and within 1e-12 relative of the oracle log-sum-exp."""
+    want = logsumexp(hamiltonian(d, configs, tf))
+    got = log_partition_exact(d, tf)
+    assert math.isfinite(got)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 13])
+@pytest.mark.parametrize("beta", [0.5, 4.0, 16.0])
+def test_log_partition_uneven_split(reference_spec, n, beta):
+    """Uneven splits of the second half into low and high spins (N = 5, 10 and
+    13 have nl = nh - 1, N = 2 has nl = 0) and odd N, where the second half
+    is the larger one, against the oracle log-sum-exp over all 2^N configurations."""
+    d = sample_disorder(reference_spec, n, seed=8)
+    _assert_matches_oracle(d, TempField(beta=beta, h=0.2), all_configurations(n))
+
+
+@pytest.mark.parametrize(
+    "beta, seed",
+    [(0.5, 6), (4.0, 6), (16.0, 6), (80.0, 6), (200.0, 6), (200.0, 3)],
+    ids=["0.5", "4.0", "16.0", "80.0", "200.0", "200.0-seed3"],
+)
+def test_log_partition_multi_block(reference_spec, configs18, monkeypatch, beta, seed):
+    """N = 18 in one row chunk (all 512 first-half rows at the default 2^18
+    multiply-adds per chunk GEMM) and, with 2^12, in 64 chunks of 8 rows; log Z
+    matches the oracle log-sum-exp over all 2^18 configurations both ways, up
+    to beta = 200.  There the factored sums of some rows underflow, some to 0
+    (140 of 512 rows fall below _TINY for seed 6), and are re-summed directly;
+    left as they are, they would make log Z 13% low for seed 3."""
+    d = sample_disorder(reference_spec, 18, seed=seed)
     tf = TempField(beta=beta, h=0.2)
-    want = logsumexp(hamiltonian(d, all_configurations(18), tf))
-    assert abs(log_partition_exact(d, tf) - want) < 1e-12 * abs(want)
+    _assert_matches_oracle(d, tf, configs18)
+    monkeypatch.setattr(simulate, "_CHUNK_MACS", 2**12)
+    _assert_matches_oracle(d, tf, configs18)
 
 
 def test_gauge_symmetry_zero_field(reference_spec):
