@@ -21,14 +21,13 @@ or more no closed form is known and they raise Unsupported.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotConverged, Unsupported
-from .model import ModelSpec, TempField, stability_window
+from .model import ModelSpec, TempField, stability_window, two_species_standard
 from .quadrature import QuadRule, cavity_expect, sech4
 from .rs import RSSolution, solve_fixed_point
 
@@ -136,13 +135,23 @@ def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
         raise InternalInconsistency(f"threshold ordering violated: {th}")
 
 
-def positivity_witness(k_matrix) -> Optional[np.ndarray]:
-    """Nonnegative direction x with x' K x > 0 for a 2 x 2 K, or None if none exists.
+def _require_standard(spec: ModelSpec) -> None:
+    if not two_species_standard(spec):
+        raise Unsupported(
+            "verdicts and the phase line require the two-species standard normalization "
+            "or its classical reduction"
+        )
 
-    Follows the exact case split on the entries (u, v, t): a coordinate axis
-    when a diagonal entry is positive, otherwise the strictly positive pair
-    (sqrt(-t), sqrt(-u)) when sqrt(ut) < v.  Every candidate is verified
-    numerically before being returned.  Raises Unsupported for M != 2.
+
+def positivity_witness(k_matrix) -> Optional[np.ndarray]:
+    """The nonnegative direction maximising x' K x / x' x for a 2 x 2 K,
+    scaled to unit max entry, or None when that maximum is not positive.
+
+    When K_12 >= 0, |x|' K |x| >= x' K x for every x, so the maximum over
+    the quadrant is lambda_max(K), reached at the absolute value of the top
+    eigenvector (Perron-Frobenius).  When K_12 < 0 the cross term only
+    lowers the form, so the maximum is the larger diagonal entry, reached
+    on its axis.  Raises Unsupported for M != 2.
     """
     k = np.asarray(k_matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -155,23 +164,12 @@ def positivity_witness(k_matrix) -> Optional[np.ndarray]:
     if np.abs(k - k.T).max() > 1e-12 * max(1.0, norm):
         raise ValueError("stability matrix must be symmetric")
 
-    u, v, t = k[0, 0], k[0, 1], k[1, 1]
-    candidates = []
-    if u > 0:
-        candidates.append(np.array([1.0, 0.0]))
-    if t > 0:
-        candidates.append(np.array([0.0, 1.0]))
-    if u <= 0 and t <= 0 and math.sqrt(u * t) < v:
-        candidates.append(np.array([math.sqrt(-t), math.sqrt(-u)]))
-        candidates.append(np.array([1.0, 1.0]))
-    for x in candidates:
-        x = np.clip(x, 0.0, None)
-        if x.max() <= 0.0:
-            continue
-        x = x / x.max()
-        if float(x @ k @ x) > _WITNESS_REL_TOL * norm:
-            return x
-    return None
+    if k[0, 1] >= 0:
+        x = np.abs(np.linalg.eigh(k)[1][:, -1])
+    else:
+        x = np.eye(2)[np.argmax(np.diag(k))]
+    x = x / x.max()
+    return x if float(x @ k @ x) > _WITNESS_REL_TOL * norm else None
 
 
 def at_verdict(
@@ -184,9 +182,16 @@ def at_verdict(
     RSB-certified iff beta^2 exceeds beta2_m (with the positivity witness
     attached), RS-consistent iff it falls below, indeterminate inside a
     +-1e-12 band where float comparison of the strict inequality is
-    meaningless.  The sign test and the witness search are cross-checked
-    against each other in both directions.
+    meaningless.  In the standard class D is positive definite, so
+    K = S (2 beta^2 S G S - I) S with S = D^(1/2), and by Sylvester's law
+    of inertia lambda_max(K) > 0 exactly when beta^2 > beta2_m (in the
+    classical reduction K is a multiple of the all-ones matrix, with the
+    same sign change).  There K_12 > 0, since beta2_v < beta2_m, so the
+    witness is the Perron vector of K.  The sign test and the witness are
+    cross-checked against each other in both directions.  Raises
+    Unsupported outside the two-species standard class and for h = 0.
     """
+    _require_standard(spec)
     if tf.h <= 0:
         raise Unsupported("the phase verdict is defined for h > 0")
     sol = solve_fixed_point(spec, tf, rule)
@@ -242,7 +247,9 @@ def at_line_beta(
 
     `tol` is the bracket width, not the error in beta_m: at small h the
     solves' own tolerance moves the root more (2.2e-8 at h = 0.005).
+    Raises Unsupported outside the two-species standard class and for h = 0.
     """
+    _require_standard(spec)
     if h <= 0:
         raise Unsupported("the phase boundary is computed for h > 0")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPoint, BadZeta, CertificateNotFound
-from .model import ModelSpec, TempField, overlap_contractions
+from .model import ModelSpec, TempField
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule
 from .rs import rs_functional
@@ -87,21 +87,11 @@ class OneRSBCertificate:
             raise BadPoint("a certificate requires a strictly positive gap")
 
 
-def _increments(spec: ModelSpec, q, p):
-    c_q = overlap_contractions(spec, q)
-    c_p = overlap_contractions(spec, p)
-    d = c_p.species - c_q.species
-    if (d < -_INCREMENT_TOL).any():
-        raise BadPoint("outer coupling must dominate inner coupling")
-    return c_q, c_p, np.clip(d, 0.0, None)
-
-
 def one_rsb_functional(spec: ModelSpec, tf: TempField, pt: OneRSBPoint, rule: QuadRule):
     """Value of the one-step ansatz at (q, p, zeta): the k = 1 functional,
     or its k = 0 collapse at q when zeta = 1.  A batch of p rows and a
     vector zeta give an array indexed (p row, weight), every weight below 1
     evaluated in one call of the recursion."""
-    _increments(spec, pt.q, pt.p)
     zeta = np.atleast_1d(pt.zeta)
     values = np.empty(pt.p.shape[:-1] + zeta.shape)
     inner = zeta < 1.0

@@ -139,6 +139,44 @@ def test_witness_offdiagonal_case():
     assert x @ k @ x == pytest.approx(2.0)
 
 
+def test_witness_maximises_the_form_over_the_quadrant():
+    """For random symmetric K with K_12 of either sign the witness is the best
+    direction of a fine grid over the quarter circle, and None exactly when
+    the grid maximum is not positive."""
+    angles = np.linspace(0.0, 0.5 * np.pi, 100001)
+    grid = np.stack([np.cos(angles), np.sin(angles)])
+    rng = np.random.default_rng(5)
+    signs, nones = set(), 0
+    for _ in range(400):
+        u, v, t = rng.normal(size=3)
+        k = np.array([[u, v], [v, t]])
+        values = np.einsum("ik,ij,jk->k", grid, k, grid)
+        x = positivity_witness(k)
+        signs.add(np.sign(v))
+        if values.max() <= 0:
+            assert x is None
+            nones += 1
+            continue
+        assert x is not None and (x >= 0).all() and x.max() == 1.0
+        assert x @ k @ x / (x @ x) == pytest.approx(values.max(), abs=1e-9)
+        np.testing.assert_allclose(x / np.linalg.norm(x), grid[:, values.argmax()], atol=1e-4)
+    assert signs == {-1.0, 1.0} and 0 < nones < 400
+
+
+def test_top_eigenvalue_sign_is_the_verdict(reference_spec, rule):
+    """Sylvester's law of inertia: lambda_max(K) > 0 exactly when beta^2 > beta2_m."""
+    margins = []
+    for h in (0.1, 0.4, 1.0):
+        for beta in np.linspace(0.4, 1.6, 13):
+            tf = TempField(beta=float(beta), h=h)
+            _, gamma = _solved(reference_spec, tf, rule)
+            k, _ = stability_matrices(reference_spec, tf, gamma)
+            margin = tf.beta ** 2 - two_species_thresholds(reference_spec, gamma).beta2_m
+            assert np.sign(np.linalg.eigvalsh(k)[-1]) == np.sign(margin)
+            margins.append(margin)
+    assert min(margins) < 0 < max(margins)
+
+
 def test_witness_mid_band_strictly_positive(reference_spec, rule):
     """Between beta2_m and the smaller diagonal threshold both species enter."""
     beta = 0.8
@@ -200,6 +238,16 @@ def test_verdict_indeterminate_on_the_line(reference_spec, rule):
     beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
     report = at_verdict(reference_spec, TempField(beta=beta, h=0.3), rule)
     assert report.verdict == Verdict.INDETERMINATE
+
+
+def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
+    """Unit cross variance but variance product below 1: the thresholds lose
+    their ordering, so both entry points refuse instead of answering."""
+    spec = ModelSpec(delta2=[[0.9, 1.0], [1.0, 1.05]], lam=[0.6, 0.4])
+    with pytest.raises(Unsupported):
+        at_verdict(spec, TempField(beta=1.0, h=0.3), rule)
+    with pytest.raises(Unsupported):
+        at_line_beta(spec, 0.3, rule)
 
 
 def test_verdict_requires_positive_field(reference_spec, rule):

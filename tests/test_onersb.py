@@ -169,6 +169,19 @@ def test_certificate_above_line(reference_spec, rule):
         cert.epsilon, cert.zeta, cert.value, cert.gap)
 
 
+@pytest.mark.parametrize("beta, h", [(1.1, 0.6), (0.85, 0.1)])
+def test_certificate_where_the_first_axis_is_flat(reference_spec, rule, beta, h):
+    """K_11 is positive but tiny here, so a scan along the axis [1, 0] finds
+    no gap; along the witness, which mixes both species, the default grid
+    certifies."""
+    tf = TempField(beta=beta, h=h)
+    report = at_verdict(reference_spec, tf, rule)
+    assert 0 < report.stability[0, 0] < 0.1 * np.linalg.eigvalsh(report.stability)[-1]
+    cert = certify_rsb(reference_spec, tf, report, rule)
+    assert cert.gap > 1e-7
+    assert (report.witness_x > 0).all()
+
+
 @pytest.mark.parametrize(
     "order",
     [
