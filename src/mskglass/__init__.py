@@ -22,7 +22,9 @@ from .model import (
     Contractions,
     ModelSpec,
     TempField,
+    Thresholds,
     overlap_contractions,
+    two_species_thresholds,
     validate,
 )
 from .quadrature import (
@@ -44,14 +46,12 @@ from .rs import (
 )
 from .atline import (
     ATReport,
-    Thresholds,
     Verdict,
     at_line_beta,
     at_verdict,
     positivity_witness,
     quartic_susceptibility,
     stability_matrices,
-    two_species_thresholds,
 )
 from .onersb import (
     OneRSBCertificate,

@@ -9,25 +9,26 @@ has the closed form
 with D the variance matrix, L = diag(lam) and G = diag(gamma) built from the
 species-weighted quartic susceptibility gamma_s = lam_s E sech^4(cavity
 field).  A direction x >= 0 with x' K x > 0 certifies that the single-atom
-value is not optimal.  For two species with unit cross variance the existence
-of such a direction collapses to the single inequality beta^2 > beta2_m, one
-of five closed-form thresholds computed here; the AT line in the (beta, h)
-plane is the zero set of beta^2 - beta2_m(beta), located by a bracketed
-secant search (Illinois regula falsi).  The matrices are built for any M,
-but thresholds, witnesses and verdicts exist only for two species: for three
-or more no closed form is known and they raise Unsupported.
+value is not optimal.  For two species with D positive definite, or all
+entries equal, the existence of such a direction collapses to the single
+inequality beta^2 > beta2_m, one of the five closed-form thresholds of
+`model.two_species_thresholds`; the AT line in the (beta, h) plane is the
+zero set of beta^2 - beta2_m(beta), located by a bracketed secant search
+(Illinois regula falsi).  The matrices are built for any M, but thresholds,
+witnesses and verdicts exist only for two species: for three or more no
+closed form is known and they raise Unsupported.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotConverged, Unsupported
-from .model import ModelSpec, TempField, stability_window, two_species_standard
+from .model import ModelSpec, TempField, Thresholds, two_species_standard, two_species_thresholds
 from .quadrature import QuadRule, cavity_expect, sech4
 from .rs import RSSolution, solve_fixed_point
 
@@ -43,22 +44,6 @@ class Verdict(str, enum.Enum):
 
     def __str__(self) -> str:  # plain value in CSV/JSON output
         return self.value
-
-
-class Thresholds(NamedTuple):
-    """The five closed-form beta^2 thresholds of the two-species analysis.
-
-    beta2_u / beta2_t flip the sign of the diagonal stability entries,
-    beta2_v the off-diagonal one; beta2_m < beta2_M bracket the window in
-    which the sign pattern alone decides.  Symmetry breaking is certified
-    exactly above beta2_m.
-    """
-
-    beta2_u: float
-    beta2_t: float
-    beta2_v: float
-    beta2_m: float
-    beta2_M: float
 
 
 @dataclass(frozen=True)
@@ -101,27 +86,12 @@ def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarra
     return k, h
 
 
-def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
-    """Closed-form thresholds for M = 2 with unit cross variance.
-
-    With a unit variance product (the classical reduction) the upper
-    threshold degenerates to infinity and beta2_v = beta2_m.
-    """
-    beta2_m, beta2_M = stability_window(spec, gamma)
-    d11, d22 = spec.delta2[0, 0], spec.delta2[1, 1]
-    g1, g2 = float(gamma[0]), float(gamma[1])
-    return Thresholds(
-        beta2_u=d11 / (2.0 * (g1 * d11 * d11 + g2)),
-        beta2_t=d22 / (2.0 * (g1 + g2 * d22 * d22)),
-        beta2_v=1.0 / (2.0 * (g1 * d11 + g2 * d22)),
-        beta2_m=beta2_m,
-        beta2_M=beta2_M,
-    )
-
-
 def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
-    # Strict ordering is guaranteed when the variance product exceeds 1; at the
-    # classical boundary (product exactly 1) beta2_v = beta2_m and beta2_M = inf.
+    # Strict ordering holds for positive-definite D with a nonzero cross
+    # variance.  Its gaps shrink like d12^2 and like the determinant: at
+    # d12 = 0 beta2_u and beta2_t meet beta2_m and beta2_M, and in the
+    # classical reduction beta2_v = beta2_m and beta2_M = inf.  Near either
+    # edge only the ordering up to rounding is checked.
     fuzz = 1.0 + 1e-12
     lo, hi = min(th.beta2_u, th.beta2_t), max(th.beta2_u, th.beta2_t)
     ok = (
@@ -129,7 +99,8 @@ def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
         and th.beta2_m <= lo * fuzz
         and hi <= th.beta2_M * fuzz
     )
-    if spec.delta2[0, 0] * spec.delta2[1, 1] > 1.0 + 1e-12:
+    d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
+    if min(d12 * d12, d11 * d22 - d12 * d12) > 1e-12 * d11 * d22:
         ok = ok and th.beta2_v < th.beta2_m < lo and hi < th.beta2_M
     if not ok:
         raise InternalInconsistency(f"threshold ordering violated: {th}")
@@ -138,8 +109,8 @@ def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
 def _require_standard(spec: ModelSpec) -> None:
     if not two_species_standard(spec):
         raise Unsupported(
-            "verdicts and the phase line require the two-species standard normalization "
-            "or its classical reduction"
+            "verdicts and the phase line require two species with delta2 positive definite "
+            "or all entries equal"
         )
 
 
@@ -186,8 +157,9 @@ def at_verdict(
     K = S (2 beta^2 S G S - I) S with S = D^(1/2), and by Sylvester's law
     of inertia lambda_max(K) > 0 exactly when beta^2 > beta2_m (in the
     classical reduction K is a multiple of the all-ones matrix, with the
-    same sign change).  There K_12 > 0, since beta2_v < beta2_m, so the
-    witness is the Perron vector of K.  The sign test and the witness are
+    same sign change).  There K_12 = d12 (2 beta^2 (g1 d11 + g2 d22) - 1)
+    >= 0, since beta2_v < beta2_m, so the witness is the Perron vector of K
+    (an axis when d12 = 0).  The sign test and the witness are
     cross-checked against each other in both directions.  Raises
     Unsupported outside the two-species standard class and for h = 0.
     """

@@ -94,11 +94,11 @@ def _range(value) -> np.ndarray:
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
-def _grid(value) -> np.ndarray:
-    """A number (a one-point grid) or a nonempty list of finite numbers."""
+def _grid(value, top=math.inf) -> np.ndarray:
+    """A number (a one-point grid) or a nonempty list of finite numbers, each in (0, top]."""
     grid = np.array(value, dtype=float, ndmin=1)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
-        raise ValueError("expected a number or a nonempty list of finite numbers")
+    if grid.ndim != 1 or not grid.size or not (np.isfinite(grid) & (grid > 0) & (grid <= top)).all():
+        raise ValueError(f"expected a number or a nonempty list of finite numbers, each in (0, {top:g}]")
     return grid
 
 
@@ -155,7 +155,7 @@ FIELDS = {
     "zeta": Field(_float_list, _floats, (), ("parisi-eval",), "cluster weights, comma-separated (empty for k=0)"),
     "q": Field(_matrix_rows, _floats, _REQUIRED, ("parisi-eval",), "overlap ladder rows, ';' between species"),
     "eps_grid": Field(_float_list, _grid, None, ("certify",)),
-    "zeta_grid": Field(_float_list, _grid, None, ("certify",)),
+    "zeta_grid": Field(_float_list, lambda value: _grid(value, top=1.0), None, ("certify",)),
     "M": Field(None, _count, None, _ALL),
 }
 
@@ -229,8 +229,8 @@ def _model_spec(v: dict, standard: bool = False) -> ModelSpec:
         raise ConfigError(f"model fails {v['mode']!r} validation: {', '.join(failed)}")
     if standard and not two_species_standard(spec):
         raise ConfigError(
-            "this command requires the two-species standard normalization "
-            "(unit cross variance, variance product > 1) or its classical reduction"
+            "this command requires two species with delta2 positive definite "
+            "(variance product > squared cross variance) or all entries equal"
         )
     return spec
 

@@ -5,9 +5,9 @@ with species proportions `lam` summing to 1.  Three validation modes exist:
 
 * ``convex``: delta2 positive semidefinite (the regime where the variational
   free-energy formula is proved).
-* ``two-species-standard``: M = 2, unit cross variance, variance product > 1
-  and lambda_1 * delta2_11 >= lambda_2 * delta2_22 -- the normalization under
-  which the closed-form temperature thresholds hold.
+* ``two-species-standard``: M = 2 with delta2 positive definite -- the class
+  the closed-form temperature thresholds cover, in any scale and species
+  order (the model sees only beta^2 delta2, and a swap only relabels).
 * ``unchecked``: every check is waived (exploration of non-convex couplings
   such as the bipartite model); the CLI records the mode in every output's
   config.
@@ -73,8 +73,9 @@ class ModelSpec:
 
     @property
     def sk_reduction(self) -> bool:
-        """True when every variance equals 1 (the classical single-species model)."""
-        return bool(np.abs(self.delta2 - 1.0).max() <= _SYM_TOL)
+        """True when all variances equal one positive value (the classical model at that scale)."""
+        scale = self.delta2[0, 0]
+        return bool(scale > 0 and np.abs(self.delta2 - scale).max() <= _SYM_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -104,43 +105,62 @@ def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
         raise ValueError(f"unknown validation mode {mode!r}")
     if mode == "unchecked":
         return ()
-    d, lam = spec.delta2, spec.lam
+    d = spec.delta2
     holds = {"positive-semidefinite": np.linalg.eigvalsh(d)[0] >= -_PSD_TOL}
     if mode == "two-species-standard":
         holds["two-species"] = spec.m == 2
         if spec.m == 2:
-            holds["unit-cross-variance"] = abs(d[0, 1] - 1.0) <= 1e-12
-            holds["variance-product"] = d[0, 0] * d[1, 1] > 1.0
-            holds["species-ordering"] = lam[0] * d[0, 0] >= lam[1] * d[1, 1] - 1e-12
+            holds["variance-product"] = d[0, 0] * d[1, 1] > d[0, 1] * d[0, 1]
     return tuple(name for name, ok in holds.items() if not ok)
 
 
 def two_species_standard(spec: ModelSpec) -> bool:
-    """Two species under the standard normalization or its classical reduction
-    (every variance 1): the class the closed-form thresholds cover."""
+    """Two species with delta2 positive definite, or all entries equal (the
+    classical reduction): the class the closed-form thresholds cover."""
     return spec.m == 2 and (not validate(spec, "two-species-standard") or spec.sk_reduction)
 
 
-def stability_window(spec: ModelSpec, gamma) -> tuple[float, float]:
-    """(beta2_m, beta2_M) = 1 / (a + b +- r) for two species with unit cross variance.
+class Thresholds(NamedTuple):
+    """The five closed-form beta^2 thresholds of the two-species analysis.
 
-    a = g1 d11, b = g2 d22 and r = sqrt((a - b)^2 + 4 g1 g2) for a positive
-    weight vector gamma; beta2_M is infinite when a + b <= r.  At gamma = lam,
-    beta2_m is the zero-field uniqueness threshold, and at gamma the quartic
-    susceptibility it is the phase boundary.
+    beta2_u / beta2_t flip the sign of the diagonal stability entries,
+    beta2_v the off-diagonal one; beta2_m < beta2_M bracket the window in
+    which the sign pattern alone decides.  Symmetry breaking is certified
+    exactly above beta2_m.
+    """
+
+    beta2_u: float
+    beta2_t: float
+    beta2_v: float
+    beta2_m: float
+    beta2_M: float
+
+
+def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
+    """The five thresholds for two species and a positive weight vector gamma.
+
+    (beta2_m, beta2_M) = 1 / (a + b +- sqrt((a - b)^2 + 4 g1 g2 d12^2)) with
+    a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
+    beta2_u = d11 / (2 (g1 d11^2 + g2 d12^2)), beta2_t likewise.  At gamma =
+    lam beta2_m is the zero-field uniqueness threshold; at gamma the quartic
+    susceptibility it is the phase boundary.  Raises Unsupported for M != 2.
     """
     if spec.m != 2:
         raise Unsupported("closed-form thresholds exist for two species only")
-    if abs(spec.delta2[0, 1] - 1.0) > 1e-12:
-        raise Unsupported("closed-form thresholds require unit cross variance")
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (2,) or (gamma <= 0).any():
         raise ValueError("gamma must be a positive 2-vector")
     g1, g2 = float(gamma[0]), float(gamma[1])
-    a, b = g1 * spec.delta2[0, 0], g2 * spec.delta2[1, 1]
-    root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2)
-    beta2_upper = math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root)
-    return 1.0 / (a + b + root), beta2_upper
+    d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
+    a, b = g1 * d11, g2 * d22
+    root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2 * d12 * d12)
+    return Thresholds(
+        beta2_u=d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
+        beta2_t=d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
+        beta2_v=1.0 / (2.0 * (a + b)),
+        beta2_m=1.0 / (a + b + root),
+        beta2_M=math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
+    )
 
 
 class Contractions(NamedTuple):

@@ -16,10 +16,11 @@ clipped to the box; near q* the map contracts (Jacobian spectral radius
 below 0.77 on the README phase-diagram grid).  The three starts run as one
 batch through the map, each row frozen once it converges, so a solve costs
 as many map calls as its slowest start takes iterations.  For two species
-under the standard normalization the critical point is unique whenever h > 0 or
-beta^2 is below the closed-form threshold `uniqueness_threshold`; outside
-that regime all distinct limits found are reported and the functional value
-is the minimum over them (a heuristic, flagged via `guaranteed_unique`).
+with delta2 positive definite, or all entries equal, the critical point is
+unique whenever h > 0 or beta^2 is below the closed-form threshold
+`uniqueness_threshold`; outside that regime all distinct limits found are
+reported and the functional value is the minimum over them (a heuristic,
+flagged via `guaranteed_unique`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDimension, InternalInconsistency, NotConverged
-from .model import ModelSpec, TempField, overlap_contractions, stability_window, two_species_standard
+from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
 from .quadrature import QuadRule, cavity_expect, log_cosh
 
 _LOG2 = math.log(2.0)
@@ -84,13 +85,9 @@ def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> float:
 
 
 def uniqueness_threshold(spec: ModelSpec) -> float:
-    """Closed-form beta^2 below which the h = 0 critical point is unique.
-
-    Two species with unit cross variance only.  Returns
-    1 / (l1 d11 + l2 d22 + sqrt((l1 d11 - l2 d22)^2 + 4 l1 l2)), the lower
-    stability root at gamma = lam.
-    """
-    return stability_window(spec, spec.lam)[0]
+    """Closed-form beta^2 below which the h = 0 critical point is unique:
+    beta2_m at gamma = lam.  Two species only."""
+    return two_species_thresholds(spec, spec.lam).beta2_m
 
 
 def _uniqueness_guaranteed(spec: ModelSpec, tf: TempField) -> bool:

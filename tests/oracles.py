@@ -114,13 +114,17 @@ def one_step_value(spec, beta, h, q, p, zeta):
     return value
 
 
-def zero_field_stability_threshold(spec):
-    """beta^2 at which q = 0 stops being a linearly stable fixed point at h = 0.
+def stability_threshold(spec, gamma):
+    """1 / (2 lambda_max(G^1/2 delta2 G^1/2)) with G = diag(gamma), gamma > 0.
 
-    Near q = 0 the map is q -> 2 beta^2 delta2 lam q, so stability ends at
-    1 / (2 lambda_max(L^1/2 delta2 L^1/2)) with L = diag(lam).
+    beta^2 above it is where K = 2 beta^2 D G D - D first gains a positive
+    direction (K and 2 beta^2 D^1/2 G D^1/2 - I have the same inertia when
+    D is positive definite, and D^1/2 G D^1/2 shares its spectrum with
+    G^1/2 D G^1/2).  At gamma = lam it is the h = 0 threshold at which q = 0
+    stops being a linearly stable fixed point: near q = 0 the map is
+    q -> 2 beta^2 delta2 lam q.
     """
-    root = np.sqrt(np.asarray(spec.lam))
+    root = np.sqrt(np.asarray(gamma, dtype=float))
     return 1.0 / (2.0 * np.linalg.eigvalsh(root[:, None] * np.asarray(spec.delta2) * root[None, :])[-1])
 
 

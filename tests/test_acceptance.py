@@ -35,7 +35,7 @@ from .oracles import (
     fd_gradient_at_minimum,
     fd_hessian_at_minimum,
     one_step_value,
-    zero_field_stability_threshold,
+    stability_threshold,
     zeta_derivative,
 )
 
@@ -79,7 +79,7 @@ def test_criterion_01_sk_uniqueness_threshold(sk_spec):
     with criterion(1, "SK-reduction uniqueness threshold = 0.5", budget_seconds=1e-3):
         value = uniqueness_threshold(sk_spec)
     assert abs(value - 0.5) <= 1e-15
-    assert abs(zero_field_stability_threshold(sk_spec) - 0.5) <= 1e-15
+    assert abs(stability_threshold(sk_spec, sk_spec.lam) - 0.5) <= 1e-15
 
 
 def test_criterion_02_threshold_coincidence_at_zero_field():
@@ -90,7 +90,7 @@ def test_criterion_02_threshold_coincidence_at_zero_field():
         for _ in range(1000):
             spec = _random_standard_spec(rng)
             th = two_species_thresholds(spec, spec.lam)
-            beta0_sq = zero_field_stability_threshold(spec)
+            beta0_sq = stability_threshold(spec, spec.lam)
             assert abs(th.beta2_m - beta0_sq) < 1e-14
             assert abs(uniqueness_threshold(spec) - beta0_sq) < 1e-14
 

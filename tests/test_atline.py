@@ -20,7 +20,7 @@ from mskglass import (
     uniqueness_threshold,
 )
 from mskglass import atline
-from .oracles import single_species_at_beta
+from .oracles import single_species_at_beta, stability_threshold
 
 
 def _solved(spec, tf, rule, tol=1e-12):
@@ -120,9 +120,10 @@ def test_thresholds_unsupported():
     spec3 = ModelSpec(delta2=np.eye(3) + 1.0, lam=np.full(3, 1.0 / 3.0))
     with pytest.raises(Unsupported):
         two_species_thresholds(spec3, np.full(3, 0.2))
+    # a cross variance other than 1 is a scale, not a restriction
     skew = ModelSpec(delta2=[[1.5, 0.9], [0.9, 1.2]], lam=[0.6, 0.4])
-    with pytest.raises(Unsupported):
-        two_species_thresholds(skew, [0.5, 0.3])
+    want = stability_threshold(skew, [0.5, 0.3])
+    assert two_species_thresholds(skew, [0.5, 0.3]).beta2_m == pytest.approx(want, rel=1e-14)
 
 
 def test_witness_diagonal_cases():
@@ -241,8 +242,9 @@ def test_verdict_indeterminate_on_the_line(reference_spec, rule):
 
 
 def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
-    """Unit cross variance but variance product below 1: the thresholds lose
-    their ordering, so both entry points refuse instead of answering."""
+    """Variance product below the squared cross variance (delta2 indefinite):
+    the thresholds lose their ordering, so both entry points refuse instead
+    of answering."""
     spec = ModelSpec(delta2=[[0.9, 1.0], [1.0, 1.05]], lam=[0.6, 0.4])
     with pytest.raises(Unsupported):
         at_verdict(spec, TempField(beta=1.0, h=0.3), rule)
@@ -300,25 +302,93 @@ def test_at_line_bracket_failure(reference_spec, rule):
         at_line_beta(reference_spec, 0.3, rule, beta_max=0.1)
 
 
+def _random_pd_spec(rng, min_cross=0.0):
+    """A two-species model with delta2 positive definite: d12 drawn in
+    [min_cross, 0.98] x sqrt(d11 d22), the species in either order."""
+    d11, d22 = rng.uniform(0.3, 2.5, 2)
+    d12 = rng.uniform(min_cross, 0.98) * math.sqrt(d11 * d22)
+    lam1 = rng.uniform(0.15, 0.85)
+    return ModelSpec(delta2=[[d11, d12], [d12, d22]], lam=[lam1, 1.0 - lam1])
+
+
+def _larger_first(spec):
+    return spec.lam[0] * spec.delta2[0, 0] >= spec.lam[1] * spec.delta2[1, 1]
+
+
 def test_threshold_ordering_random_sample():
-    """Spot version of the big ordering property (the full 10^4 run is in acceptance)."""
+    """Spot version of the big ordering property (the full 10^4 run is in
+    acceptance), over positive-definite models in either species order."""
     rng = np.random.default_rng(23)
+    orders = set()
     for _ in range(200):
-        d1 = rng.uniform(0.5, 3.0)
-        d2 = rng.uniform(1.0 / d1 + 0.02, 1.0 / d1 + 2.0)
-        spec = _standard_spec(d1, d2, rng)
-        if spec is None:
-            continue
+        spec = _random_pd_spec(rng, min_cross=0.05)
         gamma = rng.uniform(0.02, 0.9, 2)
         th = two_species_thresholds(spec, gamma)
         assert 0.0 < th.beta2_v < th.beta2_m < min(th.beta2_u, th.beta2_t)
         assert max(th.beta2_u, th.beta2_t) < th.beta2_M
+        orders.add(_larger_first(spec))
+    assert orders == {True, False}
 
 
-def _standard_spec(d1, d2, rng):
-    lam1 = rng.uniform(0.2, 0.8)
-    if lam1 * d1 < (1.0 - lam1) * d2:
-        lam1 = d2 / (d1 + d2) + rng.uniform(0.0, 1.0) * d1 / (d1 + d2)
-        if not 0.0 < lam1 < 1.0 or lam1 * d1 < (1.0 - lam1) * d2:
-            return None
-    return ModelSpec(delta2=[[d1, 1.0], [1.0, d2]], lam=[lam1, 1.0 - lam1])
+def test_random_positive_definite_models_against_the_eigenvalue_oracle(rule):
+    """On 300 random positive-definite models, at random (beta, h), the verdict
+    is the sign of lambda_max(K) and beta2_m is the eigenvalue form."""
+    rng = np.random.default_rng(31)
+    orders, verdicts = set(), set()
+    for _ in range(300):
+        spec = _random_pd_spec(rng)
+        report = at_verdict(spec, TempField(beta=rng.uniform(0.3, 1.6), h=rng.uniform(0.05, 1.0)), rule)
+        assert report.beta2_m == pytest.approx(stability_threshold(spec, report.gamma), rel=1e-12)
+        if report.verdict != Verdict.INDETERMINATE:
+            top = np.linalg.eigvalsh(report.stability)[-1]
+            assert (top > 0) == (report.verdict == Verdict.RSB_CERTIFIED)
+        orders.add(_larger_first(spec))
+        verdicts.add(report.verdict)
+    assert orders == {True, False}
+    assert {Verdict.RS_CONSISTENT, Verdict.RSB_CERTIFIED} <= verdicts
+
+
+# reference points on both sides of the line: (1.2, 0.3) and (0.9, 0.1) above, (0.5, 0.4) below
+_SIDES = ((1.2, 0.3), (0.5, 0.4), (0.9, 0.1))
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_scaled_variances_give_the_reference_verdict(reference_spec, rule, c):
+    """The model sees only beta^2 delta2: c delta2 at (beta, h) is the
+    reference at (sqrt(c) beta, h), and its beta2_m is the reference's / c."""
+    scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
+    for beta, h in _SIDES:
+        ref = at_verdict(reference_spec, TempField(beta=beta, h=h), rule)
+        ours = at_verdict(scaled, TempField(beta=beta / math.sqrt(c), h=h), rule)
+        assert ours.verdict == ref.verdict
+        assert c * ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
+
+
+def test_swapped_species_give_the_reference_verdict(reference_spec, rule):
+    """Swapping the species only relabels them, witness included."""
+    swapped = ModelSpec(delta2=reference_spec.delta2[::-1, ::-1], lam=reference_spec.lam[::-1])
+    for beta, h in _SIDES:
+        tf = TempField(beta=beta, h=h)
+        ref, ours = at_verdict(reference_spec, tf, rule), at_verdict(swapped, tf, rule)
+        assert ours.verdict == ref.verdict
+        assert ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
+        if ref.witness_x is not None:
+            np.testing.assert_allclose(ours.witness_x, ref.witness_x[::-1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("d12", [0.0, 1e-9])
+def test_vanishing_cross_variance_gets_a_verdict(rule, d12):
+    """At d12 -> 0 the species decouple: beta2_m is the larger species' own
+    threshold, beta2_u and beta2_t meet beta2_m and beta2_M, and the verdict
+    raises no ordering or witness inconsistency."""
+    spec = ModelSpec(delta2=[[1.5, d12], [d12, 1.2]], lam=[0.6, 0.4])
+    verdicts = set()
+    for beta in (0.5, 0.9, 1.2, 1.6):
+        for h in (0.1, 0.4):
+            report = at_verdict(spec, TempField(beta=beta, h=h), rule)
+            th = report.thresholds
+            per_species = 1.0 / (2.0 * report.gamma * np.diag(spec.delta2))
+            assert th.beta2_m == pytest.approx(per_species.min(), rel=1e-12)
+            assert sorted((th.beta2_u, th.beta2_t)) == pytest.approx([th.beta2_m, th.beta2_M], rel=1e-12)
+            verdicts.add(report.verdict)
+    assert verdicts == {Verdict.RS_CONSISTENT, Verdict.RSB_CERTIFIED}

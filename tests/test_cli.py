@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import math
 import os
 import pathlib
 import subprocess
@@ -203,12 +204,33 @@ def test_certify_above_and_below(ref_config, tmp_path, capsys):
     assert doc["result"]["gap"] > 0
     assert doc["result"]["verdict"] == "RSB-certified"
     assert main(["certify", "--config", ref_config, "--beta", "0.4", "--h", "0.3"]) == 2
-    assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0,0.5"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0,0.5"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
     # a single number in the config is a one-point grid
     single = tmp_path / "single.json"
     single.write_text(json.dumps({**json.loads(open(ref_config).read()), "eps_grid": 0.05, "zeta_grid": 0.9}))
     doc = _run_json(capsys, ["certify", "--config", str(single), "--beta", "1.2", "--h", "0.3"])
     assert (doc["result"]["epsilon"], doc["result"]["zeta"]) == (0.05, 0.9)
+
+
+@pytest.mark.parametrize(
+    "delta2, lam, beta",
+    [
+        ("3,2,2,2.4", "0.6,0.4", 1.2 / math.sqrt(2.0)),  # twice the reference, at beta / sqrt(2)
+        ("1.2,1,1,1.5", "0.4,0.6", 1.2),  # the reference with its species swapped
+    ],
+)
+def test_certify_accepts_scaled_and_swapped_models(ref_config, capsys, delta2, lam, beta):
+    """Scale and species order are normalisations: both models certify, at
+    the reference's beta2_m in the reference's units."""
+    ref = _run_json(capsys, ["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3"])["result"]
+    argv = ["certify", "--delta2", delta2, "--lambda", lam, "--mode", "two-species-standard",
+            "--beta", repr(beta), "--h", "0.3"]
+    doc = _run_json(capsys, argv)["result"]
+    scale = 1.44 / beta ** 2
+    assert doc["verdict"] == "RSB-certified" and doc["gap"] > 0
+    assert doc["beta2_m"] * scale == pytest.approx(ref["beta2_m"], rel=1e-13)
 
 
 def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spec, rule):
@@ -345,6 +367,11 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         # the output path is a string
         ("solve-rs", {"beta": 0.3, "out": 5}),
         ("solve-rs", {"beta": 0.3, "out": ["a"]}),
+        # step sizes are positive and cluster weights lie in (0, 1]
+        ("certify", {"beta": 1.2, "h": 0.3, "eps_grid": [-0.05]}),
+        ("certify", {"beta": 1.2, "h": 0.3, "eps_grid": 0}),
+        ("certify", {"beta": 1.2, "h": 0.3, "zeta_grid": [1.5]}),
+        ("certify", {"beta": 1.2, "h": 0.3, "zeta_grid": [0]}),
     ],
 )
 def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys, command, fields):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mskglass import BadDimension, ModelSpec, TempField, overlap_contractions, validate
+from mskglass.model import two_species_standard
 
 
 def test_two_species_standard_passes(reference_spec):
@@ -19,6 +20,25 @@ def test_sk_reduction_flag(sk_spec):
     assert validate(sk_spec, "convex") == ()
     assert sk_spec.sk_reduction
     assert validate(sk_spec, "two-species-standard") == ("variance-product",)  # product exactly 1, not > 1
+
+
+def test_standard_class_is_every_positive_definite_pair():
+    """Scale and species order are normalisations, so neither is checked;
+    a singular delta2 is admitted only when all its entries are equal."""
+    for delta2, lam in (
+        ([[3.0, 2.0], [2.0, 2.4]], [0.6, 0.4]),  # twice the reference
+        ([[1.2, 1.0], [1.0, 1.5]], [0.4, 0.6]),  # the reference, species swapped
+        ([[1.5, 0.0], [0.0, 1.2]], [0.6, 0.4]),  # decoupled species
+    ):
+        spec = ModelSpec(delta2=delta2, lam=lam)
+        assert validate(spec, "two-species-standard") == ()
+        assert two_species_standard(spec) and not spec.sk_reduction
+    singular = ModelSpec(delta2=[[1.0, 2.0], [2.0, 4.0]], lam=[0.5, 0.5])
+    assert validate(singular, "two-species-standard") == ("variance-product",)
+    assert not two_species_standard(singular)
+    scaled_sk = ModelSpec(delta2=np.full((2, 2), 2.5), lam=[0.3, 0.7])
+    assert scaled_sk.sk_reduction and two_species_standard(scaled_sk)
+    assert not ModelSpec(delta2=np.zeros((2, 2)), lam=[0.5, 0.5]).sk_reduction
 
 
 def test_construction_rejects_malformed():
