@@ -53,12 +53,7 @@ from .atline import (
     quartic_susceptibility,
     stability_matrices,
 )
-from .onersb import (
-    OneRSBCertificate,
-    OneRSBPoint,
-    certify_rsb,
-    one_rsb_functional,
-)
+from .onersb import OneRSBCertificate, certify_rsb
 from .simulate import (
     DisorderSample,
     FreeEnergyEstimate,

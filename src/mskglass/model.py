@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, Unsupported
+from .errors import BadDimension, MskGlassError, Unsupported
 
 VALIDATION_MODES = ("convex", "two-species-standard", "unchecked")
 
@@ -143,24 +143,34 @@ def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
     a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
     beta2_u = d11 / (2 (g1 d11^2 + g2 d12^2)), beta2_t likewise.  At gamma =
     lam beta2_m is the zero-field uniqueness threshold; at gamma the quartic
-    susceptibility it is the phase boundary.  Raises Unsupported for M != 2.
+    susceptibility it is the phase boundary.  Raises Unsupported for M != 2,
+    and MskGlassError when a gamma entry underflowed to 0 or a threshold
+    overflows float64.
     """
     if spec.m != 2:
         raise Unsupported("closed-form thresholds exist for two species only")
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2,) or (gamma <= 0).any():
+    if gamma.shape != (2,) or (gamma < 0).any():
         raise ValueError("gamma must be a positive 2-vector")
-    g1, g2 = float(gamma[0]), float(gamma[1])
+    if (gamma == 0).any():
+        raise MskGlassError(f"quartic susceptibility underflowed to 0 (gamma = {gamma})")
+    # Thresholds scale as 1/gamma: evaluate at gamma / 2^e (exact, and no
+    # underflow of 4 g1 g2 d12^2 at large h), then divide by 2^e, bit for bit.
+    e = math.frexp(float(gamma.max()))[1]
+    g1, g2 = math.ldexp(float(gamma[0]), -e), math.ldexp(float(gamma[1]), -e)
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
     a, b = g1 * d11, g2 * d22
     root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2 * d12 * d12)
-    return Thresholds(
-        beta2_u=d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
-        beta2_t=d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
-        beta2_v=1.0 / (2.0 * (a + b)),
-        beta2_m=1.0 / (a + b + root),
-        beta2_M=math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
-    )
+    try:
+        return Thresholds._make(math.ldexp(float(t), -e) for t in (
+            d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
+            d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
+            1.0 / (2.0 * (a + b)),
+            1.0 / (a + b + root),
+            math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
+        ))
+    except OverflowError:
+        raise MskGlassError(f"thresholds overflow float64 at gamma = {gamma}") from None
 
 
 class Contractions(NamedTuple):

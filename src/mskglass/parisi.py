@@ -12,7 +12,7 @@ where the X recursion runs backward from
 through X_l^s = (1/zeta_l) log E_{l+1} exp(zeta_l X_{l+1}^s), the l = 0 step
 being a plain expectation.  The top level has zeta_{k+1} = 1 and integrates
 out in closed form, log E cosh(y + s eta) = log cosh y + s^2 / 2, so k = 0 is
-the single-atom functional and k = 1 the one-step functional of `onersb`.
+the single-atom and k = 1 the one-step functional; nothing else evaluates them.
 Each X_l^s depends on the noise only through the accumulated field, so the
 remaining k + 1 levels are evaluated bottom-up on the tensor grid of
 quadrature nodes while holding at most an order x order slice in memory.
@@ -60,14 +60,14 @@ class ParisiParams:
         q = np.atleast_2d(np.asarray(self.q, dtype=float))
         if zeta.ndim > 2:
             raise BadZeta("zeta must be a vector or a batch (Z x k) of vectors")
-        if ((zeta <= 0.0) | (zeta >= 1.0)).any():
+        if not ((zeta > 0.0) & (zeta < 1.0)).all():  # NaN fails too
             raise BadZeta("cluster weights must lie strictly inside (0, 1)")
         if (np.diff(zeta, axis=-1) <= 0).any():
             raise BadZeta("cluster weights must be strictly increasing")
         k = zeta.shape[-1]
         if q.ndim > 3 or q.shape[-1] != k + 1:
             raise ValueError(f"q must be M x (k+1), or a batch of them, with k = {k}")
-        if ((q < -_INCREMENT_TOL) | (q > 1 + _INCREMENT_TOL)).any():
+        if not ((q >= -_INCREMENT_TOL) & (q <= 1 + _INCREMENT_TOL)).all():
             raise ValueError("overlaps must lie in [0, 1]")
         if (np.diff(q, axis=-1) < -_INCREMENT_TOL).any():
             raise NonmonotoneOverlap("each species row of q must be nondecreasing")

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 DEFAULT_ORDER = 61
+MAX_ORDER = 370  # above it the weights leave the float64 range
 
 _LN2 = math.log(2.0)
 
@@ -62,13 +63,13 @@ def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
 
     hermgauss targets integral exp(-x^2) g(x) dx; substituting z = sqrt(2) x
     and dividing the weights by sqrt(pi) yields nodes/weights for E f(z) with
-    z ~ N(0, 1).  Weights sum to 1 up to rounding.  Above order 370 the
-    weights leave the float64 range and the rule is rejected (ValueError).
+    z ~ N(0, 1).  Weights sum to 1 up to rounding.  Above MAX_ORDER the
+    weights leave the float64 range, so such orders are rejected
+    (ValueError) before any rule is computed.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be positive")
-    with np.errstate(all="ignore"):
-        x, w = hermgauss(order)
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"quadrature order must lie in [1, {MAX_ORDER}], got {order}")
+    x, w = hermgauss(order)
     return QuadRule(order=order, nodes=np.sqrt(2.0) * x, weights=w / math.sqrt(math.pi))
 
 

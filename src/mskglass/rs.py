@@ -6,8 +6,10 @@ free-energy value is
     log 2 + sum_s lam_s [E log cosh(beta eta sqrt(C_s) + h)
                          + (beta^2/2) (C1_s - C_s)] - (beta^2/2) (E1 - E0)
 
-with C = coupling(q), C1 = coupling(1) and E the scalar contractions.  A
-critical point solves the self-consistency system
+with C = coupling(q), C1 = coupling(1) and E the scalar contractions: the
+k = 0 case of the hierarchical functional, which `rs_functional` evaluates
+through `parisi.evaluate`.  A critical point solves the self-consistency
+system
 
     q_s = E tanh^2(beta eta sqrt(C_s) + h),
 
@@ -20,7 +22,7 @@ with delta2 positive definite, or all entries equal, the critical point is
 unique whenever h > 0 or beta^2 is below the closed-form threshold
 `uniqueness_threshold`; outside that regime all distinct limits found are
 reported and the functional value is the minimum over them (a heuristic,
-flagged via `guaranteed_unique`).
+flagged via `guaranteed_unique`); the functional is evaluated only then.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import numpy as np
 
 from .errors import BadDimension, InternalInconsistency, NotConverged
 from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
-from .quadrature import QuadRule, cavity_expect, log_cosh
-
-_LOG2 = math.log(2.0)
+from .parisi import ParisiParams, evaluate
+from .quadrature import QuadRule, cavity_expect
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
@@ -74,14 +75,10 @@ def fixed_point_map(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.nda
     return cavity_expect(lambda y: np.tanh(y) ** 2, rule, tf.beta, coupling, tf.h)
 
 
-def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> float:
-    """Free-energy value of the single-atom ansatz at overlap vector q."""
-    c_q = overlap_contractions(spec, q)
-    c_one = overlap_contractions(spec, np.ones(spec.m))
-    expected_log_cosh = cavity_expect(log_cosh, rule, tf.beta, c_q.species, tf.h)
-    half_b2 = 0.5 * tf.beta * tf.beta
-    per_species = expected_log_cosh + half_b2 * (c_one.species - c_q.species)
-    return float(_LOG2 + spec.lam @ per_species - half_b2 * (c_one.scalar - c_q.scalar))
+def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule):
+    """Free-energy value of the single-atom ansatz at overlap vector q: a
+    float, or one value per row of a batch (E x M); the k = 0 functional."""
+    return evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=np.asarray(q, dtype=float)[..., None]), rule)
 
 
 def uniqueness_threshold(spec: ModelSpec) -> float:
@@ -163,7 +160,9 @@ def solve_fixed_point(
             f"{len(distinct)} distinct limits found although uniqueness is guaranteed"
         )
 
-    winner = min(distinct, key=lambda r: rs_functional(spec, tf, r.q, rule))
+    winner = distinct[0]
+    if len(distinct) > 1:
+        winner = distinct[int(np.argmin(rs_functional(spec, tf, np.array([r.q for r in distinct]), rule)))]
     coupling = overlap_contractions(spec, winner.q).species
     on_boundary = (winner.q <= _BOUNDARY_TOL) | (winner.q >= 1.0 - _BOUNDARY_TOL)
     return RSSolution(

@@ -78,6 +78,12 @@ def two_species_bisection(spec, beta, h, tol=1e-13):
     return inv @ big_q
 
 
+def _contractions(spec, x):
+    """(E(x), C(x)) = ((lam x)' delta2 (lam x), 2 delta2 (lam x))."""
+    w = np.asarray(spec.lam) * np.asarray(x, dtype=float)
+    return w @ np.asarray(spec.delta2) @ w, 2.0 * np.asarray(spec.delta2) @ w
+
+
 def one_step_value(spec, beta, h, q, p, zeta):
     """One-step functional at (q, p, zeta) by nested adaptive quadrature:
 
@@ -85,19 +91,14 @@ def one_step_value(spec, beta, h, q, p, zeta):
                              + (beta^2/2) (C_s(1) - C_s(p))]
               - (beta^2/2) [E(1) - E(p) + zeta (E(p) - E(q))]
 
-    with Y2_s = h + beta sqrt(C_s(q)) eta1 + beta sqrt(C_s(p) - C_s(q)) eta2,
-    C(x) = 2 delta2 (lam x) and E(x) = (lam x)' delta2 (lam x).  Plain cosh,
-    so |Y2| must stay below about 700 over the integration range.
+    with Y2_s = h + beta sqrt(C_s(q)) eta1 + beta sqrt(C_s(p) - C_s(q)) eta2
+    and C, E from `_contractions`.  Plain cosh, so |Y2| must stay below
+    about 700 over the integration range.
     """
-    lam, d = np.asarray(spec.lam), np.asarray(spec.delta2)
-
-    def contractions(x):
-        w = lam * np.asarray(x, dtype=float)
-        return w @ d @ w, 2.0 * d @ w
-
-    e_q, c_q = contractions(q)
-    e_p, c_p = contractions(p)
-    e_1, c_1 = contractions(np.ones(lam.size))
+    lam = np.asarray(spec.lam)
+    e_q, c_q = _contractions(spec, q)
+    e_p, c_p = _contractions(spec, p)
+    e_1, c_1 = _contractions(spec, np.ones(lam.size))
     value = np.log(2.0) - 0.5 * beta**2 * (e_1 - e_p + zeta * (e_p - e_q))
     for s in range(lam.size):
         outer = beta * np.sqrt(max(c_q[s], 0.0))
@@ -111,6 +112,29 @@ def one_step_value(spec, beta, h, q, p, zeta):
 
         nested = gauss_expect(log_inner, outer, h) / zeta
         value += lam[s] * (nested + 0.5 * beta**2 * (c_1[s] - c_p[s]))
+    return value
+
+
+def rs_value(spec, beta, h, q):
+    """Single-atom functional at overlap vector q by adaptive quadrature:
+
+        log 2 + sum_s lam_s [E log cosh(h + beta sqrt(C_s(q)) eta)
+                             + (beta^2/2) (C_s(1) - C_s(q))]
+              - (beta^2/2) (E(1) - E(q))
+
+    with C and E from `_contractions`.
+    """
+    lam = np.asarray(spec.lam)
+
+    def log_cosh(y):
+        return abs(y) + math.log1p(math.exp(-2.0 * abs(y))) - math.log(2.0)
+
+    e_q, c_q = _contractions(spec, q)
+    e_1, c_1 = _contractions(spec, np.ones(lam.size))
+    value = np.log(2.0) - 0.5 * beta**2 * (e_1 - e_q)
+    for s in range(lam.size):
+        e_log_cosh = gauss_expect(log_cosh, beta * np.sqrt(max(c_q[s], 0.0)), h)
+        value += lam[s] * (e_log_cosh + 0.5 * beta**2 * (c_1[s] - c_q[s]))
     return value
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from mskglass import (
     ModelSpec,
-    OneRSBPoint,
     TempField,
     Verdict,
     at_verdict,
@@ -21,7 +20,6 @@ from mskglass import (
     certify_rsb,
     fixed_point_map,
     gauss_hermite,
-    one_rsb_functional,
     quartic_susceptibility,
     rs_functional,
     solve_fixed_point,
@@ -35,6 +33,7 @@ from .oracles import (
     fd_gradient_at_minimum,
     fd_hessian_at_minimum,
     one_step_value,
+    rs_value,
     stability_threshold,
     zeta_derivative,
 )
@@ -127,22 +126,23 @@ def test_criterion_04_slope_and_gradient_vanish(reference_spec, rule):
 
 
 def test_criterion_05_zeta_one_collapse(reference_spec, rule):
-    """One-step value at zeta = 1 equals the single-atom value, 100 random points;
-    the generic evaluator agrees with the single-atom closed form at k = 0 and
-    with nested scipy quadrature of the one-step form at k = 1."""
+    """One-step value at zeta -> 1 equals the single-atom value, 100 random points;
+    the generic evaluator agrees with adaptive quadrature of the single-atom
+    form at k = 0 and of the one-step form at k = 1."""
     with criterion(5, "zeta = 1 collapse and generic-evaluator agreement", budget_seconds=120.0):
         tf = TempField(beta=0.6, h=0.4)
         rng = np.random.default_rng(5)
         for _ in range(100):
             q = rng.uniform(0.0, 1.0, 2)
             p = q + (1.0 - q) * rng.uniform(0.0, 1.0, 2)
-            pt = OneRSBPoint(q=q, p=p, zeta=1.0)
-            gap = one_rsb_functional(reference_spec, tf, pt, rule) - rs_functional(reference_spec, tf, q, rule)
+            params1 = ParisiParams(zeta=np.array([1.0 - 1e-12]), q=np.column_stack([q, p]))
+            params0 = ParisiParams(zeta=np.zeros(0), q=q[:, None])
+            gap = parisi_value(reference_spec, tf, params1, rule) - parisi_value(reference_spec, tf, params0, rule)
             assert abs(gap) < 1e-9
         for _ in range(10):
             q = rng.uniform(0.0, 0.7, 2)
             params0 = ParisiParams(zeta=np.zeros(0), q=q[:, None])
-            assert abs(parisi_value(reference_spec, tf, params0, rule) - rs_functional(reference_spec, tf, q, rule)) < 1e-9
+            assert abs(parisi_value(reference_spec, tf, params0, rule) - rs_value(reference_spec, tf.beta, tf.h, q)) < 1e-9
             p = q + rng.uniform(0.02, 0.3, 2)
             zeta = rng.uniform(0.15, 0.95)
             params1 = ParisiParams(zeta=np.array([zeta]), q=np.column_stack([q, p]))

@@ -6,6 +6,7 @@ import pytest
 from mskglass import (
     InternalInconsistency,
     ModelSpec,
+    MskGlassError,
     NotConverged,
     TempField,
     Unsupported,
@@ -124,6 +125,26 @@ def test_thresholds_unsupported():
     skew = ModelSpec(delta2=[[1.5, 0.9], [0.9, 1.2]], lam=[0.6, 0.4])
     want = stability_threshold(skew, [0.5, 0.3])
     assert two_species_thresholds(skew, [0.5, 0.3]).beta2_m == pytest.approx(want, rel=1e-14)
+
+
+def test_thresholds_scale_exactly_with_gamma(reference_spec):
+    """Thresholds are homogeneous of degree -1 in gamma, bit for bit, far
+    below the gamma at which 4 g1 g2 d12^2 would underflow."""
+    base = two_species_thresholds(reference_spec, [0.31, 0.22])
+    tiny = two_species_thresholds(reference_spec, np.array([0.31, 0.22]) * 2.0 ** -600)
+    assert tuple(tiny) == tuple(t * 2.0 ** 600 for t in base)
+    with pytest.raises(MskGlassError):
+        two_species_thresholds(reference_spec, [0.0, 0.22])  # gamma underflowed to 0
+    with pytest.raises(MskGlassError):
+        two_species_thresholds(reference_spec, [1e-320, 1e-321])  # thresholds overflow
+
+
+def test_verdict_at_large_field(reference_spec, rule):
+    """At h = 100 gamma is about 1e-174; the thresholds stay ordered and match
+    the eigenvalue oracle."""
+    report = at_verdict(reference_spec, TempField(beta=1.2, h=100.0), rule)
+    assert report.verdict == Verdict.RS_CONSISTENT
+    assert report.beta2_m == pytest.approx(stability_threshold(reference_spec, report.gamma), rel=1e-12)
 
 
 def test_witness_diagonal_cases():

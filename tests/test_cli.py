@@ -68,7 +68,7 @@ def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, rule, referenc
 def test_solve_rs_missing_field(ref_config, capsys):
     assert main(["solve-rs", "--config", ref_config]) == 1  # no beta
     assert main(["solve-rs", "--beta", "0.5"]) == 1  # no model
-    for order in ("0", "400"):  # no Gauss-Hermite rule of that order
+    for order in ("0", "400", "10000000"):  # no Gauss-Hermite rule of that order
         capsys.readouterr()
         assert main(["solve-rs", "--config", ref_config, "--beta", "0.5", "--order", order]) == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -207,6 +207,12 @@ def test_certify_above_and_below(ref_config, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
     assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0,0.5"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+    # a zeta grid of only 1 gives the single-atom value itself: gap exactly 0
+    assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--zeta-grid", "1.0"]) == 2
+    assert "best gap 0.000e+00" in capsys.readouterr().err
+    # at h = 200 the quartic susceptibility underflows to 0
+    assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "200"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
     # a single number in the config is a one-point grid
     single = tmp_path / "single.json"
     single.write_text(json.dumps({**json.loads(open(ref_config).read()), "eps_grid": 0.05, "zeta_grid": 0.9}))

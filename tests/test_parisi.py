@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, rs_functional
+from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField
 from mskglass.parisi import ParisiParams, evaluate
+
+from .oracles import rs_value
 
 
 def test_params_validation():
@@ -18,6 +20,12 @@ def test_params_validation():
         ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4, 0.2], [0.1, 0.3]]))
     with pytest.raises(ValueError):
         ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4], [0.1]]))  # wrong width
+    with pytest.raises(ValueError):
+        ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4, 0.6], [0.1, 1.2]]))  # overlap above 1
+    with pytest.raises(ValueError):
+        ParisiParams(zeta=np.array([0.5]), q=np.array([[0.4, 0.6], [0.1, np.nan]]))
+    with pytest.raises(BadZeta):
+        ParisiParams(zeta=np.array([np.nan]), q=np.zeros((2, 2)))
     with pytest.raises(BadZeta):
         ParisiParams(zeta=np.array([[0.3, 0.6], [0.6, 0.3]]), q=np.zeros((2, 3)))  # one row decreases
     with pytest.raises(BadZeta):
@@ -65,7 +73,7 @@ def test_k0_matches_rs(reference_spec, rule):
     tf = TempField(beta=0.4, h=0.4)
     for q in (np.array([0.1, 0.2]), np.array([0.35, 0.3]), np.zeros(2)):
         params = ParisiParams(zeta=np.zeros(0), q=q[:, None])
-        assert abs(evaluate(reference_spec, tf, params, rule) - rs_functional(reference_spec, tf, q, rule)) < 1e-9
+        assert abs(evaluate(reference_spec, tf, params, rule) - rs_value(reference_spec, tf.beta, tf.h, q)) < 1e-9
 
 
 def test_beta_to_zero(reference_spec, rule):

@@ -31,6 +31,16 @@ def test_functional_sk_reduction_matches_single_species(sk_spec, rule):
         assert abs(ours - single_species_rs_value(beta, h, q)) < 1e-10
 
 
+def test_functional_batch_matches_single_rows(reference_spec, rule):
+    tf = TempField(beta=0.9, h=0.3)
+    qs = np.array([[0.0, 0.0], [0.2, 0.5], [0.7, 0.3], [1.0, 1.0]])
+    batched = rs_functional(reference_spec, tf, qs, rule)
+    assert batched.shape == (4,)
+    singles = [rs_functional(reference_spec, tf, q, rule) for q in qs]
+    assert all(isinstance(v, float) for v in singles)
+    np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
+
+
 def test_gradient_zero_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
     sol = solve_fixed_point(reference_spec, tf, rule)
