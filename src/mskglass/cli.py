@@ -302,6 +302,7 @@ def cmd_solve_rs(cfg: dict, v: dict) -> int:
         "q_star": sol.q_star,
         "coupling": sol.coupling,
         "residual": sol.residual,
+        "error": sol.error,
         "iterations": sol.iterations,
         "converged": sol.converged,
         "on_boundary": sol.on_boundary,
@@ -317,22 +318,20 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
     spec, rule, h_values = _model_spec(v, standard=True), v["order"], v["h_range"]
 
     rows = []
-    previous = None
+    previous = None  # the last h's line point: the next h's Newton start
     spacing = h_values[1] - h_values[0] if h_values.size > 1 else 0.0
     for h in h_values:
         try:
-            beta = at_line_beta(spec, float(h), rule)
-            rows.append((h, beta, "ok"))
-            if previous is not None and spacing > 0 and abs(beta - previous) > 10.0 * spacing:
-                _log.warning(
-                    "boundary jump %.3g at h = %.6g exceeds 10x the grid resolution",
-                    abs(beta - previous),
-                    h,
-                )
-            previous = beta
-        except NotConverged:
-            rows.append((h, math.nan, "bracket-failure"))
+            point = at_line_beta(spec, float(h), rule, start=previous)
+        except MskGlassError as exc:
+            rows.append((h, math.nan, "bracket-failure" if isinstance(exc, NotConverged) else "numerical-failure"))
             previous = None
+            continue
+        rows.append((h, point.beta, "ok"))
+        jump = abs(point.beta - previous.beta) if previous is not None else 0.0
+        if jump > 10.0 * spacing:
+            _log.warning("boundary jump %.3g at h = %.6g exceeds 10x the grid resolution", jump, h)
+        previous = point
     _emit_csv(cfg, ("h", "beta_m", "status"), rows, v["out"])
     return 0
 

@@ -136,17 +136,9 @@ class Thresholds(NamedTuple):
     beta2_M: float
 
 
-def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
-    """The five thresholds for two species and a positive weight vector gamma.
-
-    (beta2_m, beta2_M) = 1 / (a + b +- sqrt((a - b)^2 + 4 g1 g2 d12^2)) with
-    a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
-    beta2_u = d11 / (2 (g1 d11^2 + g2 d12^2)), beta2_t likewise.  At gamma =
-    lam beta2_m is the zero-field uniqueness threshold; at gamma the quartic
-    susceptibility it is the phase boundary.  Raises Unsupported for M != 2,
-    and MskGlassError when a gamma entry underflowed to 0 or a threshold
-    overflows float64.
-    """
+def _threshold_terms(spec: ModelSpec, gamma):
+    """(e, g1, g2, a, b, root), (g1, g2) = gamma / 2^e exactly with e the exponent
+    of max(gamma), a = g1 d11, b = g2 d22, root = sqrt((a - b)^2 + 4 g1 g2 d12^2)."""
     if spec.m != 2:
         raise Unsupported("closed-form thresholds exist for two species only")
     gamma = np.asarray(gamma, dtype=float)
@@ -154,23 +146,44 @@ def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
         raise ValueError("gamma must be a positive 2-vector")
     if (gamma == 0).any():
         raise MskGlassError(f"quartic susceptibility underflowed to 0 (gamma = {gamma})")
-    # Thresholds scale as 1/gamma: evaluate at gamma / 2^e (exact, and no
-    # underflow of 4 g1 g2 d12^2 at large h), then divide by 2^e, bit for bit.
     e = math.frexp(float(gamma.max()))[1]
     g1, g2 = math.ldexp(float(gamma[0]), -e), math.ldexp(float(gamma[1]), -e)
+    a, b = g1 * spec.delta2[0, 0], g2 * spec.delta2[1, 1]
+    return e, g1, g2, a, b, math.sqrt((a - b) ** 2 + 4.0 * g1 * g2 * spec.delta2[0, 1] ** 2)
+
+
+def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
+    """The five thresholds for two species and a positive weight vector gamma.
+
+    (beta2_m, beta2_M) = 1 / (a + b +- sqrt((a - b)^2 + 4 g1 g2 d12^2)) with
+    a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
+    beta2_u = d11 / (2 (g1 d11^2 + g2 d12^2)), beta2_t likewise.  At gamma =
+    lam beta2_m is the zero-field uniqueness threshold; at gamma the quartic
+    susceptibility it is the phase boundary.  Thresholds scale as 1/gamma:
+    they are evaluated at gamma / 2^e (exact, and no underflow of
+    4 g1 g2 d12^2 at large h), then divided by 2^e, bit for bit; one beyond
+    the float64 range (gamma subnormal, h of about 180 or more) is inf.
+    Raises Unsupported for M != 2, and MskGlassError when a gamma entry
+    underflowed to 0.
+    """
+    e, g1, g2, a, b, root = _threshold_terms(spec, gamma)
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
-    a, b = g1 * d11, g2 * d22
-    root = math.sqrt((a - b) ** 2 + 4.0 * g1 * g2 * d12 * d12)
-    try:
-        return Thresholds._make(math.ldexp(float(t), -e) for t in (
-            d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
-            d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
-            1.0 / (2.0 * (a + b)),
-            1.0 / (a + b + root),
-            math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
-        ))
-    except OverflowError:
-        raise MskGlassError(f"thresholds overflow float64 at gamma = {gamma}") from None
+    return Thresholds._make(math.ldexp(t, -e) if math.frexp(t)[1] <= 1024 + e else math.inf for t in (
+        d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
+        d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
+        1.0 / (2.0 * (a + b)),
+        1.0 / (a + b + root),
+        math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
+    ))
+
+
+def inverse_beta2_m(spec: ModelSpec, gamma) -> tuple[float, np.ndarray]:
+    """1 / beta2_m = a + b + root, finite at any gamma, and its gradient in
+    gamma (one-sided where root = 0: d12 = 0 and a = b)."""
+    e, g1, g2, a, b, root = _threshold_terms(spec, gamma)
+    d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
+    skew, cross = ((a - b) / root, 2.0 * d12 * d12 / root) if root > 0 else (0.0, 0.0)
+    return math.ldexp(a + b + root, e), np.array([d11 * (1.0 + skew) + cross * g2, d22 * (1.0 - skew) + cross * g1])
 
 
 class Contractions(NamedTuple):

@@ -11,29 +11,30 @@ k = 0 case of the hierarchical functional, which `rs_functional` evaluates
 through `parisi.evaluate`.  A critical point solves the self-consistency
 system
 
-    q_s = E tanh^2(beta eta sqrt(C_s) + h),
+    q_s = T_s(q) = E tanh^2(beta eta sqrt(C_s) + h).
 
-which the solver iterates from three starts by the plain step q <- T(q),
-clipped to the box; near q* the map contracts (Jacobian spectral radius
-below 0.77 on the README phase-diagram grid).  The three starts run as one
-batch through the map, each row frozen once it converges, so a solve costs
-as many map calls as its slowest start takes iterations.  For two species
-with delta2 positive definite, or all entries equal, the critical point is
-unique whenever h > 0 or beta^2 is below the closed-form threshold
-`uniqueness_threshold`; outside that regime all distinct limits found are
-reported and the functional value is the minimum over them (a heuristic,
-flagged via `guaranteed_unique`); the functional is evaluated only then.
+`map_derivatives` gives T, gamma and their derivatives in q and beta from
+one pass over the nodes, exact for the discrete sums.  The solver takes the
+plain step q <- T(q) until the Jacobian J of T has spectral radius below 1,
+then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
+that correction, its error estimate, is at most tol.  For two species with
+delta2 positive definite, or all entries equal, the critical point is
+unique whenever h > 0 or beta^2 is below `uniqueness_threshold`, and one
+start suffices; elsewhere three starts run, and the functional value is the
+minimum over their distinct limits (a heuristic, flagged via
+`guaranteed_unique`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, InternalInconsistency, NotConverged
+from .errors import BadDimension, NotConverged
 from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule, cavity_expect
@@ -48,14 +49,17 @@ _BOUNDARY_TOL = 1e-12
 class RSSolution:
     """Converged critical point and solver diagnostics.
 
-    `coupling` is the induced per-species contraction 2 sum_t delta2_st lam_t
-    q_t at the fixed point; `candidates` lists every distinct limit the
-    multistart found (a single entry whenever uniqueness is guaranteed).
+    `coupling` is 2 sum_t delta2_st lam_t q_t and `gamma` the quartic
+    susceptibility at q_star; `error` is the last Newton correction, which
+    q_star includes, so its own error is of the order of error^2;
+    `candidates` lists every distinct limit the starts reached.
     """
 
     q_star: np.ndarray
     coupling: np.ndarray
+    gamma: np.ndarray
     residual: float
+    error: float
     iterations: int
     converged: bool
     on_boundary: np.ndarray
@@ -63,16 +67,63 @@ class RSSolution:
     guaranteed_unique: bool
 
 
-def fixed_point_map(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.ndarray:
-    """Self-consistency map T_s(q) = E tanh^2(beta eta sqrt(C_s(q)) + h).
+class MapDerivatives(NamedTuple):
+    """T(q) and gamma(q), shape (..., M), their q-derivatives (..., M, M) and beta-derivatives."""
 
-    Accepts batched input of shape (..., M).
-    """
+    t: np.ndarray
+    dt_dq: np.ndarray  # the Jacobian J
+    dt_dbeta: np.ndarray
+    gamma: np.ndarray
+    dgamma_dq: np.ndarray
+    dgamma_dbeta: np.ndarray
+
+
+def fixed_point_map(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.ndarray:
+    """Self-consistency map T_s(q) = E tanh^2(beta eta sqrt(C_s(q)) + h), for q of shape (..., M)."""
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.m:
         raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
     coupling = 2.0 * ((q * spec.lam) @ spec.delta2)
     return cavity_expect(lambda y: np.tanh(y) ** 2, rule, tf.beta, coupling, tf.h)
+
+
+def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDerivatives:
+    """T_s = sum_i w_i tanh^2(y_si) and gamma_s = lam_s sum_i w_i sech^4(y_si),
+    y_si = beta sqrt(C_s(q)) z_i + h, with their derivatives in q and beta.
+
+    Each derivative is the chain rule on the discrete sum: for f = tanh^2 or
+    sech^4, d/dbeta = sqrt(C) sum w f'(y) z and d/dC = beta sum w f'(y) z /
+    (2 sqrt C), whose limit at C = 0 is (beta^2/2) f''(h); dC_s/dq_t =
+    2 delta2_st lam_t.  sech^2 = 4e / (1 + e)^2 with e = exp(-2|y|) keeps its
+    relative precision at any field.  T is bit-equal to `fixed_point_map`.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1] != spec.m:
+        raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
+    beta, h = tf.beta, tf.h
+    root = np.sqrt(np.maximum(2.0 * ((q * spec.lam) @ spec.delta2), 0.0))
+    y = (beta * root)[..., None] * rule.nodes + h
+    t = np.tanh(y)
+    e = np.exp(-2.0 * np.abs(y))
+    u = e * (2.0 / (1.0 + e)) ** 2  # sech^2
+    tu, wz = t * u, rule.weights * rule.nodes
+    f1z, g1z = 2.0 * (tu @ wz), -4.0 * ((tu * u) @ wz)  # sum w f'(y) z for tanh^2, sech^4
+    slope = 0.5 * beta / np.where(root > 0, root, math.inf)
+    dt_dc, dg_dc = slope * f1z, slope * g1z
+    if not root.all():  # the C = 0 limit
+        th, eh = math.tanh(h), math.exp(-2.0 * h)
+        uh = eh * (2.0 / (1.0 + eh)) ** 2
+        dt_dc[root == 0] = beta * beta * uh * (uh - 2.0 * th * th)
+        dg_dc[root == 0] = beta * beta * uh * uh * (8.0 * th * th - 2.0 * uh)
+    dc_dq = 2.0 * spec.delta2 * spec.lam
+    return MapDerivatives(
+        t=(t * t) @ rule.weights,
+        dt_dq=dt_dc[..., None] * dc_dq,
+        dt_dbeta=root * f1z,
+        gamma=spec.lam * ((u * u) @ rule.weights),
+        dgamma_dq=(spec.lam * dg_dc)[..., None] * dc_dq,
+        dgamma_dbeta=spec.lam * root * g1z,
+    )
 
 
 def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule):
@@ -91,87 +142,65 @@ def _uniqueness_guaranteed(spec: ModelSpec, tf: TempField) -> bool:
     return two_species_standard(spec) and (tf.h > 0 or tf.beta ** 2 < uniqueness_threshold(spec))
 
 
-class _Run(NamedTuple):
-    q: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
+_Run = namedtuple("_Run", "q gamma residual error iterations converged")
 
 
-def _iterate(spec, tf, rule, starts, tol, max_iter) -> list[_Run]:
-    """Step every start (rows of `starts`) at once; a row leaves the batch
-    when its residual drops below tol, so its iterates match a lone run."""
-    q = np.clip(np.asarray(starts, dtype=float), 0.0, 1.0)
-    residual = np.full(len(q), math.inf)
-    iterations = np.full(len(q), max_iter)
-    live = np.arange(len(q))
+def _run(spec, tf, rule, q, tol, max_iter) -> _Run:
+    """Iterate from q until the Newton correction is at most tol; apply it to q and, to first order, gamma."""
+    newton = False  # plain steps until the spectral radius of J first drops below 1
     for it in range(1, max_iter + 1):
-        target = fixed_point_map(spec, tf, q[live], rule)
-        residual[live] = np.abs(target - q[live]).max(axis=1)
-        done = residual[live] < tol
-        iterations[live[done]] = it
-        q[live[~done]] = np.clip(target[~done], 0.0, 1.0)
-        live = live[~done]
-        if not live.size:
-            break
-    return [_Run(q[i], float(residual[i]), int(iterations[i]), i not in live) for i in range(len(q))]
+        k = map_derivatives(spec, tf, q, rule)
+        r = q - k.t
+        try:
+            step = np.linalg.solve(np.eye(len(q)) - k.dt_dq, r)
+        except np.linalg.LinAlgError:  # I - J singular: J has eigenvalue 1
+            step = np.full_like(q, math.inf)
+        error = float(np.abs(step).max())
+        residual = float(np.abs(r).max())
+        if error <= tol:
+            return _Run(np.clip(q - step, 0.0, 1.0), k.gamma - k.dgamma_dq @ step, residual, error, it, True)
+        newton = newton or np.abs(np.linalg.eigvals(k.dt_dq)).max() < 1.0
+        q = np.clip(q - step if newton else k.t, 0.0, 1.0)
+    return _Run(q, k.gamma, residual, error, max_iter, False)
 
 
 def solve_fixed_point(
-    spec: ModelSpec,
-    tf: TempField,
-    rule: QuadRule,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    spec: ModelSpec, tf: TempField, rule: QuadRule, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> RSSolution:
-    """Multistart fixed-point iteration of the self-consistency system.
+    """Solve the self-consistency system: plain steps where the map expands,
+    Newton where it contracts.
 
-    Starts from the zero vector, the all-ones vector and the decoupled value
-    tanh^2(h), iterated together as one batch.  Each run steps q <- T(q),
-    clipped to the box, and converges when the sup-norm residual |T(q) - q|
-    falls below `tol`.  When the uniqueness hypotheses hold, distinct limits
-    raise InternalInconsistency (a bug signal); otherwise every distinct
-    limit is reported in `candidates` and `q_star` minimizes the functional
-    over them.
-    Raises NotConverged when no start converges within `max_iter`.
+    Where the critical point is unique one start suffices: the all-ones
+    vector for h > 0, where the map contracts for all but the smallest
+    fields, and the exact q* = 0 at h = 0.  Elsewhere the zero vector, the
+    all-ones vector and the decoupled value tanh^2(h) are each iterated.  A
+    run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
+    most `tol`, and returns the corrected point.  Every distinct limit is
+    reported in `candidates`, and `q_star` minimizes the functional over them.
+    Raises NotConverged when no start converges within `max_iter` iterations.
     """
-    m = spec.m
-    starts = [np.zeros(m), np.ones(m), np.full(m, math.tanh(tf.h) ** 2)]
-
-    runs = _iterate(spec, tf, rule, starts, tol, max_iter)
+    guaranteed = _uniqueness_guaranteed(spec, tf)
+    starts = [0.0, 1.0, math.tanh(tf.h) ** 2]
+    if guaranteed:
+        starts = starts[1:2] if tf.h > 0 else starts[:1]
+    runs = [_run(spec, tf, rule, np.full(spec.m, start), tol, max_iter) for start in starts]
     converged = [r for r in runs if r.converged]
     if not converged:
-        best = min(runs, key=lambda r: r.residual)
-        raise NotConverged(
-            f"no start converged within {max_iter} iterations (best residual {best.residual:.3e})",
-            last_iterate=best.q,
-            residual=best.residual,
-            iterations=best.iterations,
-        )
+        best = min(runs, key=lambda r: r.error)
+        raise NotConverged(f"no start converged within {max_iter} iterations (best error estimate {best.error:.3e})",
+                           last_iterate=best.q, residual=best.residual, iterations=best.iterations)
 
     distinct: list[_Run] = []
     for run in converged:
         if all(np.abs(run.q - other.q).max() > _DISTINCT_TOL for other in distinct):
             distinct.append(run)
 
-    guaranteed = _uniqueness_guaranteed(spec, tf)
-    if guaranteed and len(distinct) > 1:
-        raise InternalInconsistency(
-            f"{len(distinct)} distinct limits found although uniqueness is guaranteed"
-        )
-
-    winner = distinct[0]
+    win = distinct[0]
     if len(distinct) > 1:
-        winner = distinct[int(np.argmin(rs_functional(spec, tf, np.array([r.q for r in distinct]), rule)))]
-    coupling = overlap_contractions(spec, winner.q).species
-    on_boundary = (winner.q <= _BOUNDARY_TOL) | (winner.q >= 1.0 - _BOUNDARY_TOL)
+        win = distinct[int(np.argmin(rs_functional(spec, tf, np.array([r.q for r in distinct]), rule)))]
     return RSSolution(
-        q_star=winner.q,
-        coupling=coupling,
-        residual=winner.residual,
-        iterations=winner.iterations,
-        converged=True,
-        on_boundary=on_boundary,
-        candidates=tuple(r.q for r in distinct),
-        guaranteed_unique=guaranteed,
+        q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,
+        error=win.error, iterations=win.iterations, converged=True,
+        on_boundary=(win.q <= _BOUNDARY_TOL) | (win.q >= 1.0 - _BOUNDARY_TOL),
+        candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed,
     )

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's Gauss-Hermite path:
 expectations go through scipy's adaptive quadrature, fixed points through
 scalar bisection, derivatives through finite differences, thresholds through
-an eigenvalue.  The two exceptions are the closed-form derivatives
-`rs_gradient` and `zeta_derivative`, which take the library's rule: the tests
-hold them against finite differences of the library's functionals, so they
-live here rather than in the package.  The Monte Carlo
+an eigenvalue.  The exceptions take the library's rule: the closed-form
+derivatives `rs_gradient` and `zeta_derivative`, which the tests hold against
+finite differences of the library's functionals, and `at_line_bisection`,
+the root of the discrete phase-line function by plain bisection on solves
+run to 1e-15.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.
 """
@@ -285,6 +286,26 @@ def rs_gradient(spec, tf, q, rule):
     q = np.asarray(q, dtype=float)
     defect = q - fixed_point_map(spec, tf, q, rule)
     return tf.beta ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
+
+
+def at_line_bisection(spec, h, rule):
+    """beta_m at field h: bisection, down to adjacent floats, on
+    g(beta) = beta^2 - beta2_m(beta), each g from a solve at tol 1e-15 and
+    gamma from its own sech^4 pass, bracketed by doubling from beta = 1."""
+    from mskglass import TempField, quartic_susceptibility, solve_fixed_point, two_species_thresholds
+
+    def g(beta):
+        tf = TempField(beta=beta, h=h)
+        sol = solve_fixed_point(spec, tf, rule, tol=1e-15)
+        return beta * beta - two_species_thresholds(spec, quartic_susceptibility(spec, tf, sol, rule)).beta2_m
+
+    lo, hi = 1e-3, 1.0
+    while g(hi) < 0:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def zeta_derivative(spec, tf, q_star, p, rule):

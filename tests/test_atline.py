@@ -5,6 +5,7 @@ import pytest
 
 from mskglass import (
     InternalInconsistency,
+    LinePoint,
     ModelSpec,
     MskGlassError,
     NotConverged,
@@ -20,8 +21,8 @@ from mskglass import (
     two_species_thresholds,
     uniqueness_threshold,
 )
-from mskglass import atline
-from .oracles import single_species_at_beta, stability_threshold
+from mskglass import atline, rs
+from .oracles import at_line_bisection, single_species_at_beta, stability_threshold
 
 
 def _solved(spec, tf, rule, tol=1e-12):
@@ -135,8 +136,17 @@ def test_thresholds_scale_exactly_with_gamma(reference_spec):
     assert tuple(tiny) == tuple(t * 2.0 ** 600 for t in base)
     with pytest.raises(MskGlassError):
         two_species_thresholds(reference_spec, [0.0, 0.22])  # gamma underflowed to 0
-    with pytest.raises(MskGlassError):
-        two_species_thresholds(reference_spec, [1e-320, 1e-321])  # thresholds overflow
+    # gamma subnormal: every threshold lies beyond float64, and beta^2 below it
+    assert two_species_thresholds(reference_spec, [1e-320, 1e-321]) == (math.inf,) * 5
+
+
+def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
+    """At h = 185 gamma is subnormal and beta2_m is inf or close to the top of
+    the float64 range: the verdict is RS-consistent, not a numerical failure."""
+    for beta in (0.5, 1.2):
+        report = at_verdict(reference_spec, TempField(beta=beta, h=185.0), rule)
+        assert report.verdict == Verdict.RS_CONSISTENT
+        assert report.gamma.min() < 2.3e-308 and report.beta2_m > 1e306
 
 
 def test_verdict_at_large_field(reference_spec, rule):
@@ -257,7 +267,7 @@ def test_verdict_above_and_below_line(reference_spec, rule):
 
 
 def test_verdict_indeterminate_on_the_line(reference_spec, rule):
-    beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
+    beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13).beta
     report = at_verdict(reference_spec, TempField(beta=beta, h=0.3), rule)
     assert report.verdict == Verdict.INDETERMINATE
 
@@ -286,7 +296,7 @@ def test_beta2m_continuity_in_small_field(reference_spec, rule):
 
 
 def test_at_line_sk_matches_classical_oracle(sk_spec, rule):
-    ours = at_line_beta(sk_spec, 0.2, rule)
+    ours = at_line_beta(sk_spec, 0.2, rule).beta
     assert abs(ours - single_species_at_beta(0.2)) < 1e-6
 
 
@@ -295,27 +305,46 @@ def test_at_line_small_field_approaches_closed_form(reference_spec, rule):
     b0 = uniqueness_threshold(reference_spec)
     dev = []
     for h in (0.02, 0.005):
-        beta = at_line_beta(reference_spec, h, rule)
+        beta = at_line_beta(reference_spec, h, rule).beta
         dev.append((beta * beta - b0) / b0)
     assert dev[0] > dev[1] > 0
     assert dev[1] < 0.06
 
 
-def test_at_line_search_cost_and_accuracy(reference_spec, rule, monkeypatch):
-    """At most 16 critical-point solves per h, bracket included, at the default tol."""
-    solves = []
-    solve = atline.solve_fixed_point
+def test_at_line_kernel_calls(reference_spec, rule, monkeypatch):
+    """Bracket solves and Newton steps together make at most 300 kernel
+    calls on the ten README fields (the secant search on plain-iteration
+    solves made 2,368 map calls), cold or warm-started from the previous h."""
+    calls = []
+    for module in (rs, atline):
+        kernel = module.map_derivatives
+        monkeypatch.setattr(module, "map_derivatives", lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    for warm in (False, True):
+        calls.clear()
+        point = None
+        for h in np.linspace(0.1, 1.0, 10):
+            point = at_line_beta(reference_spec, float(h), rule, start=point if warm else None)
+        assert len(calls) <= 300
 
-    def counting(*args, **kwargs):
-        solves.append(args[1])
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(atline, "solve_fixed_point", counting)
-    for h in (0.1, 0.5, 1.0):
-        solves.clear()
-        beta = at_line_beta(reference_spec, h, rule)
-        assert len(solves) <= 16
-        assert abs(beta - at_line_beta(reference_spec, h, rule, tol=1e-13)) < 1e-9
+def test_at_line_safeguard_from_poor_starts(reference_spec, rule):
+    """From starts far from the root, with q near either end of the box,
+    Newton alone leaves the bracket (or lands on beta <= 0); the bisection
+    safeguard brings every run back to the cold-start root."""
+    for h, betas in ((2.0, (1.05, 1.9)), (5.0, (2.1, 3.0, 3.9))):
+        cold = at_line_beta(reference_spec, h, rule).beta
+        for beta in betas:
+            for q in (0.05, 0.5, 0.999):
+                start = LinePoint(beta, np.full(2, q))
+                assert abs(at_line_beta(reference_spec, h, rule, start=start).beta - cold) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.005, 0.05, 0.3])
+def test_at_line_matches_the_tight_bisection(reference_spec, rule, h):
+    """beta_m at the default tol is within 1e-11 of bisection on solves run to
+    1e-15; the secant search on solves stopped at residual 1e-10 was 2.2e-8
+    off at h = 0.005."""
+    assert abs(at_line_beta(reference_spec, h, rule).beta - at_line_bisection(reference_spec, h, rule)) <= 1e-11
 
 
 def test_at_line_bracket_failure(reference_spec, rule):

@@ -12,7 +12,7 @@ import pytest
 
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional, solve_fixed_point
-from mskglass import cli
+from mskglass import atline, cli, rs
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta
@@ -126,12 +126,32 @@ def test_at_line_sk_matches_classical(sk_config, tmp_path):
 
 def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, caplog):
     betas = iter([0.9, 1.5])
-    monkeypatch.setattr(cli, "at_line_beta", lambda spec, h, rule: next(betas))
+    monkeypatch.setattr(cli, "at_line_beta", lambda spec, h, rule, start: mskglass.LinePoint(next(betas), None))
     argv = ["at-line", "--config", ref_config, "--h-range", "0.3,0.31,2", "--out", str(tmp_path / "l.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv) == 0
     assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)]
     assert "boundary jump 0.6 at h = 0.31" in caplog.records[0].getMessage()
+
+
+def test_at_line_warm_rows_equal_cold_calls(ref_config, tmp_path, reference_spec, rule):
+    """Each README row, Newton warm-started from the row before, equals a
+    cold single-h call to 1e-12."""
+    out = tmp_path / "line.csv"
+    assert main(["at-line", "--config", ref_config, "--h-range", "0.1,1.0,10", "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    assert len(rows) == 10 and all(r[2] == "ok" for r in rows)
+    for h, beta, _ in rows:
+        assert abs(float(beta) - mskglass.at_line_beta(reference_spec, float(h), rule).beta) <= 1e-12
+
+
+def test_at_line_keeps_the_rows_after_a_failure(ref_config, tmp_path):
+    """At h = 100 g stays negative up to beta = 64; at h = 400 gamma
+    underflows to 0.  Both rows are reported, and the scan exits 0."""
+    out = tmp_path / "line.csv"
+    assert main(["at-line", "--config", ref_config, "--h-range", "100,400,2", "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    assert rows == [["100", "", "bracket-failure"], ["400", "", "numerical-failure"]]
 
 
 def test_at_line_rejects_zero_field(ref_config):
@@ -433,6 +453,29 @@ def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
         assert (row[4] == "") == (ref[4] == "")
         if ref[4]:
             assert abs(float(row[4]) - float(ref[4])) <= 1e-13
+
+
+def test_readme_scans_kernel_calls(monkeypatch, capsys):
+    """The README phase-diagram scan makes at most 2,000 kernel and map calls
+    (4,975 map calls under plain iteration)."""
+    calls = []
+    for module in (rs, atline):
+        for name in ("map_derivatives", "fixed_point_map"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, fn=fn: calls.append(1) or fn(*args))
+    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
+            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
+    assert main(argv) == 0
+    assert len(calls) <= 2000
+
+
+def test_phase_diagram_where_gamma_is_subnormal(ref_config, capsys):
+    """At h = 185 the thresholds lie at or beyond the float64 range: the rows
+    are RS-consistent and the scan exits 0."""
+    assert main(["phase-diagram", "--config", ref_config, "--beta-range", "0.5,1.2,2", "--h-range", "185,185,1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+    assert [r[2] for r in rows] == ["RS-consistent"] * 2 and rows[0][3] == "inf"
 
 
 def test_model_dimension_mismatch_exits_one():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from mskglass import (
     TempField,
     Unsupported,
     fixed_point_map,
+    map_derivatives,
+    quartic_susceptibility,
     rs_functional,
     solve_fixed_point,
     uniqueness_threshold,
@@ -101,66 +104,119 @@ def test_solver_multistart_above_threshold(reference_spec, rule):
     assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star, rule) - min(values)) < 1e-14
 
 
-def test_every_start_converges_quickly(reference_spec, rule, monkeypatch):
-    """All three starts converge, so the distinct-limits check compares three runs.
+def _counting_kernel(monkeypatch):
+    """Count the solver's kernel calls; returns the list of (beta, h) per call."""
+    calls = []
+    kernel = rs.map_derivatives
 
-    At (0.68, 0.01) beta^2 is above the h = 0 threshold, so the map expands
-    near q = 0 and the 0 and tanh^2 h starts leave it with a rising residual;
-    at (1.2, 0.3) every start takes the plain step to the fixed point quickly.
-    """
-    runs = []
-    iterate = rs._iterate
+    def counting(spec, tf, q, rule):
+        calls.append((tf.beta, tf.h))
+        return kernel(spec, tf, q, rule)
 
-    def recording(*args):
-        batch = iterate(*args)
-        runs.extend(batch)
-        return batch
-
-    monkeypatch.setattr(rs, "_iterate", recording)
-    solve_fixed_point(reference_spec, TempField(beta=0.68, h=0.01), rule)
-    assert len(runs) == 3
-    assert all(run.converged for run in runs)
-
-    runs.clear()
-    solve_fixed_point(reference_spec, TempField(beta=1.2, h=0.3), rule)
-    assert len(runs) == 3
-    assert all(run.converged and run.iterations <= 60 for run in runs)
+    monkeypatch.setattr(rs, "map_derivatives", counting)
+    return calls
 
 
-def test_starts_share_each_map_call(reference_spec, rule, monkeypatch):
-    """The three starts step as one batch: a solve makes as many map calls
-    as its slowest start takes iterations, not the sum over the starts."""
-    calls, runs = [], []
-    step, iterate = rs.fixed_point_map, rs._iterate
-
-    def counting(*args):
-        calls.append(args[2])
-        return step(*args)
-
-    def recording(*args):
-        batch = iterate(*args)
-        runs.extend(batch)
-        return batch
-
-    monkeypatch.setattr(rs, "fixed_point_map", counting)
-    monkeypatch.setattr(rs, "_iterate", recording)
-    solve_fixed_point(reference_spec, TempField(beta=1.2, h=0.3), rule)
-    assert len(runs) == 3 and all(run.converged for run in runs)
-    assert len(calls) <= max(run.iterations for run in runs) + 1
-    assert len(calls) < sum(run.iterations for run in runs)
+def test_one_start_where_unique_and_few_kernel_calls(reference_spec, rule, monkeypatch):
+    """Where the critical point is unique the solver runs one start, and
+    Newton needs few kernel calls: at most 6 at (1.2, 0.3), 10 at (0.68,
+    0.01), where beta^2 is above the h = 0 threshold, and 6 per point on 60
+    points of the README grid (the plain iteration took about 20)."""
+    calls = _counting_kernel(monkeypatch)
+    for beta, h, budget in ((1.2, 0.3, 6), (0.68, 0.01, 10)):
+        calls.clear()
+        sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=h), rule)
+        assert sol.guaranteed_unique and len(sol.candidates) == 1
+        assert len(calls) == sol.iterations <= budget
+    calls.clear()
+    for h in (0.1, 0.5, 1.0):
+        for beta in np.linspace(0.4, 1.6, 20):
+            solve_fixed_point(reference_spec, TempField(beta=float(beta), h=h), rule)
+    assert len(calls) <= 6 * 60
 
 
-def test_batched_runs_match_lone_runs(reference_spec, rule):
-    """Each start's iterate, residual and iteration count are bit-equal to
-    those of the same start iterated alone."""
-    for beta, h in ((1.2, 0.3), (0.68, 0.01), (1.6, 0.9)):
+def test_error_estimate_bounds_the_error(reference_spec, rule):
+    """The reported error estimate |(I - J)^-1 (q - T(q))| is at most tol and
+    bounds the distance to a tol-1e-15 solve, near the line at small h too."""
+    for beta, h in ((1.2, 0.3), (0.66, 0.005), (1.6, 0.9), (0.5, 0.4)):
         tf = TempField(beta=beta, h=h)
-        starts = np.array([[0.0, 0.0], [1.0, 1.0], [math.tanh(h) ** 2] * 2])
-        batch = rs._iterate(reference_spec, tf, rule, starts, rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
-        for start, run in zip(starts, batch):
-            (lone,) = rs._iterate(reference_spec, tf, rule, start[None], rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
-            np.testing.assert_array_equal(run.q, lone.q)
-            assert (run.residual, run.iterations, run.converged) == (lone.residual, lone.iterations, lone.converged)
+        sol = solve_fixed_point(reference_spec, tf, rule)
+        tight = solve_fixed_point(reference_spec, tf, rule, tol=1e-15)
+        assert sol.error <= rs.DEFAULT_TOL and tight.error <= 1e-15
+        assert np.abs(sol.q_star - tight.q_star).max() <= 2.0 * sol.error + 1e-15
+
+
+def test_zero_field_multistart_finds_both_branches(reference_spec, rule, monkeypatch):
+    """Above the h = 0 threshold three starts run: the zero start stays on the
+    paramagnetic branch q = 0 (where the map expands, so the plain step
+    holds it), and the all-ones start reaches the glassy branch."""
+    calls = _counting_kernel(monkeypatch)
+    beta = math.sqrt(2.5 * uniqueness_threshold(reference_spec))
+    sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=0.0), rule)
+    assert not sol.guaranteed_unique
+    assert len(sol.candidates) == 2
+    assert any((c == 0).all() for c in sol.candidates)
+    assert any((c > 0.1).all() for c in sol.candidates)
+    assert len(calls) <= 3 * 10
+
+
+def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
+    """Until the spectral radius of J drops below 1 the solver takes plain
+    steps: from q = 1e-3 at h = 0 above the threshold a run leaves the
+    unstable q = 0 for the glassy branch, to which Newton alone would fall."""
+    tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
+    glassy = max(solve_fixed_point(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
+    run = rs._run(reference_spec, tf, rule, np.full(2, 1e-3), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
+    assert run.converged and np.abs(run.q - glassy).max() < 1e-9
+
+
+def _susceptibility(spec, beta, h, q, rule):
+    """quartic_susceptibility, the separate sech^4 pass, at an arbitrary q,
+    with the coupling formed as in fixed_point_map: at h = 150 a rounding
+    difference in the cavity field moves sech^4 by 1e-13 relative."""
+    tf = TempField(beta=beta, h=h)
+    sol = dataclasses.replace(solve_fixed_point(spec, tf, rule), coupling=2.0 * ((q * spec.lam) @ spec.delta2))
+    return quartic_susceptibility(spec, tf, sol, rule)
+
+
+@pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.6, 0.5), (3.0, 0.05)])
+def test_kernel_derivatives_match_central_differences(reference_spec, rule, beta, h):
+    """The kernel's derivatives in q and beta against central differences of
+    fixed_point_map and of the sech^4 pass, at an interior q and at q = 0,
+    where C = 0 and the q-derivatives take their limit form (one-sided
+    second-order differences there)."""
+    spec, step = reference_spec, 1e-5
+
+    def both(q, b):
+        return np.concatenate([fixed_point_map(spec, TempField(beta=b, h=h), q, rule),
+                               _susceptibility(spec, b, h, q, rule)])
+
+    for q in (np.array([0.43, 0.61]), np.zeros(2)):
+        k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
+        np.testing.assert_array_equal(k.t, fixed_point_map(spec, TempField(beta=beta, h=h), q, rule))
+        if q.any():
+            fd_q = np.column_stack([(both(q + step * e, beta) - both(q - step * e, beta)) / (2.0 * step)
+                                    for e in np.eye(2)])
+        else:
+            one = 0.1 * step
+            fd_q = np.column_stack([(4.0 * both(q + one * e, beta) - both(q + 2.0 * one * e, beta)
+                                     - 3.0 * both(q, beta)) / (2.0 * one) for e in np.eye(2)])
+        fd_beta = (both(q, beta + step) - both(q, beta - step)) / (2.0 * step)
+        np.testing.assert_allclose(np.vstack([k.dt_dq, k.dgamma_dq]), fd_q, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(np.concatenate([k.dt_dbeta, k.dgamma_dbeta]), fd_beta, rtol=1e-7, atol=1e-9)
+
+
+def test_kernel_gamma_matches_the_sech4_pass(reference_spec, rule):
+    """gamma from sech^2 = 4e / (1 + e)^2, e = exp(-2|y|), equals the log-cosh
+    sech^4 pass to 1e-14 relative out to h = 150, where 1 - tanh^2 would
+    have underflowed to 0."""
+    for h in (0.1, 1.0, 10.0, 20.0, 50.0, 100.0, 150.0):
+        for beta in (0.5, 1.2, 3.0):
+            for q in (np.array([0.3, 0.7]), np.array([0.99, 0.98])):
+                k = map_derivatives(reference_spec, TempField(beta=beta, h=h), q, rule)
+                want = _susceptibility(reference_spec, beta, h, q, rule)
+                assert (want > 0).all()
+                np.testing.assert_allclose(k.gamma, want, rtol=1e-14, atol=0)
 
 
 def test_solver_not_converged():
