@@ -15,16 +15,14 @@ from .model import (
     Contractions, ModelSpec, TempField, Thresholds, overlap_contractions, two_species_thresholds,
     validate,
 )
-from .quadrature import DEFAULT_ORDER, QuadRule, cavity_expect, gauss_hermite, log_cosh, sech4
+from .quadrature import DEFAULT_ORDER, QuadRule, gauss_hermite, log_cosh
 from .parisi import ParisiParams
 from .parisi import evaluate as parisi_value
 from .rs import (
-    MapDerivatives, RSSolution, fixed_point_map, map_derivatives, rs_functional, solve_fixed_point,
-    uniqueness_threshold,
+    MapDerivatives, RSSolution, map_derivatives, rs_functional, solve_fixed_point, uniqueness_threshold,
 )
 from .atline import (
-    ATReport, LinePoint, Verdict, at_line_beta, at_verdict, positivity_witness,
-    quartic_susceptibility, stability_matrices,
+    ATReport, Verdict, at_line_beta, at_verdict, positivity_witness, stability_matrices,
 )
 from .onersb import OneRSBCertificate, certify_rsb
 from .simulate import (

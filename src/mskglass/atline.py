@@ -8,15 +8,16 @@ has the closed form
 
 with D the variance matrix, L = diag(lam) and G = diag(gamma) built from the
 species-weighted quartic susceptibility gamma_s = lam_s E sech^4(cavity
-field).  A direction x >= 0 with x' K x > 0 certifies that the single-atom
-value is not optimal.  For two species with D positive definite, or all
-entries equal, the existence of such a direction collapses to the single
-inequality beta^2 > beta2_m, one of the five closed-form thresholds of
-`model.two_species_thresholds`; the AT line in the (beta, h) plane is the
-zero set of beta^2 - beta2_m(beta), found by Newton on (q, beta) inside a
-bisection-safeguarded bracket.  The matrices are built for any M, but
-thresholds, witnesses and verdicts exist only for two species: for three or
-more no closed form is known and they raise Unsupported.
+field) that the solver returns.  A direction x >= 0 with x' K x > 0
+certifies that the single-atom value is not optimal.  For two species with D
+positive definite, or all entries equal, the existence of such a direction
+collapses to the single inequality beta^2 > beta2_m, one of the five
+closed-form thresholds of `model.two_species_thresholds`; the AT line in the
+(beta, h) plane is the zero set of beta^2 - beta2_m(beta), found by Newton on
+(q, beta) inside a bisection-safeguarded bracket from the h = 0 threshold up.
+The matrices are built for any M, but thresholds, witnesses and verdicts
+exist only for two species: for three or more no closed form is known and
+they raise Unsupported.
 """
 
 from __future__ import annotations
@@ -24,18 +25,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotConverged, Unsupported
 from .model import ModelSpec, TempField, Thresholds, inverse_beta2_m, two_species_standard, two_species_thresholds
-from .quadrature import QuadRule, cavity_expect, sech4
-from .rs import RSSolution, map_derivatives, solve_fixed_point
+from .quadrature import QuadRule
+from .rs import RSSolution, map_derivatives, solve_fixed_point, uniqueness_threshold
 
 _WITNESS_REL_TOL = 1e-14
 _VERDICT_BAND = 1e-12
-_BETA_LO = 1e-3  # lower end of every AT-line bracket
+_LINE_DOUBLINGS = 6  # the upper bracket end stays at most 128 x sqrt(uniqueness_threshold)
 _LINE_MAX_STEPS = 200
 
 
@@ -65,12 +66,6 @@ class ATReport:
     @property
     def beta2_m(self) -> float:
         return self.thresholds.beta2_m
-
-
-def quartic_susceptibility(spec: ModelSpec, tf: TempField, sol: RSSolution, rule: QuadRule) -> np.ndarray:
-    """gamma_s = lam_s E sech^4(beta eta sqrt(C_s) + h) at the critical point,
-    by a sech^4 pass of its own; the solver's `sol.gamma` comes from its kernel."""
-    return spec.lam * cavity_expect(sech4, rule, tf.beta, sol.coupling, tf.h)
 
 
 def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -186,33 +181,23 @@ def at_verdict(
                     verdict=verdict, witness_x=attached, solution=sol)
 
 
-class LinePoint(NamedTuple):
-    """A point of the phase line at one field: beta_m and the critical point there."""
-
-    beta: float
-    q_star: np.ndarray
-
-
-def at_line_beta(
-    spec: ModelSpec, h: float, rule: QuadRule, tol: float = 1e-10, beta_max: float = 64.0,
-    start: Optional[LinePoint] = None,
-) -> LinePoint:
+def at_line_beta(spec: ModelSpec, h: float, rule: QuadRule, tol: float = 1e-10) -> float:
     """Locate the phase boundary as the zero of g(beta) = beta^2 - beta2_m(beta).
 
-    A doubling bracket comes first, each end one critical-point solve:
-    g(1e-3) < 0 is checked, and the upper end doubles from 1 until g >= 0
-    (NotConverged past `beta_max`).  Inside it Newton runs on (q, beta) for
-    q = T(q; beta), beta^2 / beta2_m(gamma(q; beta)) = 1, with the kernel's
-    derivatives, from `start` if it lies above the last point where g < 0 was
-    seen, else from the upper end.  A step that would leave the bracket or
-    the box, or is not below half the step before last, is replaced by a
-    bisection: a solve at the midpoint halves the bracket (rtsafe).
-
-    Newton stops once its correction is at most `tol` in beta and in q, and
-    returns the corrected point, whose error is of the order of that
-    correction squared: within 1e-11 of bisection on solves run to 1e-15
-    at h = 0.005 to 0.3.
-    Raises Unsupported outside the two-species standard class and for h = 0.
+    gamma_s = lam_s E sech^4 <= lam_s and 1 / beta2_m grows with gamma
+    (`inverse_beta2_m`), so g < 0 below b0 = sqrt(uniqueness_threshold): the
+    bracket's lower end needs no solve.  Its upper end doubles from 2 b0, one
+    critical-point solve each, until g >= 0 (NotConverged past 128 b0), and
+    the lower end follows to the last point where g < 0.  Inside, Newton runs
+    on (q, beta) for q = T(q; beta), beta^2 / beta2_m(gamma(q; beta)) = 1,
+    with the kernel's derivatives, from the upper end.  A step that would
+    leave the bracket or the box, or is not below half the step before last,
+    is replaced by a bisection: a solve at the midpoint halves the bracket
+    (rtsafe).  Newton stops once its correction is at most `tol` in beta and
+    in q, and returns the corrected beta, whose error is of the order of that
+    correction squared: within 1e-11 of bisection on solves run to 1e-15 at
+    h = 0.001 to 5.  Raises Unsupported outside the two-species standard
+    class and for h = 0.
     """
     _require_standard(spec)
     if h <= 0:
@@ -222,18 +207,15 @@ def at_line_beta(
         sol = solve_fixed_point(spec, TempField(beta=beta, h=h), rule)
         return sol.q_star, beta * beta - two_species_thresholds(spec, sol.gamma).beta2_m
 
-    if solved(_BETA_LO)[1] >= 0:
-        raise NotConverged(f"no bracket: g({_BETA_LO}) >= 0")
-    lo, below, hi = _BETA_LO, _BETA_LO, min(1.0, beta_max)
-    q, g = solved(hi)
-    while g < 0:
-        below, hi = hi, 2.0 * hi
-        if hi > beta_max:
-            raise NotConverged(f"no bracket: g(beta) < 0 up to beta = {beta_max}")
+    lo = hi = math.sqrt(uniqueness_threshold(spec))
+    for _ in range(_LINE_DOUBLINGS + 1):
+        lo, hi = hi, 2.0 * hi
         q, g = solved(hi)
+        if g >= 0:
+            break
+    else:
+        raise NotConverged(f"no bracket: g(beta) < 0 up to beta = {hi}")
     beta = hi
-    if start is not None and below < start.beta < hi:
-        beta, q = start.beta, start.q_star
     step_old = step = 2.0 * (hi - lo)  # from an end, a first step may cross the bracket
     jac = np.zeros((3, 3))
     for _ in range(_LINE_MAX_STEPS):
@@ -247,7 +229,7 @@ def at_line_beta(
         except np.linalg.LinAlgError:
             d = np.full(3, math.nan)
         if np.abs(d).max() <= tol:
-            return LinePoint(float(beta - d[2]), q - d[:2])
+            return float(beta - d[2])
         q_next, beta_next = q - d[:2], beta - d[2]
         if lo < beta_next < hi and ((q_next >= 0) & (q_next <= 1)).all() and 2.0 * abs(d[2]) <= step_old:
             q, beta, step_old, step = q_next, beta_next, step, abs(d[2])
@@ -255,6 +237,6 @@ def at_line_beta(
             beta, step_old, step = 0.5 * (lo + hi), step, 0.5 * (hi - lo)
             q, g = solved(beta)
             if step <= tol:
-                return LinePoint(beta, q)
+                return beta
             lo, hi = (beta, hi) if g < 0 else (lo, beta)
     raise NotConverged(f"the phase line at h = {h} took more than {_LINE_MAX_STEPS} steps")

@@ -318,27 +318,30 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
     spec, rule, h_values = _model_spec(v, standard=True), v["order"], v["h_range"]
 
     rows = []
-    previous = None  # the last h's line point: the next h's Newton start
+    previous = None  # beta_m of the row before, if it is ok
     spacing = h_values[1] - h_values[0] if h_values.size > 1 else 0.0
     for h in h_values:
         try:
-            point = at_line_beta(spec, float(h), rule, start=previous)
+            beta = at_line_beta(spec, float(h), rule)
         except MskGlassError as exc:
             rows.append((h, math.nan, "bracket-failure" if isinstance(exc, NotConverged) else "numerical-failure"))
             previous = None
             continue
-        rows.append((h, point.beta, "ok"))
-        jump = abs(point.beta - previous.beta) if previous is not None else 0.0
+        rows.append((h, beta, "ok"))
+        jump = abs(beta - previous) if previous is not None else 0.0
         if jump > 10.0 * spacing:
             _log.warning("boundary jump %.3g at h = %.6g exceeds 10x the grid resolution", jump, h)
-        previous = point
+        previous = beta
     _emit_csv(cfg, ("h", "beta_m", "status"), rows, v["out"])
     return 0
 
 
 def _phase_point(spec: ModelSpec, tf: TempField, rule) -> tuple:
-    """One phase-diagram row: (beta, h, verdict, beta2_m, gap)."""
-    report = at_verdict(spec, tf, rule)
+    """One phase-diagram row (beta, h, verdict, beta2_m, gap); numerical-failure if the verdict fails."""
+    try:
+        report = at_verdict(spec, tf, rule)
+    except MskGlassError:
+        return tf.beta, tf.h, "numerical-failure", None, None
     gap = None
     if report.verdict == Verdict.RSB_CERTIFIED:
         try:
@@ -353,7 +356,8 @@ def cmd_phase_diagram(cfg: dict, v: dict) -> int:
     rows: list = []
     for h in v["h_range"]:
         h_slice = [_phase_point(spec, TempField(beta=float(beta), h=float(h)), rule) for beta in betas]
-        flips = sum(1 for a, b in zip(h_slice, h_slice[1:]) if a[2] != b[2])
+        verdicts = [row[2] for row in h_slice if row[2] != "numerical-failure"]
+        flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
         if flips > 1:
             _log.warning(
                 "verdict flips %d times along the h-slice starting at row %d; expected a single transition",

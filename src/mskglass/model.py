@@ -5,9 +5,10 @@ with species proportions `lam` summing to 1.  Three validation modes exist:
 
 * ``convex``: delta2 positive semidefinite (the regime where the variational
   free-energy formula is proved).
-* ``two-species-standard``: M = 2 with delta2 positive definite -- the class
-  the closed-form temperature thresholds cover, in any scale and species
-  order (the model sees only beta^2 delta2, and a swap only relabels).
+* ``two-species-standard``: M = 2 with delta2 positive definite or all
+  entries equal (the classical reduction) -- the class the closed-form
+  temperature thresholds cover, in any scale and species order (the model
+  sees only beta^2 delta2, and a swap only relabels).
 * ``unchecked``: every check is waived (exploration of non-convex couplings
   such as the bipartite model); the CLI records the mode in every output's
   config.
@@ -110,14 +111,13 @@ def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
     if mode == "two-species-standard":
         holds["two-species"] = spec.m == 2
         if spec.m == 2:
-            holds["variance-product"] = d[0, 0] * d[1, 1] > d[0, 1] * d[0, 1]
+            holds["variance-product"] = d[0, 0] * d[1, 1] > d[0, 1] * d[0, 1] or spec.sk_reduction
     return tuple(name for name, ok in holds.items() if not ok)
 
 
 def two_species_standard(spec: ModelSpec) -> bool:
-    """Two species with delta2 positive definite, or all entries equal (the
-    classical reduction): the class the closed-form thresholds cover."""
-    return spec.m == 2 and (not validate(spec, "two-species-standard") or spec.sk_reduction)
+    """Whether `spec` passes the ``two-species-standard`` validation (module docstring)."""
+    return not validate(spec, "two-species-standard")
 
 
 class Thresholds(NamedTuple):

@@ -4,25 +4,23 @@ Every single-atom quantity in this package is a cavity-field expectation
 
     E f(beta * sqrt(C_s) * eta + h),    eta ~ N(0, 1),
 
-one per species coupling C_s; `cavity_expect` evaluates it for a whole batch
-of couplings at once.  The hierarchical functional (`parisi.py`) nests the
-same rule level by level in the log domain.  Gauss-Hermite nodes are
-rescaled so that the weights integrate against the standard normal measure
-directly:
+one per species coupling C_s.  Gauss-Hermite nodes are rescaled so that the
+weights integrate against the standard normal measure directly:
 
     E f(eta) ~= sum_i w_i f(z_i),    sum_i w_i = 1.
 
-The integrands are entire functions of moderate growth (tanh^2, sech^4,
-log cosh), for which the rule converges spectrally; order 61 is the package
-default.  log cosh is computed as |y| + log1p(exp(-2|y|)) - log 2 and sech^4
-from it, so no integrand overflows for any admissible model parameters.
+Two consumers apply the rule: `rs.map_derivatives`, the one evaluation of
+T = E tanh^2 and gamma = lam E sech^4 with their derivatives, and the
+hierarchical functional (`parisi.py`), which nests it level by level in the
+log domain with the overflow-free `log_cosh`.  The integrands (tanh^2,
+sech^4, log cosh) have poles at y = +-i pi/2, so the rule loses accuracy as
+beta sqrt(C) grows; order 61 is the package default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -73,24 +71,8 @@ def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
     return QuadRule(order=order, nodes=np.sqrt(2.0) * x, weights=w / math.sqrt(math.pi))
 
 
-def cavity_expect(
-    f: Callable[[np.ndarray], np.ndarray], rule: QuadRule, beta: float, coupling, h: float
-) -> np.ndarray:
-    """E f(beta * sqrt(C) * eta + h) for every entry C of `coupling` (shape (...,)).
-
-    Negative couplings (rounding below zero) are read as 0; `f` must be
-    vectorized.  Returns an array of the coupling's shape.
-    """
-    scale = beta * np.sqrt(np.maximum(coupling, 0.0))
-    return f(scale[..., None] * rule.nodes + h) @ rule.weights
-
-
 def log_cosh(y):
     """log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2, free of overflow."""
     a = np.abs(y)
     return a + np.log1p(np.exp(-2.0 * a)) - _LN2
 
-
-def sech4(y):
-    """sech^4(y), computed in log space so large |y| underflows to 0."""
-    return np.exp(-4.0 * log_cosh(y))

@@ -13,7 +13,8 @@ system
 
     q_s = T_s(q) = E tanh^2(beta eta sqrt(C_s) + h).
 
-`map_derivatives` gives T, gamma and their derivatives in q and beta from
+`map_derivatives`, the package's one evaluation of T and of the quartic
+susceptibility gamma, gives both and their derivatives in q and beta from
 one pass over the nodes, exact for the discrete sums.  The solver takes the
 plain step q <- T(q) until the Jacobian J of T has spectral radius below 1,
 then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import BadDimension, NotConverged
 from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
 from .parisi import ParisiParams, evaluate
-from .quadrature import QuadRule, cavity_expect
+from .quadrature import QuadRule
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
@@ -78,15 +79,6 @@ class MapDerivatives(NamedTuple):
     dgamma_dbeta: np.ndarray
 
 
-def fixed_point_map(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> np.ndarray:
-    """Self-consistency map T_s(q) = E tanh^2(beta eta sqrt(C_s(q)) + h), for q of shape (..., M)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != spec.m:
-        raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
-    coupling = 2.0 * ((q * spec.lam) @ spec.delta2)
-    return cavity_expect(lambda y: np.tanh(y) ** 2, rule, tf.beta, coupling, tf.h)
-
-
 def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDerivatives:
     """T_s = sum_i w_i tanh^2(y_si) and gamma_s = lam_s sum_i w_i sech^4(y_si),
     y_si = beta sqrt(C_s(q)) z_i + h, with their derivatives in q and beta.
@@ -95,7 +87,7 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
     sech^4, d/dbeta = sqrt(C) sum w f'(y) z and d/dC = beta sum w f'(y) z /
     (2 sqrt C), whose limit at C = 0 is (beta^2/2) f''(h); dC_s/dq_t =
     2 delta2_st lam_t.  sech^2 = 4e / (1 + e)^2 with e = exp(-2|y|) keeps its
-    relative precision at any field.  T is bit-equal to `fixed_point_map`.
+    relative precision at any field.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.m:

@@ -281,23 +281,24 @@ def fd_gradient_at_minimum(func, dim, delta):
 def rs_gradient(spec, tf, q, rule):
     """Gradient of the single-atom functional in q:
     beta^2 lam_t sum_s delta2_st lam_s (q_s - T_s(q))."""
-    from mskglass import fixed_point_map
+    from mskglass import map_derivatives
 
     q = np.asarray(q, dtype=float)
-    defect = q - fixed_point_map(spec, tf, q, rule)
+    defect = q - map_derivatives(spec, tf, q, rule).t
     return tf.beta ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
 
 
 def at_line_bisection(spec, h, rule):
     """beta_m at field h: bisection, down to adjacent floats, on
     g(beta) = beta^2 - beta2_m(beta), each g from a solve at tol 1e-15 and
-    gamma from its own sech^4 pass, bracketed by doubling from beta = 1."""
-    from mskglass import TempField, quartic_susceptibility, solve_fixed_point, two_species_thresholds
+    gamma from a kernel pass at the solved point, bracketed by doubling
+    from beta = 1."""
+    from mskglass import TempField, map_derivatives, solve_fixed_point, two_species_thresholds
 
     def g(beta):
         tf = TempField(beta=beta, h=h)
         sol = solve_fixed_point(spec, tf, rule, tol=1e-15)
-        return beta * beta - two_species_thresholds(spec, quartic_susceptibility(spec, tf, sol, rule)).beta2_m
+        return beta * beta - two_species_thresholds(spec, map_derivatives(spec, tf, sol.q_star, rule).gamma).beta2_m
 
     lo, hi = 1e-3, 1.0
     while g(hi) < 0:

@@ -5,7 +5,6 @@ import pytest
 
 from mskglass import (
     InternalInconsistency,
-    LinePoint,
     ModelSpec,
     MskGlassError,
     NotConverged,
@@ -15,7 +14,6 @@ from mskglass import (
     at_line_beta,
     at_verdict,
     positivity_witness,
-    quartic_susceptibility,
     solve_fixed_point,
     stability_matrices,
     two_species_thresholds,
@@ -27,7 +25,7 @@ from .oracles import at_line_bisection, single_species_at_beta, stability_thresh
 
 def _solved(spec, tf, rule, tol=1e-12):
     sol = solve_fixed_point(spec, tf, rule, tol=tol)
-    return sol, quartic_susceptibility(spec, tf, sol, rule)
+    return sol, sol.gamma
 
 
 def test_gamma_reduces_to_lam_at_zero_field(reference_spec, rule):
@@ -267,7 +265,7 @@ def test_verdict_above_and_below_line(reference_spec, rule):
 
 
 def test_verdict_indeterminate_on_the_line(reference_spec, rule):
-    beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13).beta
+    beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
     report = at_verdict(reference_spec, TempField(beta=beta, h=0.3), rule)
     assert report.verdict == Verdict.INDETERMINATE
 
@@ -296,7 +294,7 @@ def test_beta2m_continuity_in_small_field(reference_spec, rule):
 
 
 def test_at_line_sk_matches_classical_oracle(sk_spec, rule):
-    ours = at_line_beta(sk_spec, 0.2, rule).beta
+    ours = at_line_beta(sk_spec, 0.2, rule)
     assert abs(ours - single_species_at_beta(0.2)) < 1e-6
 
 
@@ -305,51 +303,51 @@ def test_at_line_small_field_approaches_closed_form(reference_spec, rule):
     b0 = uniqueness_threshold(reference_spec)
     dev = []
     for h in (0.02, 0.005):
-        beta = at_line_beta(reference_spec, h, rule).beta
+        beta = at_line_beta(reference_spec, h, rule)
         dev.append((beta * beta - b0) / b0)
     assert dev[0] > dev[1] > 0
     assert dev[1] < 0.06
 
 
 def test_at_line_kernel_calls(reference_spec, rule, monkeypatch):
-    """Bracket solves and Newton steps together make at most 300 kernel
-    calls on the ten README fields (the secant search on plain-iteration
-    solves made 2,368 map calls), cold or warm-started from the previous h."""
+    """Bracket solves and Newton steps together make at most 230 kernel
+    calls on the twenty README fields (the line bracketed from beta = 1e-3
+    made 308)."""
     calls = []
     for module in (rs, atline):
         kernel = module.map_derivatives
         monkeypatch.setattr(module, "map_derivatives", lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
-    for warm in (False, True):
-        calls.clear()
-        point = None
-        for h in np.linspace(0.1, 1.0, 10):
-            point = at_line_beta(reference_spec, float(h), rule, start=point if warm else None)
-        assert len(calls) <= 300
+    for h in np.linspace(0.05, 1.0, 20):
+        at_line_beta(reference_spec, float(h), rule)
+    assert len(calls) <= 230
 
 
-def test_at_line_safeguard_from_poor_starts(reference_spec, rule):
-    """From starts far from the root, with q near either end of the box,
-    Newton alone leaves the bracket (or lands on beta <= 0); the bisection
-    safeguard brings every run back to the cold-start root."""
-    for h, betas in ((2.0, (1.05, 1.9)), (5.0, (2.1, 3.0, 3.9))):
-        cold = at_line_beta(reference_spec, h, rule).beta
-        for beta in betas:
-            for q in (0.05, 0.5, 0.999):
-                start = LinePoint(beta, np.full(2, q))
-                assert abs(at_line_beta(reference_spec, h, rule, start=start).beta - cold) <= 1e-12
-
-
-@pytest.mark.parametrize("h", [0.005, 0.05, 0.3])
+@pytest.mark.parametrize("h", [0.001, 0.005, 0.05, 0.3, 2.0, 3.0, 5.0])
 def test_at_line_matches_the_tight_bisection(reference_spec, rule, h):
     """beta_m at the default tol is within 1e-11 of bisection on solves run to
-    1e-15; the secant search on solves stopped at residual 1e-10 was 2.2e-8
-    off at h = 0.005."""
-    assert abs(at_line_beta(reference_spec, h, rule).beta - at_line_bisection(reference_spec, h, rule)) <= 1e-11
+    1e-15: at h <= 0.05 and h = 2 the safeguard bisects before Newton takes
+    over, and from h = 2 on the upper end doubles."""
+    assert abs(at_line_beta(reference_spec, h, rule) - at_line_bisection(reference_spec, h, rule)) <= 1e-11
+
+
+@pytest.mark.parametrize("h", [0.001, 0.3, 2.0])
+def test_at_line_scales_with_the_variances(reference_spec, rule, h):
+    """The model sees only beta^2 delta2, and the bracket starts from the h = 0
+    threshold of the model at hand: beta_m(c delta2) = beta_m(delta2) / sqrt(c)
+    over ten decades of c (a bracket from beta = 1e-3 lay above beta_m from
+    c = 1e6 on)."""
+    ref = at_line_beta(reference_spec, h, rule)
+    for c in (1e-2, 4.0, 1e2, 1e6, 1e8):
+        scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
+        assert math.sqrt(c) * at_line_beta(scaled, h, rule) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_at_line_bracket_failure(reference_spec, rule):
-    with pytest.raises(NotConverged):
-        at_line_beta(reference_spec, 0.3, rule, beta_max=0.1)
+    """At h = 100 g stays negative up to 128 sqrt(beta2_m(lambda)), whatever
+    the scale of the variances."""
+    for c in (1.0, 1e6):
+        with pytest.raises(NotConverged):
+            at_line_beta(ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam), 100.0, rule)
 
 
 def _random_pd_spec(rng, min_cross=0.0):

@@ -19,7 +19,8 @@ def test_bipartite_fails_convex_passes_unchecked():
 def test_sk_reduction_flag(sk_spec):
     assert validate(sk_spec, "convex") == ()
     assert sk_spec.sk_reduction
-    assert validate(sk_spec, "two-species-standard") == ("variance-product",)  # product exactly 1, not > 1
+    # product exactly 1, not > 1, yet all entries equal: the classical reduction is standard
+    assert validate(sk_spec, "two-species-standard") == ()
 
 
 def test_standard_class_is_every_positive_definite_pair():
@@ -38,6 +39,7 @@ def test_standard_class_is_every_positive_definite_pair():
     assert not two_species_standard(singular)
     scaled_sk = ModelSpec(delta2=np.full((2, 2), 2.5), lam=[0.3, 0.7])
     assert scaled_sk.sk_reduction and two_species_standard(scaled_sk)
+    assert validate(scaled_sk, "two-species-standard") == ()
     assert not ModelSpec(delta2=np.zeros((2, 2)), lam=[0.5, 0.5]).sk_reduction
 
 

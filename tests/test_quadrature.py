@@ -8,16 +8,18 @@ from mskglass import (
     ModelSpec,
     QuadRule,
     TempField,
-    cavity_expect,
     gauss_hermite,
     log_cosh,
-    sech4,
 )
 from mskglass.parisi import ParisiParams, evaluate
 
 
 def tanh_sq(y):
     return np.tanh(y) ** 2
+
+
+def sech4(y):
+    return np.cosh(y) ** -4.0
 
 
 def _nested_value(outer, inner, h, zeta, rule):
@@ -44,9 +46,9 @@ def test_rule_invariants(rule):
     # node set symmetric about 0
     assert np.abs(np.sort(rule.nodes) + np.sort(rule.nodes)[::-1]).max() < 1e-12
     # first three moments of the standard normal
-    assert abs(cavity_expect(np.ones_like, rule, 1.0, 1.0, 0.0) - 1.0) < 1e-12
-    assert abs(cavity_expect(lambda y: y, rule, 1.0, 1.0, 0.0)) < 1e-12
-    assert abs(cavity_expect(lambda y: y * y, rule, 1.0, 1.0, 0.0) - 1.0) < 1e-12
+    assert abs(np.ones_like(rule.nodes) @ rule.weights - 1.0) < 1e-12
+    assert abs(rule.nodes @ rule.weights) < 1e-12
+    assert abs(rule.nodes ** 2 @ rule.weights - 1.0) < 1e-12
 
 
 def test_rule_construction_rejects_bad_input():
@@ -65,37 +67,37 @@ def test_expect_degenerate_scale(rule):
     # a zero coupling kills the noise regardless of order
     for order in (5, 21, 61):
         r = gauss_hermite(order)
-        got = cavity_expect(tanh_sq, r, 1.0, 0.0, 0.8)
+        got = tanh_sq(0.0 * r.nodes + 0.8) @ r.weights
         assert abs(got - math.tanh(0.8) ** 2) < 1e-15
 
 
 def test_expect_beta_zero(rule):
-    got = cavity_expect(sech4, rule, 0.0, 1.7 ** 2, 0.8)
+    got = sech4(0.0 * 1.7 * rule.nodes + 0.8) @ rule.weights
     assert abs(got - 1.0 / math.cosh(0.8) ** 4) < 1e-15
 
 
 def test_expect_batched_over_couplings(rule):
     couplings = np.array([[0.0, 0.3], [1.1, 2.4]])
-    got = cavity_expect(log_cosh, rule, 0.9, couplings, 0.2)
+    got = log_cosh(0.9 * np.sqrt(couplings)[..., None] * rule.nodes + 0.2) @ rule.weights
     assert got.shape == (2, 2)
     for idx in np.ndindex(2, 2):
-        one = cavity_expect(log_cosh, rule, 0.9, couplings[idx], 0.2)
+        one = log_cosh(0.9 * math.sqrt(couplings[idx]) * rule.nodes + 0.2) @ rule.weights
         assert abs(got[idx] - one) < 1e-15
 
 
 def test_expect_against_frozen_monte_carlo(rule):
     # 10^7-sample oracle, seed 20260810 (tests/oracles.py: mc_log_cosh)
     mc_mean, mc_stderr = 0.129599612080, 4.474e-05
-    got = cavity_expect(log_cosh, rule, 0.5, 0.5, 0.4)
+    got = log_cosh(0.5 * math.sqrt(0.5) * rule.nodes + 0.4) @ rule.weights
     assert abs(got - mc_mean) < 3.0 * mc_stderr
 
 
 def test_expect_cosh_closed_values(rule):
     """E cosh(sigma eta + h) = exp(sigma^2 / 2) cosh(h): the identity behind the
     recursion's closed-form top level."""
-    assert cavity_expect(np.cosh, rule, 1.0, 0.0, 0.0) == 1.0
-    assert abs(cavity_expect(np.cosh, rule, 1.0, 1.0, 0.0) - math.exp(0.5)) < 1e-14
-    quad_value = cavity_expect(np.cosh, rule, 1.0, 0.7 ** 2, 0.3)
+    assert np.cosh(0.0 * rule.nodes) @ rule.weights == 1.0
+    assert abs(np.cosh(rule.nodes) @ rule.weights - math.exp(0.5)) < 1e-14
+    quad_value = np.cosh(0.7 * rule.nodes + 0.3) @ rule.weights
     assert abs(math.exp(0.5 * 0.7 ** 2) * math.cosh(0.3) - quad_value) < 1e-10
 
 
@@ -127,7 +129,7 @@ def test_nested_zeta_one_collapse(rule):
 def test_nested_inner_scale_zero(rule):
     # a zero inner scale leaves E1 log cosh, whatever zeta
     got = _nested_value(0.72, 0.0, 0.4, 0.37, rule)
-    want = cavity_expect(log_cosh, rule, 1.0, 0.72 ** 2, 0.4)
+    want = log_cosh(0.72 * rule.nodes + 0.4) @ rule.weights
     assert abs(got - want) < 1e-12
 
 
@@ -164,7 +166,7 @@ def test_order_doubling_spec_window(rule40, rule80):
     for f in (tanh_sq, sech4, log_cosh):
         for bs in (0.5, 1.0, 2.0, 3.0, 4.0):
             for h in (-4.0, -1.0, 0.0, 1.0, 4.0):
-                a, b = (cavity_expect(f, r, 1.0, bs * bs, h) for r in (rule40, rule80))
+                a, b = (f(bs * r.nodes + h) @ r.weights for r in (rule40, rule80))
                 worst = max(worst, abs(a - b))
     assert worst < 1e-10
 
@@ -174,7 +176,7 @@ def test_order_doubling_calibrated_window(rule40, rule80):
     for f in (tanh_sq, sech4, log_cosh):
         for bs in (0.1, 0.3, 0.5, 0.55):
             for h in (-4.0, 0.0, 0.7, 4.0):
-                a, b = (cavity_expect(f, r, 1.0, bs * bs, h) for r in (rule40, rule80))
+                a, b = (f(bs * r.nodes + h) @ r.weights for r in (rule40, rule80))
                 assert abs(a - b) < 1e-10
 
 
@@ -189,7 +191,7 @@ def test_latala_guerra_monotonicity(rule):
     """x -> E tanh^2(eta sqrt(x) + h) / x strictly decreasing for h > 0."""
     xs = np.linspace(0.1, 20.0, 120)
     for h in (0.1, 1.0):
-        phi = cavity_expect(tanh_sq, rule, 1.0, xs, h) / xs
+        phi = (tanh_sq(np.sqrt(xs)[:, None] * rule.nodes + h) @ rule.weights) / xs
         assert (np.diff(phi) < 0).all()
         assert phi[-1] < phi[0]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +8,7 @@ from mskglass import (
     NotConverged,
     TempField,
     Unsupported,
-    fixed_point_map,
     map_derivatives,
-    quartic_susceptibility,
     rs_functional,
     solve_fixed_point,
     uniqueness_threshold,
@@ -170,30 +167,20 @@ def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
 
-def _susceptibility(spec, beta, h, q, rule):
-    """quartic_susceptibility, the separate sech^4 pass, at an arbitrary q,
-    with the coupling formed as in fixed_point_map: at h = 150 a rounding
-    difference in the cavity field moves sech^4 by 1e-13 relative."""
-    tf = TempField(beta=beta, h=h)
-    sol = dataclasses.replace(solve_fixed_point(spec, tf, rule), coupling=2.0 * ((q * spec.lam) @ spec.delta2))
-    return quartic_susceptibility(spec, tf, sol, rule)
-
-
 @pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.6, 0.5), (3.0, 0.05)])
 def test_kernel_derivatives_match_central_differences(reference_spec, rule, beta, h):
     """The kernel's derivatives in q and beta against central differences of
-    fixed_point_map and of the sech^4 pass, at an interior q and at q = 0,
-    where C = 0 and the q-derivatives take their limit form (one-sided
-    second-order differences there)."""
+    its own T and gamma, at an interior q and at q = 0, where C = 0 and the
+    q-derivatives take their limit form (one-sided second-order differences
+    there)."""
     spec, step = reference_spec, 1e-5
 
     def both(q, b):
-        return np.concatenate([fixed_point_map(spec, TempField(beta=b, h=h), q, rule),
-                               _susceptibility(spec, b, h, q, rule)])
+        k = map_derivatives(spec, TempField(beta=b, h=h), q, rule)
+        return np.concatenate([k.t, k.gamma])
 
     for q in (np.array([0.43, 0.61]), np.zeros(2)):
         k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
-        np.testing.assert_array_equal(k.t, fixed_point_map(spec, TempField(beta=beta, h=h), q, rule))
         if q.any():
             fd_q = np.column_stack([(both(q + step * e, beta) - both(q - step * e, beta)) / (2.0 * step)
                                     for e in np.eye(2)])
@@ -207,15 +194,23 @@ def test_kernel_derivatives_match_central_differences(reference_spec, rule, beta
 
 
 def test_kernel_gamma_matches_the_sech4_pass(reference_spec, rule):
-    """gamma from sech^2 = 4e / (1 + e)^2, e = exp(-2|y|), equals the log-cosh
-    sech^4 pass to 1e-14 relative out to h = 150, where 1 - tanh^2 would
-    have underflowed to 0."""
+    """gamma from sech^2 = 4e / (1 + e)^2, e = exp(-2|y|), equals a 40-digit
+    sum lam_s sum_i w_i sech^4(y_si) at the rule's nodes to 1e-14 relative
+    out to h = 150, where 1 - tanh^2 would have underflowed to 0.  The
+    cavity fields y are formed in float64 as the kernel forms them: at
+    h = 150 one rounding of y moves sech^4 by 1e-13 relative."""
+    import mpmath as mp
+
+    spec = reference_spec
     for h in (0.1, 1.0, 10.0, 20.0, 50.0, 100.0, 150.0):
         for beta in (0.5, 1.2, 3.0):
             for q in (np.array([0.3, 0.7]), np.array([0.99, 0.98])):
-                k = map_derivatives(reference_spec, TempField(beta=beta, h=h), q, rule)
-                want = _susceptibility(reference_spec, beta, h, q, rule)
-                assert (want > 0).all()
+                k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
+                ys = (beta * np.sqrt(2.0 * ((q * spec.lam) @ spec.delta2)))[:, None] * rule.nodes + h
+                with mp.workdps(40):
+                    want = [float(lam * mp.fsum(mp.mpf(w) * mp.sech(mp.mpf(y)) ** 4 for w, y in zip(rule.weights, row)))
+                            for lam, row in zip(spec.lam, ys)]
+                assert min(want) > 0
                 np.testing.assert_allclose(k.gamma, want, rtol=1e-14, atol=0)
 
 
@@ -261,7 +256,7 @@ def test_contraction_certificate(reference_spec, sk_spec, rule):
         worst = 0.0
         for _ in range(200):
             qa, qb = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
-            num = np.abs(fixed_point_map(spec, tf, qa, rule) - fixed_point_map(spec, tf, qb, rule)).max()
+            num = np.abs(map_derivatives(spec, tf, qa, rule).t - map_derivatives(spec, tf, qb, rule).t).max()
             worst = max(worst, num / np.abs(qa - qb).max())
         assert worst < 1.0
 
