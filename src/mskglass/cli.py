@@ -324,7 +324,9 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
         try:
             beta = at_line_beta(spec, float(h), rule)
         except MskGlassError as exc:
-            rows.append((h, math.nan, "bracket-failure" if isinstance(exc, NotConverged) else "numerical-failure"))
+            status = "bracket-failure" if isinstance(exc, NotConverged) else "numerical-failure"
+            _log.warning("%s at h = %.6g: %s", status, h, exc)
+            rows.append((h, math.nan, status))
             previous = None
             continue
         rows.append((h, beta, "ok"))
@@ -340,7 +342,8 @@ def _phase_point(spec: ModelSpec, tf: TempField, rule) -> tuple:
     """One phase-diagram row (beta, h, verdict, beta2_m, gap); numerical-failure if the verdict fails."""
     try:
         report = at_verdict(spec, tf, rule)
-    except MskGlassError:
+    except MskGlassError as exc:
+        _log.warning("numerical-failure at (beta, h) = (%.6g, %.6g): %s", tf.beta, tf.h, exc)
         return tf.beta, tf.h, "numerical-failure", None, None
     gap = None
     if report.verdict == Verdict.RSB_CERTIFIED:

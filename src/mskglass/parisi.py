@@ -15,18 +15,35 @@ out in closed form, log E cosh(y + s eta) = log cosh y + s^2 / 2, so k = 0 is
 the single-atom and k = 1 the one-step functional; nothing else evaluates them.
 Each X_l^s depends on the noise only through the accumulated field, so the
 remaining k + 1 levels are evaluated bottom-up on the tensor grid of
-quadrature nodes while holding at most an order x order slice in memory.
-Cost grows as order**(k+1); levels k <= 3 are practical at moderate order
-and nothing is ever truncated.  Levels whose overlap increment vanishes are
-integrated out exactly (the reduction is the identity there), which keeps
-coalesced ladders bit-stable.  A batch of Z weight vectors shares every
-log-cosh grid and runs through the recursion as one; a batch of E ladders
-shares one pass of contractions, increments and the weight correction, so a
-whole (E x Z) scan costs one call with one validation.
+quadrature nodes.  The two innermost levels are formed for a chunk of
+(ladder, species) rows at once, with one exponential per (weight vector,
+node pair); outer levels recurse node by node.  Peak memory is one chunk,
+about 80,000 floats (or one row's Z x order x order if larger), whatever
+k, and cost grows as order**(k+1), so levels k <= 3 are practical at
+moderate order.  Each log E e^{zeta X} is centred on the weighted mean of
+X and, for zeta < 1/2, summed through expm1, so 1/zeta does not amplify
+its rounding (`_log_mean_exp`).
+
+Nodes too light to matter are skipped (`_kept`).  Each X_l is 1-Lipschitz
+in the field, so a log-sum-exp level drops a node whose term stays below
+2^-64 zeta of the heaviest node's even after the largest factor the field
+can give it, and the plain-mean level drops a node whose weight times a
+bound on |X_1| is below 2^-64.  A level then moves by at most
+order * 2^-64 of its value (absolutely, at the mean).  At order 61 the
+certificate scan keeps about 55% of its node pairs; once beta sqrt(C) is
+large (about 4 at order 61) the log-sum-exp level keeps every node.
+
+Levels whose overlap increment vanishes are integrated out exactly (the
+reduction is the identity there), which keeps coalesced ladders
+bit-stable.  A batch of Z weight vectors shares every log-cosh grid and
+runs through the recursion as one; a batch of E ladders shares one pass of
+contractions, increments and the weight correction, so a whole (E x Z)
+scan costs one call with one validation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +55,9 @@ from .quadrature import QuadRule, log_cosh
 
 _LOG2 = math.log(2.0)
 _INCREMENT_TOL = 1e-12
+_EXP_LIMIT = 700.0  # e^700 times any order's node count stays inside float64
+_NEGLIGIBLE = 2.0**-64  # share of a level's value a skipped node may carry
+_CHUNK_FLOATS = 80_000  # exponentials held at once: 2 rows of a 10-weight scan at order 61
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,30 @@ class ParisiParams:
         return self.q.shape[-2]
 
 
+def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/z) log sum_j w_j e^{z x_j} over the last axis of `x`, one row per
+    exponent z in `zeta` (shape (Z,)); `x` leads with an axis of length Z or 1
+    and `peak` (x's shape with a last axis of 1) bounds it from above.
+
+    x is first centred on its weighted mean m, so the sum S of e^{z (x - m)}
+    is at least about 1 (Jensen); where x reaches more than _EXP_LIMIT above
+    m the centre moves up, so no exponential overflows.  1/z amplifies the
+    absolute rounding error of log S, so below z = 1/2 S - 1 is formed
+    without cancellation as sum_j w_j expm1(z (x_j - m)) + (sum_j w_j - 1)
+    and passed to log1p; from 1/2 on the faster exp is as accurate.
+    """
+    centre = np.maximum(x @ w, peak[..., 0] - _EXP_LIMIT)[..., None]
+    z = zeta.reshape((-1,) + (1,) * (x.ndim - 1))
+    e = z * (x - centre)
+    if zeta.min() < 0.5:
+        np.expm1(e, out=e)
+        log_s = np.log1p(e @ w + math.fsum(w.tolist() + [-1.0]))
+    else:
+        np.exp(e, out=e)
+        log_s = np.log(e @ w)
+    return log_s / z[..., 0] + centre[..., 0]
+
+
 def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Integrate the last axis, one row per exponent in `zeta` (shape (Z,)):
     a plain mean where all are 0 (the outermost level), else (1/z) log E e^{z x}.
@@ -94,47 +138,58 @@ def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if not zeta.any():
         return values @ w
-    z = zeta.reshape((-1,) + (1,) * (values.ndim - 1))
-    # z > 0 preserves order under rounding, so this is the max of z * values
-    top = z * values.max(axis=-1, keepdims=True)
-    a = z * values
-    a -= top
-    np.exp(a, out=a)
-    return (np.log(a @ w) + top[..., 0]) / z[..., 0]
+    return _log_mean_exp(values, values.max(axis=-1, keepdims=True), zeta, w)
 
 
-def _x_zero(h: float, beta: float, increments: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> np.ndarray:
-    """Backward recursion for one species, as a function of accumulated field.
+def _kept(rule: QuadRule, zeta: np.ndarray, widest: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Masks (C x order) of the nodes of one level worth summing, for C chunks
+    of rows whose largest noise amplitudes at this level are `widest` (C,).
 
-    Level l (outermost first) has noise amplitude beta * sqrt(increments[l]),
-    with increments[l] = Q_{l+1}^s - Q_l^s, and column l of `zetas` (Z x
-    levels) holds the exponents applied when it is integrated out.  The last
-    level (zeta = 1) contributes its closed form beta^2 increments[-1] / 2; of
-    the others, zero-scale levels drop out exactly.  The two innermost active
-    levels are vectorized; outer levels recurse node by node, so peak memory
-    is Z * order**2 regardless of k.  Returns shape (Z,), or (1,) when no
-    active level depends on the weights.
+    Every X_l is 1-Lipschitz in the accumulated field, so at a log-sum-exp
+    level node j's term is at most w_j e^{s (|z_j| + |z_c|)} / w_c times that
+    of the heaviest node c, and j is dropped when that is below
+    2^-64 zeta_min.  At the plain-mean level |X_1| <= `reach` + s |z_i|, with
+    `reach` |h| plus the deeper levels' scales times max |z|, and node i is
+    dropped when w_i (1 + reach + s |z_i|) < 2^-64.  A log-sum-exp level
+    then moves by at most order * 2^-64 of its value, the mean by at most
+    order * 2^-64.
     """
-    top = 0.5 * beta * beta * increments[-1]
-    scales = beta * np.sqrt(increments[:-1])
-    live = [(s, z) for s, z in zip(scales, zetas[:, :-1].T) if s > 0.0]
-    if not live:
-        return np.array([log_cosh(h) + top])
-    nodes, w = rule.nodes, rule.weights
+    z, w = np.abs(rule.nodes), rule.weights
+    if zeta.any():
+        c = np.argmax(w)
+        return np.log(w) + widest[:, None] * (z + z[c]) >= math.log(_NEGLIGIBLE * zeta.min() * w[c])
+    return w * (1.0 + reach[:, None] + widest[:, None] * z) >= _NEGLIGIBLE
 
-    def rec(i: int, shift: float):
-        scale, zeta = live[i]
-        if i == len(live) - 1:
-            x = log_cosh(shift + scale * nodes)
-            return _reduce(x[None], zeta, w)
-        if i == len(live) - 2:
-            inner_scale, inner_zeta = live[i + 1]
-            x = log_cosh(shift + scale * nodes[:, None] + inner_scale * nodes[None, :])
-            return _reduce(_reduce(x[None], inner_zeta, w), zeta, w)
-        x = np.stack([rec(i + 1, shift + scale * node) for node in nodes], axis=-1)
-        return _reduce(x, zeta, w)
 
-    return rec(0, h) + top
+def _x_zero(h: float, scales: np.ndarray, zetas: np.ndarray, levels: list) -> np.ndarray:
+    """Backward recursion for a chunk of R species rows, without the closed-form top level.
+
+    `scales` (R x L) holds each row's noise amplitudes of its live (nonzero)
+    levels, outermost first, `zetas` (Z x L) the exponents applied when each
+    is integrated out and `levels` the (nodes, weights) kept at each.  The
+    two innermost levels are evaluated for the whole chunk at once: the
+    log-cosh grid is formed once and exponentiated per weight vector into
+    one Z x R x order x order array.  Outer levels recurse node by node, so
+    that array is the peak memory whatever k.  Returns shape (Z, R), or
+    (1, R) when no live level depends on the weights.
+    """
+    depth = scales.shape[1]
+
+    def rec(i: int, shift):
+        z, w = levels[i]
+        if i == depth - 1:
+            x = log_cosh(shift + scales[:, i, None] * z)
+            return _reduce(x[None], zetas[:, i], w)
+        if i < depth - 2:
+            x = np.stack([rec(i + 1, shift + scales[:, i, None] * node) for node in z], axis=-1)
+            return _reduce(x, zetas[:, i], w)
+        inner, w_inner = levels[i + 1]
+        x = log_cosh((shift + scales[:, i, None] * z)[..., None] + scales[:, i + 1, None, None] * inner)[None]
+        # log cosh grows with |field| and the nodes ascend, so each row peaks at an end node
+        peak = np.maximum(x[..., :1], x[..., -1:])
+        return _reduce(_log_mean_exp(x, peak, zetas[:, i + 1], w_inner), zetas[:, i], w)
+
+    return rec(0, h)
 
 
 def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule):
@@ -157,9 +212,29 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
     # reduction exponent per level, one row per weight vector
     zetas = np.pad(np.atleast_2d(params.zeta), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
     beta = tf.beta
+    scales = beta * np.sqrt(increments[:, :-1])  # (E, k+1, M)
+    top = 0.5 * beta * beta * increments[:, -1]  # (E, M)
     x0 = np.empty((len(q), spec.m, len(zetas)))
-    for e, s in np.ndindex(x0.shape[:2]):
-        x0[e, s] = _x_zero(tf.h, beta, increments[e, :, s], zetas, rule)
+    rows = max(1, _CHUNK_FLOATS // (len(zetas) * rule.order**2))
+    zmax = np.abs(rule.nodes).max()
+    # species-major, so a chunk holds neighbouring ladders of one species
+    order = [(e, s) for s in range(spec.m) for e in range(len(q))]
+    for live, group in itertools.groupby(order, key=lambda r: tuple(scales[r[0], :, r[1]] > 0.0)):
+        e, s = np.array(list(group)).T
+        live = np.array(live)
+        if not live.any():
+            x0[e, s] = (log_cosh(tf.h) + top[e, s])[:, None]
+            continue
+        sc, zl = scales[e, :, s][:, live], zetas[:, :-1][:, live]
+        starts = np.arange(0, len(e), rows)
+        widest = np.maximum.reduceat(sc, starts, axis=0)  # (chunks, L)
+        deeper = zmax * (np.cumsum(widest[:, ::-1], axis=1)[:, ::-1] - widest)
+        masks = [_kept(rule, zl[:, i], widest[:, i], tf.h + deeper[:, i]) for i in range(sc.shape[1])]
+        x = [
+            _x_zero(tf.h, sc[at : at + rows], zl, [(rule.nodes[m[c]], rule.weights[m[c]]) for m in masks])
+            for c, at in enumerate(starts)
+        ]
+        x0[e, s] = np.concatenate(x, axis=-1).T + top[e, s, None]
 
     correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)
     value = _LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction

@@ -222,10 +222,37 @@ def test_phase_diagram_keeps_the_rows_after_a_failure(ref_config, tmp_path, monk
 
     monkeypatch.setattr(cli, "at_verdict", failing_in_the_middle)
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,0.6,3", "--h-range", "0.3,0.3,1"]
+    caplog.clear()
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv + ["--out", str(out)]) == 0
     assert [r[2] for r in _read_csv(out)[2]] == ["RS-consistent", "numerical-failure", "RS-consistent"]
-    assert not caplog.records
+    assert [r.getMessage() for r in caplog.records] == [
+        "numerical-failure at (beta, h) = (0.5, 0.3): no start converged"
+    ]
+
+
+def test_failed_points_are_logged_with_their_reason(ref_config, capsys, caplog):
+    """Each failed point is logged under the mskglass logger with its (beta, h)
+    and the exception's message; stdout carries the rows alone."""
+    argv = ["phase-diagram", "--config", ref_config, "--beta-range", "1,1.2,2", "--h-range", "100,300,2"]
+    with caplog.at_level(logging.WARNING, logger="mskglass"):
+        assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert [line.split(",")[2] for line in stdout.splitlines()[3:]] == ["RS-consistent"] * 2 + ["numerical-failure"] * 2
+    assert {r.name for r in caplog.records} == {"mskglass"}
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    for beta, message in zip(("1", "1.2"), messages):
+        assert message.startswith(f"numerical-failure at (beta, h) = ({beta}, 300): quartic susceptibility underflowed")
+    assert "underflowed" not in stdout
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mskglass"):
+        assert main(["at-line", "--config", ref_config, "--h-range", "100,400,2"]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0].startswith("bracket-failure at h = 100: no bracket")
+    assert messages[1].startswith("numerical-failure at h = 400: quartic susceptibility underflowed")
+    assert "no bracket" not in capsys.readouterr().out
 
 
 def test_phase_diagram_all_below_line(ref_config, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,3 +312,17 @@ def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
     for bad in (0.0, 1.5, math.nan):
         with pytest.raises(BadZeta):
             certify_rsb(reference_spec, tf, report, rule, zeta_grid=[0.5, bad])
+
+
+def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
+    """The whole (1.6, 0.3) scan allocates at most 1 MB at its peak (about
+    0.4 MB today): the evaluator holds one chunk of rows, not the batch."""
+    tf = TempField(beta=1.6, h=0.3)
+    report = at_verdict(reference_spec, tf, rule)
+    tracemalloc.start()
+    try:
+        certify_rsb(reference_spec, tf, report, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20

@@ -3,10 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField
+from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, at_verdict, gauss_hermite, onersb
 from mskglass.parisi import ParisiParams, evaluate
 
-from .oracles import rs_value
+from .oracles import parisi_sum, rs_value
+
+
+def _assert_within_4_ulp(got, want):
+    want = float(want)
+    assert abs(got - want) <= 4 * np.spacing(abs(want)), (got, want, (got - want) / np.spacing(abs(want)))
+
+
+def test_certificate_batch_matches_the_plain_sum(reference_spec, rule, monkeypatch):
+    """The (1.6, 0.3) certificate scan, evaluated as the one batch certify_rsb
+    sends, against the 30-digit sum over every order-61 node pair: its first,
+    winning and last (ladder, weight) entries."""
+    tf = TempField(beta=1.6, h=0.3)
+    batches = []
+
+    def recording(*args):
+        batches.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(onersb, "evaluate", recording)
+    cert = onersb.certify_rsb(reference_spec, tf, at_verdict(reference_spec, tf, rule), rule)
+    (params,) = batches
+    values = evaluate(reference_spec, tf, params, rule)
+    best = np.unravel_index(np.argmin(values), values.shape)
+    assert values[best] == cert.value
+    for e, z in ((0, 0), best, (-1, -1)):
+        _assert_within_4_ulp(values[e, z], parisi_sum(reference_spec, tf.beta, tf.h, params.zeta[z], params.q[e], rule))
+
+
+@pytest.mark.parametrize(
+    "beta, h, zeta, ladder, order",
+    [
+        # the log-sum-exp level keeps all 61 nodes here (large beta sqrt(C))
+        (3.0, 0.05, [0.5], [[0.05, 0.99], [0.05, 0.99]], 61),
+        # a small weight, where 1/zeta amplifies any rounding of log E e^{zeta X}
+        (1.2, 0.3, [0.01], [[0.3, 0.4], [0.25, 0.35]], 61),
+        # two steps; the order is kept small for the oracle's order**3 terms
+        (1.4, 0.2, [0.3, 0.7], [[0.2, 0.35, 0.5], [0.15, 0.3, 0.4]], 15),
+    ],
+)
+def test_matches_the_plain_sum(reference_spec, beta, h, zeta, ladder, order):
+    quad = gauss_hermite(order)
+    got = evaluate(reference_spec, TempField(beta=beta, h=h), ParisiParams(zeta=np.array(zeta), q=np.array(ladder)), quad)
+    _assert_within_4_ulp(got, parisi_sum(reference_spec, beta, h, zeta, ladder, quad))
 
 
 def test_params_validation():
