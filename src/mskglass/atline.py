@@ -17,7 +17,8 @@ closed-form thresholds of `model.two_species_thresholds`; the AT line in the
 (q, beta) inside a bisection-safeguarded bracket from the h = 0 threshold up.
 The matrices are built for any M, but thresholds, witnesses and verdicts
 exist only for two species: for three or more no closed form is known and
-they raise Unsupported.
+they raise Unsupported.  `at_verdicts` classifies a batch of points (a
+phase-diagram row) from one batched solve; `at_verdict` is its batch of one.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotConverged, Unsupported
+from .errors import InternalInconsistency, MskGlassError, NotConverged, Unsupported, single
 from .model import ModelSpec, TempField, Thresholds, inverse_beta2_m, two_species_standard, two_species_thresholds
 from .quadrature import QuadRule
-from .rs import RSSolution, map_derivatives, solve_fixed_point, uniqueness_threshold
+from .rs import RSSolution, map_derivatives, solve_fixed_point, solve_points, uniqueness_threshold
 
 _WITNESS_REL_TOL = 1e-14
 _VERDICT_BAND = 1e-12
@@ -137,30 +138,7 @@ def positivity_witness(k_matrix) -> Optional[np.ndarray]:
     return x if float(x @ k @ x) > _WITNESS_REL_TOL * norm else None
 
 
-def at_verdict(
-    spec: ModelSpec,
-    tf: TempField,
-    rule: QuadRule,
-) -> ATReport:
-    """Solve the critical point at (beta, h) and classify the phase.
-
-    RSB-certified iff beta^2 exceeds beta2_m (with the positivity witness
-    attached), RS-consistent iff it falls below, indeterminate inside a
-    +-1e-12 band where float comparison of the strict inequality is
-    meaningless.  In the standard class D is positive definite, so
-    K = S (2 beta^2 S G S - I) S with S = D^(1/2), and by Sylvester's law
-    of inertia lambda_max(K) > 0 exactly when beta^2 > beta2_m (in the
-    classical reduction K is a multiple of the all-ones matrix, with the
-    same sign change).  There K_12 = d12 (2 beta^2 (g1 d11 + g2 d22) - 1)
-    >= 0, since beta2_v < beta2_m, so the witness is the Perron vector of K
-    (an axis when d12 = 0).  The sign test and the witness are
-    cross-checked against each other in both directions.  Raises
-    Unsupported outside the two-species standard class and for h = 0.
-    """
-    _require_standard(spec)
-    if tf.h <= 0:
-        raise Unsupported("the phase verdict is defined for h > 0")
-    sol = solve_fixed_point(spec, tf, rule)
+def _classify(spec: ModelSpec, tf: TempField, sol: RSSolution) -> ATReport:
     thresholds = two_species_thresholds(spec, sol.gamma)
     _check_ordering(spec, thresholds)
     k, h_matrix = stability_matrices(spec, tf, sol.gamma)
@@ -179,6 +157,42 @@ def at_verdict(
         verdict, attached = Verdict.RS_CONSISTENT, None
     return ATReport(beta=tf.beta, h=tf.h, gamma=sol.gamma, stability=k, hessian=h_matrix, thresholds=thresholds,
                     verdict=verdict, witness_x=attached, solution=sol)
+
+
+def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
+    """Solve the critical point at each point of `tf` and classify the phase there.
+
+    RSB-certified iff beta^2 exceeds beta2_m (with the positivity witness
+    attached), RS-consistent iff it falls below, indeterminate inside a
+    +-1e-12 band where float comparison of the strict inequality is
+    meaningless.  In the standard class D is positive definite, so
+    K = S (2 beta^2 S G S - I) S with S = D^(1/2), and by Sylvester's law
+    of inertia lambda_max(K) > 0 exactly when beta^2 > beta2_m (in the
+    classical reduction K is a multiple of the all-ones matrix, with the
+    same sign change).  There K_12 = d12 (2 beta^2 (g1 d11 + g2 d22) - 1)
+    >= 0, since beta2_v < beta2_m, so the witness is the Perron vector of K
+    (an axis when d12 = 0).  The sign test and the witness are
+    cross-checked against each other in both directions.  All points are
+    solved as one batch (`rs.solve_points`); each gets an ATReport, or the
+    MskGlassError its solve or classification raised.  Raises Unsupported
+    outside the two-species standard class and where h = 0.
+    """
+    _require_standard(spec)
+    if (np.ravel(tf.h) <= 0).any():
+        raise Unsupported("the phase verdict is defined for h > 0")
+    reports: list = []
+    for b, field, sol in zip(np.ravel(tf.beta), np.ravel(tf.h), solve_points(spec, tf, rule)):
+        try:
+            reports.append(_classify(spec, TempField(float(b), float(field)), sol) if isinstance(sol, RSSolution)
+                           else sol)
+        except MskGlassError as exc:
+            reports.append(exc)
+    return reports
+
+
+def at_verdict(spec: ModelSpec, tf: TempField, rule: QuadRule) -> ATReport:
+    """`at_verdicts` at one point; raises its error."""
+    return single(at_verdicts(spec, tf, rule))
 
 
 def at_line_beta(spec: ModelSpec, h: float, rule: QuadRule, tol: float = 1e-10) -> float:

@@ -4,8 +4,9 @@ One JSON config file holds the model (M, delta2 row-major, lambda, mode) plus
 any run parameters; command-line flags override file fields.  Every output
 embeds the resolved config and the library version so a result file is a
 complete experiment record.  CSV floats carry 17 significant digits so
-regression baselines round-trip bit-faithfully.  Grid scans run serially in
-one process and write their rows in grid order (h outer, beta inner).
+regression baselines round-trip bit-faithfully.  Grid scans run in one
+process, `phase-diagram` one batch per h row, and write their rows in grid
+order (h outer, beta inner).
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
 """
@@ -22,16 +23,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .atline import Verdict, at_line_beta, at_verdict
+from .atline import ATReport, Verdict, at_line_beta, at_verdict, at_verdicts
 from .errors import MskGlassError, NotConverged, CertificateNotFound
 from .model import VALIDATION_MODES, ModelSpec, TempField, two_species_standard, validate
-from .onersb import certify_rsb
+from .onersb import OneRSBCertificate, certify_points, certify_rsb
 from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
 from .rs import rs_functional, solve_fixed_point
 from .simulate import free_energy_exact, overlap_histogram
 
 _log = logging.getLogger("mskglass")
+_BLOCK_POINTS = 64  # phase-diagram points solved and certified as one batch; longer h rows run in blocks
 
 
 class ConfigError(ValueError):
@@ -338,27 +340,29 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
     return 0
 
 
-def _phase_point(spec: ModelSpec, tf: TempField, rule) -> tuple:
-    """One phase-diagram row (beta, h, verdict, beta2_m, gap); numerical-failure if the verdict fails."""
-    try:
-        report = at_verdict(spec, tf, rule)
-    except MskGlassError as exc:
-        _log.warning("numerical-failure at (beta, h) = (%.6g, %.6g): %s", tf.beta, tf.h, exc)
-        return tf.beta, tf.h, "numerical-failure", None, None
-    gap = None
-    if report.verdict == Verdict.RSB_CERTIFIED:
-        try:
-            gap = certify_rsb(spec, tf, report, rule).gap
-        except CertificateNotFound:
-            pass  # quadratically small near the line; left empty
-    return tf.beta, tf.h, report.verdict.value, report.beta2_m, gap
+def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
+    """Phase-diagram rows (beta, h, verdict, beta2_m, gap) of a batch of points: a failed verdict is a
+    numerical-failure row, and a gap stays empty where none is certified (quadratically small near the line)."""
+    reports = at_verdicts(spec, tf, rule)
+    rsb = [i for i, r in enumerate(reports) if isinstance(r, ATReport) and r.verdict == Verdict.RSB_CERTIFIED]
+    certificates = certify_points(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb], rule)
+    gaps = {i: c.gap for i, c in zip(rsb, certificates) if isinstance(c, OneRSBCertificate)}
+    rows = []
+    for i, (beta, h, report) in enumerate(zip(tf.beta, tf.h, reports)):
+        if isinstance(report, MskGlassError):
+            _log.warning("numerical-failure at (beta, h) = (%.6g, %.6g): %s", beta, h, report)
+            rows.append((beta, h, "numerical-failure", None, None))
+        else:
+            rows.append((beta, h, report.verdict.value, report.beta2_m, gaps.get(i)))
+    return rows
 
 
 def cmd_phase_diagram(cfg: dict, v: dict) -> int:
     spec, rule, betas = _model_spec(v, standard=True), v["order"], v["beta_range"]
     rows: list = []
     for h in v["h_range"]:
-        h_slice = [_phase_point(spec, TempField(beta=float(beta), h=float(h)), rule) for beta in betas]
+        blocks = [betas[at : at + _BLOCK_POINTS] for at in range(0, betas.size, _BLOCK_POINTS)]
+        h_slice = [row for b in blocks for row in _phase_rows(spec, TempField(beta=b, h=np.full(b.size, h)), rule)]
         verdicts = [row[2] for row in h_slice if row[2] != "numerical-failure"]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
         if flips > 1:

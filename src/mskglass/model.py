@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +73,10 @@ class ModelSpec:
     def m(self) -> int:
         return self.delta2.shape[0]
 
+    @cached_property
+    def _standard(self) -> bool:  # the arrays are read-only, so one check serves every caller
+        return not validate(self, "two-species-standard")
+
     @property
     def sk_reduction(self) -> bool:
         """True when all variances equal one positive value (the classical model at that scale)."""
@@ -81,17 +86,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TempField:
-    """A point (beta, h) in the phase plane: inverse temperature and field."""
+    """A point (beta, h): inverse temperature and field; equal-length NumPy vectors make a batch of points."""
 
     beta: float
     h: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
+        beta, h = np.array(self.beta, dtype=float, ndmin=1).tolist(), np.array(self.h, dtype=float, ndmin=1).tolist()
+        if not all(map(math.isfinite, beta + h)):
             raise ValueError("beta and h must be finite")
-        if self.beta <= 0:
+        if min(beta, default=1.0) <= 0:
             raise ValueError("beta must be positive")
-        if self.h < 0:
+        if min(h, default=0.0) < 0:
             raise ValueError("h must be nonnegative")
 
 
@@ -116,8 +122,8 @@ def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
 
 
 def two_species_standard(spec: ModelSpec) -> bool:
-    """Whether `spec` passes the ``two-species-standard`` validation (module docstring)."""
-    return not validate(spec, "two-species-standard")
+    """Whether `spec` passes the ``two-species-standard`` validation (module docstring); checked once per model."""
+    return spec._standard
 
 
 class Thresholds(NamedTuple):

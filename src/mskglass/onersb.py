@@ -17,7 +17,8 @@ The slope of this functional in zeta at zeta = 1 vanishes with its gradient
 at the critical point, and its Hessian there is the closed form carried by
 `atline.stability_matrices`.  A direction in which the slope turns positive
 yields, for some zeta < 1, a one-step value strictly below the single-atom
-one: `certify_rsb` scans for such a point and returns it as a certificate.
+one: `certify_points` scans a batch of points for such a point, in one
+evaluator call, and `certify_rsb` is its batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atline import Verdict
-from .errors import BadPoint, CertificateNotFound
+from .errors import BadPoint, CertificateNotFound, single
 from .model import ModelSpec, TempField
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule
@@ -54,71 +55,72 @@ class OneRSBCertificate:
             raise BadPoint("a certificate requires a strictly positive gap")
 
 
-def default_epsilon_grid() -> np.ndarray:
-    return np.geomspace(1e-3, 1e-1, 10)
+EPSILON_GRID = np.geomspace(1e-3, 1e-1, 10)
+# geometric in the distance to 1, endpoints 0.5 and 0.99: the certificate
+# lives near zeta = 1, where the slope argument operates
+ZETA_GRID = 1.0 - np.geomspace(0.5, 0.01, 10)
+EPSILON_GRID.flags.writeable = ZETA_GRID.flags.writeable = False
 
 
-def default_zeta_grid() -> np.ndarray:
-    # geometric in the distance to 1, endpoints 0.5 and 0.99: the certificate
-    # lives near zeta = 1, where the slope argument operates
-    return 1.0 - np.geomspace(0.5, 0.01, 10)
-
-
-def certify_rsb(
-    spec: ModelSpec,
-    tf: TempField,
-    report,
-    rule: QuadRule,
-    eps_grid=None,
-    zeta_grid=None,
-) -> OneRSBCertificate:
-    """Scan (epsilon, zeta) for a one-step value strictly below the single-atom one.
+def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule, eps_grid=None, zeta_grid=None) -> list:
+    """Scan (epsilon, zeta) at each point of `tf` for a one-step value strictly below the single-atom one.
 
     The report's witness certifies positivity against the stability matrix;
     the slope's curvature is its conjugation by the proportions, so the
     displacement direction is the witness divided componentwise by lam
     (nonnegativity is preserved), normalized to unit max entry.  The
-    epsilons whose p stays in [0, 1] form an (E x 2 x 2) batch of ladders
-    (q*, p), evaluated against the whole zeta grid in one call of
-    `parisi.evaluate` (a zeta outside (0, 1] raises BadZeta).  Weights equal
-    to 1 are dropped first: their one-step value is the single-atom value,
-    so their gap is exactly 0 and they count only toward the reported best
-    gap.  The first point in (epsilon, zeta) order with the largest gap
-    above DEFAULT_GAP_FLOOR wins; the floor sits above the quadrature noise
-    at the default order.  Raises CertificateNotFound when the scan finds
-    nothing; `near_line` distinguishes the benign case beta^2 < 1.05
-    beta2_m, where the attainable gap is quadratically small, from a
-    genuine failure.
+    epsilons whose p stays in [0, 1] give each point a batch of ladders
+    (q*, p); the ladders of all points, each at its own (beta, h), are
+    evaluated against the whole zeta grid in one call of `parisi.evaluate`
+    (a zeta outside (0, 1] raises BadZeta), and the single-atom values in
+    one more.  Weights equal to 1 are dropped first: their one-step value is
+    the single-atom value, so their gap is exactly 0 and they count only
+    toward the reported best gap.  The first point in (epsilon, zeta) order
+    with the largest gap above DEFAULT_GAP_FLOOR wins; the floor sits above
+    the quadrature noise at the default order.  Returns per point a
+    OneRSBCertificate, or a CertificateNotFound when the scan found nothing;
+    its `near_line` distinguishes the benign case beta^2 < 1.05 beta2_m,
+    where the attainable gap is quadratically small, from a genuine failure.
     """
-    if report.verdict != Verdict.RSB_CERTIFIED or report.witness_x is None:
+    if any(r.verdict != Verdict.RSB_CERTIFIED or r.witness_x is None for r in reports):
         raise BadPoint("certification requires an RSB-certified report with a witness")
-    x = np.asarray(report.witness_x, dtype=float) / spec.lam
-    x = x / x.max()
-    q_star = report.solution.q_star
-    rs_value = rs_functional(spec, tf, q_star, rule)
+    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
+    x = np.array([r.witness_x for r in reports], dtype=float).reshape(-1, spec.m) / spec.lam
+    x = x / x.max(axis=-1, keepdims=True)
+    q_star = np.array([r.solution.q_star for r in reports]).reshape(x.shape)
+    rs_values = np.atleast_1d(rs_functional(spec, tf, q_star, rule))
 
-    eps_grid = default_epsilon_grid() if eps_grid is None else np.array(eps_grid, dtype=float, ndmin=1)
-    zeta_grid = default_zeta_grid() if zeta_grid is None else np.array(zeta_grid, dtype=float, ndmin=1)
-
-    p = q_star + eps_grid[:, None] * x
-    inside = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+    eps_grid = EPSILON_GRID if eps_grid is None else np.array(eps_grid, dtype=float, ndmin=1)
+    zeta_grid = ZETA_GRID if zeta_grid is None else np.array(zeta_grid, dtype=float, ndmin=1)
+    p = q_star[:, None] + eps_grid[:, None] * x[:, None]  # (points, epsilons, M)
+    point, eps = np.nonzero(((p >= 0.0) & (p <= 1.0)).all(axis=-1))
     inner = zeta_grid[zeta_grid != 1.0]
-    best, best_gap = None, (0.0 if inside.any() and inner.size < zeta_grid.size else -math.inf)
-    if inside.any() and inner.size:
-        ladders = np.stack([np.broadcast_to(q_star, p[inside].shape), p[inside]], axis=-1)
-        values = evaluate(spec, tf, ParisiParams(zeta=inner[:, None], q=ladders), rule)
-        gaps = rs_value - values
-        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
-        best_gap = max(best_gap, float(gaps[i, j]))
-        best = (float(eps_grid[inside][i]), float(inner[j]), float(values[i, j]))
+    values = np.empty((point.size, inner.size))
+    if values.size:
+        params = ParisiParams(zeta=inner[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
+        values = evaluate(spec, TempField(beta=beta[point], h=h[point]), params, rule).reshape(values.shape)
 
-    if best is None or best_gap <= DEFAULT_GAP_FLOOR:
-        near = tf.beta ** 2 < _NEAR_LINE_MARGIN * report.beta2_m
-        raise CertificateNotFound(
-            f"no one-step point beats the single-atom value by more than {DEFAULT_GAP_FLOOR:g} "
-            f"(best gap {best_gap:.3e}; {'near the phase line, expected' if near else 'unexpected'})",
-            best_gap=best_gap,
-            near_line=near,
-        )
-    eps, zeta, value = best
-    return OneRSBCertificate(epsilon=eps, x=x, zeta=zeta, value=value, rs_value=rs_value, gap=best_gap)
+    certificates: list = []
+    for n, report in enumerate(reports):
+        mine = point == n
+        best, best_gap = None, (0.0 if mine.any() and inner.size < zeta_grid.size else -math.inf)
+        if mine.any() and inner.size:
+            gaps = rs_values[n] - values[mine]
+            i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
+            best_gap = max(best_gap, float(gaps[i, j]))
+            best = dict(epsilon=float(eps_grid[eps[mine][i]]), zeta=float(inner[j]), value=float(values[mine][i, j]))
+        if best is None or best_gap <= DEFAULT_GAP_FLOOR:
+            near = bool(beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
+            certificates.append(CertificateNotFound(
+                f"no one-step point beats the single-atom value by more than {DEFAULT_GAP_FLOOR:g} "
+                f"(best gap {best_gap:.3e}; {'near the phase line, expected' if near else 'unexpected'})",
+                best_gap=best_gap, near_line=near))
+        else:
+            certificates.append(OneRSBCertificate(x=x[n], rs_value=float(rs_values[n]), gap=best_gap, **best))
+    return certificates
+
+
+def certify_rsb(spec: ModelSpec, tf: TempField, report, rule: QuadRule, eps_grid=None, zeta_grid=None
+                ) -> OneRSBCertificate:
+    """`certify_points` at one point; raises its CertificateNotFound."""
+    return single(certify_points(spec, tf, [report], rule, eps_grid, zeta_grid))

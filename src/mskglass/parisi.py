@@ -38,7 +38,8 @@ reduction is the identity there), which keeps coalesced ladders
 bit-stable.  A batch of Z weight vectors shares every log-cosh grid and
 runs through the recursion as one; a batch of E ladders shares one pass of
 contractions, increments and the weight correction, so a whole (E x Z)
-scan costs one call with one validation.
+scan costs one call with one validation.  Each ladder may carry its own
+point (a batch `TempField`), so one call scans a whole phase-diagram row.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _kept(rule: QuadRule, zeta: np.ndarray, widest: np.ndarray, reach: np.ndarra
     level node j's term is at most w_j e^{s (|z_j| + |z_c|)} / w_c times that
     of the heaviest node c, and j is dropped when that is below
     2^-64 zeta_min.  At the plain-mean level |X_1| <= `reach` + s |z_i|, with
-    `reach` |h| plus the deeper levels' scales times max |z|, and node i is
+    `reach` the chunk's largest |h| plus its deeper scales times max |z|; i is
     dropped when w_i (1 + reach + s |z_i|) < 2^-64.  A log-sum-exp level
     then moves by at most order * 2^-64 of its value, the mean by at most
     order * 2^-64.
@@ -161,12 +162,13 @@ def _kept(rule: QuadRule, zeta: np.ndarray, widest: np.ndarray, reach: np.ndarra
     return w * (1.0 + reach[:, None] + widest[:, None] * z) >= _NEGLIGIBLE
 
 
-def _x_zero(h: float, scales: np.ndarray, zetas: np.ndarray, levels: list) -> np.ndarray:
+def _x_zero(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, levels: list) -> np.ndarray:
     """Backward recursion for a chunk of R species rows, without the closed-form top level.
 
-    `scales` (R x L) holds each row's noise amplitudes of its live (nonzero)
-    levels, outermost first, `zetas` (Z x L) the exponents applied when each
-    is integrated out and `levels` the (nodes, weights) kept at each.  The
+    `h` (R x 1) holds each row's field, `scales` (R x L) its noise
+    amplitudes of its live (nonzero) levels, outermost first, `zetas`
+    (Z x L) the exponents applied when each is integrated out and `levels`
+    the (nodes, weights) kept at each.  The
     two innermost levels are evaluated for the whole chunk at once: the
     log-cosh grid is formed once and exponentiated per weight vector into
     one Z x R x order x order array.  Outer levels recurse node by node, so
@@ -195,7 +197,8 @@ def _x_zero(h: float, scales: np.ndarray, zetas: np.ndarray, levels: list) -> np
 def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule):
     """Value of the k-level functional at the given weights and ladder: a
     float, or an array indexed (ladder, weight vector) over the batched axes
-    of `params.q` (E) and `params.zeta` (Z), in that order."""
+    of `params.q` (E) and `params.zeta` (Z), in that order.  `tf` is one
+    point, or a batch of E points, one per ladder."""
     if params.m != spec.m:
         raise ValueError("params and spec disagree on the species count")
     q = params.q.reshape((-1,) + params.q.shape[-2:])  # (E, M, k+1)
@@ -211,9 +214,9 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
 
     # reduction exponent per level, one row per weight vector
     zetas = np.pad(np.atleast_2d(params.zeta), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
-    beta = tf.beta
-    scales = beta * np.sqrt(increments[:, :-1])  # (E, k+1, M)
-    top = 0.5 * beta * beta * increments[:, -1]  # (E, M)
+    beta, h = (np.broadcast_to(np.ravel(v), len(q)) for v in (tf.beta, tf.h))
+    scales = beta[:, None, None] * np.sqrt(increments[:, :-1])  # (E, k+1, M)
+    top = (0.5 * beta * beta)[:, None] * increments[:, -1]  # (E, M)
     x0 = np.empty((len(q), spec.m, len(zetas)))
     rows = max(1, _CHUNK_FLOATS // (len(zetas) * rule.order**2))
     zmax = np.abs(rule.nodes).max()
@@ -223,20 +226,22 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
         e, s = np.array(list(group)).T
         live = np.array(live)
         if not live.any():
-            x0[e, s] = (log_cosh(tf.h) + top[e, s])[:, None]
+            x0[e, s] = (log_cosh(h[e]) + top[e, s])[:, None]
             continue
         sc, zl = scales[e, :, s][:, live], zetas[:, :-1][:, live]
         starts = np.arange(0, len(e), rows)
         widest = np.maximum.reduceat(sc, starts, axis=0)  # (chunks, L)
         deeper = zmax * (np.cumsum(widest[:, ::-1], axis=1)[:, ::-1] - widest)
-        masks = [_kept(rule, zl[:, i], widest[:, i], tf.h + deeper[:, i]) for i in range(sc.shape[1])]
+        reach = np.maximum.reduceat(h[e], starts)[:, None] + deeper
+        masks = [_kept(rule, zl[:, i], widest[:, i], reach[:, i]) for i in range(sc.shape[1])]
         x = [
-            _x_zero(tf.h, sc[at : at + rows], zl, [(rule.nodes[m[c]], rule.weights[m[c]]) for m in masks])
+            _x_zero(h[e][at : at + rows, None], sc[at : at + rows], zl,
+                    [(rule.nodes[m[c]], rule.weights[m[c]]) for m in masks])
             for c, at in enumerate(starts)
         ]
         x0[e, s] = np.concatenate(x, axis=-1).T + top[e, s, None]
 
     correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)
-    value = _LOG2 + spec.lam @ x0 - 0.5 * beta * beta * correction
+    value = _LOG2 + spec.lam @ x0 - (0.5 * beta * beta)[:, None] * correction
     value = value.reshape(params.q.shape[:-2] + params.zeta.shape[:-1])
     return value if value.ndim else float(value)

@@ -21,9 +21,14 @@ then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
 that correction, its error estimate, is at most tol.  For two species with
 delta2 positive definite, or all entries equal, the critical point is
 unique whenever h > 0 or beta^2 is below `uniqueness_threshold`, and one
-start suffices; elsewhere three starts run, and the functional value is the
+start suffices; elsewhere up to three run, and the functional value is the
 minimum over their distinct limits (a heuristic, flagged via
 `guaranteed_unique`).
+
+The kernel and the solver take a leading axis of rows, each with its own
+point (a batch `TempField`) and start, and act row by row: `solve_points`
+iterates the starts of many points as one batch, each row bit-identical to
+its own run, and `solve_fixed_point` is its batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, NotConverged
+from .errors import BadDimension, NotConverged, single
 from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule
@@ -93,6 +98,8 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
     if q.shape[-1] != spec.m:
         raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
     beta, h = tf.beta, tf.h
+    if getattr(beta, "ndim", 0):  # a batch of points, one per row of q
+        beta, h = beta[:, None], h[:, None, None]
     root = np.sqrt(np.maximum(2.0 * ((q * spec.lam) @ spec.delta2), 0.0))
     y = (beta * root)[..., None] * rule.nodes + h
     t = np.tanh(y)
@@ -103,10 +110,11 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
     slope = 0.5 * beta / np.where(root > 0, root, math.inf)
     dt_dc, dg_dc = slope * f1z, slope * g1z
     if not root.all():  # the C = 0 limit
-        th, eh = math.tanh(h), math.exp(-2.0 * h)
+        h = np.reshape(h, np.shape(beta))
+        th, eh = np.tanh(h), np.exp(-2.0 * h)
         uh = eh * (2.0 / (1.0 + eh)) ** 2
-        dt_dc[root == 0] = beta * beta * uh * (uh - 2.0 * th * th)
-        dg_dc[root == 0] = beta * beta * uh * uh * (8.0 * th * th - 2.0 * uh)
+        dt_dc = np.where(root == 0, beta * beta * uh * (uh - 2.0 * th * th), dt_dc)
+        dg_dc = np.where(root == 0, beta * beta * uh * uh * (8.0 * th * th - 2.0 * uh), dg_dc)
     dc_dq = 2.0 * spec.delta2 * spec.lam
     return MapDerivatives(
         t=(t * t) @ rule.weights,
@@ -130,69 +138,102 @@ def uniqueness_threshold(spec: ModelSpec) -> float:
     return two_species_thresholds(spec, spec.lam).beta2_m
 
 
-def _uniqueness_guaranteed(spec: ModelSpec, tf: TempField) -> bool:
-    return two_species_standard(spec) and (tf.h > 0 or tf.beta ** 2 < uniqueness_threshold(spec))
-
-
 _Run = namedtuple("_Run", "q gamma residual error iterations converged")
 
 
-def _run(spec, tf, rule, q, tol, max_iter) -> _Run:
-    """Iterate from q until the Newton correction is at most tol; apply it to q and, to first order, gamma."""
-    newton = False  # plain steps until the spectral radius of J first drops below 1
+def _run(spec, tf, rule, q, tol, max_iter) -> list:
+    """Iterate each row of q (R x M) at its point of `tf` until its Newton correction is at most tol;
+    apply it to q and, to first order, gamma.  Returns one _Run per row."""
+    q = np.array(q, dtype=float, ndmin=2)
+    runs, live, points, eye = [None] * len(q), np.arange(len(q)), tf, np.eye(q.shape[1])
+    newton, all_newton = np.zeros(len(q), dtype=bool), False  # plain steps until rho(J) first drops below 1
     for it in range(1, max_iter + 1):
-        k = map_derivatives(spec, tf, q, rule)
-        r = q - k.t
+        k = map_derivatives(spec, points, q, rule)
+        r, a = q - k.t, eye - k.dt_dq
         try:
-            step = np.linalg.solve(np.eye(len(q)) - k.dt_dq, r)
-        except np.linalg.LinAlgError:  # I - J singular: J has eigenvalue 1
-            step = np.full_like(q, math.inf)
-        error = float(np.abs(step).max())
-        residual = float(np.abs(r).max())
-        if error <= tol:
-            return _Run(np.clip(q - step, 0.0, 1.0), k.gamma - k.dgamma_dq @ step, residual, error, it, True)
-        newton = newton or np.abs(np.linalg.eigvals(k.dt_dq)).max() < 1.0
-        q = np.clip(q - step if newton else k.t, 0.0, 1.0)
-    return _Run(q, k.gamma, residual, error, max_iter, False)
+            step = np.linalg.solve(a, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # I - J singular in some row (J has eigenvalue 1): an infinite step there
+            step, regular = np.full_like(q, math.inf), np.linalg.det(a) != 0
+            step[regular] = np.linalg.solve(a[regular], r[regular, :, None])[..., 0]
+        error, residual = np.abs(step).max(-1), np.abs(r).max(-1)
+        done = error <= tol
+        stopped = done.nonzero()[0]
+        for j in stopped:
+            runs[live[j]] = _Run(np.clip(q[j] - step[j], 0.0, 1.0), k.gamma[j] - k.dgamma_dq[j] @ step[j],
+                                 float(residual[j]), float(error[j]), it, True)
+        if len(stopped) == len(live):
+            return runs
+        if len(stopped):  # drop the rows that stopped
+            keep = ~done
+            live, newton, q, step, error, residual = (x[keep] for x in (live, newton, q, step, error, residual))
+            k = MapDerivatives(*(f[keep] for f in k))
+            points = TempField(*(np.full(len(runs), v)[live] for v in (tf.beta, tf.h)))
+        if all_newton:
+            q = np.clip(q - step, 0.0, 1.0)
+        else:
+            newton[~newton] = np.abs(np.linalg.eigvals(k.dt_dq[~newton])).max(-1) < 1.0
+            q, all_newton = np.clip(np.where(newton[:, None], q - step, k.t), 0.0, 1.0), newton.all()
+    for j, row in enumerate(live):
+        runs[row] = _Run(q[j], k.gamma[j], float(residual[j]), float(error[j]), max_iter, False)
+    return runs
+
+
+def solve_points(
+    spec: ModelSpec, tf: TempField, rule: QuadRule, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> list:
+    """Solve the self-consistency system at each point of `tf`, one point or
+    a batch: plain steps where the map expands, Newton where it contracts.
+
+    Where the critical point is unique one start suffices: the all-ones
+    vector for h > 0, where the map contracts for all but the smallest
+    fields, and the exact q* = 0 at h = 0.  Elsewhere the zero vector, the
+    all-ones vector and the decoupled value tanh^2(h) are each iterated,
+    equal ones once; all starts of all points run as one batch (`_run`).  A
+    run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
+    most `tol`, and returns the corrected point.  Every distinct limit is
+    reported in `candidates`, and `q_star` minimizes the functional over
+    them.  Returns per point an RSSolution, or a NotConverged when no start
+    converged within `max_iter` iterations.
+    """
+    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
+    standard = two_species_standard(spec)
+    threshold = uniqueness_threshold(spec) if standard and not h.all() else 0.0
+    guaranteed = [standard and (field > 0 or b ** 2 < threshold) for b, field in zip(beta.tolist(), h.tolist())]
+    points = [dict.fromkeys(([1.0] if field > 0 else [0.0]) if unique else [0.0, 1.0, math.tanh(field) ** 2])
+              for field, unique in zip(h.tolist(), guaranteed)]  # each point's starts
+    owner = [i for i, starts in enumerate(points) for _ in starts]
+    runs = _run(spec, tf if beta.size == 1 else TempField(beta=beta[owner], h=h[owner]), rule,
+                [[start] * spec.m for starts in points for start in starts], tol, max_iter)
+
+    solutions: list = []
+    for i, starts in enumerate(points):
+        point_runs, runs = runs[: len(starts)], runs[len(starts) :]
+        converged = [r for r in point_runs if r.converged]
+        if not converged:
+            best = min(point_runs, key=lambda r: r.error)
+            solutions.append(NotConverged(
+                f"no start converged within {max_iter} iterations (best error estimate {best.error:.3e})",
+                last_iterate=best.q, residual=best.residual, iterations=best.iterations))
+            continue
+        distinct: list[_Run] = []
+        for run in converged:
+            if all(np.abs(run.q - other.q).max() > _DISTINCT_TOL for other in distinct):
+                distinct.append(run)
+        win = distinct[0]
+        if len(distinct) > 1:
+            values = rs_functional(spec, TempField(beta=beta[i], h=h[i]), np.array([r.q for r in distinct]), rule)
+            win = distinct[int(np.argmin(values))]
+        solutions.append(RSSolution(
+            q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,
+            error=win.error, iterations=win.iterations, converged=True,
+            on_boundary=(win.q <= _BOUNDARY_TOL) | (win.q >= 1.0 - _BOUNDARY_TOL),
+            candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed[i],
+        ))
+    return solutions
 
 
 def solve_fixed_point(
     spec: ModelSpec, tf: TempField, rule: QuadRule, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> RSSolution:
-    """Solve the self-consistency system: plain steps where the map expands,
-    Newton where it contracts.
-
-    Where the critical point is unique one start suffices: the all-ones
-    vector for h > 0, where the map contracts for all but the smallest
-    fields, and the exact q* = 0 at h = 0.  Elsewhere the zero vector, the
-    all-ones vector and the decoupled value tanh^2(h) are each iterated.  A
-    run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
-    most `tol`, and returns the corrected point.  Every distinct limit is
-    reported in `candidates`, and `q_star` minimizes the functional over them.
-    Raises NotConverged when no start converges within `max_iter` iterations.
-    """
-    guaranteed = _uniqueness_guaranteed(spec, tf)
-    starts = [0.0, 1.0, math.tanh(tf.h) ** 2]
-    if guaranteed:
-        starts = starts[1:2] if tf.h > 0 else starts[:1]
-    runs = [_run(spec, tf, rule, np.full(spec.m, start), tol, max_iter) for start in starts]
-    converged = [r for r in runs if r.converged]
-    if not converged:
-        best = min(runs, key=lambda r: r.error)
-        raise NotConverged(f"no start converged within {max_iter} iterations (best error estimate {best.error:.3e})",
-                           last_iterate=best.q, residual=best.residual, iterations=best.iterations)
-
-    distinct: list[_Run] = []
-    for run in converged:
-        if all(np.abs(run.q - other.q).max() > _DISTINCT_TOL for other in distinct):
-            distinct.append(run)
-
-    win = distinct[0]
-    if len(distinct) > 1:
-        win = distinct[int(np.argmin(rs_functional(spec, tf, np.array([r.q for r in distinct]), rule)))]
-    return RSSolution(
-        q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,
-        error=win.error, iterations=win.iterations, converged=True,
-        on_boundary=(win.q <= _BOUNDARY_TOL) | (win.q >= 1.0 - _BOUNDARY_TOL),
-        candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed,
-    )
+    """`solve_points` at one point; raises its NotConverged."""
+    return single(solve_points(spec, tf, rule, tol, max_iter))

@@ -187,13 +187,32 @@ def test_phase_diagram_grid(ref_config, tmp_path):
                 assert float(r[4]) > 0
 
 
+def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatch):
+    """An h row longer than the block size runs as several batches: the rows,
+    verdicts and beta2_m come out as from one batch per row, and the gaps
+    agree to 1e-13."""
+    argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.5,1.4,7", "--h-range", "0.2,0.4,2"]
+    assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+    batches = []
+    rows = cli._phase_rows
+    monkeypatch.setattr(cli, "_phase_rows", lambda spec, tf, rule: batches.append(tf.beta.size) or rows(spec, tf, rule))
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)
+    assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
+    assert batches == [3, 3, 1] * 2
+    whole, blocks = _read_csv(tmp_path / "rows.csv")[2], _read_csv(tmp_path / "blocks.csv")[2]
+    assert [r[:4] for r in blocks] == [r[:4] for r in whole]
+    assert any(r[4] for r in whole)
+    for r, ref in zip(blocks, whole):
+        assert (r[4] == "") == (ref[4] == "") and (not ref[4] or abs(float(r[4]) - float(ref[4])) <= 1e-13)
+
+
 def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatch, caplog):
     verdicts = itertools.cycle(["RS-consistent", "RSB-certified"])
 
     def alternating(spec, tf, rule):
-        return tf.beta, tf.h, next(verdicts), 0.5, None
+        return [(beta, h, next(verdicts), 0.5, None) for beta, h in zip(tf.beta, tf.h)]
 
-    monkeypatch.setattr(cli, "_phase_point", alternating)
+    monkeypatch.setattr(cli, "_phase_rows", alternating)
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,1.0,4",
             "--h-range", "0.3,0.3,1", "--out", str(tmp_path / "pd.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
@@ -213,14 +232,14 @@ def test_phase_diagram_keeps_the_rows_after_a_failure(ref_config, tmp_path, monk
     assert [r[2] for r in rows] == ["RS-consistent"] * 2 + ["numerical-failure"] * 2
     assert all(r[3:] == ["", ""] for r in rows[2:])
 
-    verdict = cli.at_verdict
+    solve = atline.solve_points
 
     def failing_in_the_middle(spec, tf, rule):
-        if tf.beta == 0.5:
-            raise mskglass.NotConverged("no start converged")
-        return verdict(spec, tf, rule)
+        solutions = solve(spec, tf, rule)
+        return [mskglass.NotConverged("no start converged") if beta == 0.5 else solution
+                for beta, solution in zip(tf.beta, solutions)]
 
-    monkeypatch.setattr(cli, "at_verdict", failing_in_the_middle)
+    monkeypatch.setattr(atline, "solve_points", failing_in_the_middle)
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,0.6,3", "--h-range", "0.3,0.3,1"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="mskglass"):
@@ -512,16 +531,18 @@ def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
 
 
 def test_readme_scans_kernel_calls(monkeypatch, capsys):
-    """The README phase-diagram scan makes at most 2,000 kernel calls (4,975
-    map calls under plain iteration)."""
-    calls = []
+    """The README phase-diagram scan evaluates at most 2,000 kernel rows, one
+    per (run, iteration) whatever the batching (4,975 map calls under plain
+    iteration)."""
+    rows = []
     for module in (rs, atline):
         fn = module.map_derivatives
-        monkeypatch.setattr(module, "map_derivatives", lambda *args, fn=fn: calls.append(1) or fn(*args))
+        monkeypatch.setattr(module, "map_derivatives",
+                            lambda spec, tf, q, rule, fn=fn: rows.append(np.size(q) // spec.m) or fn(spec, tf, q, rule))
     argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
             "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
     assert main(argv) == 0
-    assert len(calls) <= 2000
+    assert sum(rows) <= 2000
 
 
 def test_phase_diagram_where_gamma_is_subnormal(ref_config, capsys):

@@ -11,13 +11,15 @@ from mskglass import (
     TempField,
     Verdict,
     at_verdict,
+    at_verdicts,
+    certify_points,
     certify_rsb,
     gauss_hermite,
     rs_functional,
     solve_fixed_point,
     two_species_thresholds,
 )
-from mskglass.onersb import default_zeta_grid
+from mskglass.onersb import ZETA_GRID
 from mskglass.parisi import ParisiParams, evaluate
 
 from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, zeta_derivative
@@ -158,7 +160,7 @@ def test_certificate_above_line(reference_spec, rule):
     p = report.solution.q_star + cert.epsilon * cert.x
     assert (p >= 0).all() and (p <= 1).all()
     # a zeta = 1 entry takes the single-atom collapse and cannot win
-    with_one = certify_rsb(reference_spec, tf, report, rule, zeta_grid=[*default_zeta_grid(), 1.0])
+    with_one = certify_rsb(reference_spec, tf, report, rule, zeta_grid=[*ZETA_GRID, 1.0])
     assert (with_one.epsilon, with_one.zeta, with_one.value, with_one.gap) == (
         cert.epsilon, cert.zeta, cert.value, cert.gap)
 
@@ -276,7 +278,7 @@ def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
 def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
     tf = TempField(beta=beta, h=h)
     report = at_verdict(reference_spec, tf, rule)
-    eps_grid, zeta_grid = np.geomspace(1e-3, 1e-1, 10), default_zeta_grid()
+    eps_grid, zeta_grid = np.geomspace(1e-3, 1e-1, 10), ZETA_GRID
     cert = certify_rsb(reference_spec, tf, report, rule)
     eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, zeta_grid)
     assert (cert.epsilon, cert.zeta) == (eps, zeta)
@@ -293,7 +295,7 @@ def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
     eps_grid = np.array([1e-3, 1e-2, 0.05, 1.0 - q.max() - 1e-9, 0.5, 2.0])
     assert ((q + eps_grid[-2:, None] * x) > 1).any(axis=1).all()
     cert = certify_rsb(reference_spec, tf, report, rule, eps_grid=eps_grid)
-    eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, default_zeta_grid())
+    eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, ZETA_GRID)
     assert (cert.epsilon, cert.zeta) == (eps, zeta)
     assert abs(cert.gap - gap) < 1e-14
     assert cert.epsilon <= eps_grid[3]
@@ -326,3 +328,28 @@ def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def test_row_batched_certificates_match_one_point_scans(reference_spec, rule):
+    """On the README grid the certificates of each h row's RSB points, scanned
+    in one evaluator call, match one-point scans: the same (epsilon, zeta),
+    and gaps (best gaps where none is found) within 1e-15, at all 123
+    points."""
+    betas = np.linspace(0.4, 1.6, 25)
+    points = 0
+    for h in np.linspace(0.1, 1.0, 10):
+        tf = TempField(beta=betas, h=np.full(betas.size, h))
+        rsb = [(beta, r) for beta, r in zip(betas, at_verdicts(reference_spec, tf, rule))
+               if r.verdict == Verdict.RSB_CERTIFIED]
+        batch = certify_points(reference_spec, TempField(beta=np.array([b for b, _ in rsb]), h=np.full(len(rsb), h)),
+                               [r for _, r in rsb], rule)
+        for (beta, report), got in zip(rsb, batch):
+            points += 1
+            try:
+                want = certify_rsb(reference_spec, TempField(beta=float(beta), h=float(h)), report, rule)
+            except CertificateNotFound as exc:
+                assert isinstance(got, CertificateNotFound) and abs(got.best_gap - exc.best_gap) <= 1e-15
+                continue
+            assert (got.epsilon, got.zeta) == (want.epsilon, want.zeta)
+            assert abs(got.gap - want.gap) <= 1e-15
+    assert points == 123

@@ -157,13 +157,46 @@ def test_zero_field_multistart_finds_both_branches(reference_spec, rule, monkeyp
     assert len(calls) <= 3 * 10
 
 
+def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
+    """At h = 0 the decoupled start tanh^2(h) equals the zero start, so above
+    the threshold, at (1.2, 0), two rows reach the kernel, not three.  The
+    candidates are the limits of one-row runs from 0 and from 1, and q* is
+    the glassy one, whose value is lower."""
+    rows = []
+    kernel = rs.map_derivatives
+    monkeypatch.setattr(rs, "map_derivatives",
+                        lambda spec, tf, q, rule: rows.append(np.size(q) // spec.m) or kernel(spec, tf, q, rule))
+    tf = TempField(beta=1.2, h=0.0)
+    sol = solve_fixed_point(reference_spec, tf, rule)
+    assert rows[0] == 2 and max(rows) == 2
+    limits = [rs._run(reference_spec, tf, rule, np.full(2, start), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)[0].q
+              for start in (0.0, 1.0)]
+    assert len(sol.candidates) == 2
+    assert all(np.array_equal(c, limit) for c, limit in zip(sol.candidates, limits))
+    assert not limits[0].any() and np.array_equal(sol.q_star, limits[1])
+    assert rs_functional(reference_spec, tf, limits[1], rule) < rs_functional(reference_spec, tf, limits[0], rule)
+
+
+def test_row_batches_match_one_point_solves(reference_spec, rule):
+    """Solving the README grid one h row at a time, each row one batch, gives
+    every point's q*, gamma, error estimate and iteration count bit for bit
+    as its own solve."""
+    betas = np.linspace(0.4, 1.6, 25)
+    for h in np.linspace(0.1, 1.0, 10):
+        batch = rs.solve_points(reference_spec, TempField(beta=betas, h=np.full(betas.size, h)), rule)
+        for beta, got in zip(betas, batch):
+            want = solve_fixed_point(reference_spec, TempField(beta=float(beta), h=float(h)), rule)
+            assert np.array_equal(got.q_star, want.q_star) and np.array_equal(got.gamma, want.gamma)
+            assert (got.error, got.iterations) == (want.error, want.iterations)
+
+
 def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
     """Until the spectral radius of J drops below 1 the solver takes plain
     steps: from q = 1e-3 at h = 0 above the threshold a run leaves the
     unstable q = 0 for the glassy branch, to which Newton alone would fall."""
     tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
     glassy = max(solve_fixed_point(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
-    run = rs._run(reference_spec, tf, rule, np.full(2, 1e-3), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
+    (run,) = rs._run(reference_spec, tf, rule, np.full(2, 1e-3), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
 
