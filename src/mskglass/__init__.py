@@ -22,7 +22,7 @@ from .rs import (
     MapDerivatives, RSSolution, map_derivatives, rs_functional, solve_fixed_point, solve_points, uniqueness_threshold,
 )
 from .atline import (
-    ATReport, Verdict, at_line_beta, at_verdict, at_verdicts, positivity_witness, stability_matrices,
+    ATReport, Verdict, at_line_betas, at_verdict, at_verdicts, positivity_witness, stability_matrices,
 )
 from .onersb import OneRSBCertificate, certify_points, certify_rsb
 from .simulate import (

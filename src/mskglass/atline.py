@@ -31,9 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistency, MskGlassError, NotConverged, Unsupported, single
-from .model import ModelSpec, TempField, Thresholds, inverse_beta2_m, two_species_standard, two_species_thresholds
+from .model import (
+    ModelSpec, TempField, Thresholds, _underflow, inverse_beta2_m, two_species_standard, two_species_thresholds,
+)
 from .quadrature import QuadRule
-from .rs import RSSolution, map_derivatives, solve_fixed_point, solve_points, uniqueness_threshold
+from .rs import RSSolution, map_derivatives, solve_points, stacked_solve, uniqueness_threshold
 
 _WITNESS_REL_TOL = 1e-14
 _VERDICT_BAND = 1e-12
@@ -195,62 +197,85 @@ def at_verdict(spec: ModelSpec, tf: TempField, rule: QuadRule) -> ATReport:
     return single(at_verdicts(spec, tf, rule))
 
 
-def at_line_beta(spec: ModelSpec, h: float, rule: QuadRule, tol: float = 1e-10) -> float:
-    """Locate the phase boundary as the zero of g(beta) = beta^2 - beta2_m(beta).
+def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> list:
+    """Locate the phase boundary at each field of `h` as the zero of g(beta) = beta^2 - beta2_m(beta).
 
-    gamma_s = lam_s E sech^4 <= lam_s and 1 / beta2_m grows with gamma
-    (`inverse_beta2_m`), so g < 0 below b0 = sqrt(uniqueness_threshold): the
-    bracket's lower end needs no solve.  Its upper end doubles from 2 b0, one
-    critical-point solve each, until g >= 0 (NotConverged past 128 b0), and
-    the lower end follows to the last point where g < 0.  Inside, Newton runs
-    on (q, beta) for q = T(q; beta), beta^2 / beta2_m(gamma(q; beta)) = 1,
-    with the kernel's derivatives, from the upper end.  A step that would
-    leave the bracket or the box, or is not below half the step before last,
-    is replaced by a bisection: a solve at the midpoint halves the bracket
-    (rtsafe).  Newton stops once its correction is at most `tol` in beta and
-    in q, and returns the corrected beta, whose error is of the order of that
-    correction squared: within 1e-11 of bisection on solves run to 1e-15 at
-    h = 0.001 to 5.  Raises Unsupported outside the two-species standard
-    class and for h = 0.
+    gamma_s = lam_s E sech^4 <= lam_s and 1 / beta2_m grows with gamma (`inverse_beta2_m`), so
+    g < 0 below b0 = sqrt(uniqueness_threshold): the bracket's lower end needs no solve.  Its
+    upper end doubles from 2 b0, one critical-point solve each, until g >= 0 (NotConverged past
+    128 b0), and the lower end follows to the last point where g < 0.  Inside, Newton runs on
+    (q, beta) for q = T(q; beta), beta^2 / beta2_m(gamma(q; beta)) = 1, with the kernel's
+    derivatives, from the upper end.  A step that would leave the bracket or the box, or is not
+    below half the step before last, is replaced by a bisection: a solve at the midpoint halves
+    the bracket (rtsafe).  Newton stops once its correction is at most `tol` in beta and in q,
+    and returns the corrected beta, whose error is of the order of that correction squared:
+    within 1e-11 of bisection on solves run to 1e-15 at h = 0.001 to 5.
+
+    All fields run as one batch, each with its own bracket, steps and stop, bit-identical to its
+    search alone: a round of doublings or bisections is one `solve_points` call, a Newton step
+    one kernel call and one stacked solve.  Returns per field beta_m or the MskGlassError its
+    search raised; raises Unsupported outside the two-species standard class and where h = 0.
     """
     _require_standard(spec)
-    if h <= 0:
+    h = np.array(h, dtype=float, ndmin=1)
+    if (h <= 0).any():
         raise Unsupported("the phase boundary is computed for h > 0")
+    out: list = [None] * h.size  # per field: None while searching, then beta_m or the error
+    lo, beta, g, q = np.zeros(h.size), np.zeros(h.size), np.zeros(h.size), np.zeros((h.size, spec.m))
+    hi = np.full(h.size, math.sqrt(uniqueness_threshold(spec)))
 
-    def solved(beta: float) -> tuple[np.ndarray, float]:
-        sol = solve_fixed_point(spec, TempField(beta=beta, h=h), rule)
-        return sol.q_star, beta * beta - two_species_thresholds(spec, sol.gamma).beta2_m
+    def solved(rows):
+        """Solve at (beta, h) in `rows` for q* and g; fails the rows whose solve or thresholds raised."""
+        if not rows.size:
+            return rows
+        sols = solve_points(spec, TempField(beta=beta[rows], h=h[rows]), rule)
+        for i, sol in zip(rows, sols):
+            out[i] = sol if isinstance(sol, MskGlassError) else None if sol.gamma.all() else _underflow(sol.gamma)
+        kept = [j for j, i in enumerate(rows) if out[i] is None]
+        rows, gamma = rows[kept], np.reshape([sols[j].gamma for j in kept], (-1, spec.m))
+        q[rows] = np.reshape([sols[j].q_star for j in kept], (-1, spec.m))
+        g[rows] = beta[rows] * beta[rows] - two_species_thresholds(spec, gamma).beta2_m
+        return rows
 
-    lo = hi = math.sqrt(uniqueness_threshold(spec))
+    rows = np.arange(h.size)
     for _ in range(_LINE_DOUBLINGS + 1):
-        lo, hi = hi, 2.0 * hi
-        q, g = solved(hi)
-        if g >= 0:
-            break
-    else:
-        raise NotConverged(f"no bracket: g(beta) < 0 up to beta = {hi}")
-    beta = hi
-    step_old = step = 2.0 * (hi - lo)  # from an end, a first step may cross the bracket
-    jac = np.zeros((3, 3))
+        lo[rows], hi[rows], beta[rows] = hi[rows], 2.0 * hi[rows], 2.0 * hi[rows]
+        rows = solved(rows)
+        rows = rows[g[rows] < 0]
+    for i in rows:
+        out[i] = NotConverged(f"no bracket: g(beta) < 0 up to beta = {hi[i]}")
+    rows = np.array([i for i, result in enumerate(out) if result is None], dtype=int)
+    step_old, step = 2.0 * (hi - lo), 2.0 * (hi - lo)  # from an end, a first step may cross the bracket
     for _ in range(_LINE_MAX_STEPS):
-        k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
-        inv, grad = inverse_beta2_m(spec, k.gamma)
-        jac[:2, :2], jac[:2, 2] = np.eye(2) - k.dt_dq, -k.dt_dbeta
-        jac[2, :2] = beta * beta * (grad @ k.dgamma_dq)
-        jac[2, 2] = 2.0 * beta * inv + beta * beta * (grad @ k.dgamma_dbeta)
-        try:
-            d = np.linalg.solve(jac, np.append(q - k.t, beta * beta * inv - 1.0))
-        except np.linalg.LinAlgError:
-            d = np.full(3, math.nan)
-        if np.abs(d).max() <= tol:
-            return float(beta - d[2])
-        q_next, beta_next = q - d[:2], beta - d[2]
-        if lo < beta_next < hi and ((q_next >= 0) & (q_next <= 1)).all() and 2.0 * abs(d[2]) <= step_old:
-            q, beta, step_old, step = q_next, beta_next, step, abs(d[2])
-        else:
-            beta, step_old, step = 0.5 * (lo + hi), step, 0.5 * (hi - lo)
-            q, g = solved(beta)
-            if step <= tol:
-                return beta
-            lo, hi = (beta, hi) if g < 0 else (lo, beta)
-    raise NotConverged(f"the phase line at h = {h} took more than {_LINE_MAX_STEPS} steps")
+        if not rows.size:
+            return out
+        k = map_derivatives(spec, TempField(beta=beta[rows], h=h[rows]), q[rows], rule)
+        finite = k.gamma.all(-1)
+        for i, gamma in zip(rows[~finite], k.gamma[~finite]):
+            out[i] = _underflow(gamma)
+        rows, k = rows[finite], k._make(f[finite] for f in k)
+        b, (inv, grad) = beta[rows], inverse_beta2_m(spec, k.gamma)
+        jac = np.zeros((rows.size, 3, 3))
+        jac[:, :2, :2], jac[:, :2, 2] = np.eye(2) - k.dt_dq, -k.dt_dbeta
+        jac[:, 2, :2] = (b * b)[:, None] * (grad[:, None] @ k.dgamma_dq)[:, 0]
+        jac[:, 2, 2] = 2.0 * b * inv + b * b * (grad[:, None] @ k.dgamma_dbeta[..., None])[:, 0, 0]
+        d = stacked_solve(jac, np.concatenate([q[rows] - k.t, (b * b * inv - 1.0)[:, None]], axis=1))
+        done = np.abs(d).max(-1) <= tol
+        for i, value in zip(rows[done], (b - d[:, 2])[done].tolist()):
+            out[i] = value
+        q_next, b_next = q[rows] - d[:, :2], b - d[:, 2]
+        newton = ((lo[rows] < b_next) & (b_next < hi[rows]) & ((q_next >= 0) & (q_next <= 1)).all(-1)
+                  & (2.0 * np.abs(d[:, 2]) <= step_old[rows]) & ~done)
+        step_old[rows], took, halved = step[rows], rows[newton], rows[~newton & ~done]
+        q[took], beta[took], step[took] = q_next[newton], b_next[newton], np.abs(d[newton, 2])
+        beta[halved], step[halved] = 0.5 * (lo[halved] + hi[halved]), 0.5 * (hi[halved] - lo[halved])
+        halved = solved(halved)
+        for i in halved[step[halved] <= tol]:
+            out[i] = float(beta[i])
+        halved = halved[step[halved] > tol]
+        below = g[halved] < 0
+        lo[halved[below]], hi[halved[~below]] = beta[halved[below]], beta[halved[~below]]
+        rows = np.array([i for i in rows if out[i] is None], dtype=int)
+    for i in rows:
+        out[i] = NotConverged(f"the phase line at h = {h[i]} took more than {_LINE_MAX_STEPS} steps")
+    return out

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .atline import ATReport, Verdict, at_line_beta, at_verdict, at_verdicts
+from .atline import ATReport, Verdict, at_line_betas, at_verdict, at_verdicts
 from .errors import MskGlassError, NotConverged, CertificateNotFound
 from .model import VALIDATION_MODES, ModelSpec, TempField, two_species_standard, validate
 from .onersb import OneRSBCertificate, certify_points, certify_rsb
@@ -322,12 +322,10 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
     rows = []
     previous = None  # beta_m of the row before, if it is ok
     spacing = h_values[1] - h_values[0] if h_values.size > 1 else 0.0
-    for h in h_values:
-        try:
-            beta = at_line_beta(spec, float(h), rule)
-        except MskGlassError as exc:
-            status = "bracket-failure" if isinstance(exc, NotConverged) else "numerical-failure"
-            _log.warning("%s at h = %.6g: %s", status, h, exc)
+    for h, beta in zip(h_values, at_line_betas(spec, h_values, rule)):
+        if isinstance(beta, MskGlassError):
+            status = "bracket-failure" if isinstance(beta, NotConverged) else "numerical-failure"
+            _log.warning("%s at h = %.6g: %s", status, h, beta)
             rows.append((h, math.nan, status))
             previous = None
             continue

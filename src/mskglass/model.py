@@ -142,24 +142,29 @@ class Thresholds(NamedTuple):
     beta2_M: float
 
 
+def _underflow(gamma) -> MskGlassError:
+    return MskGlassError(f"quartic susceptibility underflowed to 0 (gamma = {gamma})")
+
+
 def _threshold_terms(spec: ModelSpec, gamma):
-    """(e, g1, g2, a, b, root), (g1, g2) = gamma / 2^e exactly with e the exponent
-    of max(gamma), a = g1 d11, b = g2 d22, root = sqrt((a - b)^2 + 4 g1 g2 d12^2)."""
+    """(e, g1, g2, a, b, root) of gamma, or of each row of a batch (R x 2): (g1, g2) = gamma / 2^e exactly with e
+    the exponent of max(gamma), a = g1 d11, b = g2 d22, root = sqrt((a - b)^2 + 4 g1 g2 d12^2)."""
     if spec.m != 2:
         raise Unsupported("closed-form thresholds exist for two species only")
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2,) or (gamma < 0).any():
-        raise ValueError("gamma must be a positive 2-vector")
+    if gamma.shape[-1:] != (2,) or gamma.ndim > 2 or (gamma < 0).any():
+        raise ValueError("gamma must be a positive 2-vector or rows of them")
     if (gamma == 0).any():
-        raise MskGlassError(f"quartic susceptibility underflowed to 0 (gamma = {gamma})")
-    e = math.frexp(float(gamma.max()))[1]
-    g1, g2 = math.ldexp(float(gamma[0]), -e), math.ldexp(float(gamma[1]), -e)
+        raise _underflow(gamma)
+    e = np.frexp(gamma.max(-1))[1]
+    g1, g2 = np.ldexp(gamma, -e[..., None]).T
     a, b = g1 * spec.delta2[0, 0], g2 * spec.delta2[1, 1]
-    return e, g1, g2, a, b, math.sqrt((a - b) ** 2 + 4.0 * g1 * g2 * spec.delta2[0, 1] ** 2)
+    # float_power is libm's pow, as float ** 2 is; NumPy's array ** 2 is x * x, which differs in the last bit
+    return e, g1, g2, a, b, np.sqrt(np.float_power(a - b, 2.0) + 4.0 * g1 * g2 * spec.delta2[0, 1] ** 2)
 
 
 def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
-    """The five thresholds for two species and a positive weight vector gamma.
+    """The five thresholds for two species and a positive weight vector gamma, or their arrays for rows (R x 2).
 
     (beta2_m, beta2_M) = 1 / (a + b +- sqrt((a - b)^2 + 4 g1 g2 d12^2)) with
     a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
@@ -174,22 +179,24 @@ def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
     """
     e, g1, g2, a, b, root = _threshold_terms(spec, gamma)
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
-    return Thresholds._make(math.ldexp(t, -e) if math.frexp(t)[1] <= 1024 + e else math.inf for t in (
-        d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
-        d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
-        1.0 / (2.0 * (a + b)),
-        1.0 / (a + b + root),
-        math.inf if a + b - root <= 0.0 else 1.0 / (a + b - root),
-    ))
+    with np.errstate(divide="ignore", over="ignore"):  # ldexp is inf beyond the float64 range
+        return Thresholds._make(np.ldexp(t, -e) for t in (
+            d11 / (2.0 * (g1 * d11 * d11 + g2 * d12 * d12)),
+            d22 / (2.0 * (g1 * d12 * d12 + g2 * d22 * d22)),
+            1.0 / (2.0 * (a + b)),
+            1.0 / (a + b + root),
+            np.where(a + b - root <= 0.0, math.inf, 1.0 / (a + b - root)),
+        ))
 
 
-def inverse_beta2_m(spec: ModelSpec, gamma) -> tuple[float, np.ndarray]:
-    """1 / beta2_m = a + b + root, finite at any gamma, and its gradient in
-    gamma (one-sided where root = 0: d12 = 0 and a = b)."""
+def inverse_beta2_m(spec: ModelSpec, gamma) -> tuple:
+    """1 / beta2_m = a + b + root, finite at any gamma, and its gradient in gamma
+    (one-sided where root = 0: d12 = 0 and a = b); one of each per row for rows (R x 2)."""
     e, g1, g2, a, b, root = _threshold_terms(spec, gamma)
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
-    skew, cross = ((a - b) / root, 2.0 * d12 * d12 / root) if root > 0 else (0.0, 0.0)
-    return math.ldexp(a + b + root, e), np.array([d11 * (1.0 + skew) + cross * g2, d22 * (1.0 - skew) + cross * g1])
+    root_or_inf = np.where(root > 0, root, math.inf)
+    skew, cross = (a - b) / root_or_inf, 2.0 * d12 * d12 / root_or_inf
+    return np.ldexp(a + b + root, e), np.stack([d11 * (1.0 + skew) + cross * g2, d22 * (1.0 - skew) + cross * g1], -1)
 
 
 class Contractions(NamedTuple):

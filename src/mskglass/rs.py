@@ -138,6 +138,16 @@ def uniqueness_threshold(spec: ModelSpec) -> float:
     return two_species_thresholds(spec, spec.lam).beta2_m
 
 
+def stacked_solve(a, r) -> np.ndarray:
+    """a^-1 r for each matrix of a stack a (R x n x n) and its row of r (R x n); inf where a is singular."""
+    try:
+        return np.linalg.solve(a, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step, regular = np.full_like(r, math.inf), np.linalg.det(a) != 0
+        step[regular] = np.linalg.solve(a[regular], r[regular, :, None])[..., 0]
+        return step
+
+
 _Run = namedtuple("_Run", "q gamma residual error iterations converged")
 
 
@@ -150,11 +160,7 @@ def _run(spec, tf, rule, q, tol, max_iter) -> list:
     for it in range(1, max_iter + 1):
         k = map_derivatives(spec, points, q, rule)
         r, a = q - k.t, eye - k.dt_dq
-        try:
-            step = np.linalg.solve(a, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # I - J singular in some row (J has eigenvalue 1): an infinite step there
-            step, regular = np.full_like(q, math.inf), np.linalg.det(a) != 0
-            step[regular] = np.linalg.solve(a[regular], r[regular, :, None])[..., 0]
+        step = stacked_solve(a, r)  # infinite where I - J is singular (J has eigenvalue 1)
         error, residual = np.abs(step).max(-1), np.abs(r).max(-1)
         done = error <= tol
         stopped = done.nonzero()[0]

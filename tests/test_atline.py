@@ -11,7 +11,7 @@ from mskglass import (
     TempField,
     Unsupported,
     Verdict,
-    at_line_beta,
+    at_line_betas,
     at_verdict,
     positivity_witness,
     solve_fixed_point,
@@ -20,7 +20,13 @@ from mskglass import (
     uniqueness_threshold,
 )
 from mskglass import atline, rs
+from mskglass.errors import single
 from .oracles import at_line_bisection, single_species_at_beta, stability_threshold
+
+
+def at_line_beta(spec, h, rule, tol=1e-10):
+    """The phase line at one field: `at_line_betas` of a batch of one."""
+    return single(at_line_betas(spec, [h], rule, tol))
 
 
 def _solved(spec, tf, rule, tol=1e-12):
@@ -310,16 +316,28 @@ def test_at_line_small_field_approaches_closed_form(reference_spec, rule):
 
 
 def test_at_line_kernel_calls(reference_spec, rule, monkeypatch):
-    """Bracket solves and Newton steps together make at most 230 kernel
-    calls on the twenty README fields (the line bracketed from beta = 1e-3
-    made 308)."""
-    calls = []
+    """Bracket solves and Newton steps together evaluate at most 230 kernel
+    rows on the twenty README fields (the line bracketed from beta = 1e-3
+    made 308), in at most 30 kernel calls: the fields run as one batch."""
+    rows = []
     for module in (rs, atline):
         kernel = module.map_derivatives
-        monkeypatch.setattr(module, "map_derivatives", lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
-    for h in np.linspace(0.05, 1.0, 20):
-        at_line_beta(reference_spec, float(h), rule)
-    assert len(calls) <= 230
+        monkeypatch.setattr(module, "map_derivatives", lambda spec, tf, q, rule, kernel=kernel:
+                            rows.append(np.size(q) // spec.m) or kernel(spec, tf, q, rule))
+    at_line_betas(reference_spec, np.linspace(0.05, 1.0, 20), rule)
+    assert sum(rows) <= 230 and len(rows) <= 30
+
+
+def test_at_line_batch_matches_one_field_searches(reference_spec, rule):
+    """Fields from 0.001 to 400 searched as one batch give, field by field,
+    the beta_m of that field's search alone bit for bit, and the same errors:
+    no bracket at h = 100 and gamma underflowed to 0 at h = 400."""
+    fields = [0.001, 0.3, 2.0, 5.0, 100.0, 400.0]
+    batch = at_line_betas(reference_spec, fields, rule)
+    alone = [at_line_betas(reference_spec, [h], rule)[0] for h in fields]
+    assert all(type(b) is float for b in batch[:4]) and batch[:4] == alone[:4]
+    assert [type(r) for r in batch[4:]] == [type(r) for r in alone[4:]] == [NotConverged, MskGlassError]
+    assert [str(r) for r in batch[4:]] == [str(r) for r in alone[4:]]
 
 
 @pytest.mark.parametrize("h", [0.001, 0.005, 0.05, 0.3, 2.0, 3.0, 5.0])

@@ -125,8 +125,7 @@ def test_at_line_sk_matches_classical(sk_config, tmp_path):
 
 
 def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, caplog):
-    betas = iter([0.9, 1.5])
-    monkeypatch.setattr(cli, "at_line_beta", lambda spec, h, rule: next(betas))
+    monkeypatch.setattr(cli, "at_line_betas", lambda spec, h, rule: [0.9, 1.5])
     argv = ["at-line", "--config", ref_config, "--h-range", "0.3,0.31,2", "--out", str(tmp_path / "l.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv) == 0
@@ -528,6 +527,21 @@ def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
         assert (row[4] == "") == (ref[4] == "")
         if ref[4]:
             assert abs(float(row[4]) - float(ref[4])) <= 1e-13
+
+
+def test_readme_at_line_matches_golden(tmp_path, capsys):
+    """The README at-line scan (20 fields) reproduces tests/data/at_line_readme.csv:
+    the recorded config and every h, beta_m and status string exactly."""
+    golden = pathlib.Path(__file__).parent / "data" / "at_line_readme.csv"
+    out = tmp_path / "line.csv"
+    argv = ["at-line", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
+            "--h-range", "0.05,1.0,20"]
+    assert main(argv) == 0
+    out.write_text(capsys.readouterr().out)
+    want_header, want_columns, want = _read_csv(golden)
+    header, columns, rows = _read_csv(out)
+    assert header["config"] == want_header["config"]
+    assert columns == want_columns and rows == want and len(rows) == 20
 
 
 def test_readme_scans_kernel_calls(monkeypatch, capsys):
