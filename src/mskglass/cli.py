@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -460,8 +461,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, taking the flags of the fields it reads."""
+    """One subparser per command, taking the flags of the fields it reads; built once per process."""
     parser = argparse.ArgumentParser(prog="mskglass", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
     sub.required = True

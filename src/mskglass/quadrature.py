@@ -19,6 +19,7 @@ beta sqrt(C) grows; order 61 is the package default.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ class QuadRule:
         object.__setattr__(self, "weights", weights)
 
 
+@functools.cache
 def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
     """Gauss-Hermite rule transformed to standard-normal weighting.
 
@@ -63,7 +65,7 @@ def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
     and dividing the weights by sqrt(pi) yields nodes/weights for E f(z) with
     z ~ N(0, 1).  Weights sum to 1 up to rounding.  Above MAX_ORDER the
     weights leave the float64 range, so such orders are rejected
-    (ValueError) before any rule is computed.
+    (ValueError); any other order's rule is computed once and shared (read-only).
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must lie in [1, {MAX_ORDER}], got {order}")

@@ -79,6 +79,20 @@ def test_unknown_subcommand_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_reused_after_a_usage_error(ref_config, capsys):
+    """main reuses one parser per process: after a usage error (exit 1) a valid
+    command on the same parser exits 0 with the output a fresh parser gives."""
+    argv = ["solve-rs", "--config", ref_config, "--beta", "0.5", "--h", "0.4"]
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["solve-rs", "--config", ref_config, "--no-such-flag"]) == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    reused = capsys.readouterr().out
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reused
+
+
 def test_json_round_trip(sk_config, capsys):
     doc = _run_json(capsys, ["solve-rs", "--config", sk_config, "--beta", "0.2", "--h", "0.3"])
     assert json.loads(json.dumps(doc)) == doc

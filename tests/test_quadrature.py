@@ -56,11 +56,20 @@ def test_rule_construction_rejects_bad_input():
         QuadRule(order=3, nodes=np.zeros(2), weights=np.ones(2))
     with pytest.raises(ValueError):
         QuadRule(order=2, nodes=np.zeros(2), weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        gauss_hermite(0)
+    for _ in range(2):  # a rejected order is not cached: it raises on every call
+        with pytest.raises(ValueError):
+            gauss_hermite(0)
+        with pytest.raises(ValueError):
+            gauss_hermite(371)  # the weights leave the float64 range
     gauss_hermite(370)
+
+
+def test_rules_are_computed_once_per_order():
+    """Equal orders share one rule, whose arrays are read-only."""
+    rule = gauss_hermite(61)
+    assert gauss_hermite(61) is rule and gauss_hermite(60) is not rule
     with pytest.raises(ValueError):
-        gauss_hermite(371)  # the weights leave the float64 range
+        rule.weights[0] = 1.0
 
 
 def test_expect_degenerate_scale(rule):
