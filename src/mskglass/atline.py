@@ -13,12 +13,12 @@ certifies that the single-atom value is not optimal.  For two species with D
 positive definite, or all entries equal, the existence of such a direction
 collapses to the single inequality beta^2 > beta2_m, one of the five
 closed-form thresholds of `model.two_species_thresholds`; the AT line in the
-(beta, h) plane is the zero set of beta^2 - beta2_m(beta), found by Newton on
-(q, beta) inside a bisection-safeguarded bracket from the h = 0 threshold up.
-The matrices are built for any M, but thresholds, witnesses and verdicts
-exist only for two species: for three or more no closed form is known and
-they raise Unsupported.  `at_verdicts` classifies a batch of points (a
-phase-diagram row) from one batched solve; `at_verdict` is its batch of one.
+(beta, h) plane is the zero set of beta^2 - beta2_m(beta), found for all fields
+at once (`at_line_betas`) by Newton on (q, beta) in a bisection-safeguarded
+bracket from the h = 0 threshold up.  The matrices are built for any M, but
+thresholds, witnesses and verdicts exist only for two species: for three or
+more no closed form is known and they raise Unsupported.  `at_verdicts` classifies
+a batch of points (a phase-diagram row) from one batched solve; `at_verdict` is its batch of one.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ any run parameters; command-line flags override file fields.  Every output
 embeds the resolved config and the library version so a result file is a
 complete experiment record.  CSV floats carry 17 significant digits so
 regression baselines round-trip bit-faithfully.  Grid scans run in one
-process, `phase-diagram` one batch per h row, and write their rows in grid
-order (h outer, beta inner).
+process, `phase-diagram` one batch per h row and `at-line` one batch over
+all h, and write their rows in grid order (h outer, beta inner).
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
 """
