@@ -18,7 +18,8 @@ at once (`at_line_betas`) by Newton on (q, beta) in a bisection-safeguarded
 bracket from the h = 0 threshold up.  The matrices are built for any M, but
 thresholds, witnesses and verdicts exist only for two species: for three or
 more no closed form is known and they raise Unsupported.  `at_verdicts` classifies
-a batch of points (a phase-diagram row) from one batched solve; `at_verdict` is its batch of one.
+a batch of points (a phase-diagram row) from one batched solve in one vectorised pass;
+`at_verdict` is its batch of one.
 """
 
 from __future__ import annotations
@@ -72,17 +73,17 @@ class ATReport:
 
 
 def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(K, H) with K = 2 beta^2 D G D - D and H = beta^2 L K L; any M."""
+    """(K, H) with K = 2 beta^2 D G D - D and H = beta^2 L K L; any M.  Rows of gamma (R x M), one per point
+    of a batch `tf`, give stacks (R x M x M), each slice bit-equal to its own call."""
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (spec.m,):
+    if gamma.shape[-1:] != (spec.m,) or gamma.ndim > 2:
         raise ValueError("gamma must have one entry per species")
     if (gamma <= 0).any():
         raise ValueError("gamma entries must be positive")
-    d = spec.delta2
-    k = 2.0 * tf.beta ** 2 * (d * gamma) @ d - d
-    k = 0.5 * (k + k.T)  # symmetric in exact arithmetic; enforce it
-    h = tf.beta ** 2 * k * np.outer(spec.lam, spec.lam)
-    return k, h
+    d, beta2 = spec.delta2, np.float_power(tf.beta, 2.0)[..., None, None]  # libm pow, as float ** 2 is
+    k = 2.0 * beta2 * (d * gamma[..., None, :]) @ d - d
+    k = 0.5 * (k + k.swapaxes(-1, -2))  # symmetric in exact arithmetic; enforce it
+    return k, beta2 * k * np.outer(spec.lam, spec.lam)
 
 
 def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
@@ -111,9 +112,10 @@ def _require_standard(spec: ModelSpec) -> None:
         )
 
 
-def positivity_witness(k_matrix) -> Optional[np.ndarray]:
+def positivity_witness(k_matrix) -> Optional[np.ndarray] | list:
     """The nonnegative direction maximising x' K x / x' x for a 2 x 2 K,
-    scaled to unit max entry, or None when that maximum is not positive.
+    scaled to unit max entry, or None when that maximum is not positive;
+    for a stack (R x 2 x 2) the list of them, each equal to its own call.
 
     When K_12 >= 0, |x|' K |x| >= x' K x for every x, so the maximum over
     the quadrant is lambda_max(K), reached at the absolute value of the top
@@ -122,43 +124,21 @@ def positivity_witness(k_matrix) -> Optional[np.ndarray]:
     on its axis.  Raises Unsupported for M != 2.
     """
     k = np.asarray(k_matrix, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("expected a square matrix")
-    if k.shape[0] != 2:
+    if k.ndim not in (2, 3) or k.shape[-1] != k.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if k.shape[-1] != 2:
         raise Unsupported("the positivity witness is defined for two species only")
-    norm = float(np.linalg.norm(k, 2))
-    if norm == 0.0 or not np.isfinite(norm):
-        return None
-    if np.abs(k - k.T).max() > 1e-12 * max(1.0, norm):
+    norm = np.linalg.norm(k, 2, axis=(-2, -1))
+    valid = (norm != 0.0) & np.isfinite(norm)
+    if (np.abs(k[..., 0, 1] - k[..., 1, 0]) > 1e-12 * np.maximum(1.0, norm))[valid].any():
         raise ValueError("stability matrix must be symmetric")
-
-    if k[0, 1] >= 0:
-        x = np.abs(np.linalg.eigh(k)[1][:, -1])
-    else:
-        x = np.eye(2)[np.argmax(np.diag(k))]
-    x = x / x.max()
-    return x if float(x @ k @ x) > _WITNESS_REL_TOL * norm else None
-
-
-def _classify(spec: ModelSpec, tf: TempField, sol: RSSolution) -> ATReport:
-    thresholds = two_species_thresholds(spec, sol.gamma)
-    _check_ordering(spec, thresholds)
-    k, h_matrix = stability_matrices(spec, tf, sol.gamma)
-
-    beta2 = tf.beta ** 2
-    witness = positivity_witness(k)
-    if abs(beta2 - thresholds.beta2_m) <= _VERDICT_BAND:
-        verdict, attached = Verdict.INDETERMINATE, None
-    elif beta2 > thresholds.beta2_m:
-        if witness is None:
-            raise InternalInconsistency("beta^2 exceeds beta2_m but no nonnegative positive direction was found")
-        verdict, attached = Verdict.RSB_CERTIFIED, witness
-    else:
-        if witness is not None:
-            raise InternalInconsistency("beta^2 is below beta2_m yet a nonnegative positive direction exists")
-        verdict, attached = Verdict.RS_CONSISTENT, None
-    return ATReport(beta=tf.beta, h=tf.h, gamma=sol.gamma, stability=k, hessian=h_matrix, thresholds=thresholds,
-                    verdict=verdict, witness_x=attached, solution=sol)
+    k = np.where(valid[..., None, None], k, 0.0)  # eigh needs finite entries; these rows have no witness
+    perron = np.abs(np.linalg.eigh(k)[1][..., -1])
+    perron /= perron.max(-1, keepdims=True)
+    x = np.where((k[..., :1, 1] >= 0), perron, np.eye(2)[np.argmax(np.diagonal(k, 0, -2, -1), -1)])
+    valid &= (x[..., None, :] @ k @ x[..., None])[..., 0, 0] > _WITNESS_REL_TOL * norm
+    witnesses = [xi if ok else None for xi, ok in zip(x.reshape(-1, 2), valid.ravel())]
+    return witnesses if k.ndim == 3 else witnesses[0]
 
 
 def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
@@ -175,20 +155,41 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     >= 0, since beta2_v < beta2_m, so the witness is the Perron vector of K
     (an axis when d12 = 0).  The sign test and the witness are
     cross-checked against each other in both directions.  All points are
-    solved as one batch (`rs.solve_points`); each gets an ATReport, or the
-    MskGlassError its solve or classification raised.  Raises Unsupported
-    outside the two-species standard class and where h = 0.
+    solved as one batch (`rs.solve_points`) and classified in one pass: one
+    threshold call on the gamma rows and stacked K, H and witnesses, with
+    the ordering check, the band and the cross-checks per point.  Each gets
+    an ATReport, or the MskGlassError its solve or classification raised.
+    Raises Unsupported outside the two-species standard class and where h = 0.
     """
     _require_standard(spec)
-    if (np.ravel(tf.h) <= 0).any():
+    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
+    if (h <= 0).any():
         raise Unsupported("the phase verdict is defined for h > 0")
-    reports: list = []
-    for b, field, sol in zip(np.ravel(tf.beta), np.ravel(tf.h), solve_points(spec, tf, rule)):
+    reports = [_underflow(sol.gamma) if isinstance(sol, RSSolution) and not sol.gamma.all() else sol
+               for sol in solve_points(spec, tf, rule)]
+    rows = [i for i, sol in enumerate(reports) if isinstance(sol, RSSolution)]
+    gamma = np.reshape([reports[i].gamma for i in rows], (-1, spec.m))
+    thresholds = two_species_thresholds(spec, gamma)
+    k, hessian = stability_matrices(spec, TempField(beta=beta[rows], h=h[rows]), gamma)
+    witnesses = positivity_witness(k)
+    for j, (i, b2) in enumerate(zip(rows, np.float_power(beta[rows], 2.0))):
+        th, sol, witness = Thresholds._make(t[j] for t in thresholds), reports[i], witnesses[j]
         try:
-            reports.append(_classify(spec, TempField(float(b), float(field)), sol) if isinstance(sol, RSSolution)
-                           else sol)
+            _check_ordering(spec, th)
+            if abs(b2 - th.beta2_m) <= _VERDICT_BAND:
+                verdict, witness = Verdict.INDETERMINATE, None
+            elif b2 > th.beta2_m:
+                if witness is None:
+                    raise InternalInconsistency("beta^2 exceeds beta2_m but no nonnegative positive direction was found")
+                verdict = Verdict.RSB_CERTIFIED
+            else:
+                if witness is not None:
+                    raise InternalInconsistency("beta^2 is below beta2_m yet a nonnegative positive direction exists")
+                verdict = Verdict.RS_CONSISTENT
+            reports[i] = ATReport(beta=float(beta[i]), h=float(h[i]), gamma=sol.gamma, stability=k[j],
+                                  hessian=hessian[j], thresholds=th, verdict=verdict, witness_x=witness, solution=sol)
         except MskGlassError as exc:
-            reports.append(exc)
+            reports[i] = exc
     return reports
 
 

@@ -13,6 +13,7 @@ from mskglass import (
     Verdict,
     at_line_betas,
     at_verdict,
+    at_verdicts,
     positivity_witness,
     solve_fixed_point,
     stability_matrices,
@@ -234,6 +235,79 @@ def test_witness_mid_band_strictly_positive(reference_spec, rule):
     assert values.max() > 0
     best = grid[:, values.argmax()]
     assert (best > 0).all()
+
+
+def test_stacked_stability_matrices_equal_one_at_a_time(reference_spec):
+    """A stack of gamma rows, one per point of a batch, gives each point's (K, H) bit for bit."""
+    rng = np.random.default_rng(3)
+    gamma, beta = rng.uniform(0.05, 0.6, (6, 2)), rng.uniform(0.2, 1.6, 6)
+    k, h_mat = stability_matrices(reference_spec, TempField(beta=beta, h=np.full(6, 0.3)), gamma)
+    assert k.shape == h_mat.shape == (6, 2, 2)
+    for i in range(6):
+        k1, h1 = stability_matrices(reference_spec, TempField(beta=float(beta[i]), h=0.3), gamma[i])
+        assert k[i].tobytes() == k1.tobytes() and h_mat[i].tobytes() == h1.tobytes()
+    with pytest.raises(ValueError):
+        stability_matrices(reference_spec, TempField(beta=beta, h=np.full(6, 0.3)), gamma[:, :1])
+
+
+def test_stacked_witnesses_equal_one_at_a_time():
+    """The single-matrix cases stacked: diagonal either way, no witness, Perron and K_12 < 0."""
+    ks = np.array([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), -np.eye(2), [[-1.0, 2.0], [2.0, -1.0]],
+                   [[1.0, -0.5], [-0.5, 0.3]]])
+    stacked = positivity_witness(ks)
+    assert len(stacked) == len(ks)
+    for k, got in zip(ks, stacked):
+        want = positivity_witness(k)
+        assert (got is None) == (want is None) and (want is None or got.tobytes() == want.tobytes())
+    assert stacked[2] is None and stacked[4].tolist() == [1.0, 0.0] and stacked[3].tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError):
+        positivity_witness(np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))
+    with pytest.raises(Unsupported):
+        positivity_witness(np.stack([np.diag([-1.0, -1.0, 1.0])] * 2))
+
+
+def _report_fields(result):
+    """Every ATReport field as bytes, or an error's type and message."""
+    if isinstance(result, MskGlassError):
+        return type(result), str(result)
+    sol = result.solution
+    arrays = (result.gamma, result.stability, result.hessian, np.array(result.thresholds), sol.q_star, sol.gamma,
+              np.array([result.beta, result.h, sol.error]))
+    witness = None if result.witness_x is None else result.witness_x.tobytes()
+    return result.verdict, witness, sol.iterations, tuple(a.tobytes() for a in arrays)
+
+
+def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypatch):
+    """One batch of RS, RSB and indeterminate points with a forced solve failure, an underflowed
+    gamma (h = 400) and a forced witness cross-check failure: each entry, in input order, is the
+    one-point verdict bit for bit, and each error has its type and message."""
+    on_line = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
+    crossed = at_verdict(reference_spec, TempField(beta=1.4, h=0.2), rule).stability.tobytes()
+    solve, witness = atline.solve_points, atline.positivity_witness
+    monkeypatch.setattr(atline, "solve_points", lambda spec, tf, rule: [
+        NotConverged("forced") if b == 0.7 else sol for b, sol in zip(np.ravel(tf.beta), solve(spec, tf, rule))])
+    monkeypatch.setattr(atline, "positivity_witness", lambda k: [
+        None if ki.tobytes() == crossed else x for ki, x in zip(k, witness(k))])
+    points = [(0.6, 0.4), (1.2, 0.3), (0.7, 0.5), (1.5, 0.6), (1.0, 400.0), (1.6, 0.1), (1.4, 0.2), (0.8, 1.0),
+              (on_line, 0.3)]
+    beta, h = np.array(points).T
+    batch = at_verdicts(reference_spec, TempField(beta=beta, h=h), rule)
+
+    def one(b, field):
+        try:
+            return at_verdict(reference_spec, TempField(beta=b, h=field), rule)
+        except MskGlassError as exc:
+            return exc
+
+    singles = [one(b, field) for b, field in points]
+    assert [_report_fields(r) for r in batch] == [_report_fields(r) for r in singles]
+    for r in batch:  # the batch's one threshold call gives each point's own, bit for bit
+        if isinstance(r, atline.ATReport):
+            assert np.array(r.thresholds).tobytes() == np.array(two_species_thresholds(reference_spec, r.gamma)).tobytes()
+    kinds = [r.verdict if isinstance(r, atline.ATReport) else type(r) for r in batch]
+    assert kinds == [Verdict.RS_CONSISTENT, Verdict.RSB_CERTIFIED, NotConverged, Verdict.RSB_CERTIFIED,
+                     MskGlassError, Verdict.RSB_CERTIFIED, InternalInconsistency, Verdict.RS_CONSISTENT,
+                     Verdict.INDETERMINATE]
 
 
 def test_witness_three_species_search():
