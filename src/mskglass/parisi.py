@@ -18,7 +18,7 @@ remaining k + 1 levels are evaluated bottom-up on the tensor grid of
 quadrature nodes.  The two innermost levels are formed for a chunk of
 (ladder, species) rows at once, with one exponential per (weight vector,
 node pair); outer levels recurse node by node.  Peak memory is one chunk,
-about 80,000 floats (or one row's Z x order x order if larger), whatever
+about 160,000 floats (or one row's Z x order x order if larger), whatever
 k, and cost grows as order**(k+1), so levels k <= 3 are practical at
 moderate order.  Each log E e^{zeta X} is centred on the weighted mean of
 X and, for zeta < 1/2, summed through expm1, so 1/zeta does not amplify
@@ -44,7 +44,6 @@ point (a batch `TempField`), so one call scans a whole phase-diagram row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +57,7 @@ _LOG2 = math.log(2.0)
 _INCREMENT_TOL = 1e-12
 _EXP_LIMIT = 700.0  # e^700 times any order's node count stays inside float64
 _NEGLIGIBLE = 2.0**-64  # share of a level's value a skipped node may carry
-_CHUNK_FLOATS = 80_000  # exponentials held at once: 2 rows of a 10-weight scan at order 61
+_CHUNK_FLOATS = 160_000  # exponentials held at once: 4 rows of a 10-weight scan at order 61
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class ParisiParams:
 def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(1/z) log sum_j w_j e^{z x_j} over the last axis of `x`, one row per
     exponent z in `zeta` (shape (Z,)); `x` leads with an axis of length Z or 1
-    and `peak` (x's shape with a last axis of 1) bounds it from above.
+    and `peak` (x's shape without its last axis) bounds it from above.
 
     x is first centred on its weighted mean m, so the sum S of e^{z (x - m)}
     is at least about 1 (Jensen); where x reaches more than _EXP_LIMIT above
@@ -119,16 +118,17 @@ def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarr
     without cancellation as sum_j w_j expm1(z (x_j - m)) + (sum_j w_j - 1)
     and passed to log1p; from 1/2 on the faster exp is as accurate.
     """
-    centre = np.maximum(x @ w, peak[..., 0] - _EXP_LIMIT)[..., None]
-    z = zeta.reshape((-1,) + (1,) * (x.ndim - 1))
-    e = z * (x - centre)
+    centre = np.maximum(x @ w, peak - _EXP_LIMIT)
+    z = zeta.reshape((-1,) + (1,) * (centre.ndim - 1))
+    e = x - centre[..., None]
+    e = np.multiply(z[..., None], e, out=e if len(e) == len(zeta) else None)  # the one Z-sized array exp overwrites
     if zeta.min() < 0.5:
         np.expm1(e, out=e)
         log_s = np.log1p(e @ w + math.fsum(w.tolist() + [-1.0]))
     else:
         np.exp(e, out=e)
         log_s = np.log(e @ w)
-    return log_s / z[..., 0] + centre[..., 0]
+    return log_s / z + centre
 
 
 def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if not zeta.any():
         return values @ w
-    return _log_mean_exp(values, values.max(axis=-1, keepdims=True), zeta, w)
+    return _log_mean_exp(values, values.max(axis=-1), zeta, w)
 
 
 def _kept(rule: QuadRule, zeta: np.ndarray, widest: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -188,7 +188,7 @@ def _x_zero(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, levels: list) 
         inner, w_inner = levels[i + 1]
         x = log_cosh((shift + scales[:, i, None] * z)[..., None] + scales[:, i + 1, None, None] * inner)[None]
         # log cosh grows with |field| and the nodes ascend, so each row peaks at an end node
-        peak = np.maximum(x[..., :1], x[..., -1:])
+        peak = np.maximum(x[..., 0], x[..., -1])
         return _reduce(_log_mean_exp(x, peak, zetas[:, i + 1], w_inner), zetas[:, i], w)
 
     return rec(0, h)
@@ -219,26 +219,24 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
     top = (0.5 * beta * beta)[:, None] * increments[:, -1]  # (E, M)
     x0 = np.empty((len(q), spec.m, len(zetas)))
     rows = max(1, _CHUNK_FLOATS // (len(zetas) * rule.order**2))
-    zmax = np.abs(rule.nodes).max()
-    # species-major, so a chunk holds neighbouring ladders of one species
-    order = [(e, s) for s in range(spec.m) for e in range(len(q))]
-    for live, group in itertools.groupby(order, key=lambda r: tuple(scales[r[0], :, r[1]] > 0.0)):
-        e, s = np.array(list(group)).T
-        live = np.array(live)
+    zmax, nodes_weights = np.abs(rule.nodes).max(), np.array([rule.nodes, rule.weights])
+    # species-major, so a chunk holds neighbouring ladders of one species; a run of rows shares its live levels
+    lives = (scales > 0.0).transpose(2, 0, 1).reshape(-1, scales.shape[1])
+    ends = [*np.flatnonzero((lives[1:] != lives[:-1]).any(-1)) + 1, len(lives)]
+    for lo, hi in zip([0, *ends], ends):
+        (s, e), live = np.divmod(np.arange(lo, hi), len(q)), lives[lo:hi].any(0)  # all False for no ladders
+        he = h[e]
         if not live.any():
-            x0[e, s] = (log_cosh(h[e]) + top[e, s])[:, None]
+            x0[e, s] = (log_cosh(he) + top[e, s])[:, None]
             continue
         sc, zl = scales[e, :, s][:, live], zetas[:, :-1][:, live]
         starts = np.arange(0, len(e), rows)
         widest = np.maximum.reduceat(sc, starts, axis=0)  # (chunks, L)
         deeper = zmax * (np.cumsum(widest[:, ::-1], axis=1)[:, ::-1] - widest)
-        reach = np.maximum.reduceat(h[e], starts)[:, None] + deeper
+        reach = np.maximum.reduceat(he, starts)[:, None] + deeper
         masks = [_kept(rule, zl[:, i], widest[:, i], reach[:, i]) for i in range(sc.shape[1])]
-        x = [
-            _x_zero(h[e][at : at + rows, None], sc[at : at + rows], zl,
-                    [(rule.nodes[m[c]], rule.weights[m[c]]) for m in masks])
-            for c, at in enumerate(starts)
-        ]
+        x = [_x_zero(he[at : at + rows, None], sc[at : at + rows], zl, [nodes_weights[:, m[c]] for m in masks])
+             for c, at in enumerate(starts)]
         x0[e, s] = np.concatenate(x, axis=-1).T + top[e, s, None]
 
     correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)

@@ -74,7 +74,12 @@ def gauss_hermite(order: int = DEFAULT_ORDER) -> QuadRule:
 
 
 def log_cosh(y):
-    """log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2, free of overflow."""
+    """log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2, free of overflow; `y` is left unchanged."""
     a = np.abs(y)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+    out = np.multiply(a, -2.0, out=np.empty(np.shape(a)))  # the one buffer the passes below overwrite
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += a
+    out -= _LN2
+    return out[()]  # a scalar for scalar input
 

@@ -330,6 +330,24 @@ def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
     assert peak <= 1 << 20
 
 
+def test_row_certificate_scan_allocation_guard(reference_spec, rule):
+    """The README h = 0.1 row (17 RSB points) scanned in one evaluator call
+    peaks at no more than 1.5 MB of traced allocations (about 1.1 MB today),
+    so tuning the evaluator's chunk cannot quietly grow the scan's memory."""
+    betas = np.linspace(0.4, 1.6, 25)
+    reports = at_verdicts(reference_spec, TempField(beta=betas, h=np.full(betas.size, 0.1)), rule)
+    rsb = [i for i, r in enumerate(reports) if r.verdict == Verdict.RSB_CERTIFIED]
+    assert len(rsb) == 17
+    tracemalloc.start()
+    try:
+        certify_points(reference_spec, TempField(beta=betas[rsb], h=np.full(len(rsb), 0.1)),
+                       [reports[i] for i in rsb], rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 def test_row_batched_certificates_match_one_point_scans(reference_spec, rule):
     """On the README grid the certificates of each h row's RSB points, scanned
     in one evaluator call, match one-point scans: the same (epsilon, zeta),

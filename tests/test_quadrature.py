@@ -163,6 +163,23 @@ def test_log_cosh_stability():
     np.testing.assert_allclose(log_cosh(y), np.log(np.cosh(y)), atol=1e-14)
 
 
+def test_log_cosh_is_the_stable_formula_bit_for_bit():
+    """Bit-equal to |y| + log1p(exp(-2|y|)) - log 2 over +-800, on arrays, Python floats and 0-d
+    arrays, which come back as scalars; the argument is left unchanged."""
+    y = np.linspace(-800.0, 800.0, 160001)
+    before = y.copy()
+    a = np.abs(y)
+    np.testing.assert_array_equal(log_cosh(y), a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
+    np.testing.assert_array_equal(y, before)
+    for v in (0.0, -3.5, 750.0, np.array(2.25), np.array(-0.5)):
+        a = np.abs(v)
+        got = log_cosh(v)
+        assert np.ndim(got) == 0 and got == a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    zero_d = np.array(-1.25)
+    log_cosh(zero_d)
+    assert zero_d == -1.25
+
+
 @pytest.mark.xfail(
     reason="Gauss-Hermite convergence for tanh^2/sech^4/log-cosh integrands is "
     "limited by their poles at +-i pi/2: at |beta*scale| = 4 the order-40/80 "
