@@ -180,7 +180,8 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
                 verdict, witness = Verdict.INDETERMINATE, None
             elif b2 > th.beta2_m:
                 if witness is None:
-                    raise InternalInconsistency("beta^2 exceeds beta2_m but no nonnegative positive direction was found")
+                    raise InternalInconsistency(
+                        "beta^2 exceeds beta2_m but no nonnegative positive direction was found")
                 verdict = Verdict.RSB_CERTIFIED
             else:
                 if witness is not None:
