@@ -28,6 +28,14 @@ The generator is fixed bit-exactly:
 Species blocks are contiguous index ranges with sizes round(lam_s N)
 (largest-remainder rounding so the sizes always sum to N).
 
+Metropolis draws come from the same mix.  Disorder sample r (couplings from
+seed derive_seed(seed, r, 1)) has the chain key c = derive_seed(seed, r, 2)
+= mix(mix(mix(seed) ^ r) ^ 2).  Slot k = a N + i (replica a in {0, 1}) of row
+t holds the word w = mix(mix(c ^ t) ^ k), the site ((w >> 32) * N) >> 32 in
+[0, N) and the uniform u = (mix(w) >> 11) * 2^-53 in [0, 1).  Row 0 sets the
+start spins, sigma^a_i = -1 if u < 1/2 else +1; row 1 + t is sweep t, whose
+step i proposes the site of slot k to replica a and accepts it against its u.
+
 Z is summed exactly for N <= 24: the sum over the second index half is one
 GEMM per chunk of first-half configurations (log_partition_exact).
 """
@@ -48,6 +56,7 @@ MAX_EXACT_N = 24
 MAX_MC_N = 256
 
 _CHUNK_MACS = 2**18  # per chunk GEMM of log_partition_exact: one OpenBLAS thread
+_BLOCK_WORDS = 2**12  # generator words per vectorised draw: couplings or sweeps' proposals
 _TINY = 1e-280  # a factored row sum this small is re-summed directly
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -60,29 +69,32 @@ def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
     with np.errstate(over="ignore"):
         z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
-def _as_u64(value: int) -> np.uint64:
-    return np.uint64(int(value) & 0xFFFFFFFFFFFFFFFF)
+def _u64(value) -> np.ndarray:
+    """Integers mod 2^64, a Python int or an integer array, as uint64."""
+    return np.asarray(value % 2**64 if isinstance(value, int) else value).astype(np.uint64, copy=False)
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Deterministic child seed from a parent seed and a chain of indices."""
-    x = _mix(np.array([_as_u64(seed)]))
+def derive_seed(seed: int, *indices):
+    """Deterministic child seed from a parent seed and a chain of indices; an
+    index array gives the uint64 array of the children."""
+    x = _mix(_u64(seed))
     for idx in indices:
-        x = _mix(x ^ _as_u64(idx))
-    return int(x[0])
+        x = _mix(x ^ _u64(idx))
+    return x if isinstance(x, np.ndarray) else int(x)
 
 
-def disorder_normals(seed: int, ii, jj) -> np.ndarray:
-    """Standard normals indexed by (seed, i, j); pure, vectorized, documented above."""
-    ii = np.asarray(ii, dtype=np.uint64)
-    jj = np.asarray(jj, dtype=np.uint64)
-    key = _mix(np.array([_as_u64(seed)]))[0]
-    s1 = _mix(_mix(_mix(np.broadcast_to(key, ii.shape).copy() ^ ii) ^ jj))
+def disorder_normals(seed, ii, jj) -> np.ndarray:
+    """Standard normals indexed by (seed, i, j), all three broadcast together;
+    pure, vectorized, documented above."""
+    s1 = _mix(_mix(_mix(_mix(_u64(seed)) ^ _u64(ii)) ^ _u64(jj)))
     s2 = _mix(s1)
     u1 = ((s1 >> np.uint64(11)).astype(float) + 1.0) / _U53
     u2 = (s2 >> np.uint64(11)).astype(float) / _U53
@@ -107,22 +119,23 @@ def species_partition(spec: ModelSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """A coupling matrix reproducible from its seed alone."""
+    """A coupling matrix, or a stack of them, reproducible from its seeds alone."""
 
-    seed: int
-    g: np.ndarray
+    seed: int | np.ndarray
+    g: np.ndarray  # (N, N), or (S, N, N) for S seeds
     species: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
-def sample_disorder(spec: ModelSpec, n: int, seed: int) -> DisorderSample:
-    """Draw the N x N coupling matrix with block variances delta2_st."""
+def sample_disorder(spec: ModelSpec, n: int, seed) -> DisorderSample:
+    """Draw the N x N coupling matrix with block variances delta2_st; an array
+    of seeds draws the stack of their matrices."""
     species = species_partition(spec, n)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    z = disorder_normals(seed, ii, jj)
+    index = np.arange(n)
+    z = disorder_normals(_u64(seed)[..., None, None], index[:, None], index)
     std = np.sqrt(spec.delta2)[np.ix_(species, species)]
     return DisorderSample(seed=seed, g=std * z, species=species)
 
@@ -199,18 +212,32 @@ def free_energy_exact(
     """Disorder average of log Z / N over exact 2^N enumerations.
 
     Deterministic for fixed (spec, tf, n, n_disorder, seed); disorder sample r
-    uses the child seed derive_seed(seed, r).  stderr is 0 for a single sample.
+    uses the child seed derive_seed(seed, r), drawn in groups of about
+    _BLOCK_WORDS couplings.  stderr is 0 for a single sample.
     Raises ValueError when a species block is empty or n_disorder < 1.
     """
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
     _check_counts(spec, n, n_disorder)
+    seeds, group = derive_seed(seed, np.arange(n_disorder)), max(1, _BLOCK_WORDS // (n * n))
     values = np.empty(n_disorder)
-    for r in range(n_disorder):
-        d = sample_disorder(spec, n, derive_seed(seed, r))
-        values[r] = log_partition_exact(d, tf) / n
+    for start in range(0, n_disorder, group):
+        stack = sample_disorder(spec, n, seeds[start : start + group])
+        for r, g in enumerate(stack.g, start):
+            values[r] = log_partition_exact(DisorderSample(int(seeds[r]), g, stack.species), tf) / n
     stderr = 0.0 if n_disorder < 2 else float(values.std(ddof=1) / math.sqrt(n_disorder))
     return FreeEnergyEstimate(mean=float(values.mean()), stderr=stderr)
+
+
+def _proposals(key: int, n: int, sweeps: int):
+    """Rows 0..sweeps of chain `key`, each its (2, N) sites and uniforms as
+    nested lists; one vectorised draw serves _BLOCK_WORDS // 2N rows."""
+    block, slots = max(1, _BLOCK_WORDS // (2 * n)), np.arange(2 * n, dtype=np.uint64).reshape(2, n)
+    for first in range(0, sweeps + 1, block):
+        rows = np.arange(first, min(first + block, sweeps + 1), dtype=np.uint64)
+        w = _mix(_mix(_u64(key) ^ rows)[:, None, None] ^ slots)
+        sites = ((w >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
+        yield from zip(sites.tolist(), ((_mix(w) >> np.uint64(11)) / _U53).tolist())
 
 
 @dataclass(frozen=True)
@@ -236,8 +263,9 @@ def overlap_histogram(
 ) -> OverlapHistogram:
     """Metropolis single-flip sampling of the species overlaps.
 
-    Two independent replicas share each disorder sample; after a burn-in of
-    sweeps // 2 sweeps the absolute species overlap
+    Two independent replicas share each disorder sample, with couplings, start
+    spins and proposals drawn as the module docstring fixes them.  After a
+    burn-in of sweeps // 2 sweeps the absolute species overlap
     |sum_{i in I_s} sigma^1_i sigma^2_i| / |I_s| is recorded once per sweep.
     Below the phase line the mass concentrates; above it spreading is
     expected but nothing about mixing is guaranteed or asserted here.
@@ -256,29 +284,29 @@ def overlap_histogram(
     counts = np.zeros((spec.m, bins), dtype=int)
     samples: list[list[float]] = [[] for _ in range(spec.m)]
 
-    accepted = 0
+    accepted, exp = 0, math.exp
     for r in range(n_disorder):
         d = sample_disorder(spec, n, derive_seed(seed, r, 1))
         w = d.g + d.g.T
         np.fill_diagonal(w, 0.0)  # flipping i never changes the g_ii term
         coupling = tf.beta / math.sqrt(n) * w
-        # coupling is symmetric: flipping spin i adds -sigma_i * step[i] to the fields
-        step = list(2.0 * coupling)
-        rng = np.random.default_rng(derive_seed(seed, r, 2))
-        sigma = rng.choice((-1.0, 1.0), size=(2, n))
+        # coupling is symmetric: flipping spin i adds -2 sigma_i coupling[i] to the fields,
+        # down[i] when sigma_i = +1 and up[i] when sigma_i = -1 (f - x is f + (-x) exactly)
+        up, down = list(2.0 * coupling), list(-2.0 * coupling)
+        draws = _proposals(derive_seed(seed, r, 2), n, sweeps)
+        sigma = np.where(np.array(next(draws)[1]) < 0.5, -1.0, 1.0)
         field = np.ascontiguousarray((coupling @ sigma.T + tf.h).T)  # (2, n) local fields
 
-        for sweep in range(sweeps):
-            sites = rng.integers(0, n, size=(2, n)).tolist()
-            uniforms = rng.random(size=(2, n)).tolist()
+        for sweep, (sites, uniforms) in enumerate(draws):
             for rep in range(2):
                 spins, f = sigma[rep].tolist(), field[rep]
-                local = memoryview(f)  # reads f as Python floats, in-place updates included
+                local, add = memoryview(f), f.__iadd__  # local reads f as Python floats, updates included
                 for i, u in zip(sites[rep], uniforms[rep]):
-                    delta = -2.0 * spins[i] * local[i]
-                    if delta >= 0.0 or u < math.exp(delta):
-                        (np.subtract if spins[i] > 0.0 else np.add)(f, step[i], f)
-                        spins[i] = -spins[i]
+                    spin = spins[i]
+                    delta = -2.0 * spin * local[i]
+                    if delta >= 0.0 or u < exp(delta):
+                        add(down[i] if spin > 0.0 else up[i])
+                        spins[i] = -spin
                         accepted += 1
                 sigma[rep] = spins
             if sweep >= burn_in:

@@ -7,7 +7,8 @@ an eigenvalue.  The exceptions take the library's rule: the closed-form
 derivatives `rs_gradient` and `zeta_derivative`, which the tests hold against
 finite differences of the library's functionals, and `at_line_bisection`,
 the root of the discrete phase-line function by plain bisection on solves
-run to 1e-15.  The Monte Carlo
+run to 1e-15.  The Metropolis draws are re-derived in Python ints from the
+documentation in mskglass/simulate.py.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.
 """
@@ -213,25 +214,50 @@ def all_configurations(n):
     return np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
 
 
-def metropolis_counts(disorders, rng_seeds, tf, sweeps, bins):
+_M64 = (1 << 64) - 1
+
+
+def splitmix(x):
+    """splitmix64 finalizer on Python ints, from the simulate module docstring."""
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def metropolis_draws(key, n, rows):
+    """Rows 0..rows-1 of Metropolis chain `key`, from the simulate module
+    docstring in Python ints: slot k = a n + i of row t has the word
+    w = mix(mix(key ^ t) ^ k), the site ((w >> 32) n) >> 32 and the uniform
+    (mix(w) >> 11) 2^-53.  Returns per row (sites, uniforms), 2 x n nested lists."""
+    draws = []
+    for t in range(rows):
+        words = [splitmix(splitmix(key ^ t) ^ k) for k in range(2 * n)]
+        reps = (words[:n], words[n:])
+        sites = [[((w >> 32) * n) >> 32 for w in rep] for rep in reps]
+        uniforms = [[(splitmix(w) >> 11) * 2.0**-53 for w in rep] for rep in reps]
+        draws.append((sites, uniforms))
+    return draws
+
+
+def metropolis_counts(disorders, chain_keys, tf, sweeps, bins):
     """Overlap histogram counts of two-replica Metropolis, without a local-field cache.
 
-    The same protocol as the library sampler: per disorder sample a generator
-    seeded with its rng seed draws both replicas' starting spins, then per
-    sweep the (2, N) sites and the (2, N) uniforms.  Flipping spin i of a
-    replica is accepted when dH >= 0 or u < exp(dH), with
+    The same protocol as the library sampler: per disorder sample, row 0 of
+    its chain (metropolis_draws) sets both replicas' start spins, -1 where the
+    uniform is below 1/2, and row 1 + t gives sweep t's (2, N) sites and
+    uniforms.  Flipping spin i of a replica is accepted when dH >= 0 or
+    u < exp(dH), with
     dH = hamiltonian(sigma') - hamiltonian(sigma) from two full energies.
     From sweep sweeps // 2 on, each species overlap |sum sigma^1 sigma^2| / |I_s|
     is binned into `bins` equal bins of [0, 1].
     """
     m = int(disorders[0].species.max()) + 1
     counts = np.zeros((m, bins), dtype=int)
-    for d, rng_seed in zip(disorders, rng_seeds):
-        rng = np.random.default_rng(rng_seed)
-        sigma = rng.choice((-1.0, 1.0), size=(2, d.n))
-        for sweep in range(sweeps):
-            sites = rng.integers(0, d.n, size=(2, d.n))
-            uniforms = rng.random(size=(2, d.n))
+    for d, key in zip(disorders, chain_keys):
+        (_, start), *draws = metropolis_draws(key, d.n, sweeps + 1)
+        sigma = np.array([[-1.0 if u < 0.5 else 1.0 for u in rep] for rep in start])
+        for sweep, (sites, uniforms) in enumerate(draws):
             for rep in range(2):
                 for i, u in zip(sites[rep], uniforms[rep]):
                     trial = sigma[rep].copy()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from mskglass import (
     overlap_histogram,
     sample_disorder,
 )
+import mskglass
 from mskglass import simulate
 from mskglass.simulate import (
     derive_seed,
@@ -21,7 +26,7 @@ from mskglass.simulate import (
     species_partition,
     species_sizes,
 )
-from .oracles import all_configurations, hamiltonian, metropolis_counts
+from .oracles import all_configurations, hamiltonian, metropolis_counts, metropolis_draws
 
 
 def test_disorder_normals_reproducible():
@@ -217,8 +222,81 @@ def test_overlap_matches_reference_sampler(reference_spec, beta, h):
     tf, n, sweeps, seed = TempField(beta=beta, h=h), 24, 40, 13
     hist = overlap_histogram(reference_spec, tf, n=n, sweeps=sweeps, n_disorder=2, seed=seed, bins=20)
     disorders = [sample_disorder(reference_spec, n, derive_seed(seed, r, 1)) for r in range(2)]
-    rng_seeds = [derive_seed(seed, r, 2) for r in range(2)]
-    np.testing.assert_array_equal(hist.counts, metropolis_counts(disorders, rng_seeds, tf, sweeps, bins=20))
+    chain_keys = [derive_seed(seed, r, 2) for r in range(2)]
+    np.testing.assert_array_equal(hist.counts, metropolis_counts(disorders, chain_keys, tf, sweeps, bins=20))
+
+
+@pytest.mark.parametrize("n", [2, simulate.MAX_MC_N])
+def test_proposal_stream_matches_python_derivation(n):
+    """The vectorised sites and uniforms of every row, the start row included,
+    equal their Python-int derivation from the module docstring, through two
+    full blocks of rows and the last row of a partial third one."""
+    key, rows = derive_seed(41, 3, 2), 2 * (simulate._BLOCK_WORDS // (2 * n)) + 3
+    got = list(simulate._proposals(key, n, rows - 1))
+    assert got == [tuple(pair) for pair in metropolis_draws(key, n, rows)]
+
+
+def test_stacked_disorder_equals_per_seed_draws(reference_spec):
+    """An array of child seeds equals the one-index children, and the stack
+    of their coupling matrices equals the per-seed draws bit for bit."""
+    seeds = derive_seed(19, np.arange(9))
+    assert seeds.tolist() == [derive_seed(19, r) for r in range(9)]
+    stack = sample_disorder(reference_spec, 13, seeds)
+    assert stack.g.shape == (9, 13, 13) and stack.n == 13
+    for r, seed in enumerate(seeds.tolist()):
+        single = sample_disorder(reference_spec, 13, seed)
+        np.testing.assert_array_equal(stack.g[r], single.g)
+        np.testing.assert_array_equal(stack.species, single.species)
+
+
+@pytest.mark.parametrize(
+    "n, mean, stderr",
+    [
+        (2, "0x1.c95a0c2a2a075p-1", "0x1.c748bc36d1b15p-5"),
+        (13, "0x1.fa3ab562fdab0p-1", "0x1.4de9ce10a1bbcp-7"),
+        (24, "0x1.ffa87e6f711aap-1", "0x1.5d221317154aep-8"),
+    ],
+)
+def test_free_energy_grouped_draws_keep_the_values(reference_spec, n, mean, stderr):
+    """Drawing the couplings in groups leaves the estimate byte-equal to the
+    values frozen from one draw per sample; 67 samples leave a partial last
+    group at every N (groups of 1024, 24 and 7 samples)."""
+    est = free_energy_exact(reference_spec, TempField(beta=0.7, h=0.3), n=n, n_disorder=67, seed=5)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_finite_n_allocation_guard(reference_spec):
+    """Traced peaks of the README finite-N runs stay small, so the disorder
+    groups and proposal blocks cannot quietly grow: about 0.5 MiB for the
+    N = 20 x 200 exact samples, and 1.6 MiB for N = 128 Metropolis.  Two
+    samples of 160 sweeps (ten proposal blocks) reach the peak of the README's
+    4 x 400, where two samples' couplings coexist, in a fifth of the traced time."""
+    tf = TempField(beta=0.3, h=0.4)
+    assert _traced_peak(lambda: free_energy_exact(reference_spec, tf, n=20, n_disorder=200, seed=7)) <= 2**20
+    peak = _traced_peak(lambda: overlap_histogram(reference_spec, tf, n=128, sweeps=160, n_disorder=2, seed=7))
+    assert peak <= 2.5 * 2**20
+
+
+def test_overlap_hist_leaves_numpy_random_unimported():
+    """A fresh interpreter running overlap-hist never imports numpy.random."""
+    src = os.path.dirname(os.path.dirname(mskglass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["overlap-hist", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--beta", "0.3", "--h", "0.4",
+            "--n", "16", "--sweeps", "20", "--n-disorder", "2"]
+    code = ("import contextlib, io, sys\nfrom mskglass.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_overlap_size_guard(sk_spec):
