@@ -19,12 +19,12 @@ from .quadrature import DEFAULT_ORDER, QuadRule, gauss_hermite, log_cosh
 from .parisi import ParisiParams
 from .parisi import evaluate as parisi_value
 from .rs import (
-    MapDerivatives, RSSolution, map_derivatives, rs_functional, solve_fixed_point, solve_points, uniqueness_threshold,
+    MapDerivatives, RSSolution, map_derivatives, rs_functional, solve_points, uniqueness_threshold,
 )
 from .atline import (
-    ATReport, Verdict, at_line_betas, at_verdict, at_verdicts, positivity_witness, stability_matrices,
+    ATReport, Verdict, at_line_betas, at_verdicts, positivity_witness, stability_matrices,
 )
-from .onersb import OneRSBCertificate, certify_points, certify_rsb
+from .onersb import OneRSBCertificate, certify_points
 from .simulate import (
     DisorderSample, FreeEnergyEstimate, OverlapHistogram, free_energy_exact, overlap_histogram,
     sample_disorder,

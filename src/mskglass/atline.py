@@ -18,8 +18,8 @@ at once (`at_line_betas`) by Newton on (q, beta) in a bisection-safeguarded
 bracket from the h = 0 threshold up.  The matrices are built for any M, but
 thresholds, witnesses and verdicts exist only for two species: for three or
 more no closed form is known and they raise Unsupported.  `at_verdicts` classifies
-a batch of points (a phase-diagram row) from one batched solve in one vectorised pass;
-`at_verdict` is its batch of one.
+one point or a batch of points (a phase-diagram row) from one batched solve in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalInconsistency, MskGlassError, NotConverged, Unsupported, single
-from .model import (
-    ModelSpec, TempField, Thresholds, _underflow, inverse_beta2_m, two_species_standard, two_species_thresholds,
-)
+from .errors import InternalInconsistency, MskGlassError, NotConverged, Unsupported
+from .model import ModelSpec, TempField, Thresholds, _underflow, inverse_beta2_m, two_species_thresholds
 from .quadrature import QuadRule
 from .rs import RSSolution, map_derivatives, solve_points, stacked_solve, uniqueness_threshold
 
@@ -105,7 +103,7 @@ def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
 
 
 def _require_standard(spec: ModelSpec) -> None:
-    if not two_species_standard(spec):
+    if not spec.standard:
         raise Unsupported(
             "verdicts and the phase line require two species with delta2 positive definite "
             "or all entries equal"
@@ -192,11 +190,6 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
         except MskGlassError as exc:
             reports[i] = exc
     return reports
-
-
-def at_verdict(spec: ModelSpec, tf: TempField, rule: QuadRule) -> ATReport:
-    """`at_verdicts` at one point; raises its error."""
-    return single(at_verdicts(spec, tf, rule))
 
 
 def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> list:

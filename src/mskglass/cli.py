@@ -1,14 +1,16 @@
 """Command-line surface: config ingestion, subcommands, grid scans.
 
-One JSON config file holds the model (M, delta2 row-major, lambda, mode) plus
-any run parameters; command-line flags override file fields.  Every output
-embeds the resolved config and the library version so a result file is a
-complete experiment record.  CSV floats carry 17 significant digits so
-regression baselines round-trip bit-faithfully.  Grid scans run in one
-process, `phase-diagram` one batch per h row and `at-line` one batch over
-all h, and write their rows in grid order (h outer, beta inner).
+One JSON config file holds the model (delta2 row-major, lambda, mode) plus
+any run parameters; command-line flags override file fields, and a file key
+that names no field is refused.  Every output embeds the resolved config and
+the library version so a result file is a complete experiment record.  CSV
+floats carry 17 significant digits so regression baselines round-trip
+bit-faithfully.  Grid scans run in one process, `phase-diagram` one batch per
+h row and `at-line` one batch over all h, and write their rows in grid order
+(h outer, beta inner).
 
-Exit codes: 0 ok, 1 usage/config error, 2 numerical failure.
+Exit codes: 0 ok, 1 usage/config error (an input outside the supported model
+class or range included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .atline import ATReport, Verdict, at_line_betas, at_verdict, at_verdicts
-from .errors import MskGlassError, NotConverged, CertificateNotFound
-from .model import VALIDATION_MODES, ModelSpec, TempField, two_species_standard, validate
-from .onersb import OneRSBCertificate, certify_points, certify_rsb
+from .atline import ATReport, Verdict, at_line_betas, at_verdicts
+from .errors import MskGlassError, NotConverged, CertificateNotFound, Unsupported
+from .model import VALIDATION_MODES, ModelSpec, TempField, validate
+from .onersb import OneRSBCertificate, certify_points
 from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
-from .rs import rs_functional, solve_fixed_point
+from .rs import rs_functional, solve_points
 from .simulate import free_energy_exact, overlap_histogram
 
 _log = logging.getLogger("mskglass")
@@ -131,7 +133,7 @@ _FINITE_N = ("mc-free-energy", "overlap-hist")
 
 
 class Field(NamedTuple):
-    parse: Optional[Callable]  # flag text -> config value; None for a file-only field
+    parse: Callable  # flag text -> config value
     convert: Callable  # config value -> the value commands read
     default: object  # converted like a given value; None stays None
     commands: tuple  # the subcommands that read the field and take its flag
@@ -159,7 +161,6 @@ FIELDS = {
     "q": Field(_matrix_rows, _floats, _REQUIRED, ("parisi-eval",), "overlap ladder rows, ';' between species"),
     "eps_grid": Field(_float_list, _grid, None, ("certify",)),
     "zeta_grid": Field(_float_list, lambda value: _grid(value, top=1.0), None, ("certify",)),
-    "M": Field(None, _count, None, _ALL),
 }
 
 
@@ -198,6 +199,9 @@ def _resolve_config(args) -> tuple[dict, dict]:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = [key for key in cfg if key not in FIELDS]
+        if unknown:
+            raise ConfigError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
     values = {}
     for key, field in FIELDS.items():
         if args.command not in field.commands:
@@ -214,11 +218,9 @@ def _resolve_config(args) -> tuple[dict, dict]:
     return cfg, values
 
 
-def _model_spec(v: dict, standard: bool = False) -> ModelSpec:
-    """The validated model; `standard` also requires the two-species standard class."""
+def _model_spec(v: dict) -> ModelSpec:
+    """The model, validated under the `mode` field."""
     lam, delta2, m = v["lambda"], v["delta2"], v["lambda"].size
-    if v["M"] not in (None, m):
-        raise ConfigError(f"M = {v['M']} but lambda has {m} entries")
     if delta2.ndim == 1:
         if delta2.size != m * m:
             raise ConfigError(f"delta2 must hold {m * m} row-major entries")
@@ -230,11 +232,6 @@ def _model_spec(v: dict, standard: bool = False) -> ModelSpec:
     failed = validate(spec, v["mode"])
     if failed:
         raise ConfigError(f"model fails {v['mode']!r} validation: {', '.join(failed)}")
-    if standard and not two_species_standard(spec):
-        raise ConfigError(
-            "this command requires two species with delta2 positive definite "
-            "(variance product > squared cross variance) or all entries equal"
-        )
     return spec
 
 
@@ -246,13 +243,19 @@ def _temp_field(v: dict) -> TempField:
 
 
 def _finite_n(fn, *args, **kwargs):
-    """Run a finite-N routine; its count checks (plain ValueError) are config errors."""
+    """Run a finite-N routine; its count and size checks (ValueError) are config errors."""
     try:
         return fn(*args, **kwargs)
-    except MskGlassError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _single(results: list):
+    """The one entry of a batch entry point's result list for one point, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, MskGlassError):
+        raise result
+    return result
 
 
 def _write(text: str, out: str | None) -> None:
@@ -300,7 +303,7 @@ def _emit_csv(cfg: dict, columns, rows, out: str | None) -> None:
 
 def cmd_solve_rs(cfg: dict, v: dict) -> int:
     spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
-    sol = solve_fixed_point(spec, tf, rule)
+    sol = _single(solve_points(spec, tf, rule))
     result = {
         "q_star": sol.q_star,
         "coupling": sol.coupling,
@@ -318,7 +321,7 @@ def cmd_solve_rs(cfg: dict, v: dict) -> int:
 
 
 def cmd_at_line(cfg: dict, v: dict) -> int:
-    spec, rule, h_values = _model_spec(v, standard=True), v["order"], v["h_range"]
+    spec, rule, h_values = _model_spec(v), v["order"], v["h_range"]
 
     rows = []
     previous = None  # beta_m of the row before, if it is ok
@@ -357,7 +360,7 @@ def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
 
 
 def cmd_phase_diagram(cfg: dict, v: dict) -> int:
-    spec, rule, betas = _model_spec(v, standard=True), v["order"], v["beta_range"]
+    spec, rule, betas = _model_spec(v), v["order"], v["beta_range"]
     rows: list = []
     for h in v["h_range"]:
         blocks = [betas[at : at + _BLOCK_POINTS] for at in range(0, betas.size, _BLOCK_POINTS)]
@@ -376,14 +379,14 @@ def cmd_phase_diagram(cfg: dict, v: dict) -> int:
 
 
 def cmd_certify(cfg: dict, v: dict) -> int:
-    spec, tf, rule = _model_spec(v, standard=True), _temp_field(v), v["order"]
-    report = at_verdict(spec, tf, rule)
+    spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
+    report = _single(at_verdicts(spec, tf, rule))
     if report.verdict != Verdict.RSB_CERTIFIED:
         raise CertificateNotFound(
             f"verdict at (beta={tf.beta}, h={tf.h}) is {report.verdict.value}; "
             "no symmetry-breaking certificate exists below the phase line"
         )
-    cert = certify_rsb(spec, tf, report, rule, eps_grid=v["eps_grid"], zeta_grid=v["zeta_grid"])
+    cert = _single(certify_points(spec, tf, [report], rule, eps_grid=v["eps_grid"], zeta_grid=v["zeta_grid"]))
     result = {
         "verdict": report.verdict.value,
         "beta2_m": report.beta2_m,
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for key, field in FIELDS.items():
-            if field.parse is not None and name in field.commands:
+            if name in field.commands:
                 p.add_argument("--" + key.lower().replace("_", "-"), dest=key, type=field.parse, help=field.help)
         p.set_defaults(func=func)
     return parser
@@ -485,7 +488,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(*_resolve_config(args))
-    except ConfigError as exc:
+    except (ConfigError, Unsupported) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except MskGlassError as exc:

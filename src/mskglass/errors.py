@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and `single`, which unwraps a batch-of-one result."""
+"""Exception types shared across the package."""
 
 
 class MskGlassError(Exception):
@@ -46,11 +46,3 @@ class CertificateNotFound(MskGlassError):
         self.best_gap = best_gap
         self.near_line = near_line
         super().__init__(message)
-
-
-def single(results: list):
-    """The one entry of a batch-of-one result list, raised if it is an error."""
-    (result,) = results
-    if isinstance(result, MskGlassError):
-        raise result
-    return result

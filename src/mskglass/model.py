@@ -14,6 +14,10 @@ with species proportions `lam` summing to 1.  Three validation modes exist:
   config.
 
 `validate` returns the names of the assumptions a model fails.
+`ModelSpec.standard`, the ``two-species-standard`` check made once per
+model, is the one class predicate: verdicts and the phase line raise
+Unsupported outside it, and the solver's uniqueness guarantee holds only
+inside it.
 
 Proportions are stored exactly as given; a sum away from 1 is rejected rather
 than silently renormalized.
@@ -74,7 +78,9 @@ class ModelSpec:
         return self.delta2.shape[0]
 
     @cached_property
-    def _standard(self) -> bool:  # the arrays are read-only, so one check serves every caller
+    def standard(self) -> bool:
+        """Whether the model passes the ``two-species-standard`` validation; the arrays are read-only,
+        so one check serves every caller."""
         return not validate(self, "two-species-standard")
 
     @property
@@ -119,11 +125,6 @@ def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
         if spec.m == 2:
             holds["variance-product"] = d[0, 0] * d[1, 1] > d[0, 1] * d[0, 1] or spec.sk_reduction
     return tuple(name for name, ok in holds.items() if not ok)
-
-
-def two_species_standard(spec: ModelSpec) -> bool:
-    """Whether `spec` passes the ``two-species-standard`` validation (module docstring); checked once per model."""
-    return spec._standard
 
 
 class Thresholds(NamedTuple):

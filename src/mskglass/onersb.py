@@ -17,8 +17,8 @@ The slope of this functional in zeta at zeta = 1 vanishes with its gradient
 at the critical point, and its Hessian there is the closed form carried by
 `atline.stability_matrices`.  A direction in which the slope turns positive
 yields, for some zeta < 1, a one-step value strictly below the single-atom
-one: `certify_points` scans a batch of points for such a point, in one
-evaluator call, and `certify_rsb` is its batch of one.
+one: `certify_points` scans one point or a batch of points for such a
+point, in one evaluator call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atline import Verdict
-from .errors import BadPoint, CertificateNotFound, single
+from .errors import BadPoint, CertificateNotFound
 from .model import ModelSpec, TempField
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule
@@ -118,9 +118,3 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule, eps_
         else:
             certificates.append(OneRSBCertificate(x=x[n], rs_value=float(rs_values[n]), gap=best_gap, **best))
     return certificates
-
-
-def certify_rsb(spec: ModelSpec, tf: TempField, report, rule: QuadRule, eps_grid=None, zeta_grid=None
-                ) -> OneRSBCertificate:
-    """`certify_points` at one point; raises its CertificateNotFound."""
-    return single(certify_points(spec, tf, [report], rule, eps_grid, zeta_grid))

@@ -27,8 +27,8 @@ minimum over their distinct limits (a heuristic, flagged via
 
 The kernel and the solver take a leading axis of rows, each with its own
 point (a batch `TempField`) and start, and act row by row: `solve_points`
-iterates the starts of many points as one batch, each row bit-identical to
-its own run, and `solve_fixed_point` is its batch of one.
+iterates the starts of one point or of many as one batch, each row
+bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, NotConverged, single
-from .model import ModelSpec, TempField, overlap_contractions, two_species_standard, two_species_thresholds
+from .errors import BadDimension, NotConverged
+from .model import ModelSpec, TempField, overlap_contractions, two_species_thresholds
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule
 
@@ -202,7 +202,7 @@ def solve_points(
     converged within `max_iter` iterations.
     """
     beta, h = np.ravel(tf.beta), np.ravel(tf.h)
-    standard = two_species_standard(spec)
+    standard = spec.standard
     threshold = uniqueness_threshold(spec) if standard and not h.all() else 0.0
     guaranteed = [standard and (field > 0 or b ** 2 < threshold) for b, field in zip(beta.tolist(), h.tolist())]
     points = [dict.fromkeys(([1.0] if field > 0 else [0.0]) if unique else [0.0, 1.0, math.tanh(field) ** 2])
@@ -236,10 +236,3 @@ def solve_points(
             candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed[i],
         ))
     return solutions
-
-
-def solve_fixed_point(
-    spec: ModelSpec, tf: TempField, rule: QuadRule, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> RSSolution:
-    """`solve_points` at one point; raises its NotConverged."""
-    return single(solve_points(spec, tf, rule, tol, max_iter))

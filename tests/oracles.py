@@ -10,7 +10,9 @@ the root of the discrete phase-line function by plain bisection on solves
 run to 1e-15.  The Metropolis draws are re-derived in Python ints from the
 documentation in mskglass/simulate.py.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
-the bottom with the seeds recorded there.
+the bottom with the seeds recorded there.  `solve_one`, `verdict_one` and
+`certify_one` are not oracles: they call the library's batch entry points at
+one point and unwrap the result (`one`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,37 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+
+def one(results):
+    """The one entry of a batch entry point's result list, raised if it is an error."""
+    from mskglass import MskGlassError
+
+    (result,) = results
+    if isinstance(result, MskGlassError):
+        raise result
+    return result
+
+
+def solve_one(spec, tf, rule, **kwargs):
+    """`solve_points` at one point; raises its NotConverged."""
+    from mskglass import solve_points
+
+    return one(solve_points(spec, tf, rule, **kwargs))
+
+
+def verdict_one(spec, tf, rule):
+    """`at_verdicts` at one point; raises its error."""
+    from mskglass import at_verdicts
+
+    return one(at_verdicts(spec, tf, rule))
+
+
+def certify_one(spec, tf, report, rule, **kwargs):
+    """`certify_points` at one point; raises its CertificateNotFound."""
+    from mskglass import certify_points
+
+    return one(certify_points(spec, tf, [report], rule, **kwargs))
 
 
 def gauss_expect(f, sigma, shift):
@@ -364,11 +397,11 @@ def at_line_bisection(spec, h, rule):
     g(beta) = beta^2 - beta2_m(beta), each g from a solve at tol 1e-15 and
     gamma from a kernel pass at the solved point, bracketed by doubling
     from beta = 1."""
-    from mskglass import TempField, map_derivatives, solve_fixed_point, two_species_thresholds
+    from mskglass import TempField, map_derivatives, two_species_thresholds
 
     def g(beta):
         tf = TempField(beta=beta, h=h)
-        sol = solve_fixed_point(spec, tf, rule, tol=1e-15)
+        sol = solve_one(spec, tf, rule, tol=1e-15)
         return beta * beta - two_species_thresholds(spec, map_derivatives(spec, tf, sol.q_star, rule).gamma).beta2_m
 
     lo, hi = 1e-3, 1.0

@@ -12,26 +12,23 @@ from mskglass import (
     Unsupported,
     Verdict,
     at_line_betas,
-    at_verdict,
     at_verdicts,
     positivity_witness,
-    solve_fixed_point,
     stability_matrices,
     two_species_thresholds,
     uniqueness_threshold,
 )
 from mskglass import atline, rs
-from mskglass.errors import single
-from .oracles import at_line_bisection, single_species_at_beta, stability_threshold
+from .oracles import at_line_bisection, one, single_species_at_beta, solve_one, stability_threshold, verdict_one
 
 
 def at_line_beta(spec, h, rule, tol=1e-10):
     """The phase line at one field: `at_line_betas` of a batch of one."""
-    return single(at_line_betas(spec, [h], rule, tol))
+    return one(at_line_betas(spec, [h], rule, tol))
 
 
 def _solved(spec, tf, rule, tol=1e-12):
-    sol = solve_fixed_point(spec, tf, rule, tol=tol)
+    sol = solve_one(spec, tf, rule, tol=tol)
     return sol, sol.gamma
 
 
@@ -149,7 +146,7 @@ def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
     """At h = 185 gamma is subnormal and beta2_m is inf or close to the top of
     the float64 range: the verdict is RS-consistent, not a numerical failure."""
     for beta in (0.5, 1.2):
-        report = at_verdict(reference_spec, TempField(beta=beta, h=185.0), rule)
+        report = verdict_one(reference_spec, TempField(beta=beta, h=185.0), rule)
         assert report.verdict == Verdict.RS_CONSISTENT
         assert report.gamma.min() < 2.3e-308 and report.beta2_m > 1e306
 
@@ -157,7 +154,7 @@ def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
 def test_verdict_at_large_field(reference_spec, rule):
     """At h = 100 gamma is about 1e-174; the thresholds stay ordered and match
     the eigenvalue oracle."""
-    report = at_verdict(reference_spec, TempField(beta=1.2, h=100.0), rule)
+    report = verdict_one(reference_spec, TempField(beta=1.2, h=100.0), rule)
     assert report.verdict == Verdict.RS_CONSISTENT
     assert report.beta2_m == pytest.approx(stability_threshold(reference_spec, report.gamma), rel=1e-12)
 
@@ -225,7 +222,7 @@ def test_witness_mid_band_strictly_positive(reference_spec, rule):
         if abs(target - beta) < 1e-13:
             break
         beta = target
-    report = at_verdict(reference_spec, TempField(beta=beta, h=0.4), rule)
+    report = verdict_one(reference_spec, TempField(beta=beta, h=0.4), rule)
     assert report.verdict == Verdict.RSB_CERTIFIED
     assert (report.witness_x > 0).all()
     # grid-search over the simplex as an independent oracle for positivity
@@ -282,7 +279,7 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     gamma (h = 400) and a forced witness cross-check failure: each entry, in input order, is the
     one-point verdict bit for bit, and each error has its type and message."""
     on_line = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
-    crossed = at_verdict(reference_spec, TempField(beta=1.4, h=0.2), rule).stability.tobytes()
+    crossed = verdict_one(reference_spec, TempField(beta=1.4, h=0.2), rule).stability.tobytes()
     solve, witness = atline.solve_points, atline.positivity_witness
     monkeypatch.setattr(atline, "solve_points", lambda spec, tf, rule: [
         NotConverged("forced") if b == 0.7 else sol for b, sol in zip(np.ravel(tf.beta), solve(spec, tf, rule))])
@@ -293,13 +290,7 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     beta, h = np.array(points).T
     batch = at_verdicts(reference_spec, TempField(beta=beta, h=h), rule)
 
-    def one(b, field):
-        try:
-            return at_verdict(reference_spec, TempField(beta=b, h=field), rule)
-        except MskGlassError as exc:
-            return exc
-
-    singles = [one(b, field) for b, field in points]
+    singles = [at_verdicts(reference_spec, TempField(beta=b, h=field), rule)[0] for b, field in points]
     assert [_report_fields(r) for r in batch] == [_report_fields(r) for r in singles]
     for r in batch:  # the batch's one threshold call gives each point's own, bit for bit
         if isinstance(r, atline.ATReport):
@@ -319,7 +310,7 @@ def test_witness_three_species_search():
 
 def test_lambda_conjugation_preserves_witness(reference_spec, rule):
     tf = TempField(beta=1.2, h=0.3)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     assert report.verdict == Verdict.RSB_CERTIFIED
     x = report.witness_x
     y = x / reference_spec.lam
@@ -337,17 +328,17 @@ def test_verdict_above_and_below_line(reference_spec, rule):
         if abs(target - beta) < 1e-13:
             break
         beta = target
-    above = at_verdict(reference_spec, TempField(beta=beta, h=0.4), rule)
+    above = verdict_one(reference_spec, TempField(beta=beta, h=0.4), rule)
     assert above.verdict == Verdict.RSB_CERTIFIED
     assert above.witness_x is not None
-    below = at_verdict(reference_spec, TempField(beta=math.sqrt(0.5 * above.beta2_m), h=0.4), rule)
+    below = verdict_one(reference_spec, TempField(beta=math.sqrt(0.5 * above.beta2_m), h=0.4), rule)
     assert below.verdict == Verdict.RS_CONSISTENT
     assert below.witness_x is None
 
 
 def test_verdict_indeterminate_on_the_line(reference_spec, rule):
     beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
-    report = at_verdict(reference_spec, TempField(beta=beta, h=0.3), rule)
+    report = verdict_one(reference_spec, TempField(beta=beta, h=0.3), rule)
     assert report.verdict == Verdict.INDETERMINATE
 
 
@@ -357,19 +348,19 @@ def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
     of answering."""
     spec = ModelSpec(delta2=[[0.9, 1.0], [1.0, 1.05]], lam=[0.6, 0.4])
     with pytest.raises(Unsupported):
-        at_verdict(spec, TempField(beta=1.0, h=0.3), rule)
+        verdict_one(spec, TempField(beta=1.0, h=0.3), rule)
     with pytest.raises(Unsupported):
         at_line_beta(spec, 0.3, rule)
 
 
 def test_verdict_requires_positive_field(reference_spec, rule):
     with pytest.raises(Unsupported):
-        at_verdict(reference_spec, TempField(beta=0.5, h=0.0), rule)
+        verdict_one(reference_spec, TempField(beta=0.5, h=0.0), rule)
 
 
 def test_beta2m_continuity_in_small_field(reference_spec, rule):
     """At small beta and h the reported threshold approaches the h = 0 closed form."""
-    report = at_verdict(reference_spec, TempField(beta=0.3, h=0.01), rule)
+    report = verdict_one(reference_spec, TempField(beta=0.3, h=0.01), rule)
     b0 = uniqueness_threshold(reference_spec)
     assert abs(report.beta2_m - b0) < 0.02 * b0
 
@@ -478,7 +469,7 @@ def test_random_positive_definite_models_against_the_eigenvalue_oracle(rule):
     orders, verdicts = set(), set()
     for _ in range(300):
         spec = _random_pd_spec(rng)
-        report = at_verdict(spec, TempField(beta=rng.uniform(0.3, 1.6), h=rng.uniform(0.05, 1.0)), rule)
+        report = verdict_one(spec, TempField(beta=rng.uniform(0.3, 1.6), h=rng.uniform(0.05, 1.0)), rule)
         assert report.beta2_m == pytest.approx(stability_threshold(spec, report.gamma), rel=1e-12)
         if report.verdict != Verdict.INDETERMINATE:
             top = np.linalg.eigvalsh(report.stability)[-1]
@@ -499,8 +490,8 @@ def test_scaled_variances_give_the_reference_verdict(reference_spec, rule, c):
     reference at (sqrt(c) beta, h), and its beta2_m is the reference's / c."""
     scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
     for beta, h in _SIDES:
-        ref = at_verdict(reference_spec, TempField(beta=beta, h=h), rule)
-        ours = at_verdict(scaled, TempField(beta=beta / math.sqrt(c), h=h), rule)
+        ref = verdict_one(reference_spec, TempField(beta=beta, h=h), rule)
+        ours = verdict_one(scaled, TempField(beta=beta / math.sqrt(c), h=h), rule)
         assert ours.verdict == ref.verdict
         assert c * ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
 
@@ -510,7 +501,7 @@ def test_swapped_species_give_the_reference_verdict(reference_spec, rule):
     swapped = ModelSpec(delta2=reference_spec.delta2[::-1, ::-1], lam=reference_spec.lam[::-1])
     for beta, h in _SIDES:
         tf = TempField(beta=beta, h=h)
-        ref, ours = at_verdict(reference_spec, tf, rule), at_verdict(swapped, tf, rule)
+        ref, ours = verdict_one(reference_spec, tf, rule), verdict_one(swapped, tf, rule)
         assert ours.verdict == ref.verdict
         assert ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
         if ref.witness_x is not None:
@@ -526,7 +517,7 @@ def test_vanishing_cross_variance_gets_a_verdict(rule, d12):
     verdicts = set()
     for beta in (0.5, 0.9, 1.2, 1.6):
         for h in (0.1, 0.4):
-            report = at_verdict(spec, TempField(beta=beta, h=h), rule)
+            report = verdict_one(spec, TempField(beta=beta, h=h), rule)
             th = report.thresholds
             per_species = 1.0 / (2.0 * report.gamma * np.diag(spec.delta2))
             assert th.beta2_m == pytest.approx(per_species.min(), rel=1e-12)

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import logging
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 import mskglass
-from mskglass import TempField, free_energy_exact, rs_functional, solve_fixed_point
+from mskglass import TempField, free_energy_exact, rs_functional
 from mskglass import atline, cli, rs
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
-from .oracles import single_species_at_beta
+from .oracles import single_species_at_beta, solve_one
 
 
 @pytest.fixture()
@@ -24,7 +25,6 @@ def ref_config(tmp_path):
     path.write_text(
         json.dumps(
             {
-                "M": 2,
                 "delta2": [1.5, 1.0, 1.0, 1.2],
                 "lambda": [0.6, 0.4],
                 "mode": "two-species-standard",
@@ -37,7 +37,7 @@ def ref_config(tmp_path):
 @pytest.fixture()
 def sk_config(tmp_path):
     path = tmp_path / "sk.json"
-    path.write_text(json.dumps({"M": 2, "delta2": [1.0, 1.0, 1.0, 1.0], "lambda": [0.5, 0.5]}))
+    path.write_text(json.dumps({"delta2": [1.0, 1.0, 1.0, 1.0], "lambda": [0.5, 0.5]}))
     return str(path)
 
 
@@ -60,7 +60,7 @@ def test_solve_rs_symmetric_model(sk_config, capsys):
 def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, rule, reference_spec):
     doc = _run_json(capsys, ["solve-rs", "--config", ref_config, "--beta", "0.5", "--h", "0.4"])
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf, rule)
     assert doc["result"]["q_star"] == list(sol.q_star)
     assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star, rule)
 
@@ -450,6 +450,8 @@ def test_overlap_hist_csv(sk_config, tmp_path, capsys):
         ["overlap-hist", "--n", "8", "--sweeps", "0"],
         ["mc-free-energy", "--n", "6", "--n-disorder", "0"],
         ["overlap-hist", "--n", "8", "--sweeps", "4", "--n-disorder", "0"],
+        ["mc-free-energy", "--n", "30"],  # exact enumeration stops at N = 24
+        ["overlap-hist", "--n", "300"],  # Metropolis stops at N = 256
     ],
 )
 def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
@@ -467,7 +469,8 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         ("mc-free-energy", {"beta": 0.3, "N": 6.9}),
         ("mc-free-energy", {"beta": 0.3, "N": 6, "n_disorder": True}),
         ("solve-rs", {"beta": 0.3, "order": 61.7}),
-        ("solve-rs", {"beta": 0.3, "M": 2.5}),
+        # a key that names no field is refused, the retired species count M among them
+        ("solve-rs", {"beta": 0.3, "M": 2}),
         ("overlap-hist", {"beta": 0.3, "N": 8, "sweeps": 4, "seed": 1e400}),
         ("at-line", {"h_range": [0.1, 1.0, 2.5]}),
         # real fields refuse booleans instead of reading them as 1 and 0
@@ -495,6 +498,47 @@ def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys,
     path.write_text(json.dumps({**doc, **fields}))
     assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_unknown_config_keys_are_named(ref_config, tmp_path, capsys):
+    """A misspelt key would be recorded in the output config yet have no effect."""
+    with open(ref_config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**doc, "beta": 0.5, "oder": 5, "M": 2}))
+    assert main(["solve-rs", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config field(s): 'oder', 'M'\n"
+
+
+THREE_SPECIES = ["--delta2", "1,0.5,0.5,0.5,1,0.5,0.5,0.5,1", "--lambda", "0.3,0.3,0.4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--beta", "1.2", "--h", "0"],  # needs h > 0
+        ["at-line", *THREE_SPECIES],
+        ["phase-diagram", *THREE_SPECIES],
+        ["certify", *THREE_SPECIES, "--beta", "1.2", "--h", "0.3"],
+    ],
+)
+def test_inputs_outside_the_supported_class_exit_one(capsys, argv):
+    """The library's Unsupported is an input error: exit 1 with the config-error prefix."""
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_every_bench_command_exits_zero(capsys):
+    """Each command of the benchmark's workloads at seed 0 runs through the CLI and exits 0,
+    so a CLI change that would break the benchmark (a flag it passes, say) fails here."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name, commands in bench.workloads(0).items():
+        for argv in commands:
+            assert main(argv) == 0, (name, argv, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
@@ -643,7 +687,7 @@ def test_flag_overrides_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
-            {"M": 2, "delta2": [1.5, 1, 1, 1.2], "lambda": [0.6, 0.4], "beta": 0.2, "h": 0.1}
+            {"delta2": [1.5, 1, 1, 1.2], "lambda": [0.6, 0.4], "beta": 0.2, "h": 0.1}
         )
     )
     doc = _run_json(capsys, ["solve-rs", "--config", str(path), "--beta", "0.5", "--h", "0.4"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mskglass import BadDimension, ModelSpec, TempField, overlap_contractions, validate
-from mskglass.model import two_species_standard
 
 
 def test_two_species_standard_passes(reference_spec):
@@ -33,12 +32,12 @@ def test_standard_class_is_every_positive_definite_pair():
     ):
         spec = ModelSpec(delta2=delta2, lam=lam)
         assert validate(spec, "two-species-standard") == ()
-        assert two_species_standard(spec) and not spec.sk_reduction
+        assert spec.standard and not spec.sk_reduction
     singular = ModelSpec(delta2=[[1.0, 2.0], [2.0, 4.0]], lam=[0.5, 0.5])
     assert validate(singular, "two-species-standard") == ("variance-product",)
-    assert not two_species_standard(singular)
+    assert not singular.standard
     scaled_sk = ModelSpec(delta2=np.full((2, 2), 2.5), lam=[0.3, 0.7])
-    assert scaled_sk.sk_reduction and two_species_standard(scaled_sk)
+    assert scaled_sk.sk_reduction and scaled_sk.standard
     assert validate(scaled_sk, "two-species-standard") == ()
     assert not ModelSpec(delta2=np.zeros((2, 2)), lam=[0.5, 0.5]).sk_reduction
 

@@ -10,19 +10,19 @@ from mskglass import (
     CertificateNotFound,
     TempField,
     Verdict,
-    at_verdict,
     at_verdicts,
     certify_points,
-    certify_rsb,
     gauss_hermite,
     rs_functional,
-    solve_fixed_point,
     two_species_thresholds,
 )
 from mskglass.onersb import ZETA_GRID
 from mskglass.parisi import ParisiParams, evaluate
 
-from .oracles import fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, zeta_derivative
+from .oracles import (
+    certify_one, fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, solve_one, verdict_one,
+    zeta_derivative,
+)
 from .oracles import rs_value as rs_oracle
 
 
@@ -36,7 +36,7 @@ def _beta_at_ratio(spec, rule, ratio, h):
     beta = 0.8
     for _ in range(60):
         tf = TempField(beta=beta, h=h)
-        sol = solve_fixed_point(spec, tf, rule)
+        sol = solve_one(spec, tf, rule)
         target = math.sqrt(ratio * two_species_thresholds(spec, sol.gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             return target
@@ -77,7 +77,7 @@ def test_generic_point_matches_k1_evaluator(reference_spec, rule):
 
 def test_slope_vanishes_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
     assert abs(zeta_derivative(reference_spec, tf, sol.q_star, sol.q_star, rule)) < 1e-10
 
 
@@ -85,7 +85,7 @@ def test_slope_matches_one_sided_zeta_difference(reference_spec, rule):
     """The slope equals the zeta-derivative of the one-step value at zeta = 1,
     taken one-sidedly from below (zeta > 1 is outside the domain)."""
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
     q = sol.q_star
     p = q + np.array([0.08, 0.072])
     step = 1e-4
@@ -100,7 +100,7 @@ def test_slope_matches_one_sided_zeta_difference(reference_spec, rule):
 
 def test_slope_gradient_vanishes_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
     q = sol.q_star
 
     def v_of(z):
@@ -115,7 +115,7 @@ def test_slope_quadratic_taylor_matches_curvature(reference_spec, rule):
     from mskglass import stability_matrices
 
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
     _, h_mat = stability_matrices(reference_spec, tf, sol.gamma)
     rng = np.random.default_rng(31)
     for _ in range(3):
@@ -151,16 +151,16 @@ def test_integration_by_parts_identity(rule):
 def test_certificate_above_line(reference_spec, rule):
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     assert report.verdict == Verdict.RSB_CERTIFIED
-    cert = certify_rsb(reference_spec, tf, report, rule)
+    cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-10
     assert cert.rs_value - cert.value == pytest.approx(cert.gap)
     assert 0.0 < cert.zeta < 1.0
     p = report.solution.q_star + cert.epsilon * cert.x
     assert (p >= 0).all() and (p <= 1).all()
     # a zeta = 1 entry takes the single-atom collapse and cannot win
-    with_one = certify_rsb(reference_spec, tf, report, rule, zeta_grid=[*ZETA_GRID, 1.0])
+    with_one = certify_one(reference_spec, tf, report, rule, zeta_grid=[*ZETA_GRID, 1.0])
     assert (with_one.epsilon, with_one.zeta, with_one.value, with_one.gap) == (
         cert.epsilon, cert.zeta, cert.value, cert.gap)
 
@@ -171,9 +171,9 @@ def test_certificate_where_the_first_axis_is_flat(reference_spec, rule, beta, h)
     no gap; along the witness, which mixes both species, the default grid
     certifies."""
     tf = TempField(beta=beta, h=h)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     assert 0 < report.stability[0, 0] < 0.1 * np.linalg.eigvalsh(report.stability)[-1]
-    cert = certify_rsb(reference_spec, tf, report, rule)
+    cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-7
     assert (report.witness_x > 0).all()
 
@@ -193,8 +193,8 @@ def test_certificate_value_matches_oracle(reference_spec, order):
     rule = gauss_hermite(order)
     for beta, h in ((_beta_at_ratio(reference_spec, rule, 1.5, 0.3), 0.3), (1.6, 0.3)):
         tf = TempField(beta=beta, h=h)
-        report = at_verdict(reference_spec, tf, rule)
-        cert = certify_rsb(reference_spec, tf, report, rule)
+        report = verdict_one(reference_spec, tf, rule)
+        cert = certify_one(reference_spec, tf, report, rule)
         q = report.solution.q_star
         want = one_step_value(reference_spec, beta, h, q, q + cert.epsilon * cert.x, cert.zeta)
         assert abs(cert.value - want) < 1e-9
@@ -206,16 +206,16 @@ def test_certificate_mid_band_direction(reference_spec, rule):
     beta = 0.8
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
-        sol = solve_fixed_point(reference_spec, tf, rule)
+        sol = solve_one(reference_spec, tf, rule)
         th = two_species_thresholds(reference_spec, sol.gamma)
         target = math.sqrt(0.5 * (th.beta2_m + min(th.beta2_u, th.beta2_t)))
         if abs(target - beta) < 1e-13:
             break
         beta = target
     tf = TempField(beta=beta, h=0.4)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     assert (report.witness_x > 0).all()
-    cert = certify_rsb(reference_spec, tf, report, rule)
+    cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-10
     assert (cert.x > 0).all()
     # the displacement direction carries positive curvature of the slope
@@ -228,7 +228,7 @@ def test_certificate_slope_sign(reference_spec, rule):
     """Positive slope at zeta = 1 means the value drops as zeta leaves 1."""
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     q = report.solution.q_star
     p = q + 0.1 * report.witness_x / report.witness_x.max()
     assert zeta_derivative(reference_spec, tf, q, p, rule) > 0
@@ -240,7 +240,7 @@ def test_certificate_slope_sign(reference_spec, rule):
 def test_no_gap_below_line(reference_spec, rule):
     """Below the line the manual scan finds nothing: the single-atom value wins."""
     tf = TempField(beta=0.45, h=0.3)  # well below the boundary at this field
-    report_check = at_verdict(reference_spec, tf, rule)
+    report_check = verdict_one(reference_spec, tf, rule)
     assert report_check.verdict == Verdict.RS_CONSISTENT
     sol = report_check.solution
     rs_value = rs_functional(reference_spec, tf, sol.q_star, rule)
@@ -253,7 +253,7 @@ def test_no_gap_below_line(reference_spec, rule):
     assert best_gap <= 1e-10
     # and certify refuses to run from a consistent report
     with pytest.raises(BadPoint):
-        certify_rsb(reference_spec, tf, report_check, rule)
+        certify_one(reference_spec, tf, report_check, rule)
 
 
 def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
@@ -277,9 +277,9 @@ def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
 @pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.5, 0.6)])
 def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
     tf = TempField(beta=beta, h=h)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     eps_grid, zeta_grid = np.geomspace(1e-3, 1e-1, 10), ZETA_GRID
-    cert = certify_rsb(reference_spec, tf, report, rule)
+    cert = certify_one(reference_spec, tf, report, rule)
     eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, zeta_grid)
     assert (cert.epsilon, cert.zeta) == (eps, zeta)
     assert abs(cert.gap - gap) < 1e-14
@@ -288,42 +288,42 @@ def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
 def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
     """Large epsilons leave [0, 1] and are skipped; the rest still scan as one call."""
     tf = TempField(beta=1.5, h=0.6)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     q = report.solution.q_star
     x = report.witness_x / reference_spec.lam
     x = x / x.max()
     eps_grid = np.array([1e-3, 1e-2, 0.05, 1.0 - q.max() - 1e-9, 0.5, 2.0])
     assert ((q + eps_grid[-2:, None] * x) > 1).any(axis=1).all()
-    cert = certify_rsb(reference_spec, tf, report, rule, eps_grid=eps_grid)
+    cert = certify_one(reference_spec, tf, report, rule, eps_grid=eps_grid)
     eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, ZETA_GRID)
     assert (cert.epsilon, cert.zeta) == (eps, zeta)
     assert abs(cert.gap - gap) < 1e-14
     assert cert.epsilon <= eps_grid[3]
     with pytest.raises(CertificateNotFound):
-        certify_rsb(reference_spec, tf, report, rule, eps_grid=[2.0, 5.0])
+        certify_one(reference_spec, tf, report, rule, eps_grid=[2.0, 5.0])
 
 
 def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     with pytest.raises(CertificateNotFound) as info:
-        certify_rsb(reference_spec, tf, report, rule, eps_grid=[1e-3], zeta_grid=[0.5])
+        certify_one(reference_spec, tf, report, rule, eps_grid=[1e-3], zeta_grid=[0.5])
     assert not info.value.near_line
     assert info.value.best_gap is not None
     for bad in (0.0, 1.5, math.nan):
         with pytest.raises(BadZeta):
-            certify_rsb(reference_spec, tf, report, rule, zeta_grid=[0.5, bad])
+            certify_one(reference_spec, tf, report, rule, zeta_grid=[0.5, bad])
 
 
 def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
     """The whole (1.6, 0.3) scan allocates at most 1 MB at its peak (about
     0.4 MB today): the evaluator holds one chunk of rows, not the batch."""
     tf = TempField(beta=1.6, h=0.3)
-    report = at_verdict(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf, rule)
     tracemalloc.start()
     try:
-        certify_rsb(reference_spec, tf, report, rule)
+        certify_one(reference_spec, tf, report, rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,7 +364,7 @@ def test_row_batched_certificates_match_one_point_scans(reference_spec, rule):
         for (beta, report), got in zip(rsb, batch):
             points += 1
             try:
-                want = certify_rsb(reference_spec, TempField(beta=float(beta), h=float(h)), report, rule)
+                want = certify_one(reference_spec, TempField(beta=float(beta), h=float(h)), report, rule)
             except CertificateNotFound as exc:
                 assert isinstance(got, CertificateNotFound) and abs(got.best_gap - exc.best_gap) <= 1e-15
                 continue

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, at_verdict, gauss_hermite, onersb
+from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, gauss_hermite, onersb
 from mskglass.parisi import ParisiParams, evaluate
 
-from .oracles import parisi_sum, rs_value
+from .oracles import certify_one, parisi_sum, rs_value, verdict_one
 
 
 def _assert_within_4_ulp(got, want):
@@ -15,7 +15,7 @@ def _assert_within_4_ulp(got, want):
 
 
 def test_certificate_batch_matches_the_plain_sum(reference_spec, rule, monkeypatch):
-    """The (1.6, 0.3) certificate scan, evaluated as the one batch certify_rsb
+    """The (1.6, 0.3) certificate scan, evaluated as the one batch certify_points
     sends, against the 30-digit sum over every order-61 node pair: its first,
     winning and last (ladder, weight) entries."""
     tf = TempField(beta=1.6, h=0.3)
@@ -26,7 +26,7 @@ def test_certificate_batch_matches_the_plain_sum(reference_spec, rule, monkeypat
         return evaluate(*args)
 
     monkeypatch.setattr(onersb, "evaluate", recording)
-    cert = onersb.certify_rsb(reference_spec, tf, at_verdict(reference_spec, tf, rule), rule)
+    cert = certify_one(reference_spec, tf, verdict_one(reference_spec, tf, rule), rule)
     (params,) = batches
     values = evaluate(reference_spec, tf, params, rule)
     best = np.unravel_index(np.argmin(values), values.shape)

@@ -10,11 +10,10 @@ from mskglass import (
     Unsupported,
     map_derivatives,
     rs_functional,
-    solve_fixed_point,
     uniqueness_threshold,
 )
 from mskglass import rs
-from .oracles import rs_gradient, single_species_rs_value, two_species_bisection
+from .oracles import rs_gradient, single_species_rs_value, solve_one, two_species_bisection
 
 
 def test_functional_beta_to_zero(reference_spec, rule):
@@ -43,7 +42,7 @@ def test_functional_batch_matches_single_rows(reference_spec, rule):
 
 def test_gradient_zero_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf, rule)
     assert np.abs(rs_gradient(reference_spec, tf, sol.q_star, rule)).max() < 1e-9
 
 
@@ -70,21 +69,21 @@ def test_gradient_zero_field_zero_overlap(reference_spec, rule):
 
 def test_solver_zero_field_below_threshold(reference_spec, rule):
     beta = math.sqrt(0.5 * uniqueness_threshold(reference_spec))
-    sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
     np.testing.assert_array_equal(sol.q_star, np.zeros(2))
     assert sol.guaranteed_unique
     assert sol.on_boundary.all()
 
 
 def test_solver_beta_to_zero_decouples(reference_spec, rule):
-    sol = solve_fixed_point(reference_spec, TempField(beta=1e-4, h=0.4), rule)
+    sol = solve_one(reference_spec, TempField(beta=1e-4, h=0.4), rule)
     want = math.tanh(0.4) ** 2
     assert np.abs(sol.q_star - want).max() < 1e-6
 
 
 def test_solver_against_bisection_oracle(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_fixed_point(reference_spec, tf, rule, tol=1e-12)
+    sol = solve_one(reference_spec, tf, rule, tol=1e-12)
     q_oracle = two_species_bisection(reference_spec, tf.beta, tf.h)
     assert np.abs(sol.q_star - q_oracle).max() < 1e-8
     # h > 0 forces a strictly interior point
@@ -94,7 +93,7 @@ def test_solver_against_bisection_oracle(reference_spec, rule):
 
 def test_solver_multistart_above_threshold(reference_spec, rule):
     beta = math.sqrt(2.5 * uniqueness_threshold(reference_spec))
-    sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
     assert not sol.guaranteed_unique
     assert len(sol.candidates) == 2  # paramagnetic and glassy branches
     values = [rs_functional(reference_spec, TempField(beta=beta, h=0.0), q, rule) for q in sol.candidates]
@@ -122,13 +121,13 @@ def test_one_start_where_unique_and_few_kernel_calls(reference_spec, rule, monke
     calls = _counting_kernel(monkeypatch)
     for beta, h, budget in ((1.2, 0.3, 6), (0.68, 0.01, 10)):
         calls.clear()
-        sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=h), rule)
+        sol = solve_one(reference_spec, TempField(beta=beta, h=h), rule)
         assert sol.guaranteed_unique and len(sol.candidates) == 1
         assert len(calls) == sol.iterations <= budget
     calls.clear()
     for h in (0.1, 0.5, 1.0):
         for beta in np.linspace(0.4, 1.6, 20):
-            solve_fixed_point(reference_spec, TempField(beta=float(beta), h=h), rule)
+            solve_one(reference_spec, TempField(beta=float(beta), h=h), rule)
     assert len(calls) <= 6 * 60
 
 
@@ -137,8 +136,8 @@ def test_error_estimate_bounds_the_error(reference_spec, rule):
     bounds the distance to a tol-1e-15 solve, near the line at small h too."""
     for beta, h in ((1.2, 0.3), (0.66, 0.005), (1.6, 0.9), (0.5, 0.4)):
         tf = TempField(beta=beta, h=h)
-        sol = solve_fixed_point(reference_spec, tf, rule)
-        tight = solve_fixed_point(reference_spec, tf, rule, tol=1e-15)
+        sol = solve_one(reference_spec, tf, rule)
+        tight = solve_one(reference_spec, tf, rule, tol=1e-15)
         assert sol.error <= rs.DEFAULT_TOL and tight.error <= 1e-15
         assert np.abs(sol.q_star - tight.q_star).max() <= 2.0 * sol.error + 1e-15
 
@@ -149,7 +148,7 @@ def test_zero_field_multistart_finds_both_branches(reference_spec, rule, monkeyp
     holds it), and the all-ones start reaches the glassy branch."""
     calls = _counting_kernel(monkeypatch)
     beta = math.sqrt(2.5 * uniqueness_threshold(reference_spec))
-    sol = solve_fixed_point(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
     assert not sol.guaranteed_unique
     assert len(sol.candidates) == 2
     assert any((c == 0).all() for c in sol.candidates)
@@ -167,7 +166,7 @@ def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
     monkeypatch.setattr(rs, "map_derivatives",
                         lambda spec, tf, q, rule: rows.append(np.size(q) // spec.m) or kernel(spec, tf, q, rule))
     tf = TempField(beta=1.2, h=0.0)
-    sol = solve_fixed_point(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf, rule)
     assert rows[0] == 2 and max(rows) == 2
     limits = [rs._run(reference_spec, tf, rule, np.full(2, start), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)[0].q
               for start in (0.0, 1.0)]
@@ -185,7 +184,7 @@ def test_row_batches_match_one_point_solves(reference_spec, rule):
     for h in np.linspace(0.1, 1.0, 10):
         batch = rs.solve_points(reference_spec, TempField(beta=betas, h=np.full(betas.size, h)), rule)
         for beta, got in zip(betas, batch):
-            want = solve_fixed_point(reference_spec, TempField(beta=float(beta), h=float(h)), rule)
+            want = solve_one(reference_spec, TempField(beta=float(beta), h=float(h)), rule)
             assert np.array_equal(got.q_star, want.q_star) and np.array_equal(got.gamma, want.gamma)
             assert (got.error, got.iterations) == (want.error, want.iterations)
 
@@ -195,7 +194,7 @@ def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
     steps: from q = 1e-3 at h = 0 above the threshold a run leaves the
     unstable q = 0 for the glassy branch, to which Newton alone would fall."""
     tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
-    glassy = max(solve_fixed_point(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
+    glassy = max(solve_one(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
     (run,) = rs._run(reference_spec, tf, rule, np.full(2, 1e-3), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
@@ -252,7 +251,7 @@ def test_solver_not_converged():
     from mskglass import gauss_hermite
 
     with pytest.raises(NotConverged) as info:
-        solve_fixed_point(spec, TempField(beta=0.9, h=0.5), gauss_hermite(21), max_iter=2)
+        solve_one(spec, TempField(beta=0.9, h=0.5), gauss_hermite(21), max_iter=2)
     assert info.value.last_iterate is not None
 
 
@@ -297,7 +296,7 @@ def test_contraction_certificate(reference_spec, sk_spec, rule):
 def test_interior_minimum_beats_boundary(reference_spec, rule):
     """For h > 0 the critical point beats every boundary point of [0,1]^2."""
     tf = TempField(beta=0.6, h=0.5)
-    sol = solve_fixed_point(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf, rule)
     best = rs_functional(reference_spec, tf, sol.q_star, rule)
     ts = np.linspace(0.0, 1.0, 21)
     boundary = (
