@@ -40,6 +40,7 @@ _WITNESS_REL_TOL = 1e-14
 _VERDICT_BAND = 1e-12
 _LINE_DOUBLINGS = 6  # the upper bracket end stays at most 128 x sqrt(uniqueness_threshold)
 _LINE_MAX_STEPS = 200
+_LINE_TOL = 1e-10
 
 
 class Verdict(str, enum.Enum):
@@ -192,7 +193,7 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     return reports
 
 
-def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> list:
+def at_line_betas(spec: ModelSpec, h, rule: QuadRule) -> list:
     """Locate the phase boundary at each field of `h` as the zero of g(beta) = beta^2 - beta2_m(beta).
 
     gamma_s = lam_s E sech^4 <= lam_s and 1 / beta2_m grows with gamma (`inverse_beta2_m`), so
@@ -202,9 +203,9 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> lis
     (q, beta) for q = T(q; beta), beta^2 / beta2_m(gamma(q; beta)) = 1, with the kernel's
     derivatives, from the upper end.  A step that would leave the bracket or the box, or is not
     below half the step before last, is replaced by a bisection: a solve at the midpoint halves
-    the bracket (rtsafe).  Newton stops once its correction is at most `tol` in beta and in q,
-    and returns the corrected beta, whose error is of the order of that correction squared:
-    within 1e-11 of bisection on solves run to 1e-15 at h = 0.001 to 5.
+    the bracket (rtsafe).  Newton stops once its correction is at most _LINE_TOL = 1e-10 in beta
+    and in q, and returns the corrected beta, whose error is of the order of that correction
+    squared: within 1e-11 of bisection on solves run to 1e-15 at h = 0.001 to 5.
 
     All fields run as one batch, each with its own bracket, steps and stop, bit-identical to its
     search alone: a round of doublings or bisections is one `solve_points` call, a Newton step
@@ -255,7 +256,7 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> lis
         jac[:, 2, :2] = (b * b)[:, None] * (grad[:, None] @ k.dgamma_dq)[:, 0]
         jac[:, 2, 2] = 2.0 * b * inv + b * b * (grad[:, None] @ k.dgamma_dbeta[..., None])[:, 0, 0]
         d = stacked_solve(jac, np.concatenate([q[rows] - k.t, (b * b * inv - 1.0)[:, None]], axis=1))
-        done = np.abs(d).max(-1) <= tol
+        done = np.abs(d).max(-1) <= _LINE_TOL
         for i, value in zip(rows[done], (b - d[:, 2])[done].tolist()):
             out[i] = value
         q_next, b_next = q[rows] - d[:, :2], b - d[:, 2]
@@ -265,9 +266,9 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule, tol: float = 1e-10) -> lis
         q[took], beta[took], step[took] = q_next[newton], b_next[newton], np.abs(d[newton, 2])
         beta[halved], step[halved] = 0.5 * (lo[halved] + hi[halved]), 0.5 * (hi[halved] - lo[halved])
         halved = solved(halved)
-        for i in halved[step[halved] <= tol]:
+        for i in halved[step[halved] <= _LINE_TOL]:
             out[i] = float(beta[i])
-        halved = halved[step[halved] > tol]
+        halved = halved[step[halved] > _LINE_TOL]
         below = g[halved] < 0
         lo[halved[below]], hi[halved[~below]] = beta[halved[below]], beta[halved[~below]]
         rows = np.array([i for i in rows if out[i] is None], dtype=int)

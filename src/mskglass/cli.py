@@ -99,14 +99,6 @@ def _range(value) -> np.ndarray:
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
-def _grid(value, top=math.inf) -> np.ndarray:
-    """A number (a one-point grid) or a nonempty list of finite numbers, each in (0, top]."""
-    grid = np.array(value, dtype=float, ndmin=1)
-    if grid.ndim != 1 or not grid.size or not (np.isfinite(grid) & (grid > 0) & (grid <= top)).all():
-        raise ValueError(f"expected a number or a nonempty list of finite numbers, each in (0, {top:g}]")
-    return grid
-
-
 def _mode(value) -> str:
     if value not in VALIDATION_MODES:
         raise ValueError(f"expected one of {', '.join(VALIDATION_MODES)}")
@@ -156,11 +148,8 @@ FIELDS = {
     "N": Field(int, _count, _REQUIRED, _FINITE_N, "system size N (<= 24 exact, <= 256 Metropolis)"),
     "sweeps": Field(int, _count, 200, ("overlap-hist",)),
     "n_disorder": Field(int, _count, 1, _FINITE_N),
-    "bins": Field(int, _count, 40, ("overlap-hist",)),
     "zeta": Field(_float_list, _floats, (), ("parisi-eval",), "cluster weights, comma-separated (empty for k=0)"),
     "q": Field(_matrix_rows, _floats, _REQUIRED, ("parisi-eval",), "overlap ladder rows, ';' between species"),
-    "eps_grid": Field(_float_list, _grid, None, ("certify",)),
-    "zeta_grid": Field(_float_list, lambda value: _grid(value, top=1.0), None, ("certify",)),
 }
 
 
@@ -178,8 +167,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
-    if isinstance(obj, Verdict):
-        return obj.value
     return obj
 
 
@@ -386,7 +373,7 @@ def cmd_certify(cfg: dict, v: dict) -> int:
             f"verdict at (beta={tf.beta}, h={tf.h}) is {report.verdict.value}; "
             "no symmetry-breaking certificate exists below the phase line"
         )
-    cert = _single(certify_points(spec, tf, [report], rule, eps_grid=v["eps_grid"], zeta_grid=v["zeta_grid"]))
+    cert = _single(certify_points(spec, tf, [report], rule))
     result = {
         "verdict": report.verdict.value,
         "beta2_m": report.beta2_m,
@@ -427,7 +414,7 @@ def cmd_mc_free_energy(cfg: dict, v: dict) -> int:
 def cmd_overlap_hist(cfg: dict, v: dict) -> int:
     spec, tf = _model_spec(v), _temp_field(v)
     hist = _finite_n(overlap_histogram, spec, tf, n=v["N"], sweeps=v["sweeps"], n_disorder=v["n_disorder"],
-                     seed=v["seed"], bins=v["bins"])
+                     seed=v["seed"])
     rows: list = [f"# acceptance: {_fmt(hist.acceptance)}"]
     for s in range(spec.m):
         rows.append(f"# species {s}: mean {_fmt(hist.means[s])} std {_fmt(hist.stds[s])}")

@@ -99,6 +99,8 @@ class TempField:
 
     def __post_init__(self):
         beta, h = np.array(self.beta, dtype=float, ndmin=1).tolist(), np.array(self.h, dtype=float, ndmin=1).tolist()
+        if len(beta) != len(h):
+            raise ValueError(f"beta and h must hold the same number of points, got {len(beta)} and {len(h)}")
         if not all(map(math.isfinite, beta + h)):
             raise ValueError("beta and h must be finite")
         if min(beta, default=1.0) <= 0:

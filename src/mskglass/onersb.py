@@ -62,25 +62,23 @@ ZETA_GRID = 1.0 - np.geomspace(0.5, 0.01, 10)
 EPSILON_GRID.flags.writeable = ZETA_GRID.flags.writeable = False
 
 
-def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule, eps_grid=None, zeta_grid=None) -> list:
+def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> list:
     """Scan (epsilon, zeta) at each point of `tf` for a one-step value strictly below the single-atom one.
 
     The report's witness certifies positivity against the stability matrix;
     the slope's curvature is its conjugation by the proportions, so the
     displacement direction is the witness divided componentwise by lam
     (nonnegativity is preserved), normalized to unit max entry.  The
-    epsilons whose p stays in [0, 1] give each point a batch of ladders
-    (q*, p); the ladders of all points, each at its own (beta, h), are
-    evaluated against the whole zeta grid in one call of `parisi.evaluate`
-    (a zeta outside (0, 1] raises BadZeta), and the single-atom values in
-    one more.  Weights equal to 1 are dropped first: their one-step value is
-    the single-atom value, so their gap is exactly 0 and they count only
-    toward the reported best gap.  The first point in (epsilon, zeta) order
-    with the largest gap above DEFAULT_GAP_FLOOR wins; the floor sits above
-    the quadrature noise at the default order.  Returns per point a
-    OneRSBCertificate, or a CertificateNotFound when the scan found nothing;
-    its `near_line` distinguishes the benign case beta^2 < 1.05 beta2_m,
-    where the attainable gap is quadratically small, from a genuine failure.
+    epsilons of EPSILON_GRID whose p stays in [0, 1] give each point a batch
+    of ladders (q*, p); the ladders of all points, each at its own (beta, h),
+    are evaluated against ZETA_GRID in one call of `parisi.evaluate`, and
+    the single-atom values in one more.  The first point in (epsilon,
+    zeta) order with the largest gap above DEFAULT_GAP_FLOOR wins; the floor
+    sits above the quadrature noise at the default order.  Returns per point
+    a OneRSBCertificate, or a CertificateNotFound when the scan found
+    nothing; its `near_line` distinguishes the benign case beta^2 < 1.05
+    beta2_m, where the attainable gap is quadratically small, from a genuine
+    failure.
     """
     if any(r.verdict != Verdict.RSB_CERTIFIED or r.witness_x is None for r in reports):
         raise BadPoint("certification requires an RSB-certified report with a witness")
@@ -88,27 +86,25 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule, eps_
     x = np.array([r.witness_x for r in reports], dtype=float).reshape(-1, spec.m) / spec.lam
     x = x / x.max(axis=-1, keepdims=True)
     q_star = np.array([r.solution.q_star for r in reports]).reshape(x.shape)
-    rs_values = np.atleast_1d(rs_functional(spec, tf, q_star, rule))
+    rs_values = rs_functional(spec, tf, q_star, rule)
 
-    eps_grid = EPSILON_GRID if eps_grid is None else np.array(eps_grid, dtype=float, ndmin=1)
-    zeta_grid = ZETA_GRID if zeta_grid is None else np.array(zeta_grid, dtype=float, ndmin=1)
-    p = q_star[:, None] + eps_grid[:, None] * x[:, None]  # (points, epsilons, M)
+    p = q_star[:, None] + EPSILON_GRID[:, None] * x[:, None]  # (points, epsilons, M)
     point, eps = np.nonzero(((p >= 0.0) & (p <= 1.0)).all(axis=-1))
-    inner = zeta_grid[zeta_grid != 1.0]
-    values = np.empty((point.size, inner.size))
+    values = np.empty((point.size, ZETA_GRID.size))
     if values.size:
-        params = ParisiParams(zeta=inner[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
+        params = ParisiParams(zeta=ZETA_GRID[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
         values = evaluate(spec, TempField(beta=beta[point], h=h[point]), params, rule).reshape(values.shape)
 
     certificates: list = []
     for n, report in enumerate(reports):
         mine = point == n
-        best, best_gap = None, (0.0 if mine.any() and inner.size < zeta_grid.size else -math.inf)
-        if mine.any() and inner.size:
+        best, best_gap = None, -math.inf
+        if mine.any():
             gaps = rs_values[n] - values[mine]
             i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
-            best_gap = max(best_gap, float(gaps[i, j]))
-            best = dict(epsilon=float(eps_grid[eps[mine][i]]), zeta=float(inner[j]), value=float(values[mine][i, j]))
+            best_gap = float(gaps[i, j])
+            best = dict(epsilon=float(EPSILON_GRID[eps[mine][i]]), zeta=float(ZETA_GRID[j]),
+                        value=float(values[mine][i, j]))
         if best is None or best_gap <= DEFAULT_GAP_FLOOR:
             near = bool(beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
             certificates.append(CertificateNotFound(

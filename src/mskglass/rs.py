@@ -18,11 +18,11 @@ susceptibility gamma, gives both and their derivatives in q and beta from
 one pass over the nodes, exact for the discrete sums.  The solver takes the
 plain step q <- T(q) until the Jacobian J of T has spectral radius below 1,
 then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
-that correction, its error estimate, is at most tol.  For two species with
-delta2 positive definite, or all entries equal, the critical point is
-unique whenever h > 0 or beta^2 is below `uniqueness_threshold`, and one
-start suffices; elsewhere up to three run, and the functional value is the
-minimum over their distinct limits (a heuristic, flagged via
+that correction, its error estimate, is at most DEFAULT_TOL.  For two
+species with delta2 positive definite, or all entries equal, the critical
+point is unique whenever h > 0 or beta^2 is below `uniqueness_threshold`,
+and one start suffices; elsewhere up to three run, and the functional
+value is the minimum over their distinct limits (a heuristic, flagged via
 `guaranteed_unique`).
 
 The kernel and the solver take a leading axis of rows, each with its own
@@ -151,18 +151,18 @@ def stacked_solve(a, r) -> np.ndarray:
 _Run = namedtuple("_Run", "q gamma residual error iterations converged")
 
 
-def _run(spec, tf, rule, q, tol, max_iter) -> list:
-    """Iterate each row of q (R x M) at its point of `tf` until its Newton correction is at most tol;
+def _run(spec, tf, rule, q) -> list:
+    """Iterate each row of q (R x M) at its point of `tf` until its Newton correction is at most DEFAULT_TOL;
     apply it to q and, to first order, gamma.  Returns one _Run per row."""
     q = np.array(q, dtype=float, ndmin=2)
     runs, live, points, eye = [None] * len(q), np.arange(len(q)), tf, np.eye(q.shape[1])
     newton, all_newton = np.zeros(len(q), dtype=bool), False  # plain steps until rho(J) first drops below 1
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         k = map_derivatives(spec, points, q, rule)
         r, a = q - k.t, eye - k.dt_dq
         step = stacked_solve(a, r)  # infinite where I - J is singular (J has eigenvalue 1)
         error, residual = np.abs(step).max(-1), np.abs(r).max(-1)
-        done = error <= tol
+        done = error <= DEFAULT_TOL
         stopped = done.nonzero()[0]
         for j in stopped:
             runs[live[j]] = _Run(np.clip(q[j] - step[j], 0.0, 1.0), k.gamma[j] - k.dgamma_dq[j] @ step[j],
@@ -180,13 +180,11 @@ def _run(spec, tf, rule, q, tol, max_iter) -> list:
             newton[~newton] = np.abs(np.linalg.eigvals(k.dt_dq[~newton])).max(-1) < 1.0
             q, all_newton = np.clip(np.where(newton[:, None], q - step, k.t), 0.0, 1.0), newton.all()
     for j, row in enumerate(live):
-        runs[row] = _Run(q[j], k.gamma[j], float(residual[j]), float(error[j]), max_iter, False)
+        runs[row] = _Run(q[j], k.gamma[j], float(residual[j]), float(error[j]), DEFAULT_MAX_ITER, False)
     return runs
 
 
-def solve_points(
-    spec: ModelSpec, tf: TempField, rule: QuadRule, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> list:
+def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     """Solve the self-consistency system at each point of `tf`, one point or
     a batch: plain steps where the map expands, Newton where it contracts.
 
@@ -196,10 +194,10 @@ def solve_points(
     all-ones vector and the decoupled value tanh^2(h) are each iterated,
     equal ones once; all starts of all points run as one batch (`_run`).  A
     run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
-    most `tol`, and returns the corrected point.  Every distinct limit is
-    reported in `candidates`, and `q_star` minimizes the functional over
+    most DEFAULT_TOL, and returns the corrected point.  Every distinct limit
+    is reported in `candidates`, and `q_star` minimizes the functional over
     them.  Returns per point an RSSolution, or a NotConverged when no start
-    converged within `max_iter` iterations.
+    converged within DEFAULT_MAX_ITER iterations.
     """
     beta, h = np.ravel(tf.beta), np.ravel(tf.h)
     standard = spec.standard
@@ -209,7 +207,7 @@ def solve_points(
               for field, unique in zip(h.tolist(), guaranteed)]  # each point's starts
     owner = [i for i, starts in enumerate(points) for _ in starts]
     runs = _run(spec, tf if beta.size == 1 else TempField(beta=beta[owner], h=h[owner]), rule,
-                [[start] * spec.m for starts in points for start in starts], tol, max_iter)
+                [[start] * spec.m for starts in points for start in starts])
 
     solutions: list = []
     for i, starts in enumerate(points):
@@ -218,7 +216,7 @@ def solve_points(
         if not converged:
             best = min(point_runs, key=lambda r: r.error)
             solutions.append(NotConverged(
-                f"no start converged within {max_iter} iterations (best error estimate {best.error:.3e})",
+                f"no start converged within {DEFAULT_MAX_ITER} iterations (best error estimate {best.error:.3e})",
                 last_iterate=best.q, residual=best.residual, iterations=best.iterations))
             continue
         distinct: list[_Run] = []

@@ -54,6 +54,7 @@ from .model import ModelSpec, TempField
 
 MAX_EXACT_N = 24
 MAX_MC_N = 256
+HISTOGRAM_BINS = 40  # equal bins of [0, 1] per species overlap histogram
 
 _CHUNK_MACS = 2**18  # per chunk GEMM of log_partition_exact: one OpenBLAS thread
 _BLOCK_WORDS = 2**12  # generator words per vectorised draw: couplings or sweeps' proposals
@@ -245,7 +246,7 @@ class OverlapHistogram:
     """Per-species histograms of the two-replica overlap |R_s|."""
 
     bin_edges: np.ndarray
-    counts: np.ndarray  # (M, bins)
+    counts: np.ndarray  # (M, HISTOGRAM_BINS)
     means: np.ndarray
     stds: np.ndarray
     n_measurements: int
@@ -259,7 +260,6 @@ def overlap_histogram(
     sweeps: int,
     n_disorder: int = 1,
     seed: int = 0,
-    bins: int = 40,
 ) -> OverlapHistogram:
     """Metropolis single-flip sampling of the species overlaps.
 
@@ -274,14 +274,14 @@ def overlap_histogram(
     if n > MAX_MC_N:
         raise Unsupported(f"Monte Carlo sampling supports N <= {MAX_MC_N}, got {n}")
     _check_counts(spec, n, n_disorder)
-    if sweeps < 1 or bins < 1:
-        raise ValueError(f"sweeps and bins must be >= 1, got {sweeps} and {bins}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     burn_in = sweeps // 2
     species = species_partition(spec, n)
     sizes = species_sizes(spec, n)
     masks = [species == s for s in range(spec.m)]
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = np.zeros((spec.m, bins), dtype=int)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+    counts = np.zeros((spec.m, HISTOGRAM_BINS), dtype=int)
     samples: list[list[float]] = [[] for _ in range(spec.m)]
 
     accepted, exp = 0, math.exp
@@ -313,9 +313,10 @@ def overlap_histogram(
                 prod = sigma[0] * sigma[1]
                 for s in range(spec.m):
                     overlap = abs(prod[masks[s]].sum()) / sizes[s]
-                    idx = min(int(overlap * bins), bins - 1)
+                    idx = min(int(overlap * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
                     counts[s, idx] += 1
                     samples[s].append(overlap)
+        del d, w, coupling, up, down, draws  # free this sample's N x N arrays before the next is drawn
 
     arrays = [np.asarray(vals) for vals in samples]
     means = np.array([a.mean() for a in arrays])

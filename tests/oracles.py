@@ -12,7 +12,9 @@ documentation in mskglass/simulate.py.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.  `solve_one`, `verdict_one` and
 `certify_one` are not oracles: they call the library's batch entry points at
-one point and unwrap the result (`one`).
+one point and unwrap the result (`one`); `solve_one` and `certify_one` take
+the solver tolerance, iteration budget and certificate grids as keywords and
+set the library's constants to them for the call (`with_constants`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,26 @@ def one(results):
     return result
 
 
-def solve_one(spec, tf, rule, **kwargs):
-    """`solve_points` at one point; raises its NotConverged."""
-    from mskglass import solve_points
+def with_constants(module, call, **constants):
+    """call() with each named constant of `module` set to the given value for the length of the
+    call; a None value leaves its constant as it is."""
+    given = {name: value for name, value in constants.items() if value is not None}
+    saved = {name: getattr(module, name) for name in given}
+    try:
+        for name, value in given.items():
+            setattr(module, name, value)
+        return call()
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)
 
-    return one(solve_points(spec, tf, rule, **kwargs))
+
+def solve_one(spec, tf, rule, tol=None, max_iter=None):
+    """`solve_points` at one point, to Newton correction `tol` within `max_iter` iterations (the
+    library's constants when None); raises its NotConverged."""
+    from mskglass import rs
+
+    return with_constants(rs, lambda: one(rs.solve_points(spec, tf, rule)), DEFAULT_TOL=tol, DEFAULT_MAX_ITER=max_iter)
 
 
 def verdict_one(spec, tf, rule):
@@ -48,11 +65,16 @@ def verdict_one(spec, tf, rule):
     return one(at_verdicts(spec, tf, rule))
 
 
-def certify_one(spec, tf, report, rule, **kwargs):
-    """`certify_points` at one point; raises its CertificateNotFound."""
-    from mskglass import certify_points
+def certify_one(spec, tf, report, rule, eps_grid=None, zeta_grid=None):
+    """`certify_points` at one point, scanning `eps_grid` x `zeta_grid` (the library's grids when
+    None); raises its CertificateNotFound."""
+    from mskglass import onersb
 
-    return one(certify_points(spec, tf, [report], rule, **kwargs))
+    def grid(values):
+        return None if values is None else np.array(values, dtype=float, ndmin=1)
+
+    return with_constants(onersb, lambda: one(onersb.certify_points(spec, tf, [report], rule)),
+                          EPSILON_GRID=grid(eps_grid), ZETA_GRID=grid(zeta_grid))
 
 
 def gauss_expect(f, sigma, shift):

@@ -19,12 +19,15 @@ from mskglass import (
     uniqueness_threshold,
 )
 from mskglass import atline, rs
-from .oracles import at_line_bisection, one, single_species_at_beta, solve_one, stability_threshold, verdict_one
+from .oracles import (
+    at_line_bisection, one, single_species_at_beta, solve_one, stability_threshold, verdict_one, with_constants,
+)
 
 
-def at_line_beta(spec, h, rule, tol=1e-10):
-    """The phase line at one field: `at_line_betas` of a batch of one."""
-    return one(at_line_betas(spec, [h], rule, tol))
+def at_line_beta(spec, h, rule, tol=None):
+    """The phase line at one field: `at_line_betas` of a batch of one, to Newton correction `tol`
+    (the library's when None)."""
+    return with_constants(atline, lambda: one(at_line_betas(spec, [h], rule)), _LINE_TOL=tol)
 
 
 def _solved(spec, tf, rule, tol=1e-12):

@@ -63,6 +63,21 @@ def test_temp_field_bounds():
         TempField(beta=1.0, h=-0.1)
 
 
+@pytest.mark.parametrize(
+    "beta, h",
+    [
+        (np.linspace(0.4, 1.6, 25), 0.3),  # solve_points and at_verdicts returned one result, not 25
+        (np.array([1.2, 1.4]), np.array([0.3, 0.4, 0.5])),  # at_verdicts returned two reports
+        (np.array([1.2, 1.5]), np.array([0.3])),  # certify_points raised a raw IndexError
+    ],
+)
+def test_temp_field_batch_needs_one_h_per_beta(beta, h):
+    """A batch of points holds as many fields as temperatures; otherwise the
+    entry points would drop points or index past the shorter vector."""
+    with pytest.raises(ValueError, match="same number of points"):
+        TempField(beta=beta, h=h)
+
+
 def test_contractions_zero_and_ones(sk_spec):
     c0 = overlap_contractions(sk_spec, np.zeros(2))
     assert c0.scalar == 0.0

@@ -168,8 +168,7 @@ def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
     tf = TempField(beta=1.2, h=0.0)
     sol = solve_one(reference_spec, tf, rule)
     assert rows[0] == 2 and max(rows) == 2
-    limits = [rs._run(reference_spec, tf, rule, np.full(2, start), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)[0].q
-              for start in (0.0, 1.0)]
+    limits = [rs._run(reference_spec, tf, rule, np.full(2, start))[0].q for start in (0.0, 1.0)]
     assert len(sol.candidates) == 2
     assert all(np.array_equal(c, limit) for c, limit in zip(sol.candidates, limits))
     assert not limits[0].any() and np.array_equal(sol.q_star, limits[1])
@@ -195,7 +194,7 @@ def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
     unstable q = 0 for the glassy branch, to which Newton alone would fall."""
     tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
     glassy = max(solve_one(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
-    (run,) = rs._run(reference_spec, tf, rule, np.full(2, 1e-3), rs.DEFAULT_TOL, rs.DEFAULT_MAX_ITER)
+    (run,) = rs._run(reference_spec, tf, rule, np.full(2, 1e-3))
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
 

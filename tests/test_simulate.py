@@ -220,10 +220,11 @@ def test_overlap_deterministic(sk_spec):
 def test_overlap_matches_reference_sampler(reference_spec, beta, h):
     """Same counts as a sampler that takes every energy change from two full energies."""
     tf, n, sweeps, seed = TempField(beta=beta, h=h), 24, 40, 13
-    hist = overlap_histogram(reference_spec, tf, n=n, sweeps=sweeps, n_disorder=2, seed=seed, bins=20)
+    hist = overlap_histogram(reference_spec, tf, n=n, sweeps=sweeps, n_disorder=2, seed=seed)
     disorders = [sample_disorder(reference_spec, n, derive_seed(seed, r, 1)) for r in range(2)]
     chain_keys = [derive_seed(seed, r, 2) for r in range(2)]
-    np.testing.assert_array_equal(hist.counts, metropolis_counts(disorders, chain_keys, tf, sweeps, bins=20))
+    want = metropolis_counts(disorders, chain_keys, tf, sweeps, bins=simulate.HISTOGRAM_BINS)
+    np.testing.assert_array_equal(hist.counts, want)
 
 
 @pytest.mark.parametrize("n", [2, simulate.MAX_MC_N])
@@ -277,13 +278,24 @@ def _traced_peak(fn):
 def test_finite_n_allocation_guard(reference_spec):
     """Traced peaks of the README finite-N runs stay small, so the disorder
     groups and proposal blocks cannot quietly grow: about 0.5 MiB for the
-    N = 20 x 200 exact samples, and 1.6 MiB for N = 128 Metropolis.  Two
+    N = 20 x 200 exact samples, and 0.95 MiB for N = 128 Metropolis.  Two
     samples of 160 sweeps (ten proposal blocks) reach the peak of the README's
-    4 x 400, where two samples' couplings coexist, in a fifth of the traced time."""
+    4 x 400 in a fifth of the traced time."""
     tf = TempField(beta=0.3, h=0.4)
     assert _traced_peak(lambda: free_energy_exact(reference_spec, tf, n=20, n_disorder=200, seed=7)) <= 2**20
     peak = _traced_peak(lambda: overlap_histogram(reference_spec, tf, n=128, sweeps=160, n_disorder=2, seed=7))
     assert peak <= 2.5 * 2**20
+
+
+def test_overlap_histogram_frees_each_sample_before_the_next(reference_spec):
+    """A disorder sample's coupling arrays are released before the next is
+    drawn: at N = 128 two samples peak within 5% of one (about 0.91 MiB)."""
+    tf = TempField(beta=0.3, h=0.4)
+
+    def peak(count):
+        return _traced_peak(lambda: overlap_histogram(reference_spec, tf, n=128, sweeps=20, n_disorder=count, seed=7))
+
+    assert peak(2) <= 1.05 * peak(1)
 
 
 def test_overlap_hist_leaves_numpy_random_unimported():
