@@ -18,8 +18,8 @@ at once (`at_line_betas`) by Newton on (q, beta) in a bisection-safeguarded
 bracket from the h = 0 threshold up.  The matrices are built for any M, but
 thresholds, witnesses and verdicts exist only for two species: for three or
 more no closed form is known and they raise Unsupported.  `at_verdicts` classifies
-one point or a batch of points (a phase-diagram row) from one batched solve in one
-vectorised pass.
+a batch of points (a phase-diagram row) from one batched solve in one vectorised
+pass.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ class ATReport:
 
 
 def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(K, H) with K = 2 beta^2 D G D - D and H = beta^2 L K L; any M.  Rows of gamma (R x M), one per point
-    of a batch `tf`, give stacks (R x M x M), each slice bit-equal to its own call."""
+    """Stacks (R x M x M) of K = 2 beta^2 D G D - D and H = beta^2 L K L, one per row of gamma (R x M) at its
+    point of `tf`; any M."""
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[-1:] != (spec.m,) or gamma.ndim > 2:
-        raise ValueError("gamma must have one entry per species")
+    if gamma.shape != (tf.beta.size, spec.m):
+        raise ValueError("gamma must hold one row per point and one entry per species")
     if (gamma <= 0).any():
         raise ValueError("gamma entries must be positive")
-    d, beta2 = spec.delta2, np.float_power(tf.beta, 2.0)[..., None, None]  # libm pow, as float ** 2 is
-    k = 2.0 * beta2 * (d * gamma[..., None, :]) @ d - d
+    d, beta2 = spec.delta2, np.float_power(tf.beta, 2.0)[:, None, None]  # libm pow, as float ** 2 is
+    k = 2.0 * beta2 * (d * gamma[:, None, :]) @ d - d
     k = 0.5 * (k + k.swapaxes(-1, -2))  # symmetric in exact arithmetic; enforce it
     return k, beta2 * k * np.outer(spec.lam, spec.lam)
 
@@ -111,20 +111,18 @@ def _require_standard(spec: ModelSpec) -> None:
         )
 
 
-def positivity_witness(k_matrix) -> Optional[np.ndarray] | list:
-    """The nonnegative direction maximising x' K x / x' x for a 2 x 2 K,
-    scaled to unit max entry, or None when that maximum is not positive;
-    for a stack (R x 2 x 2) the list of them, each equal to its own call.
+def positivity_witness(k_matrix) -> list:
+    """For each K of a stack (R x 2 x 2), K_12 >= 0, the nonnegative direction maximising x' K x / x' x,
+    scaled to unit max entry, or None when that maximum is not positive.
 
-    When K_12 >= 0, |x|' K |x| >= x' K x for every x, so the maximum over
-    the quadrant is lambda_max(K), reached at the absolute value of the top
-    eigenvector (Perron-Frobenius).  When K_12 < 0 the cross term only
-    lowers the form, so the maximum is the larger diagonal entry, reached
-    on its axis.  Raises Unsupported for M != 2.
+    As K_12 >= 0, |x|' K |x| >= x' K x for every x, so the maximum over the quadrant is lambda_max(K),
+    reached at the absolute value of the top eigenvector (Perron-Frobenius).  The verdict path meets
+    K_12 < 0 only below beta2_v < beta2_m, where K is negative definite and no direction is positive.
+    Raises Unsupported for M != 2.
     """
     k = np.asarray(k_matrix, dtype=float)
-    if k.ndim not in (2, 3) or k.shape[-1] != k.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+    if k.ndim != 3 or k.shape[-1] != k.shape[-2]:
+        raise ValueError("expected a stack of square matrices")
     if k.shape[-1] != 2:
         raise Unsupported("the positivity witness is defined for two species only")
     norm = np.linalg.norm(k, 2, axis=(-2, -1))
@@ -132,12 +130,10 @@ def positivity_witness(k_matrix) -> Optional[np.ndarray] | list:
     if (np.abs(k[..., 0, 1] - k[..., 1, 0]) > 1e-12 * np.maximum(1.0, norm))[valid].any():
         raise ValueError("stability matrix must be symmetric")
     k = np.where(valid[..., None, None], k, 0.0)  # eigh needs finite entries; these rows have no witness
-    perron = np.abs(np.linalg.eigh(k)[1][..., -1])
-    perron /= perron.max(-1, keepdims=True)
-    x = np.where((k[..., :1, 1] >= 0), perron, np.eye(2)[np.argmax(np.diagonal(k, 0, -2, -1), -1)])
+    x = np.abs(np.linalg.eigh(k)[1][..., -1])
+    x /= x.max(-1, keepdims=True)
     valid &= (x[..., None, :] @ k @ x[..., None])[..., 0, 0] > _WITNESS_REL_TOL * norm
-    witnesses = [xi if ok else None for xi, ok in zip(x.reshape(-1, 2), valid.ravel())]
-    return witnesses if k.ndim == 3 else witnesses[0]
+    return [xi if ok else None for xi, ok in zip(x, valid)]
 
 
 def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
@@ -161,17 +157,16 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     Raises Unsupported outside the two-species standard class and where h = 0.
     """
     _require_standard(spec)
-    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
-    if (h <= 0).any():
+    if (tf.h <= 0).any():
         raise Unsupported("the phase verdict is defined for h > 0")
     reports = [_underflow(sol.gamma) if isinstance(sol, RSSolution) and not sol.gamma.all() else sol
                for sol in solve_points(spec, tf, rule)]
     rows = [i for i, sol in enumerate(reports) if isinstance(sol, RSSolution)]
     gamma = np.reshape([reports[i].gamma for i in rows], (-1, spec.m))
     thresholds = two_species_thresholds(spec, gamma)
-    k, hessian = stability_matrices(spec, TempField(beta=beta[rows], h=h[rows]), gamma)
+    k, hessian = stability_matrices(spec, TempField(beta=tf.beta[rows], h=tf.h[rows]), gamma)
     witnesses = positivity_witness(k)
-    for j, (i, b2) in enumerate(zip(rows, np.float_power(beta[rows], 2.0))):
+    for j, (i, b2) in enumerate(zip(rows, np.float_power(tf.beta[rows], 2.0))):
         th, sol, witness = Thresholds._make(t[j] for t in thresholds), reports[i], witnesses[j]
         try:
             _check_ordering(spec, th)
@@ -186,7 +181,7 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
                 if witness is not None:
                     raise InternalInconsistency("beta^2 is below beta2_m yet a nonnegative positive direction exists")
                 verdict = Verdict.RS_CONSISTENT
-            reports[i] = ATReport(beta=float(beta[i]), h=float(h[i]), gamma=sol.gamma, stability=k[j],
+            reports[i] = ATReport(beta=float(tf.beta[i]), h=float(tf.h[i]), gamma=sol.gamma, stability=k[j],
                                   hessian=hessian[j], thresholds=th, verdict=verdict, witness_x=witness, solution=sol)
         except MskGlassError as exc:
             reports[i] = exc

@@ -64,15 +64,16 @@ def _matrix_rows(text: str) -> list[list[float]]:
 # config value -> the value a command reads; TypeError/ValueError on bad input
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def _real(value) -> float:
-    """A real number as float; booleans are refused."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number")
+    """A number as float; booleans, strings and anything else that JSON does not write as a number are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    values = np.asarray(value, dtype=object)  # each entry read by _real
+    return np.array([_real(v) for v in values.flat]).reshape(values.shape)
 
 
 def _count(value) -> int:
@@ -301,7 +302,7 @@ def cmd_solve_rs(cfg: dict, v: dict) -> int:
         "on_boundary": sol.on_boundary,
         "candidates": [c for c in sol.candidates],
         "guaranteed_unique": sol.guaranteed_unique,
-        "rs_value": rs_functional(spec, tf, sol.q_star, rule),
+        "rs_value": rs_functional(spec, tf, sol.q_star[None], rule)[0],
     }
     _emit_json(cfg, result, v["out"])
     return 0
@@ -370,7 +371,7 @@ def cmd_certify(cfg: dict, v: dict) -> int:
     report = _single(at_verdicts(spec, tf, rule))
     if report.verdict != Verdict.RSB_CERTIFIED:
         raise CertificateNotFound(
-            f"verdict at (beta={tf.beta}, h={tf.h}) is {report.verdict.value}; "
+            f"verdict at (beta={v['beta']}, h={v['h']}) is {report.verdict.value}; "
             "no symmetry-breaking certificate exists below the phase line"
         )
     cert = _single(certify_points(spec, tf, [report], rule))
@@ -397,7 +398,7 @@ def cmd_parisi_eval(cfg: dict, v: dict) -> int:
         params = ParisiParams(zeta=zeta, q=q)
     except (ValueError, MskGlassError) as exc:
         raise ConfigError(f"invalid functional parameters: {exc}") from exc
-    result = {"k": params.k, "value": parisi_value(spec, tf, params, rule)}
+    result = {"k": params.k, "value": parisi_value(spec, tf, params, rule)[0, 0]}
     _emit_json(cfg, result, v["out"])
     return 0
 

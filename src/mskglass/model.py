@@ -92,21 +92,24 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TempField:
-    """A point (beta, h): inverse temperature and field; equal-length NumPy vectors make a batch of points."""
+    """A batch of points (beta, h): read-only vectors of equal length; a number is a batch of one point."""
 
-    beta: float
-    h: float = 0.0
+    beta: np.ndarray
+    h: np.ndarray = 0.0
 
     def __post_init__(self):
-        beta, h = np.array(self.beta, dtype=float, ndmin=1).tolist(), np.array(self.h, dtype=float, ndmin=1).tolist()
-        if len(beta) != len(h):
-            raise ValueError(f"beta and h must hold the same number of points, got {len(beta)} and {len(h)}")
-        if not all(map(math.isfinite, beta + h)):
+        beta, h = np.array(self.beta, dtype=float, ndmin=1), np.array(self.h, dtype=float, ndmin=1)
+        if beta.ndim != 1 or beta.shape != h.shape:
+            raise ValueError(f"beta and h must be 1-D with the same number of points, got {beta.shape} and {h.shape}")
+        if not all(map(math.isfinite, beta.tolist() + h.tolist())):
             raise ValueError("beta and h must be finite")
-        if min(beta, default=1.0) <= 0:
+        if min(beta.tolist(), default=1.0) <= 0:
             raise ValueError("beta must be positive")
-        if min(h, default=0.0) < 0:
+        if min(h.tolist(), default=0.0) < 0:
             raise ValueError("h must be nonnegative")
+        for name, value in (("beta", beta), ("h", h)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def validate(spec: ModelSpec, mode: str = "convex") -> tuple:
@@ -150,24 +153,24 @@ def _underflow(gamma) -> MskGlassError:
 
 
 def _threshold_terms(spec: ModelSpec, gamma):
-    """(e, g1, g2, a, b, root) of gamma, or of each row of a batch (R x 2): (g1, g2) = gamma / 2^e exactly with e
-    the exponent of max(gamma), a = g1 d11, b = g2 d22, root = sqrt((a - b)^2 + 4 g1 g2 d12^2)."""
+    """(e, g1, g2, a, b, root), one per row of gamma (R x 2): (g1, g2) = gamma / 2^e exactly with e the
+    exponent of max(gamma), a = g1 d11, b = g2 d22, root = sqrt((a - b)^2 + 4 g1 g2 d12^2)."""
     if spec.m != 2:
         raise Unsupported("closed-form thresholds exist for two species only")
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[-1:] != (2,) or gamma.ndim > 2 or (gamma < 0).any():
-        raise ValueError("gamma must be a positive 2-vector or rows of them")
+    if gamma.ndim != 2 or gamma.shape[1] != 2 or (gamma < 0).any():
+        raise ValueError("gamma must be rows (R x 2) of positive entries")
     if (gamma == 0).any():
         raise _underflow(gamma)
     e = np.frexp(gamma.max(-1))[1]
-    g1, g2 = np.ldexp(gamma, -e[..., None]).T
+    g1, g2 = np.ldexp(gamma, -e[:, None]).T
     a, b = g1 * spec.delta2[0, 0], g2 * spec.delta2[1, 1]
     # float_power is libm's pow, as float ** 2 is; NumPy's array ** 2 is x * x, which differs in the last bit
     return e, g1, g2, a, b, np.sqrt(np.float_power(a - b, 2.0) + 4.0 * g1 * g2 * spec.delta2[0, 1] ** 2)
 
 
 def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
-    """The five thresholds for two species and a positive weight vector gamma, or their arrays for rows (R x 2).
+    """The five thresholds for two species, one per row of positive weights gamma (R x 2), as arrays (R,).
 
     (beta2_m, beta2_M) = 1 / (a + b +- sqrt((a - b)^2 + 4 g1 g2 d12^2)) with
     a = g1 d11, b = g2 d22 (beta2_M infinite in the classical reduction), and
@@ -194,7 +197,7 @@ def two_species_thresholds(spec: ModelSpec, gamma) -> Thresholds:
 
 def inverse_beta2_m(spec: ModelSpec, gamma) -> tuple:
     """1 / beta2_m = a + b + root, finite at any gamma, and its gradient in gamma
-    (one-sided where root = 0: d12 = 0 and a = b); one of each per row for rows (R x 2)."""
+    (one-sided where root = 0: d12 = 0 and a = b), one of each per row of gamma (R x 2)."""
     e, g1, g2, a, b, root = _threshold_terms(spec, gamma)
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
     root_or_inf = np.where(root > 0, root, math.inf)
@@ -203,9 +206,9 @@ def inverse_beta2_m(spec: ModelSpec, gamma) -> tuple:
 
 
 class Contractions(NamedTuple):
-    """Quadratic and per-species linear contractions of an overlap vector (or a batch)."""
+    """Quadratic and per-species linear contractions, one per overlap vector of a batch."""
 
-    scalar: float
+    scalar: np.ndarray
     species: np.ndarray
 
 
@@ -214,13 +217,12 @@ def overlap_contractions(spec: ModelSpec, q) -> Contractions:
 
     Returns (sum_{s,t} delta2_st lam_s lam_t q_s q_t,
              2 * sum_t delta2_st lam_t q_t) -- the scalar energy contraction
-    and the per-species coupling vector driving the cavity-field scale.  A
-    batch (..., M) of overlap vectors gives one contraction per vector, each
-    bit-equal to its own single-vector call.
+    and the per-species coupling vector driving the cavity-field scale, one
+    of each per overlap vector of a batch (..., M).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim < 1 or q.shape[-1] != spec.m:
         raise BadDimension(f"expected overlap vectors of length {spec.m}, got shape {q.shape}")
     w = (spec.lam * q)[..., None]
     scalar = (w.swapaxes(-1, -2) @ spec.delta2 @ w)[..., 0, 0]
-    return Contractions(scalar=scalar if scalar.ndim else float(scalar), species=(2.0 * (spec.delta2 @ w))[..., 0])
+    return Contractions(scalar=scalar, species=(2.0 * (spec.delta2 @ w))[..., 0])

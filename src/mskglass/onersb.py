@@ -17,8 +17,8 @@ The slope of this functional in zeta at zeta = 1 vanishes with its gradient
 at the critical point, and its Hessian there is the closed form carried by
 `atline.stability_matrices`.  A direction in which the slope turns positive
 yields, for some zeta < 1, a one-step value strictly below the single-atom
-one: `certify_points` scans one point or a batch of points for such a
-point, in one evaluator call.
+one: `certify_points` scans a batch of points for such a point, in one
+evaluator call.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> l
     """
     if any(r.verdict != Verdict.RSB_CERTIFIED or r.witness_x is None for r in reports):
         raise BadPoint("certification requires an RSB-certified report with a witness")
-    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
     x = np.array([r.witness_x for r in reports], dtype=float).reshape(-1, spec.m) / spec.lam
     x = x / x.max(axis=-1, keepdims=True)
     q_star = np.array([r.solution.q_star for r in reports]).reshape(x.shape)
@@ -93,7 +92,7 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> l
     values = np.empty((point.size, ZETA_GRID.size))
     if values.size:
         params = ParisiParams(zeta=ZETA_GRID[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
-        values = evaluate(spec, TempField(beta=beta[point], h=h[point]), params, rule).reshape(values.shape)
+        values = evaluate(spec, TempField(beta=tf.beta[point], h=tf.h[point]), params, rule)
 
     certificates: list = []
     for n, report in enumerate(reports):
@@ -106,7 +105,7 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> l
             best = dict(epsilon=float(EPSILON_GRID[eps[mine][i]]), zeta=float(ZETA_GRID[j]),
                         value=float(values[mine][i, j]))
         if best is None or best_gap <= DEFAULT_GAP_FLOOR:
-            near = bool(beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
+            near = bool(tf.beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
             certificates.append(CertificateNotFound(
                 f"no one-step point beats the single-atom value by more than {DEFAULT_GAP_FLOOR:g} "
                 f"(best gap {best_gap:.3e}; {'near the phase line, expected' if near else 'unexpected'})",

@@ -38,8 +38,8 @@ reduction is the identity there), which keeps coalesced ladders
 bit-stable.  A batch of Z weight vectors shares every log-cosh grid and
 runs through the recursion as one; a batch of E ladders shares one pass of
 contractions, increments and the weight correction, so a whole (E x Z)
-scan costs one call with one validation.  Each ladder may carry its own
-point (a batch `TempField`), so one call scans a whole phase-diagram row.
+scan costs one call with one validation.  Each ladder carries its own
+point of the `TempField`, so one call scans a whole phase-diagram row.
 """
 
 from __future__ import annotations
@@ -62,29 +62,29 @@ _CHUNK_FLOATS = 160_000  # exponentials held at once: 4 rows of a 10-weight scan
 
 @dataclass(frozen=True)
 class ParisiParams:
-    """Cluster weights zeta (length k) and overlap ladder q (M x (k+1)).
+    """A batch of Z cluster weight vectors zeta (Z x k) and one of E overlap ladders q (E x M x (k+1)).
 
-    zeta may also be a batch (Z x k) of weight vectors and q a batch
-    (E x M x (k+1)) of ladders; every weight vector meets every ladder.  The
-    boundary columns q_0 = 0 and q_{k+2} = 1 are implicit.  Weights must be
-    strictly increasing inside the open interval (0, 1); the endpoint values
-    0 and 1 are handled analytically by the evaluator, never fed to the
-    1/zeta * log E exp(zeta *) form.
+    A vector zeta is a batch of one, as is one ladder (M x (k+1)); every
+    weight vector meets every ladder.  The boundary columns q_0 = 0 and
+    q_{k+2} = 1 are implicit.  Weights must be strictly increasing inside
+    the open interval (0, 1); the endpoint values 0 and 1 are handled
+    analytically by the evaluator, never fed to the 1/zeta * log E
+    exp(zeta *) form.
     """
 
     zeta: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
+        zeta = np.array(self.zeta, dtype=float, ndmin=2)
+        q = np.array(self.q, dtype=float, ndmin=3)
         if zeta.ndim > 2:
             raise BadZeta("zeta must be a vector or a batch (Z x k) of vectors")
         if not ((zeta > 0.0) & (zeta < 1.0)).all():  # NaN fails too
             raise BadZeta("cluster weights must lie strictly inside (0, 1)")
         if (np.diff(zeta, axis=-1) <= 0).any():
             raise BadZeta("cluster weights must be strictly increasing")
-        k = zeta.shape[-1]
+        k = zeta.shape[1]
         if q.ndim > 3 or q.shape[-1] != k + 1:
             raise ValueError(f"q must be M x (k+1), or a batch of them, with k = {k}")
         if not ((q >= -_INCREMENT_TOL) & (q <= 1 + _INCREMENT_TOL)).all():
@@ -99,11 +99,11 @@ class ParisiParams:
 
     @property
     def k(self) -> int:
-        return self.zeta.shape[-1]
+        return self.zeta.shape[1]
 
     @property
     def m(self) -> int:
-        return self.q.shape[-2]
+        return self.q.shape[1]
 
 
 def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -195,13 +195,11 @@ def _x_zero(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, levels: list) 
 
 
 def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRule):
-    """Value of the k-level functional at the given weights and ladder: a
-    float, or an array indexed (ladder, weight vector) over the batched axes
-    of `params.q` (E) and `params.zeta` (Z), in that order.  `tf` is one
-    point, or a batch of E points, one per ladder."""
-    if params.m != spec.m:
-        raise ValueError("params and spec disagree on the species count")
-    q = params.q.reshape((-1,) + params.q.shape[-2:])  # (E, M, k+1)
+    """Values (E x Z) of the k-level functional at each ladder of `params.q` (E), at its point of `tf`,
+    and each weight vector of `params.zeta` (Z)."""
+    q = params.q  # (E, M, k+1)
+    if params.m != spec.m or tf.beta.size != len(q):
+        raise ValueError("params, tf and spec must agree on the species count and hold one point per ladder")
     # ladder columns 0 .. k+2, boundary columns included
     ladder = np.concatenate([np.zeros_like(q[..., :1]), q, np.ones_like(q[..., :1])], axis=-1)
     cons = overlap_contractions(spec, ladder.swapaxes(-1, -2))  # one per (ladder, column)
@@ -213,8 +211,8 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
     increments = np.clip(increments, 0.0, None)
 
     # reduction exponent per level, one row per weight vector
-    zetas = np.pad(np.atleast_2d(params.zeta), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
-    beta, h = (np.broadcast_to(np.ravel(v), len(q)) for v in (tf.beta, tf.h))
+    zetas = np.pad(params.zeta, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+    beta, h = tf.beta, tf.h
     scales = beta[:, None, None] * np.sqrt(increments[:, :-1])  # (E, k+1, M)
     top = (0.5 * beta * beta)[:, None] * increments[:, -1]  # (E, M)
     x0 = np.empty((len(q), spec.m, len(zetas)))
@@ -240,6 +238,4 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
         x0[e, s] = np.concatenate(x, axis=-1).T + top[e, s, None]
 
     correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)
-    value = _LOG2 + spec.lam @ x0 - (0.5 * beta * beta)[:, None] * correction
-    value = value.reshape(params.q.shape[:-2] + params.zeta.shape[:-1])
-    return value if value.ndim else float(value)
+    return _LOG2 + spec.lam @ x0 - (0.5 * beta * beta)[:, None] * correction

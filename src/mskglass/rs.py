@@ -25,10 +25,8 @@ and one start suffices; elsewhere up to three run, and the functional
 value is the minimum over their distinct limits (a heuristic, flagged via
 `guaranteed_unique`).
 
-The kernel and the solver take a leading axis of rows, each with its own
-point (a batch `TempField`) and start, and act row by row: `solve_points`
-iterates the starts of one point or of many as one batch, each row
-bit-identical to its own run.
+The kernel and the solver act row by row, each row at its own point of a
+`TempField`: `solve_points` iterates every start of every point as one batch.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class RSSolution:
 
 
 class MapDerivatives(NamedTuple):
-    """T(q) and gamma(q), shape (..., M), their q-derivatives (..., M, M) and beta-derivatives."""
+    """T(q) and gamma(q), shape (R, M), their q-derivatives (R, M, M) and beta-derivatives (R, M)."""
 
     t: np.ndarray
     dt_dq: np.ndarray  # the Jacobian J
@@ -86,7 +84,8 @@ class MapDerivatives(NamedTuple):
 
 def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDerivatives:
     """T_s = sum_i w_i tanh^2(y_si) and gamma_s = lam_s sum_i w_i sech^4(y_si),
-    y_si = beta sqrt(C_s(q)) z_i + h, with their derivatives in q and beta.
+    y_si = beta sqrt(C_s(q)) z_i + h, with their derivatives in q and beta,
+    for each row of q (R x M) at its point of `tf`.
 
     Each derivative is the chain rule on the discrete sum: for f = tanh^2 or
     sech^4, d/dbeta = sqrt(C) sum w f'(y) z and d/dC = beta sum w f'(y) z /
@@ -95,13 +94,11 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
     relative precision at any field.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape[-1] != spec.m:
-        raise BadDimension(f"expected trailing dimension {spec.m}, got {q.shape}")
-    beta, h = tf.beta, tf.h
-    if getattr(beta, "ndim", 0):  # a batch of points, one per row of q
-        beta, h = beta[:, None], h[:, None, None]
+    if q.shape != (tf.beta.size, spec.m):
+        raise BadDimension(f"expected q of shape {(tf.beta.size, spec.m)}, one row per point, got {q.shape}")
+    beta, h = tf.beta[:, None], tf.h[:, None]
     root = np.sqrt(np.maximum(2.0 * ((q * spec.lam) @ spec.delta2), 0.0))
-    y = (beta * root)[..., None] * rule.nodes + h
+    y = (beta * root)[..., None] * rule.nodes + h[..., None]
     t = np.tanh(y)
     e = np.exp(-2.0 * np.abs(y))
     u = e * (2.0 / (1.0 + e)) ** 2  # sech^2
@@ -110,7 +107,6 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
     slope = 0.5 * beta / np.where(root > 0, root, math.inf)
     dt_dc, dg_dc = slope * f1z, slope * g1z
     if not root.all():  # the C = 0 limit
-        h = np.reshape(h, np.shape(beta))
         th, eh = np.tanh(h), np.exp(-2.0 * h)
         uh = eh * (2.0 / (1.0 + eh)) ** 2
         dt_dc = np.where(root == 0, beta * beta * uh * (uh - 2.0 * th * th), dt_dc)
@@ -127,15 +123,15 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDer
 
 
 def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule):
-    """Free-energy value of the single-atom ansatz at overlap vector q: a
-    float, or one value per row of a batch (E x M); the k = 0 functional."""
-    return evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=np.asarray(q, dtype=float)[..., None]), rule)
+    """Free-energy value of the single-atom ansatz, one per row of q (E x M) at its point of `tf`:
+    the k = 0 functional."""
+    return evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=np.asarray(q, dtype=float)[..., None]), rule)[:, 0]
 
 
 def uniqueness_threshold(spec: ModelSpec) -> float:
     """Closed-form beta^2 below which the h = 0 critical point is unique:
     beta2_m at gamma = lam.  Two species only."""
-    return two_species_thresholds(spec, spec.lam).beta2_m
+    return two_species_thresholds(spec, spec.lam[None]).beta2_m[0]
 
 
 def stacked_solve(a, r) -> np.ndarray:
@@ -173,7 +169,7 @@ def _run(spec, tf, rule, q) -> list:
             keep = ~done
             live, newton, q, step, error, residual = (x[keep] for x in (live, newton, q, step, error, residual))
             k = MapDerivatives(*(f[keep] for f in k))
-            points = TempField(*(np.full(len(runs), v)[live] for v in (tf.beta, tf.h)))
+            points = TempField(beta=tf.beta[live], h=tf.h[live])
         if all_newton:
             q = np.clip(q - step, 0.0, 1.0)
         else:
@@ -185,8 +181,8 @@ def _run(spec, tf, rule, q) -> list:
 
 
 def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
-    """Solve the self-consistency system at each point of `tf`, one point or
-    a batch: plain steps where the map expands, Newton where it contracts.
+    """Solve the self-consistency system at each point of `tf`: plain steps
+    where the map expands, Newton where it contracts.
 
     Where the critical point is unique one start suffices: the all-ones
     vector for h > 0, where the map contracts for all but the smallest
@@ -199,14 +195,14 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     them.  Returns per point an RSSolution, or a NotConverged when no start
     converged within DEFAULT_MAX_ITER iterations.
     """
-    beta, h = np.ravel(tf.beta), np.ravel(tf.h)
+    beta, h = tf.beta, tf.h
     standard = spec.standard
     threshold = uniqueness_threshold(spec) if standard and not h.all() else 0.0
     guaranteed = [standard and (field > 0 or b ** 2 < threshold) for b, field in zip(beta.tolist(), h.tolist())]
     points = [dict.fromkeys(([1.0] if field > 0 else [0.0]) if unique else [0.0, 1.0, math.tanh(field) ** 2])
               for field, unique in zip(h.tolist(), guaranteed)]  # each point's starts
     owner = [i for i, starts in enumerate(points) for _ in starts]
-    runs = _run(spec, tf if beta.size == 1 else TempField(beta=beta[owner], h=h[owner]), rule,
+    runs = _run(spec, TempField(beta=beta[owner], h=h[owner]), rule,
                 [[start] * spec.m for starts in points for start in starts])
 
     solutions: list = []
@@ -225,7 +221,8 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
                 distinct.append(run)
         win = distinct[0]
         if len(distinct) > 1:
-            values = rs_functional(spec, TempField(beta=beta[i], h=h[i]), np.array([r.q for r in distinct]), rule)
+            at = [i] * len(distinct)
+            values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]), rule)
             win = distinct[int(np.argmin(values))]
         solutions.append(RSSolution(
             q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,

@@ -149,8 +149,15 @@ def _all_spins(m: int) -> np.ndarray:
     return spins
 
 
+def _one_point(tf: TempField) -> tuple:
+    """(beta, h) as floats of a batch of one point, the one point the finite-N routines take."""
+    if tf.beta.size != 1:
+        raise ValueError(f"the finite-N routines take one (beta, h) point, got {tf.beta.size}")
+    return float(tf.beta[0]), float(tf.h[0])
+
+
 def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
-    """log Z by exact enumeration, meet-in-the-middle over two index halves.
+    """log Z by exact enumeration at the one point of `tf`, meet-in-the-middle over two index halves.
 
     Split the second half into its low nl = nb // 2 and high nh spins, so
     b = bh 2^nl + bl, and let (ml, mh) be first-half configuration a's field on
@@ -164,12 +171,12 @@ def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     n = d.n
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
-    c, na = tf.beta / math.sqrt(n), n // 2
-    nl = (n - na) // 2
+    (beta, h), na = _one_point(tf), n // 2
+    c, nl = beta / math.sqrt(n), (n - na) // 2
     sa, sb = _all_spins(na), _all_spins(n - na)
     sl, sh = _all_spins(nl), _all_spins(n - na - nl)
-    ea = c * np.einsum("ij,ij->i", sa @ d.g[:na, :na], sa) + tf.h * sa.sum(axis=1)
-    eb = c * np.einsum("ij,ij->i", sb @ d.g[na:, na:], sb) + tf.h * sb.sum(axis=1)
+    ea = c * np.einsum("ij,ij->i", sa @ d.g[:na, :na], sa) + h * sa.sum(axis=1)
+    eb = c * np.einsum("ij,ij->i", sb @ d.g[na:, na:], sb) + h * sb.sum(axis=1)
     field = c * (sa @ (d.g[:na, na:] + d.g[na:, :na].T))
     shift_l, shift_h = np.abs(field[:, :nl]).sum(axis=1), np.abs(field[:, nl:]).sum(axis=1)
     top = eb.max()
@@ -210,15 +217,16 @@ def free_energy_exact(
     n_disorder: int = 1,
     seed: int = 0,
 ) -> FreeEnergyEstimate:
-    """Disorder average of log Z / N over exact 2^N enumerations.
+    """Disorder average of log Z / N over exact 2^N enumerations at the one point of `tf`.
 
     Deterministic for fixed (spec, tf, n, n_disorder, seed); disorder sample r
     uses the child seed derive_seed(seed, r), drawn in groups of about
     _BLOCK_WORDS couplings.  stderr is 0 for a single sample.
-    Raises ValueError when a species block is empty or n_disorder < 1.
+    Raises ValueError when `tf` holds more than one point, a species block is empty or n_disorder < 1.
     """
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
+    _one_point(tf)
     _check_counts(spec, n, n_disorder)
     seeds, group = derive_seed(seed, np.arange(n_disorder)), max(1, _BLOCK_WORDS // (n * n))
     values = np.empty(n_disorder)
@@ -261,7 +269,7 @@ def overlap_histogram(
     n_disorder: int = 1,
     seed: int = 0,
 ) -> OverlapHistogram:
-    """Metropolis single-flip sampling of the species overlaps.
+    """Metropolis single-flip sampling of the species overlaps at the one point of `tf`.
 
     Two independent replicas share each disorder sample, with couplings, start
     spins and proposals drawn as the module docstring fixes them.  After a
@@ -269,10 +277,11 @@ def overlap_histogram(
     |sum_{i in I_s} sigma^1_i sigma^2_i| / |I_s| is recorded once per sweep.
     Below the phase line the mass concentrates; above it spreading is
     expected but nothing about mixing is guaranteed or asserted here.
-    Raises ValueError when a species block is empty or a count is below 1.
+    Raises ValueError when `tf` holds more than one point, a species block is empty or a count is below 1.
     """
     if n > MAX_MC_N:
         raise Unsupported(f"Monte Carlo sampling supports N <= {MAX_MC_N}, got {n}")
+    beta, h = _one_point(tf)
     _check_counts(spec, n, n_disorder)
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -289,13 +298,13 @@ def overlap_histogram(
         d = sample_disorder(spec, n, derive_seed(seed, r, 1))
         w = d.g + d.g.T
         np.fill_diagonal(w, 0.0)  # flipping i never changes the g_ii term
-        coupling = tf.beta / math.sqrt(n) * w
+        coupling = beta / math.sqrt(n) * w
         # coupling is symmetric: flipping spin i adds -2 sigma_i coupling[i] to the fields,
         # down[i] when sigma_i = +1 and up[i] when sigma_i = -1 (f - x is f + (-x) exactly)
         up, down = list(2.0 * coupling), list(-2.0 * coupling)
         draws = _proposals(derive_seed(seed, r, 2), n, sweeps)
         sigma = np.where(np.array(next(draws)[1]) < 0.5, -1.0, 1.0)
-        field = np.ascontiguousarray((coupling @ sigma.T + tf.h).T)  # (2, n) local fields
+        field = np.ascontiguousarray((coupling @ sigma.T + h).T)  # (2, n) local fields
 
         for sweep, (sites, uniforms) in enumerate(draws):
             for rep in range(2):

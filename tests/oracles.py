@@ -10,11 +10,13 @@ the root of the discrete phase-line function by plain bisection on solves
 run to 1e-15.  The Metropolis draws are re-derived in Python ints from the
 documentation in mskglass/simulate.py.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
-the bottom with the seeds recorded there.  `solve_one`, `verdict_one` and
-`certify_one` are not oracles: they call the library's batch entry points at
-one point and unwrap the result (`one`); `solve_one` and `certify_one` take
-the solver tolerance, iteration budget and certificate grids as keywords and
-set the library's constants to them for the call (`with_constants`).
+the bottom with the seeds recorded there.  `solve_one`, `verdict_one`,
+`certify_one` and `thresholds_one` are not oracles: they call the library's
+batch entry points at one point, or the thresholds at one gamma row, and
+unwrap the result (`one`); `solve_one` and `certify_one` take the solver
+tolerance, iteration budget and certificate grids as keywords and set the
+library's constants to them for the call (`with_constants`).  `point` reads
+the (beta, h) of a one-point TempField as floats.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ def one(results):
     if isinstance(result, MskGlassError):
         raise result
     return result
+
+
+def point(tf):
+    """(beta, h) of a one-point TempField as floats."""
+    (beta,), (h,) = tf.beta.tolist(), tf.h.tolist()
+    return beta, h
 
 
 def with_constants(module, call, **constants):
@@ -56,6 +64,13 @@ def solve_one(spec, tf, rule, tol=None, max_iter=None):
     from mskglass import rs
 
     return with_constants(rs, lambda: one(rs.solve_points(spec, tf, rule)), DEFAULT_TOL=tol, DEFAULT_MAX_ITER=max_iter)
+
+
+def thresholds_one(spec, gamma):
+    """`two_species_thresholds` at one gamma vector, as Thresholds of floats."""
+    from mskglass import Thresholds, two_species_thresholds
+
+    return Thresholds._make(t[0] for t in two_species_thresholds(spec, np.asarray(gamma, dtype=float)[None]))
 
 
 def verdict_one(spec, tf, rule):
@@ -259,8 +274,8 @@ def hamiltonian(d, sigma, tf):
 
     A (K, N) array gives the K energies as an array, a length-N one a float.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    energy = tf.beta / np.sqrt(d.n) * ((sigma @ d.g) * sigma).sum(axis=-1) + tf.h * sigma.sum(axis=-1)
+    sigma, (beta, h) = np.asarray(sigma, dtype=float), point(tf)
+    energy = beta / np.sqrt(d.n) * ((sigma @ d.g) * sigma).sum(axis=-1) + h * sigma.sum(axis=-1)
     return float(energy) if sigma.ndim == 1 else energy
 
 
@@ -410,8 +425,8 @@ def rs_gradient(spec, tf, q, rule):
     from mskglass import map_derivatives
 
     q = np.asarray(q, dtype=float)
-    defect = q - map_derivatives(spec, tf, q, rule).t
-    return tf.beta ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
+    defect = q - map_derivatives(spec, tf, q[None], rule).t[0]
+    return point(tf)[0] ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
 
 
 def at_line_bisection(spec, h, rule):
@@ -424,7 +439,8 @@ def at_line_bisection(spec, h, rule):
     def g(beta):
         tf = TempField(beta=beta, h=h)
         sol = solve_one(spec, tf, rule, tol=1e-15)
-        return beta * beta - two_species_thresholds(spec, map_derivatives(spec, tf, sol.q_star, rule).gamma).beta2_m
+        gamma = map_derivatives(spec, tf, sol.q_star[None], rule).gamma
+        return beta * beta - two_species_thresholds(spec, gamma).beta2_m[0]
 
     lo, hi = 1e-3, 1.0
     while g(hi) < 0:
@@ -453,7 +469,7 @@ def zeta_derivative(spec, tf, q_star, p, rule):
     c_q = overlap_contractions(spec, np.asarray(q_star, dtype=float))
     c_p = overlap_contractions(spec, np.asarray(p, dtype=float))
     d = np.clip(c_p.species - c_q.species, 0.0, None)
-    beta, h = tf.beta, tf.h
+    beta, h = point(tf)
     half_b2 = 0.5 * beta * beta
     nodes, w = rule.nodes, rule.weights
 

@@ -19,7 +19,6 @@ from mskglass import (
     map_derivatives,
     rs_functional,
     stability_matrices,
-    two_species_thresholds,
     uniqueness_threshold,
     free_energy_exact,
 )
@@ -32,6 +31,7 @@ from .oracles import (
     rs_value,
     solve_one,
     stability_threshold,
+    thresholds_one,
     verdict_one,
     zeta_derivative,
 )
@@ -61,7 +61,7 @@ def _beta_at_ratio(spec, rule, ratio, h):
     for _ in range(60):
         tf = TempField(beta=beta, h=h)
         sol = solve_one(spec, tf, rule)
-        target = math.sqrt(ratio * two_species_thresholds(spec, sol.gamma).beta2_m)
+        target = math.sqrt(ratio * thresholds_one(spec, sol.gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             return target
         beta = target
@@ -85,7 +85,7 @@ def test_criterion_02_threshold_coincidence_at_zero_field():
     with criterion(2, "beta2_m(gamma=lambda) = beta0^2 on 10^3 random specs", budget_seconds=1.0):
         for _ in range(1000):
             spec = _random_standard_spec(rng)
-            th = two_species_thresholds(spec, spec.lam)
+            th = thresholds_one(spec, spec.lam)
             beta0_sq = stability_threshold(spec, spec.lam)
             assert abs(th.beta2_m - beta0_sq) < 1e-14
             assert abs(uniqueness_threshold(spec) - beta0_sq) < 1e-14
@@ -96,7 +96,7 @@ def test_criterion_03_hessian_vs_finite_differences(reference_spec, rule):
     with criterion(3, "curvature closed form vs FD at the critical point", budget_seconds=30.0):
         tf = TempField(beta=0.6, h=0.4)
         sol = solve_one(reference_spec, tf, rule, tol=1e-13)
-        _, h_mat = stability_matrices(reference_spec, tf, sol.gamma)
+        _, (h_mat,) = stability_matrices(reference_spec, tf, sol.gamma[None])
 
         def v_of(z):
             return zeta_derivative(reference_spec, tf, sol.q_star, sol.q_star + z, rule)
@@ -126,7 +126,8 @@ def test_criterion_05_zeta_one_collapse(reference_spec, rule):
     the generic evaluator agrees with adaptive quadrature of the single-atom
     form at k = 0 and of the one-step form at k = 1."""
     with criterion(5, "zeta = 1 collapse and generic-evaluator agreement", budget_seconds=120.0):
-        tf = TempField(beta=0.6, h=0.4)
+        beta, h = 0.6, 0.4
+        tf = TempField(beta=beta, h=h)
         rng = np.random.default_rng(5)
         for _ in range(100):
             q = rng.uniform(0.0, 1.0, 2)
@@ -138,12 +139,12 @@ def test_criterion_05_zeta_one_collapse(reference_spec, rule):
         for _ in range(10):
             q = rng.uniform(0.0, 0.7, 2)
             params0 = ParisiParams(zeta=np.zeros(0), q=q[:, None])
-            assert abs(parisi_value(reference_spec, tf, params0, rule) - rs_value(reference_spec, tf.beta, tf.h, q)) < 1e-9
+            assert abs(parisi_value(reference_spec, tf, params0, rule)[0, 0] - rs_value(reference_spec, beta, h, q)) < 1e-9
             p = q + rng.uniform(0.02, 0.3, 2)
             zeta = rng.uniform(0.15, 0.95)
             params1 = ParisiParams(zeta=np.array([zeta]), q=np.column_stack([q, p]))
-            want = one_step_value(reference_spec, tf.beta, tf.h, q, p, zeta)
-            assert abs(parisi_value(reference_spec, tf, params1, rule) - want) < 1e-9
+            want = one_step_value(reference_spec, beta, h, q, p, zeta)
+            assert abs(parisi_value(reference_spec, tf, params1, rule)[0, 0] - want) < 1e-9
 
 
 def test_criterion_06_rsb_certificate(reference_spec, rule):
@@ -165,7 +166,7 @@ def test_criterion_07_threshold_ordering_and_equivalence():
         for _ in range(10_000):
             spec = _random_standard_spec(rng)
             gamma = rng.uniform(0.01, 1.0, 2) * spec.lam
-            th = two_species_thresholds(spec, gamma)
+            th = thresholds_one(spec, gamma)
             lo, hi = min(th.beta2_u, th.beta2_t), max(th.beta2_u, th.beta2_t)
             assert 0.0 < th.beta2_v < th.beta2_m < lo <= hi < th.beta2_M
             # brute-force both sides of the equivalence at a random temperature
@@ -196,7 +197,7 @@ def test_criterion_09_finite_size_cross_check(reference_spec, sk_spec, rule):
             tf = TempField(beta=beta, h=h)
             estimate = free_energy_exact(spec, tf, n=20, n_disorder=200, seed=7)
             sol = solve_one(spec, tf, rule)
-            target = rs_functional(spec, tf, sol.q_star, rule)
+            (target,) = rs_functional(spec, tf, sol.q_star[None], rule)
             allowance = 3.0 * estimate.stderr + 0.5 / 20.0
             assert abs(estimate.mean - target) < allowance, (
                 f"|{estimate.mean} - {target}| >= {allowance}"
@@ -210,7 +211,7 @@ def test_criterion_10_fixed_point_robustness(reference_spec, rule):
         for _ in range(20):
             beta = rng.uniform(0.15, 1.1)
             h = rng.uniform(0.05, 1.0)
-            tf = TempField(beta=beta, h=h)
+            tf = TempField(beta=np.full(100, beta), h=np.full(100, h))
             starts = rng.uniform(0.0, 1.0, (100, 2))
             q = starts.copy()
             for _ in range(20000):
@@ -222,5 +223,5 @@ def test_criterion_10_fixed_point_robustness(reference_spec, rule):
                 raise AssertionError("batched iteration did not converge")
             spread = np.abs(q - q.mean(axis=0)).max()
             assert spread < 1e-9, f"spread {spread} at beta={beta}, h={h}"
-            sol = solve_one(reference_spec, tf, rule)
+            sol = solve_one(reference_spec, TempField(beta=beta, h=h), rule)
             assert np.abs(sol.q_star - q.mean(axis=0)).max() < 1e-9

@@ -20,7 +20,8 @@ from mskglass import (
 )
 from mskglass import atline, rs
 from .oracles import (
-    at_line_bisection, one, single_species_at_beta, solve_one, stability_threshold, verdict_one, with_constants,
+    at_line_bisection, one, single_species_at_beta, solve_one, stability_threshold, thresholds_one, verdict_one,
+    with_constants,
 )
 
 
@@ -33,6 +34,12 @@ def at_line_beta(spec, h, rule, tol=None):
 def _solved(spec, tf, rule, tol=1e-12):
     sol = solve_one(spec, tf, rule, tol=tol)
     return sol, sol.gamma
+
+
+def _witness(k):
+    """`positivity_witness` of one matrix."""
+    (x,) = positivity_witness(np.asarray(k, dtype=float)[None])
+    return x
 
 
 def test_gamma_reduces_to_lam_at_zero_field(reference_spec, rule):
@@ -63,10 +70,10 @@ def test_gamma_against_frozen_monte_carlo(reference_spec, rule):
 
 
 def test_stability_matrix_small_beta_limit(reference_spec, rule):
-    tf = TempField(beta=1e-8, h=0.2)
-    k, h_mat = stability_matrices(reference_spec, tf, reference_spec.lam)
+    beta = 1e-8
+    (k,), (h_mat,) = stability_matrices(reference_spec, TempField(beta=beta, h=0.2), reference_spec.lam[None])
     np.testing.assert_allclose(k, -reference_spec.delta2, atol=1e-14)
-    np.testing.assert_allclose(h_mat, tf.beta ** 2 * k * np.outer(reference_spec.lam, reference_spec.lam))
+    np.testing.assert_allclose(h_mat, beta ** 2 * k * np.outer(reference_spec.lam, reference_spec.lam))
 
 
 def test_stability_matrix_entries_symbolic(reference_spec):
@@ -75,7 +82,7 @@ def test_stability_matrix_entries_symbolic(reference_spec):
     for _ in range(20):
         g1, g2 = rng.uniform(0.05, 0.6, 2)
         beta = rng.uniform(0.2, 1.5)
-        k, _ = stability_matrices(reference_spec, TempField(beta=beta, h=0.1), [g1, g2])
+        (k,), _ = stability_matrices(reference_spec, TempField(beta=beta, h=0.1), [[g1, g2]])
         b2 = 2.0 * beta * beta
         assert abs(k[0, 0] - (b2 * (g1 * d11 ** 2 + g2) - d11)) < 1e-14
         assert abs(k[1, 1] - (b2 * (g1 + g2 * d22 ** 2) - d22)) < 1e-14
@@ -85,11 +92,12 @@ def test_stability_matrix_entries_symbolic(reference_spec):
 
 def test_hessian_expanded_form(reference_spec, rule):
     """Matrix form of the curvature equals its fully expanded species sum."""
-    tf = TempField(beta=0.6, h=0.4)
+    beta = 0.6
+    tf = TempField(beta=beta, h=0.4)
     sol, gamma = _solved(reference_spec, tf, rule)
-    _, h_mat = stability_matrices(reference_spec, tf, gamma)
+    _, (h_mat,) = stability_matrices(reference_spec, tf, gamma[None])
     sech4_moment = gamma / reference_spec.lam
-    b2 = tf.beta ** 2
+    b2 = beta ** 2
     lam, d = reference_spec.lam, reference_spec.delta2
     expanded = np.zeros((2, 2))
     for t in range(2):
@@ -102,20 +110,20 @@ def test_hessian_expanded_form(reference_spec, rule):
 
 
 def test_thresholds_match_uniqueness_at_lam(reference_spec):
-    th = two_species_thresholds(reference_spec, reference_spec.lam)
+    th = thresholds_one(reference_spec, reference_spec.lam)
     assert abs(th.beta2_m - uniqueness_threshold(reference_spec)) < 1e-15
 
 
 def test_thresholds_sk_reduction_classical_form(sk_spec):
     g1, g2 = 0.31, 0.22
-    th = two_species_thresholds(sk_spec, [g1, g2])
+    th = thresholds_one(sk_spec, [g1, g2])
     # classical condition 2 beta^2 E sech^4 > 1 with E sech^4 = g1 + g2
     assert abs(th.beta2_m - 1.0 / (2.0 * (g1 + g2))) < 1e-15
     assert math.isinf(th.beta2_M)
 
 
 def test_thresholds_reference_values_and_ordering(reference_spec):
-    th = two_species_thresholds(reference_spec, [0.6, 0.4])
+    th = thresholds_one(reference_spec, [0.6, 0.4])
     assert abs(th.beta2_u - 1.5 / (2 * (0.6 * 2.25 + 0.4))) < 1e-15
     assert abs(th.beta2_t - 1.2 / (2 * (0.6 + 0.4 * 1.44))) < 1e-15
     assert abs(th.beta2_v - 1.0 / (2 * 1.38)) < 1e-15
@@ -126,23 +134,23 @@ def test_thresholds_reference_values_and_ordering(reference_spec):
 def test_thresholds_unsupported():
     spec3 = ModelSpec(delta2=np.eye(3) + 1.0, lam=np.full(3, 1.0 / 3.0))
     with pytest.raises(Unsupported):
-        two_species_thresholds(spec3, np.full(3, 0.2))
+        two_species_thresholds(spec3, np.full((1, 3), 0.2))
     # a cross variance other than 1 is a scale, not a restriction
     skew = ModelSpec(delta2=[[1.5, 0.9], [0.9, 1.2]], lam=[0.6, 0.4])
     want = stability_threshold(skew, [0.5, 0.3])
-    assert two_species_thresholds(skew, [0.5, 0.3]).beta2_m == pytest.approx(want, rel=1e-14)
+    assert thresholds_one(skew, [0.5, 0.3]).beta2_m == pytest.approx(want, rel=1e-14)
 
 
 def test_thresholds_scale_exactly_with_gamma(reference_spec):
     """Thresholds are homogeneous of degree -1 in gamma, bit for bit, far
     below the gamma at which 4 g1 g2 d12^2 would underflow."""
-    base = two_species_thresholds(reference_spec, [0.31, 0.22])
-    tiny = two_species_thresholds(reference_spec, np.array([0.31, 0.22]) * 2.0 ** -600)
+    base = thresholds_one(reference_spec, [0.31, 0.22])
+    tiny = thresholds_one(reference_spec, np.array([0.31, 0.22]) * 2.0 ** -600)
     assert tuple(tiny) == tuple(t * 2.0 ** 600 for t in base)
     with pytest.raises(MskGlassError):
-        two_species_thresholds(reference_spec, [0.0, 0.22])  # gamma underflowed to 0
+        thresholds_one(reference_spec, [0.0, 0.22])  # gamma underflowed to 0
     # gamma subnormal: every threshold lies beyond float64, and beta^2 below it
-    assert two_species_thresholds(reference_spec, [1e-320, 1e-321]) == (math.inf,) * 5
+    assert thresholds_one(reference_spec, [1e-320, 1e-321]) == (math.inf,) * 5
 
 
 def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
@@ -163,33 +171,30 @@ def test_verdict_at_large_field(reference_spec, rule):
 
 
 def test_witness_diagonal_cases():
-    np.testing.assert_array_equal(positivity_witness(np.diag([1.0, -1.0])), [1.0, 0.0])
-    np.testing.assert_array_equal(positivity_witness(np.diag([-1.0, 1.0])), [0.0, 1.0])
-    assert positivity_witness(-np.eye(2)) is None
+    np.testing.assert_array_equal(_witness(np.diag([1.0, -1.0])), [1.0, 0.0])
+    np.testing.assert_array_equal(_witness(np.diag([-1.0, 1.0])), [0.0, 1.0])
+    assert _witness(-np.eye(2)) is None
 
 
 def test_witness_offdiagonal_case():
     k = np.array([[-1.0, 2.0], [2.0, -1.0]])
-    x = positivity_witness(k)
+    x = _witness(k)
     assert x is not None
     np.testing.assert_allclose(x, [1.0, 1.0])
     assert x @ k @ x == pytest.approx(2.0)
 
 
 def test_witness_maximises_the_form_over_the_quadrant():
-    """For random symmetric K with K_12 of either sign the witness is the best
-    direction of a fine grid over the quarter circle, and None exactly when
-    the grid maximum is not positive."""
+    """For random symmetric K with K_12 >= 0, the witness's domain, the
+    witness is the best direction of a fine grid over the quarter circle,
+    and None exactly when the grid maximum is not positive."""
     angles = np.linspace(0.0, 0.5 * np.pi, 100001)
     grid = np.stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(5)
-    signs, nones = set(), 0
-    for _ in range(400):
-        u, v, t = rng.normal(size=3)
-        k = np.array([[u, v], [v, t]])
+    ks = [[[u, abs(v)], [abs(v), t]] for u, v, t in rng.normal(size=(400, 3))]
+    nones = 0
+    for k, x in zip(np.array(ks), positivity_witness(ks)):
         values = np.einsum("ik,ij,jk->k", grid, k, grid)
-        x = positivity_witness(k)
-        signs.add(np.sign(v))
         if values.max() <= 0:
             assert x is None
             nones += 1
@@ -197,7 +202,7 @@ def test_witness_maximises_the_form_over_the_quadrant():
         assert x is not None and (x >= 0).all() and x.max() == 1.0
         assert x @ k @ x / (x @ x) == pytest.approx(values.max(), abs=1e-9)
         np.testing.assert_allclose(x / np.linalg.norm(x), grid[:, values.argmax()], atol=1e-4)
-    assert signs == {-1.0, 1.0} and 0 < nones < 400
+    assert 0 < nones < 400
 
 
 def test_top_eigenvalue_sign_is_the_verdict(reference_spec, rule):
@@ -205,10 +210,10 @@ def test_top_eigenvalue_sign_is_the_verdict(reference_spec, rule):
     margins = []
     for h in (0.1, 0.4, 1.0):
         for beta in np.linspace(0.4, 1.6, 13):
-            tf = TempField(beta=float(beta), h=h)
+            tf = TempField(beta=beta, h=h)
             _, gamma = _solved(reference_spec, tf, rule)
-            k, _ = stability_matrices(reference_spec, tf, gamma)
-            margin = tf.beta ** 2 - two_species_thresholds(reference_spec, gamma).beta2_m
+            (k,), _ = stability_matrices(reference_spec, tf, gamma[None])
+            margin = beta ** 2 - thresholds_one(reference_spec, gamma).beta2_m
             assert np.sign(np.linalg.eigvalsh(k)[-1]) == np.sign(margin)
             margins.append(margin)
     assert min(margins) < 0 < max(margins)
@@ -220,7 +225,7 @@ def test_witness_mid_band_strictly_positive(reference_spec, rule):
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
         _, gamma = _solved(reference_spec, tf, rule)
-        th = two_species_thresholds(reference_spec, gamma)
+        th = thresholds_one(reference_spec, gamma)
         target = math.sqrt(0.5 * (th.beta2_m + min(th.beta2_u, th.beta2_t)))
         if abs(target - beta) < 1e-13:
             break
@@ -235,35 +240,6 @@ def test_witness_mid_band_strictly_positive(reference_spec, rule):
     assert values.max() > 0
     best = grid[:, values.argmax()]
     assert (best > 0).all()
-
-
-def test_stacked_stability_matrices_equal_one_at_a_time(reference_spec):
-    """A stack of gamma rows, one per point of a batch, gives each point's (K, H) bit for bit."""
-    rng = np.random.default_rng(3)
-    gamma, beta = rng.uniform(0.05, 0.6, (6, 2)), rng.uniform(0.2, 1.6, 6)
-    k, h_mat = stability_matrices(reference_spec, TempField(beta=beta, h=np.full(6, 0.3)), gamma)
-    assert k.shape == h_mat.shape == (6, 2, 2)
-    for i in range(6):
-        k1, h1 = stability_matrices(reference_spec, TempField(beta=float(beta[i]), h=0.3), gamma[i])
-        assert k[i].tobytes() == k1.tobytes() and h_mat[i].tobytes() == h1.tobytes()
-    with pytest.raises(ValueError):
-        stability_matrices(reference_spec, TempField(beta=beta, h=np.full(6, 0.3)), gamma[:, :1])
-
-
-def test_stacked_witnesses_equal_one_at_a_time():
-    """The single-matrix cases stacked: diagonal either way, no witness, Perron and K_12 < 0."""
-    ks = np.array([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), -np.eye(2), [[-1.0, 2.0], [2.0, -1.0]],
-                   [[1.0, -0.5], [-0.5, 0.3]]])
-    stacked = positivity_witness(ks)
-    assert len(stacked) == len(ks)
-    for k, got in zip(ks, stacked):
-        want = positivity_witness(k)
-        assert (got is None) == (want is None) and (want is None or got.tobytes() == want.tobytes())
-    assert stacked[2] is None and stacked[4].tolist() == [1.0, 0.0] and stacked[3].tolist() == [1.0, 1.0]
-    with pytest.raises(ValueError):
-        positivity_witness(np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))
-    with pytest.raises(Unsupported):
-        positivity_witness(np.stack([np.diag([-1.0, -1.0, 1.0])] * 2))
 
 
 def _report_fields(result):
@@ -285,7 +261,7 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     crossed = verdict_one(reference_spec, TempField(beta=1.4, h=0.2), rule).stability.tobytes()
     solve, witness = atline.solve_points, atline.positivity_witness
     monkeypatch.setattr(atline, "solve_points", lambda spec, tf, rule: [
-        NotConverged("forced") if b == 0.7 else sol for b, sol in zip(np.ravel(tf.beta), solve(spec, tf, rule))])
+        NotConverged("forced") if b == 0.7 else sol for b, sol in zip(tf.beta, solve(spec, tf, rule))])
     monkeypatch.setattr(atline, "positivity_witness", lambda k: [
         None if ki.tobytes() == crossed else x for ki, x in zip(k, witness(k))])
     points = [(0.6, 0.4), (1.2, 0.3), (0.7, 0.5), (1.5, 0.6), (1.0, 400.0), (1.6, 0.1), (1.4, 0.2), (0.8, 1.0),
@@ -297,7 +273,7 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     assert [_report_fields(r) for r in batch] == [_report_fields(r) for r in singles]
     for r in batch:  # the batch's one threshold call gives each point's own, bit for bit
         if isinstance(r, atline.ATReport):
-            alone = two_species_thresholds(reference_spec, r.gamma)
+            alone = thresholds_one(reference_spec, r.gamma)
             assert np.array(r.thresholds).tobytes() == np.array(alone).tobytes()
     kinds = [r.verdict if isinstance(r, atline.ATReport) else type(r) for r in batch]
     assert kinds == [Verdict.RS_CONSISTENT, Verdict.RSB_CERTIFIED, NotConverged, Verdict.RSB_CERTIFIED,
@@ -308,7 +284,7 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
 def test_witness_three_species_search():
     """No closed-form search exists beyond two species, as for the thresholds."""
     with pytest.raises(Unsupported):
-        positivity_witness(np.diag([-1.0, -1.0, 1.0]))
+        positivity_witness(np.diag([-1.0, -1.0, 1.0])[None])
 
 
 def test_lambda_conjugation_preserves_witness(reference_spec, rule):
@@ -327,7 +303,7 @@ def test_verdict_above_and_below_line(reference_spec, rule):
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
         _, gamma = _solved(reference_spec, tf, rule)
-        target = math.sqrt(1.5 * two_species_thresholds(reference_spec, gamma).beta2_m)
+        target = math.sqrt(1.5 * thresholds_one(reference_spec, gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             break
         beta = target
@@ -458,7 +434,7 @@ def test_threshold_ordering_random_sample():
     for _ in range(200):
         spec = _random_pd_spec(rng, min_cross=0.05)
         gamma = rng.uniform(0.02, 0.9, 2)
-        th = two_species_thresholds(spec, gamma)
+        th = thresholds_one(spec, gamma)
         assert 0.0 < th.beta2_v < th.beta2_m < min(th.beta2_u, th.beta2_t)
         assert max(th.beta2_u, th.beta2_t) < th.beta2_M
         orders.add(_larger_first(spec))

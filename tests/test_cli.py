@@ -62,7 +62,7 @@ def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, rule, referenc
     tf = TempField(beta=0.5, h=0.4)
     sol = solve_one(reference_spec, tf, rule)
     assert doc["result"]["q_star"] == list(sol.q_star)
-    assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star, rule)
+    assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star[None], rule)[0]
 
 
 def test_solve_rs_missing_field(ref_config, capsys):
@@ -355,7 +355,7 @@ def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spe
         ],
     )
     params = ParisiParams(zeta=np.array([0.6]), q=np.array([[0.2, 0.5], [0.3, 0.6]]))
-    want = parisi_value(reference_spec, TempField(beta=0.5, h=0.4), params, rule)
+    want = parisi_value(reference_spec, TempField(beta=0.5, h=0.4), params, rule)[0, 0]
     assert doc["result"]["value"] == want
     assert doc["result"]["k"] == 1
     # a batch of weight vectors or of ladders is library-only; the CLI evaluates one point
@@ -471,6 +471,10 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         # the output path is a string
         ("solve-rs", {"beta": 0.3, "out": 5}),
         ("solve-rs", {"beta": 0.3, "out": ["a"]}),
+        # number fields take JSON numbers only: a boolean entry or a string is not read as a number
+        ("solve-rs", {"beta": 0.3, "delta2": [True, 1, 1, 1.2]}),
+        ("solve-rs", {"beta": "0.5"}),
+        ("solve-rs", {"beta": 0.3, "lambda": ["0.6", "0.4"]}),
     ],
 )
 def test_malformed_config_values_are_config_errors(ref_config, tmp_path, capsys, command, fields):

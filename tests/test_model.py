@@ -78,6 +78,17 @@ def test_temp_field_batch_needs_one_h_per_beta(beta, h):
         TempField(beta=beta, h=h)
 
 
+def test_temp_field_is_one_batch_shape():
+    """beta and h are read-only vectors: a number is a batch of one, and any
+    other shape, a 2-D array included, is a ValueError naming both shapes."""
+    tf = TempField(beta=1.2, h=0.3)
+    assert tf.beta.shape == tf.h.shape == (1,) and not tf.beta.flags.writeable and not tf.h.flags.writeable
+    with pytest.raises(ValueError, match=r"\(2, 2\) and \(2, 2\)"):
+        TempField(beta=np.ones((2, 2)), h=np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"\(1, 2\) and \(2,\)"):
+        TempField(beta=[[1.0, 1.2]], h=[0.3, 0.3])
+
+
 def test_contractions_zero_and_ones(sk_spec):
     c0 = overlap_contractions(sk_spec, np.zeros(2))
     assert c0.scalar == 0.0

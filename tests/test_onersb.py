@@ -14,21 +14,20 @@ from mskglass import (
     certify_points,
     gauss_hermite,
     rs_functional,
-    two_species_thresholds,
 )
 from mskglass.onersb import ZETA_GRID
 from mskglass.parisi import ParisiParams, evaluate
 
 from .oracles import (
-    certify_one, fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, solve_one, verdict_one,
-    zeta_derivative,
+    certify_one, fd_gradient_at_minimum, fd_hessian_at_minimum, one_step_value, solve_one, thresholds_one,
+    verdict_one, zeta_derivative,
 )
 from .oracles import rs_value as rs_oracle
 
 
 def _one_step(spec, tf, q, p, zeta, rule):
     """The k = 1 functional at inner overlap q, outer overlap p and weight zeta."""
-    return evaluate(spec, tf, ParisiParams(zeta=[zeta], q=np.column_stack([q, p])), rule)
+    return evaluate(spec, tf, ParisiParams(zeta=[zeta], q=np.column_stack([q, p])), rule)[0, 0]
 
 
 def _beta_at_ratio(spec, rule, ratio, h):
@@ -37,7 +36,7 @@ def _beta_at_ratio(spec, rule, ratio, h):
     for _ in range(60):
         tf = TempField(beta=beta, h=h)
         sol = solve_one(spec, tf, rule)
-        target = math.sqrt(ratio * two_species_thresholds(spec, sol.gamma).beta2_m)
+        target = math.sqrt(ratio * thresholds_one(spec, sol.gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             return target
         beta = target
@@ -58,7 +57,7 @@ def test_zeta_one_collapse(reference_spec, rule):
 def test_p_equals_q_collapse(reference_spec, rule):
     tf = TempField(beta=0.6, h=0.4)
     q = np.array([0.25, 0.3])
-    want = rs_oracle(reference_spec, tf.beta, tf.h, q)
+    want = rs_oracle(reference_spec, 0.6, 0.4, q)
     for zeta in (0.2, 0.5, 0.9):
         assert abs(_one_step(reference_spec, tf, q, q, zeta, rule) - want) < 1e-9
 
@@ -71,7 +70,7 @@ def test_generic_point_matches_k1_evaluator(reference_spec, rule):
         q = rng.uniform(0.0, 0.6, 2)
         p = q + rng.uniform(0.05, 0.3, 2)
         zeta = rng.uniform(0.1, 0.95)
-        want = one_step_value(reference_spec, tf.beta, tf.h, q, p, zeta)
+        want = one_step_value(reference_spec, 0.7, 0.35, q, p, zeta)
         assert abs(_one_step(reference_spec, tf, q, p, zeta, rule) - want) < 1e-9
 
 
@@ -116,7 +115,7 @@ def test_slope_quadratic_taylor_matches_curvature(reference_spec, rule):
 
     tf = TempField(beta=0.6, h=0.4)
     sol = solve_one(reference_spec, tf, rule, tol=1e-13)
-    _, h_mat = stability_matrices(reference_spec, tf, sol.gamma)
+    _, (h_mat,) = stability_matrices(reference_spec, tf, sol.gamma[None])
     rng = np.random.default_rng(31)
     for _ in range(3):
         x = rng.uniform(0.2, 1.0, 2)
@@ -203,7 +202,7 @@ def test_certificate_mid_band_direction(reference_spec, rule):
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
         sol = solve_one(reference_spec, tf, rule)
-        th = two_species_thresholds(reference_spec, sol.gamma)
+        th = thresholds_one(reference_spec, sol.gamma)
         target = math.sqrt(0.5 * (th.beta2_m + min(th.beta2_u, th.beta2_t)))
         if abs(target - beta) < 1e-13:
             break

@@ -117,7 +117,7 @@ def test_expect_cosh_closed_overflow(rule):
     - beta^2 E(1) / 2."""
     spec = ModelSpec(delta2=[[1.5, 1.0], [1.0, 1.2]], lam=[0.6, 0.4])
     beta, h = 40.0, 0.3
-    value = evaluate(spec, TempField(beta=beta, h=h), ParisiParams(zeta=np.zeros(0), q=np.zeros((2, 1))), rule)
+    (value,) = evaluate(spec, TempField(beta=beta, h=h), ParisiParams(zeta=np.zeros(0), q=np.zeros((2, 1))), rule)[0]
     w = spec.lam
     coupling, energy = 2.0 * spec.delta2 @ w, w @ spec.delta2 @ w
     want = math.log(2.0) + w @ (math.log(math.cosh(h)) + 0.5 * beta * beta * coupling) - 0.5 * beta * beta * energy
@@ -165,7 +165,7 @@ def test_log_cosh_stability():
 
 def test_log_cosh_is_the_stable_formula_bit_for_bit():
     """Bit-equal to |y| + log1p(exp(-2|y|)) - log 2 over +-800, on arrays, Python floats and 0-d
-    arrays, which come back as scalars; the argument is left unchanged."""
+    arrays, which come back as 0-d arrays; the argument is left unchanged."""
     y = np.linspace(-800.0, 800.0, 160001)
     before = y.copy()
     a = np.abs(y)

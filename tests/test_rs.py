@@ -30,16 +30,6 @@ def test_functional_sk_reduction_matches_single_species(sk_spec, rule):
         assert abs(ours - single_species_rs_value(beta, h, q)) < 1e-10
 
 
-def test_functional_batch_matches_single_rows(reference_spec, rule):
-    tf = TempField(beta=0.9, h=0.3)
-    qs = np.array([[0.0, 0.0], [0.2, 0.5], [0.7, 0.3], [1.0, 1.0]])
-    batched = rs_functional(reference_spec, tf, qs, rule)
-    assert batched.shape == (4,)
-    singles = [rs_functional(reference_spec, tf, q, rule) for q in qs]
-    assert all(isinstance(v, float) for v in singles)
-    np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
-
-
 def test_gradient_zero_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
     sol = solve_one(reference_spec, tf, rule)
@@ -84,7 +74,7 @@ def test_solver_beta_to_zero_decouples(reference_spec, rule):
 def test_solver_against_bisection_oracle(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
     sol = solve_one(reference_spec, tf, rule, tol=1e-12)
-    q_oracle = two_species_bisection(reference_spec, tf.beta, tf.h)
+    q_oracle = two_species_bisection(reference_spec, 0.5, 0.4)
     assert np.abs(sol.q_star - q_oracle).max() < 1e-8
     # h > 0 forces a strictly interior point
     assert not sol.on_boundary.any()
@@ -98,6 +88,12 @@ def test_solver_multistart_above_threshold(reference_spec, rule):
     assert len(sol.candidates) == 2  # paramagnetic and glassy branches
     values = [rs_functional(reference_spec, TempField(beta=beta, h=0.0), q, rule) for q in sol.candidates]
     assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star, rule) - min(values)) < 1e-14
+
+
+def _kernel_at(spec, beta, h, q, rule):
+    """`map_derivatives` at one point (beta, h) and one overlap vector q, each field without its row axis."""
+    k = map_derivatives(spec, TempField(beta=beta, h=h), np.asarray(q, dtype=float)[None], rule)
+    return k._make(f[0] for f in k)
 
 
 def _counting_kernel(monkeypatch):
@@ -207,11 +203,11 @@ def test_kernel_derivatives_match_central_differences(reference_spec, rule, beta
     spec, step = reference_spec, 1e-5
 
     def both(q, b):
-        k = map_derivatives(spec, TempField(beta=b, h=h), q, rule)
+        k = _kernel_at(spec, b, h, q, rule)
         return np.concatenate([k.t, k.gamma])
 
     for q in (np.array([0.43, 0.61]), np.zeros(2)):
-        k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
+        k = _kernel_at(spec, beta, h, q, rule)
         if q.any():
             fd_q = np.column_stack([(both(q + step * e, beta) - both(q - step * e, beta)) / (2.0 * step)
                                     for e in np.eye(2)])
@@ -236,7 +232,7 @@ def test_kernel_gamma_matches_the_sech4_pass(reference_spec, rule):
     for h in (0.1, 1.0, 10.0, 20.0, 50.0, 100.0, 150.0):
         for beta in (0.5, 1.2, 3.0):
             for q in (np.array([0.3, 0.7]), np.array([0.99, 0.98])):
-                k = map_derivatives(spec, TempField(beta=beta, h=h), q, rule)
+                k = _kernel_at(spec, beta, h, q, rule)
                 ys = (beta * np.sqrt(2.0 * ((q * spec.lam) @ spec.delta2)))[:, None] * rule.nodes + h
                 with mp.workdps(40):
                     want = [float(lam * mp.fsum(mp.mpf(w) * mp.sech(mp.mpf(y)) ** 4 for w, y in zip(rule.weights, row)))
@@ -283,11 +279,10 @@ def test_contraction_certificate(reference_spec, sk_spec, rule):
     rng = np.random.default_rng(5)
     for spec in (reference_spec, sk_spec):
         beta = math.sqrt(0.85 * uniqueness_threshold(spec))
-        tf = TempField(beta=beta, h=0.0)
         worst = 0.0
         for _ in range(200):
             qa, qb = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
-            num = np.abs(map_derivatives(spec, tf, qa, rule).t - map_derivatives(spec, tf, qb, rule).t).max()
+            num = np.abs(_kernel_at(spec, beta, 0.0, qa, rule).t - _kernel_at(spec, beta, 0.0, qb, rule).t).max()
             worst = max(worst, num / np.abs(qa - qb).max())
         assert worst < 1.0
 

@@ -85,7 +85,8 @@ def test_hamiltonian_local_field_flip(reference_spec):
     rng = np.random.default_rng(2)
     n = 12
     d = sample_disorder(reference_spec, n, seed=5)
-    tf = TempField(beta=0.8, h=0.2)
+    beta, h = 0.8, 0.2
+    tf = TempField(beta=beta, h=h)
     sigma = rng.choice((-1.0, 1.0), n)
     base = hamiltonian(d, sigma, tf)
     w = d.g + d.g.T
@@ -93,7 +94,7 @@ def test_hamiltonian_local_field_flip(reference_spec):
     for i in (0, 5, 11):
         flipped = sigma.copy()
         flipped[i] = -flipped[i]
-        delta = -2.0 * sigma[i] * (tf.beta / math.sqrt(n) * (w[i] @ sigma) + tf.h)
+        delta = -2.0 * sigma[i] * (beta / math.sqrt(n) * (w[i] @ sigma) + h)
         full = hamiltonian(d, flipped, tf)
         assert abs((full - base) - delta) < 1e-12
 
@@ -103,6 +104,19 @@ def test_free_energy_beta_to_zero(reference_spec):
     est = free_energy_exact(reference_spec, tf, n=16, n_disorder=20, seed=9)
     want = math.log(2.0) + math.log(math.cosh(0.3))
     assert abs(est.mean - want) < 3.0 * est.stderr + 1e-3
+
+
+def test_finite_n_routines_take_one_point(reference_spec, monkeypatch):
+    """A batch of two points is a ValueError naming the count, raised before any disorder is drawn."""
+    two = TempField(beta=[0.3, 0.4], h=[0.4, 0.4])
+    d = sample_disorder(reference_spec, 8, seed=1)
+    monkeypatch.setattr(simulate, "sample_disorder", lambda *args: pytest.fail("disorder was drawn"))
+    with pytest.raises(ValueError, match="got 2"):
+        free_energy_exact(reference_spec, two, n=8)
+    with pytest.raises(ValueError, match="got 2"):
+        overlap_histogram(reference_spec, two, n=8, sweeps=4)
+    with pytest.raises(ValueError, match="got 2"):
+        log_partition_exact(d, two)
 
 
 def test_free_energy_deterministic(reference_spec):
