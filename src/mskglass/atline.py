@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import InternalInconsistency, MskGlassError, NotConverged, Unsupported
 from .model import ModelSpec, TempField, Thresholds, _underflow, inverse_beta2_m, two_species_thresholds
-from .quadrature import QuadRule
 from .rs import RSSolution, map_derivatives, solve_points, stacked_solve, uniqueness_threshold
 
 _WITNESS_REL_TOL = 1e-14
@@ -136,7 +135,7 @@ def positivity_witness(k_matrix) -> list:
     return [xi if ok else None for xi, ok in zip(x, valid)]
 
 
-def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
+def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     """Solve the critical point at each point of `tf` and classify the phase there.
 
     RSB-certified iff beta^2 exceeds beta2_m (with the positivity witness
@@ -154,13 +153,16 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     threshold call on the gamma rows and stacked K, H and witnesses, with
     the ordering check, the band and the cross-checks per point.  Each gets
     an ATReport, or the MskGlassError its solve or classification raised.
-    Raises Unsupported outside the two-species standard class and where h = 0.
+    Every point has h > 0 in the standard class, where one start suffices, so
+    no quadrature rule is involved: the verdict and beta2_m do not depend on
+    one.  Raises Unsupported outside the two-species standard class and where
+    h = 0.
     """
     _require_standard(spec)
     if (tf.h <= 0).any():
         raise Unsupported("the phase verdict is defined for h > 0")
     reports = [_underflow(sol.gamma) if isinstance(sol, RSSolution) and not sol.gamma.all() else sol
-               for sol in solve_points(spec, tf, rule)]
+               for sol in solve_points(spec, tf)]
     rows = [i for i, sol in enumerate(reports) if isinstance(sol, RSSolution)]
     gamma = np.reshape([reports[i].gamma for i in rows], (-1, spec.m))
     thresholds = two_species_thresholds(spec, gamma)
@@ -188,7 +190,7 @@ def at_verdicts(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     return reports
 
 
-def at_line_betas(spec: ModelSpec, h, rule: QuadRule) -> list:
+def at_line_betas(spec: ModelSpec, h) -> list:
     """Locate the phase boundary at each field of `h` as the zero of g(beta) = beta^2 - beta2_m(beta).
 
     gamma_s = lam_s E sech^4 <= lam_s and 1 / beta2_m grows with gamma (`inverse_beta2_m`), so
@@ -200,7 +202,10 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule) -> list:
     below half the step before last, is replaced by a bisection: a solve at the midpoint halves
     the bracket (rtsafe).  Newton stops once its correction is at most _LINE_TOL = 1e-10 in beta
     and in q, and returns the corrected beta, whose error is of the order of that correction
-    squared: within 1e-11 of bisection on solves run to 1e-15 at h = 0.001 to 5.
+    squared.  T, gamma and their derivatives come from `map_derivatives`, which needs no
+    quadrature rule, and every field here has h > 0, where one start suffices, so no rule is
+    built: beta_m is within 1e-11 of an independent root search on adaptive quadrature from
+    h = 0.001 to 16, and the line has a bracket up to h = 160 and beyond.
 
     All fields run as one batch, each with its own bracket, steps and stop, bit-identical to its
     search alone: a round of doublings or bisections is one `solve_points` call, a Newton step
@@ -219,7 +224,7 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule) -> list:
         """Solve at (beta, h) in `rows` for q* and g; fails the rows whose solve or thresholds raised."""
         if not rows.size:
             return rows
-        sols = solve_points(spec, TempField(beta=beta[rows], h=h[rows]), rule)
+        sols = solve_points(spec, TempField(beta=beta[rows], h=h[rows]))
         for i, sol in zip(rows, sols):
             out[i] = sol if isinstance(sol, MskGlassError) else None if sol.gamma.all() else _underflow(sol.gamma)
         kept = [j for j, i in enumerate(rows) if out[i] is None]
@@ -240,7 +245,7 @@ def at_line_betas(spec: ModelSpec, h, rule: QuadRule) -> list:
     for _ in range(_LINE_MAX_STEPS):
         if not rows.size:
             return out
-        k = map_derivatives(spec, TempField(beta=beta[rows], h=h[rows]), q[rows], rule)
+        k = map_derivatives(spec, TempField(beta=beta[rows], h=h[rows]), q[rows])
         finite = k.gamma.all(-1)
         for i, gamma in zip(rows[~finite], k.gamma[~finite]):
             out[i] = _underflow(gamma)

@@ -121,7 +121,7 @@ _REQUIRED = object()
 
 _ALL = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
 _POINT = ("solve-rs", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
-_QUADRATURE = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval")
+_QUADRATURE = ("solve-rs", "phase-diagram", "certify", "parisi-eval")
 _FINITE_N = ("mc-free-energy", "overlap-hist")
 
 
@@ -309,12 +309,12 @@ def cmd_solve_rs(cfg: dict, v: dict) -> int:
 
 
 def cmd_at_line(cfg: dict, v: dict) -> int:
-    spec, rule, h_values = _model_spec(v), v["order"], v["h_range"]
+    spec, h_values = _model_spec(v), v["h_range"]
 
     rows = []
     previous = None  # beta_m of the row before, if it is ok
     spacing = h_values[1] - h_values[0] if h_values.size > 1 else 0.0
-    for h, beta in zip(h_values, at_line_betas(spec, h_values, rule)):
+    for h, beta in zip(h_values, at_line_betas(spec, h_values)):
         if isinstance(beta, MskGlassError):
             status = "bracket-failure" if isinstance(beta, NotConverged) else "numerical-failure"
             _log.warning("%s at h = %.6g: %s", status, h, beta)
@@ -333,7 +333,7 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
 def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
     """Phase-diagram rows (beta, h, verdict, beta2_m, gap) of a batch of points: a failed verdict is a
     numerical-failure row, and a gap stays empty where none is certified (quadratically small near the line)."""
-    reports = at_verdicts(spec, tf, rule)
+    reports = at_verdicts(spec, tf)
     rsb = [i for i, r in enumerate(reports) if isinstance(r, ATReport) and r.verdict == Verdict.RSB_CERTIFIED]
     certificates = certify_points(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb], rule)
     gaps = {i: c.gap for i, c in zip(rsb, certificates) if isinstance(c, OneRSBCertificate)}
@@ -368,7 +368,7 @@ def cmd_phase_diagram(cfg: dict, v: dict) -> int:
 
 def cmd_certify(cfg: dict, v: dict) -> int:
     spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
-    report = _single(at_verdicts(spec, tf, rule))
+    report = _single(at_verdicts(spec, tf))
     if report.verdict != Verdict.RSB_CERTIFIED:
         raise CertificateNotFound(
             f"verdict at (beta={v['beta']}, h={v['h']}) is {report.verdict.value}; "

@@ -9,12 +9,14 @@ weights integrate against the standard normal measure directly:
 
     E f(eta) ~= sum_i w_i f(z_i),    sum_i w_i = 1.
 
-Two consumers apply the rule: `rs.map_derivatives`, the one evaluation of
-T = E tanh^2 and gamma = lam E sech^4 with their derivatives, and the
-hierarchical functional (`parisi.py`), which nests it level by level in the
-log domain with the overflow-free `log_cosh`.  The integrands (tanh^2,
-sech^4, log cosh) have poles at y = +-i pi/2, so the rule loses accuracy as
-beta sqrt(C) grows; order 61 is the package default.
+One consumer applies the rule: the hierarchical functional (`parisi.py`),
+which nests it level by level in the log domain with the overflow-free
+`log_cosh`; through it the single-atom value `rs.rs_functional`, the
+one-step certificates and `parisi-eval` depend on the order.  Its
+integrand log cosh has poles at y = +-i pi/2, so the rule loses accuracy as
+beta sqrt(C) grows; order 61 is the package default.  T = E tanh^2 and
+gamma = lam E sech^4, and with them every verdict and the phase line, need
+no rule (`rs.map_derivatives`).
 """
 
 from __future__ import annotations

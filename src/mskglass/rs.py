@@ -15,7 +15,11 @@ system
 
 `map_derivatives`, the package's one evaluation of T and of the quartic
 susceptibility gamma, gives both and their derivatives in q and beta from
-one pass over the nodes, exact for the discrete sums.  The solver takes the
+E tanh^2 and the three moments E sech^p, p = 2, 4, 6, of each cavity field,
+with no quadrature order to choose: a trapezoid rule in the Gaussian
+variable at small cavity scale beta sqrt(C), one on the Fourier side above,
+whose error does not grow with the scale, and a Laplace form in the far
+tail, where gamma must keep its relative precision.  The solver takes the
 plain step q <- T(q) until the Jacobian J of T has spectral radius below 1,
 then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
 that correction, its error estimate, is at most DEFAULT_TOL.  For two
@@ -34,14 +38,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BadDimension, NotConverged
 from .model import ModelSpec, TempField, overlap_contractions, two_species_thresholds
 from .parisi import ParisiParams, evaluate
-from .quadrature import QuadRule
+from .quadrature import QuadRule, gauss_hermite
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
@@ -82,43 +86,156 @@ class MapDerivatives(NamedTuple):
     dgamma_dbeta: np.ndarray
 
 
-def map_derivatives(spec: ModelSpec, tf: TempField, q, rule: QuadRule) -> MapDerivatives:
-    """T_s = sum_i w_i tanh^2(y_si) and gamma_s = lam_s sum_i w_i sech^4(y_si),
-    y_si = beta sqrt(C_s(q)) z_i + h, with their derivatives in q and beta,
-    for each row of q (R x M) at its point of `tf`.
+_Z_UP_TO = 0.5  # cavity scales summed in z; above, on the Fourier side
+_Z = np.linspace(-12.0, 12.0, 81)  # step 0.3
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_Z_WEIGHTS = np.exp(-0.5 * _Z * _Z) * (0.3 / _SQRT_2PI)
+_ALIAS = 20.0  # the Fourier rule's aliases lie 8 standard deviations plus this far in y from the field
+_LAPLACE_BELOW = 1e-2  # E sech^4 below which the Laplace form replaces the Fourier sum
+_LAPLACE_STEP = 0.15
+_PEAK_STEPS = 40  # Newton steps to the Laplace integrand's peak, which approach it monotonically
+_LN2 = math.log(2.0)
+_TOTAL = np.array([2.0, 4.0 / 3.0, 16.0 / 15.0])  # integrals of sech^2, sech^4, sech^6 over the line
 
-    Each derivative is the chain rule on the discrete sum: for f = tanh^2 or
-    sech^4, d/dbeta = sqrt(C) sum w f'(y) z and d/dC = beta sum w f'(y) z /
-    (2 sqrt C), whose limit at C = 0 is (beta^2/2) f''(h); dC_s/dq_t =
-    2 delta2_st lam_t.  sech^2 = 4e / (1 + e)^2 with e = exp(-2|y|) keeps its
-    relative precision at any field.
+
+def _segments(counts):
+    """(first entry of each segment, position of each entry within its segment) for consecutive
+    segments of the given lengths: every entry's nodes in one flat array."""
+    starts = np.cumsum(counts) - counts
+    return starts, np.arange(counts.sum()) - np.repeat(starts, counts)
+
+
+def _z_moments(s, h):
+    """(E tanh^2, E sech^2, E sech^4, E sech^6)(s Z + h) for 0 <= s <= _Z_UP_TO (rows of a 4 x n
+    array): the trapezoid rule in z, step 0.3 on [-12, 12].  The poles of tanh and sech lie at
+    |Im z| >= pi / (2 s) >= pi, so the rule's error is below 1e-16 relative, and the range covers
+    9 standard deviations about the tilted centre z = -p s of E sech^p at large fields.  Every term
+    is positive, so the sums keep their relative precision: T is exactly 0 at s = h = 0, where the
+    q = 0 fixed point lies.  sech^2 = 4e / (1 + e)^2 with e = exp(-2|y|) keeps its relative
+    precision at any field."""
+    y = s[:, None] * _Z + h[:, None]
+    e = np.exp(-2.0 * np.abs(y))
+    f = np.empty((4,) + y.shape)
+    np.tanh(y, out=f[0])
+    f[0] *= f[0]
+    np.multiply(e, (2.0 / (1.0 + e)) ** 2, out=f[1])
+    np.multiply(f[1], f[1], out=f[2])
+    np.multiply(f[2], f[1], out=f[3])
+    f *= _Z_WEIGHTS
+    return f.sum(-1)
+
+
+def _fourier_moments(s, h):
+    """E sech^p(s Z + h), p = 2, 4, 6 (rows of a 3 x n array), for s > _Z_UP_TO, by the trapezoid
+    rule on
+
+        E sech^p(s Z + h) = (1/pi) int_0^inf f_p(w) cos(w h) exp(-s^2 w^2 / 2) dw,
+        f_2 = pi w / sinh(pi w / 2),  f_4 = f_2 (w^2 + 4) / 6,  f_6 = f_4 (w^2 + 16) / 20.
+
+    The integrand decays like exp(-pi w / 2) whatever s, so the rule converges geometrically
+    (Trefethen & Weideman, SIAM Review 56, 2014).  Each entry has its own step
+    2 pi / (h + 8 s + _ALIAS), which puts the aliases of Poisson summation 8 standard deviations
+    plus 20 decay lengths from the field, and its own cutoff 8 / s: absolute error about 4e-16.
+    Its nodes depend on its own (s, h) only and its sums run over its own segment, so an entry's
+    moments are the same bits in any batch.
+    """
+    period = h + 8.0 * s + _ALIAS
+    step = 2.0 * math.pi / period
+    counts = (8.0 / s / step).astype(int)  # at least 10
+    starts, k = _segments(counts)
+    w = (k + 1.0) * np.repeat(step, counts)
+    w2 = w * w
+    f2 = np.cos(w * np.repeat(h, counts)) * np.exp(-0.5 * w2 * np.repeat(s * s, counts)) \
+        * (math.pi * w / np.sinh(0.5 * math.pi * w))
+    f4 = f2 * ((w2 + 4.0) / 6.0)
+    terms = np.stack([f2, f4, f4 * ((w2 + 16.0) / 20.0)])
+    return (2.0 / period) * (0.5 * _TOTAL[:, None] + np.add.reduceat(terms, starts, axis=1))
+
+
+def _log_sech(y):
+    a = np.abs(y)
+    return _LN2 - a - np.log1p(np.exp(-2.0 * a))
+
+
+def _laplace_moments(s, h):
+    """E sech^p(s Z + h), p = 2, 4, 6, for s > _Z_UP_TO, to relative precision down to the float64
+    underflow: the trapezoid rule in the field y = h + t on the log-concave integrand
+
+        exp(L(t)),  L(t) = p log sech(h + t) - t^2 / (2 s^2),
+
+    summed as exp(L(t*)) Sum exp(L(t) - L(t*)) about its peak t* (Newton on h + t + p s^2
+    tanh(h + t) = h, from the left).  The step 0.15 keeps the poles of sech at +-i pi / 2 and the
+    Gaussian's growth off the real line out of reach (relative error below 1e-13); the nodes run
+    until L has fallen by 40 both ways, by the bounds L(t) <= L(t*) - (t - t*)^2 / (2 s^2) and
+    L(t) <= p (log 2 - |h + t|).
+    """
+    out = np.empty((3, s.size))
+    for row, p in enumerate((2, 4, 6)):
+        ps2 = p * s * s
+        y = h / (1.0 + ps2)  # the root of the linearised equation, at or below the peak
+        for _ in range(_PEAK_STEPS):
+            th = np.tanh(y)
+            y = y - (y + ps2 * th - h) / (1.0 + ps2 * (1.0 - th * th))
+        peak = y - h
+        top = p * _log_sech(y) - 0.5 * (peak / s) ** 2
+        reach = (p * _LN2 - top + 40.0) / p
+        below = ((peak - np.maximum(peak - 9.0 * s, -reach - h)) / _LAPLACE_STEP).astype(int)
+        counts = below + ((np.minimum(peak + 9.0 * s, reach - h) - peak) / _LAPLACE_STEP).astype(int) + 1
+        starts, k = _segments(counts)
+        t = np.repeat(peak, counts) + _LAPLACE_STEP * (k - np.repeat(below, counts))
+        rel = p * _log_sech(np.repeat(h, counts) + t) - 0.5 * (t / np.repeat(s, counts)) ** 2 - np.repeat(top, counts)
+        out[row] = np.exp(top + np.log(np.add.reduceat(np.exp(rel), starts) * (_LAPLACE_STEP / _SQRT_2PI / s)))
+    return out
+
+
+def _moments(s, h):
+    """(T, m_2, m_4, m_6) = (E tanh^2, E sech^2, E sech^4, E sech^6)(s Z + h), Z standard normal, for
+    entries s >= 0 and h >= 0 of equal length: a 4 x n array.  Up to s = _Z_UP_TO the z-side rule
+    (`_z_moments`); above it the Fourier-side rule (`_fourier_moments`), exact to about 4e-16
+    absolute, with T = 1 - m_2 >= 0.18, and where that leaves E sech^4 below _LAPLACE_BELOW the
+    Laplace form (`_laplace_moments`), exact to about 1e-13 relative.  Each entry's form and nodes
+    follow from its own (s, h), so it has the same bits in any batch."""
+    out = np.empty((4, s.size))
+    small = s <= _Z_UP_TO
+    if small.any():
+        out[:, small] = _z_moments(s[small], h[small])
+    bulk = np.flatnonzero(~small)
+    if bulk.size:
+        out[1:, bulk] = _fourier_moments(s[bulk], h[bulk])
+        tail = bulk[out[2, bulk] < _LAPLACE_BELOW]
+        if tail.size:
+            out[1:, tail] = _laplace_moments(s[tail], h[tail])
+        out[0, bulk] = 1.0 - out[1, bulk]
+    return out
+
+
+def map_derivatives(spec: ModelSpec, tf: TempField, q) -> MapDerivatives:
+    """T_s = E tanh^2(y_s) and gamma_s = lam_s E sech^4(y_s), y_s = s_s Z + h with s_s^2 = beta^2 C_s(q),
+    with their derivatives in q and beta, for each row of q (R x M) at its point of `tf`.
+
+    By Stein's identity, d/d(s^2) E f(s Z + h) = E f''(s Z + h) / 2, so every output is a fixed
+    combination of T and m_p = E sech^p(y), p = 2, 4, 6 (`_moments`): gamma = lam m_4,
+    dT/d(s^2) = 3 m_4 - 2 m_2 and d m_4 / d(s^2) = 8 m_4 - 10 m_6; then d(s^2)/dC_s = beta^2,
+    d(s^2)/dbeta = 2 beta C_s and dC_s/dq_t = 2 delta2_st lam_t.  No Gauss-Hermite rule is
+    involved; each row's values follow from its own point and q, the same bits in any batch, and at
+    q = 0 and h = 0, T is exactly 0, so that fixed point stays exact.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (tf.beta.size, spec.m):
         raise BadDimension(f"expected q of shape {(tf.beta.size, spec.m)}, one row per point, got {q.shape}")
-    beta, h = tf.beta[:, None], tf.h[:, None]
-    root = np.sqrt(np.maximum(2.0 * ((q * spec.lam) @ spec.delta2), 0.0))
-    y = (beta * root)[..., None] * rule.nodes + h[..., None]
-    t = np.tanh(y)
-    e = np.exp(-2.0 * np.abs(y))
-    u = e * (2.0 / (1.0 + e)) ** 2  # sech^2
-    tu, wz = t * u, rule.weights * rule.nodes
-    f1z, g1z = 2.0 * (tu @ wz), -4.0 * ((tu * u) @ wz)  # sum w f'(y) z for tanh^2, sech^4
-    slope = 0.5 * beta / np.where(root > 0, root, math.inf)
-    dt_dc, dg_dc = slope * f1z, slope * g1z
-    if not root.all():  # the C = 0 limit
-        th, eh = np.tanh(h), np.exp(-2.0 * h)
-        uh = eh * (2.0 / (1.0 + eh)) ** 2
-        dt_dc = np.where(root == 0, beta * beta * uh * (uh - 2.0 * th * th), dt_dc)
-        dg_dc = np.where(root == 0, beta * beta * uh * uh * (8.0 * th * th - 2.0 * uh), dg_dc)
+    beta = tf.beta[:, None]
+    c = np.maximum(2.0 * ((q * spec.lam) @ spec.delta2), 0.0)
+    t, m2, m4, m6 = _moments((beta * np.sqrt(c)).ravel(), np.repeat(tf.h, spec.m)).reshape(4, *c.shape)
+    dt_ds2, dg_ds2 = 3.0 * m4 - 2.0 * m2, spec.lam * (8.0 * m4 - 10.0 * m6)
+    b2, db = beta * beta, 2.0 * beta * c
     dc_dq = 2.0 * spec.delta2 * spec.lam
     return MapDerivatives(
-        t=(t * t) @ rule.weights,
-        dt_dq=dt_dc[..., None] * dc_dq,
-        dt_dbeta=root * f1z,
-        gamma=spec.lam * ((u * u) @ rule.weights),
-        dgamma_dq=(spec.lam * dg_dc)[..., None] * dc_dq,
-        dgamma_dbeta=spec.lam * root * g1z,
+        t=t,
+        dt_dq=(b2 * dt_ds2)[..., None] * dc_dq,
+        dt_dbeta=db * dt_ds2,
+        gamma=spec.lam * m4,
+        dgamma_dq=(b2 * dg_ds2)[..., None] * dc_dq,
+        dgamma_dbeta=db * dg_ds2,
     )
 
 
@@ -147,14 +264,14 @@ def stacked_solve(a, r) -> np.ndarray:
 _Run = namedtuple("_Run", "q gamma residual error iterations converged")
 
 
-def _run(spec, tf, rule, q) -> list:
+def _run(spec, tf, q) -> list:
     """Iterate each row of q (R x M) at its point of `tf` until its Newton correction is at most DEFAULT_TOL;
     apply it to q and, to first order, gamma.  Returns one _Run per row."""
     q = np.array(q, dtype=float, ndmin=2)
     runs, live, points, eye = [None] * len(q), np.arange(len(q)), tf, np.eye(q.shape[1])
     newton, all_newton = np.zeros(len(q), dtype=bool), False  # plain steps until rho(J) first drops below 1
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        k = map_derivatives(spec, points, q, rule)
+        k = map_derivatives(spec, points, q)
         r, a = q - k.t, eye - k.dt_dq
         step = stacked_solve(a, r)  # infinite where I - J is singular (J has eigenvalue 1)
         error, residual = np.abs(step).max(-1), np.abs(r).max(-1)
@@ -180,7 +297,7 @@ def _run(spec, tf, rule, q) -> list:
     return runs
 
 
-def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
+def solve_points(spec: ModelSpec, tf: TempField, rule: Optional[QuadRule] = None) -> list:
     """Solve the self-consistency system at each point of `tf`: plain steps
     where the map expands, Newton where it contracts.
 
@@ -192,8 +309,10 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
     most DEFAULT_TOL, and returns the corrected point.  Every distinct limit
     is reported in `candidates`, and `q_star` minimizes the functional over
-    them.  Returns per point an RSSolution, or a NotConverged when no start
-    converged within DEFAULT_MAX_ITER iterations.
+    them, evaluated under `rule` (order-61 Gauss-Hermite when None, built only
+    then), the solver's one use of a quadrature rule.  Returns per point an
+    RSSolution, or a NotConverged when no start converged within
+    DEFAULT_MAX_ITER iterations.
     """
     beta, h = tf.beta, tf.h
     standard = spec.standard
@@ -202,7 +321,7 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
     points = [dict.fromkeys(([1.0] if field > 0 else [0.0]) if unique else [0.0, 1.0, math.tanh(field) ** 2])
               for field, unique in zip(h.tolist(), guaranteed)]  # each point's starts
     owner = [i for i, starts in enumerate(points) for _ in starts]
-    runs = _run(spec, TempField(beta=beta[owner], h=h[owner]), rule,
+    runs = _run(spec, TempField(beta=beta[owner], h=h[owner]),
                 [[start] * spec.m for starts in points for start in starts])
 
     solutions: list = []
@@ -222,7 +341,8 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: QuadRule) -> list:
         win = distinct[0]
         if len(distinct) > 1:
             at = [i] * len(distinct)
-            values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]), rule)
+            values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]),
+                                   gauss_hermite() if rule is None else rule)
             win = distinct[int(np.argmin(values))]
         solutions.append(RSSolution(
             q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,

@@ -1,13 +1,13 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the library's Gauss-Hermite path:
-expectations go through scipy's adaptive quadrature, fixed points through
-scalar bisection, derivatives through finite differences, thresholds through
-an eigenvalue.  The exceptions take the library's rule: the closed-form
-derivatives `rs_gradient` and `zeta_derivative`, which the tests hold against
-finite differences of the library's functionals, and `at_line_bisection`,
-the root of the discrete phase-line function by plain bisection on solves
-run to 1e-15.  The Metropolis draws are re-derived in Python ints from the
+Everything here deliberately avoids the library's numerics: expectations go
+through scipy's adaptive quadrature or 30-digit mpmath quadrature
+(`sech_moment`), fixed points and the phase line through bracketing root
+searches, derivatives through finite differences, thresholds through an
+eigenvalue.  The exceptions take the library's kernels: the closed-form
+derivatives `rs_gradient` (through `map_derivatives`) and `zeta_derivative`
+(through a quadrature rule), which the tests hold against finite differences
+of the library's functionals.  The Metropolis draws are re-derived in Python ints from the
 documentation in mskglass/simulate.py.  The Monte Carlo
 constants frozen in the tests were produced by the regeneration functions at
 the bottom with the seeds recorded there.  `solve_one`, `verdict_one`,
@@ -21,11 +21,13 @@ the (beta, h) of a one-point TempField as floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 
 def one(results):
@@ -73,11 +75,11 @@ def thresholds_one(spec, gamma):
     return Thresholds._make(t[0] for t in two_species_thresholds(spec, np.asarray(gamma, dtype=float)[None]))
 
 
-def verdict_one(spec, tf, rule):
+def verdict_one(spec, tf):
     """`at_verdicts` at one point; raises its error."""
     from mskglass import at_verdicts
 
-    return one(at_verdicts(spec, tf, rule))
+    return one(at_verdicts(spec, tf))
 
 
 def certify_one(spec, tf, report, rule, eps_grid=None, zeta_grid=None):
@@ -113,11 +115,12 @@ def psi(beta, x, h):
 
 
 def two_species_bisection(spec, beta, h, tol=1e-13):
-    """Solve the two-species self-consistency system by scalar bisection.
+    """Solve the two-species self-consistency system by a bracketing scalar search.
 
     Eliminates one unknown through the inverse of the coupling map (whose
     2x2 sign pattern is (+,-;-,+)), leaving a single strictly monotone
-    equation in the second species' coupling.  Requires h > 0.
+    equation in the second species' coupling, whose root Brent's
+    bisection-safeguarded method finds to `tol`.  Requires h > 0.
     """
     a_mat = 2.0 * spec.delta2 * spec.lam[None, :]
     inv = np.linalg.inv(a_mat)
@@ -139,13 +142,7 @@ def two_species_bisection(spec, beta, h, tol=1e-13):
         lo /= 4.0
     while monotone_defect(hi) < 0:
         hi *= 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if monotone_defect(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = brentq(monotone_defect, lo, hi, xtol=tol, rtol=1e-15, maxiter=200)
     big_q = np.array([q1_of(x), x])
     return inv @ big_q
 
@@ -419,36 +416,63 @@ def fd_gradient_at_minimum(func, dim, delta):
     return grad
 
 
-def rs_gradient(spec, tf, q, rule):
+def rs_gradient(spec, tf, q):
     """Gradient of the single-atom functional in q:
     beta^2 lam_t sum_s delta2_st lam_s (q_s - T_s(q))."""
     from mskglass import map_derivatives
 
     q = np.asarray(q, dtype=float)
-    defect = q - map_derivatives(spec, tf, q[None], rule).t[0]
+    defect = q - map_derivatives(spec, tf, q[None]).t[0]
     return point(tf)[0] ** 2 * spec.lam * (spec.delta2 @ (spec.lam * defect))
 
 
-def at_line_bisection(spec, h, rule):
-    """beta_m at field h: bisection, down to adjacent floats, on
-    g(beta) = beta^2 - beta2_m(beta), each g from a solve at tol 1e-15 and
-    gamma from a kernel pass at the solved point, bracketed by doubling
-    from beta = 1."""
-    from mskglass import TempField, map_derivatives, two_species_thresholds
+def at_line_bisection(spec, h, lo, hi, tol=1e-15):
+    """beta_m at field h: the root in [lo, hi], which must bracket it, of
+    g(beta) = beta^2 - stability_threshold(gamma), with q* from
+    `two_species_bisection` and gamma_s = lam_s E sech^4 by `gauss_expect`
+    (scipy quad), found by Brent's method to `tol`."""
 
     def g(beta):
-        tf = TempField(beta=beta, h=h)
-        sol = solve_one(spec, tf, rule, tol=1e-15)
-        gamma = map_derivatives(spec, tf, sol.q_star[None], rule).gamma
-        return beta * beta - two_species_thresholds(spec, gamma).beta2_m[0]
+        q = two_species_bisection(spec, beta, h, tol=1e-15)
+        _, c = _contractions(spec, q)
+        gamma = [lam * gauss_expect(lambda y: np.cosh(y) ** -4.0, beta * math.sqrt(cs), h)
+                 for lam, cs in zip(spec.lam, c)]
+        return beta * beta - stability_threshold(spec, gamma)
 
-    lo, hi = 1e-3, 1.0
-    while g(hi) < 0:
-        lo, hi = hi, 2.0 * hi
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
-    return 0.5 * (lo + hi)
+    assert g(lo) < 0 < g(hi), f"[{lo}, {hi}] does not bracket the phase line at h = {h}"
+    return brentq(g, lo, hi, xtol=tol, rtol=1e-15, maxiter=200)
+
+
+@functools.lru_cache(maxsize=None)
+def sech_moment(p, s, h, dps=30):
+    """E sech^p(s Z + h), Z standard normal, by `dps`-digit mpmath quadrature, to relative precision
+    at any size (a float).
+
+    The integrand is log-concave in z, so its one peak z* solves z + p s tanh(s z + h) = 0
+    (bisection); quadrature runs on exp(log f(z) - log f(z*)), split at z* and at 2, 8 and 40
+    peak widths either side of it, and at the sech peak z = -h/s and 3/s either side of it:
+    the mass sits at z ~ -p s where the Gaussian dominates, at z ~ -h/s where sech does.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s, h = mp.mpf(s), mp.mpf(h)
+        if s == 0:
+            return float(mp.sech(h) ** p)
+
+        def log_f(z):
+            return -z * z / 2 - p * mp.log(mp.cosh(s * z + h))
+
+        lo, hi = -h / s - 1, mp.mpf(1)
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid + p * s * mp.tanh(s * mid + h) < 0 else (lo, mid)
+        peak = (lo + hi) / 2
+        width = 1 / mp.sqrt(1 + p * s * s / mp.cosh(s * peak + h) ** 2)
+        splits = {peak + j * width for j in (-40, -8, -2, 0, 2, 8, 40)} | {(k - h) / s for k in (-3, 0, 3)}
+        top = log_f(peak)
+        total = mp.quad(lambda z: mp.exp(log_f(z) - top), [-mp.inf, *sorted(splits), mp.inf])
+        return float(mp.exp(top) * total / mp.sqrt(2 * mp.pi))
 
 
 def zeta_derivative(spec, tf, q_star, p, rule):

@@ -152,7 +152,7 @@ def test_criterion_06_rsb_certificate(reference_spec, rule):
     with criterion(6, "constructive symmetry-breaking certificate", budget_seconds=120.0):
         beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
         tf = TempField(beta=beta, h=0.3)
-        report = verdict_one(reference_spec, tf, rule)
+        report = verdict_one(reference_spec, tf)
         assert report.verdict == Verdict.RSB_CERTIFIED
         cert = certify_one(reference_spec, tf, report, rule)
         assert cert.gap > 1e-10
@@ -215,7 +215,7 @@ def test_criterion_10_fixed_point_robustness(reference_spec, rule):
             starts = rng.uniform(0.0, 1.0, (100, 2))
             q = starts.copy()
             for _ in range(20000):
-                target = map_derivatives(reference_spec, tf, q, rule).t
+                target = map_derivatives(reference_spec, tf, q).t
                 if np.abs(q - target).max() < 1e-10:
                     break
                 q = np.clip(0.5 * q + 0.5 * target, 0.0, 1.0)

@@ -56,10 +56,11 @@ def _cases(spec, rule):
         return parisi_value(spec, TempField(beta=beta, h=h), ParisiParams(zeta=[[0.1], [0.45], [0.95]], q=q), rule)
 
     return {
-        # q = 0 at h > 0 and at h = 0 takes the C = 0 limit of the q-derivatives
-        "map_derivatives": ((np.array([0.4, 1.2, 1.6, 3.0, 0.9]), np.array([0.3, 0.3, 0.5, 0.05, 0.0]),
-                             np.array([[0.1, 0.2], [0.0, 0.0], [0.7, 0.4], [0.9, 0.95], [0.0, 0.0]])),
-                            lambda beta, h, q: map_derivatives(spec, TempField(beta=beta, h=h), q, rule), 0, True),
+        # q = 0 at h > 0 and at h = 0 takes the closed form, h = 30 and 100 the Laplace form, the others the rule,
+        # each row with its own nodes
+        "map_derivatives": ((np.array([0.4, 1.2, 1.6, 3.0, 0.9, 1.2, 2.0]), np.array([0.3, 0.3, 0.5, 0.05, 0.0, 100.0, 30.0]),
+                             np.array([[0.1, 0.2], [0.0, 0.0], [0.7, 0.4], [0.9, 0.95], [0.0, 0.0], [0.9, 0.8], [0.5, 0.6]])),
+                            lambda beta, h, q: map_derivatives(spec, TempField(beta=beta, h=h), q), 0, True),
         "stability_matrices": ((beta6, np.full(6, 0.3), gamma6),
                                lambda beta, h, g: stability_matrices(spec, TempField(beta=beta, h=h), g), 0, True),
         # diagonal either way, no witness, Perron, and a K_12 < 0 matrix outside the witness's domain
@@ -121,7 +122,7 @@ def test_kernels_refuse_other_shapes(reference_spec, rule):
     with pytest.raises(Unsupported):
         positivity_witness(np.stack([np.diag([-1.0, -1.0, 1.0])] * 2))
     with pytest.raises(BadDimension):
-        map_derivatives(spec, two, np.zeros(2), rule)
+        map_derivatives(spec, two, np.zeros(2))
     params = ParisiParams(zeta=[0.45], q=[[0.2, 0.5], [0.3, 0.6]])
     assert params.zeta.shape == (1, 1) and params.q.shape == (1, 2, 2)
     with pytest.raises(ValueError):

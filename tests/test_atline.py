@@ -25,10 +25,10 @@ from .oracles import (
 )
 
 
-def at_line_beta(spec, h, rule, tol=None):
+def at_line_beta(spec, h, tol=None):
     """The phase line at one field: `at_line_betas` of a batch of one, to Newton correction `tol`
     (the library's when None)."""
-    return with_constants(atline, lambda: one(at_line_betas(spec, [h], rule)), _LINE_TOL=tol)
+    return with_constants(atline, lambda: one(at_line_betas(spec, [h])), _LINE_TOL=tol)
 
 
 def _solved(spec, tf, rule, tol=1e-12):
@@ -157,7 +157,7 @@ def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
     """At h = 185 gamma is subnormal and beta2_m is inf or close to the top of
     the float64 range: the verdict is RS-consistent, not a numerical failure."""
     for beta in (0.5, 1.2):
-        report = verdict_one(reference_spec, TempField(beta=beta, h=185.0), rule)
+        report = verdict_one(reference_spec, TempField(beta=beta, h=185.0))
         assert report.verdict == Verdict.RS_CONSISTENT
         assert report.gamma.min() < 2.3e-308 and report.beta2_m > 1e306
 
@@ -165,7 +165,7 @@ def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
 def test_verdict_at_large_field(reference_spec, rule):
     """At h = 100 gamma is about 1e-174; the thresholds stay ordered and match
     the eigenvalue oracle."""
-    report = verdict_one(reference_spec, TempField(beta=1.2, h=100.0), rule)
+    report = verdict_one(reference_spec, TempField(beta=1.2, h=100.0))
     assert report.verdict == Verdict.RS_CONSISTENT
     assert report.beta2_m == pytest.approx(stability_threshold(reference_spec, report.gamma), rel=1e-12)
 
@@ -230,7 +230,7 @@ def test_witness_mid_band_strictly_positive(reference_spec, rule):
         if abs(target - beta) < 1e-13:
             break
         beta = target
-    report = verdict_one(reference_spec, TempField(beta=beta, h=0.4), rule)
+    report = verdict_one(reference_spec, TempField(beta=beta, h=0.4))
     assert report.verdict == Verdict.RSB_CERTIFIED
     assert (report.witness_x > 0).all()
     # grid-search over the simplex as an independent oracle for positivity
@@ -257,19 +257,19 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     """One batch of RS, RSB and indeterminate points with a forced solve failure, an underflowed
     gamma (h = 400) and a forced witness cross-check failure: each entry, in input order, is the
     one-point verdict bit for bit, and each error has its type and message."""
-    on_line = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
-    crossed = verdict_one(reference_spec, TempField(beta=1.4, h=0.2), rule).stability.tobytes()
+    on_line = at_line_beta(reference_spec, 0.3, tol=1e-13)
+    crossed = verdict_one(reference_spec, TempField(beta=1.4, h=0.2)).stability.tobytes()
     solve, witness = atline.solve_points, atline.positivity_witness
-    monkeypatch.setattr(atline, "solve_points", lambda spec, tf, rule: [
-        NotConverged("forced") if b == 0.7 else sol for b, sol in zip(tf.beta, solve(spec, tf, rule))])
+    monkeypatch.setattr(atline, "solve_points", lambda spec, tf: [
+        NotConverged("forced") if b == 0.7 else sol for b, sol in zip(tf.beta, solve(spec, tf))])
     monkeypatch.setattr(atline, "positivity_witness", lambda k: [
         None if ki.tobytes() == crossed else x for ki, x in zip(k, witness(k))])
     points = [(0.6, 0.4), (1.2, 0.3), (0.7, 0.5), (1.5, 0.6), (1.0, 400.0), (1.6, 0.1), (1.4, 0.2), (0.8, 1.0),
               (on_line, 0.3)]
     beta, h = np.array(points).T
-    batch = at_verdicts(reference_spec, TempField(beta=beta, h=h), rule)
+    batch = at_verdicts(reference_spec, TempField(beta=beta, h=h))
 
-    singles = [at_verdicts(reference_spec, TempField(beta=b, h=field), rule)[0] for b, field in points]
+    singles = [at_verdicts(reference_spec, TempField(beta=b, h=field))[0] for b, field in points]
     assert [_report_fields(r) for r in batch] == [_report_fields(r) for r in singles]
     for r in batch:  # the batch's one threshold call gives each point's own, bit for bit
         if isinstance(r, atline.ATReport):
@@ -289,7 +289,7 @@ def test_witness_three_species_search():
 
 def test_lambda_conjugation_preserves_witness(reference_spec, rule):
     tf = TempField(beta=1.2, h=0.3)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     assert report.verdict == Verdict.RSB_CERTIFIED
     x = report.witness_x
     y = x / reference_spec.lam
@@ -307,17 +307,17 @@ def test_verdict_above_and_below_line(reference_spec, rule):
         if abs(target - beta) < 1e-13:
             break
         beta = target
-    above = verdict_one(reference_spec, TempField(beta=beta, h=0.4), rule)
+    above = verdict_one(reference_spec, TempField(beta=beta, h=0.4))
     assert above.verdict == Verdict.RSB_CERTIFIED
     assert above.witness_x is not None
-    below = verdict_one(reference_spec, TempField(beta=math.sqrt(0.5 * above.beta2_m), h=0.4), rule)
+    below = verdict_one(reference_spec, TempField(beta=math.sqrt(0.5 * above.beta2_m), h=0.4))
     assert below.verdict == Verdict.RS_CONSISTENT
     assert below.witness_x is None
 
 
 def test_verdict_indeterminate_on_the_line(reference_spec, rule):
-    beta = at_line_beta(reference_spec, 0.3, rule, tol=1e-13)
-    report = verdict_one(reference_spec, TempField(beta=beta, h=0.3), rule)
+    beta = at_line_beta(reference_spec, 0.3, tol=1e-13)
+    report = verdict_one(reference_spec, TempField(beta=beta, h=0.3))
     assert report.verdict == Verdict.INDETERMINATE
 
 
@@ -327,90 +327,105 @@ def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
     of answering."""
     spec = ModelSpec(delta2=[[0.9, 1.0], [1.0, 1.05]], lam=[0.6, 0.4])
     with pytest.raises(Unsupported):
-        verdict_one(spec, TempField(beta=1.0, h=0.3), rule)
+        verdict_one(spec, TempField(beta=1.0, h=0.3))
     with pytest.raises(Unsupported):
-        at_line_beta(spec, 0.3, rule)
+        at_line_beta(spec, 0.3)
 
 
 def test_verdict_requires_positive_field(reference_spec, rule):
     with pytest.raises(Unsupported):
-        verdict_one(reference_spec, TempField(beta=0.5, h=0.0), rule)
+        verdict_one(reference_spec, TempField(beta=0.5, h=0.0))
 
 
 def test_beta2m_continuity_in_small_field(reference_spec, rule):
     """At small beta and h the reported threshold approaches the h = 0 closed form."""
-    report = verdict_one(reference_spec, TempField(beta=0.3, h=0.01), rule)
+    report = verdict_one(reference_spec, TempField(beta=0.3, h=0.01))
     b0 = uniqueness_threshold(reference_spec)
     assert abs(report.beta2_m - b0) < 0.02 * b0
 
 
-def test_at_line_sk_matches_classical_oracle(sk_spec, rule):
-    ours = at_line_beta(sk_spec, 0.2, rule)
+def test_at_line_sk_matches_classical_oracle(sk_spec):
+    ours = at_line_beta(sk_spec, 0.2)
     assert abs(ours - single_species_at_beta(0.2)) < 1e-6
 
 
-def test_at_line_small_field_approaches_closed_form(reference_spec, rule):
+def test_at_line_small_field_approaches_closed_form(reference_spec):
     """The boundary emanates from the h=0 threshold, at the slow h^(2/3) rate."""
     b0 = uniqueness_threshold(reference_spec)
     dev = []
     for h in (0.02, 0.005):
-        beta = at_line_beta(reference_spec, h, rule)
+        beta = at_line_beta(reference_spec, h)
         dev.append((beta * beta - b0) / b0)
     assert dev[0] > dev[1] > 0
     assert dev[1] < 0.06
 
 
-def test_at_line_kernel_calls(reference_spec, rule, monkeypatch):
+def test_at_line_kernel_calls(reference_spec, monkeypatch):
     """Bracket solves and Newton steps together evaluate at most 230 kernel
     rows on the twenty README fields (the line bracketed from beta = 1e-3
     made 308), in at most 30 kernel calls: the fields run as one batch."""
     rows = []
     for module in (rs, atline):
         kernel = module.map_derivatives
-        monkeypatch.setattr(module, "map_derivatives", lambda spec, tf, q, rule, kernel=kernel:
-                            rows.append(np.size(q) // spec.m) or kernel(spec, tf, q, rule))
-    at_line_betas(reference_spec, np.linspace(0.05, 1.0, 20), rule)
+        monkeypatch.setattr(module, "map_derivatives", lambda spec, tf, q, kernel=kernel:
+                            rows.append(np.size(q) // spec.m) or kernel(spec, tf, q))
+    at_line_betas(reference_spec, np.linspace(0.05, 1.0, 20))
     assert sum(rows) <= 230 and len(rows) <= 30
 
 
-def test_at_line_batch_matches_one_field_searches(reference_spec, rule):
+def test_at_line_batch_matches_one_field_searches(reference_spec):
     """Fields from 0.001 to 400 searched as one batch give, field by field,
-    the beta_m of that field's search alone bit for bit, and the same errors:
-    no bracket at h = 100 and gamma underflowed to 0 at h = 400."""
+    the beta_m of that field's search alone bit for bit, and the same error:
+    gamma underflowed to 0 at h = 400.  With the upper bracket end held at
+    4 sqrt(beta2_m(lambda)), h = 100 fails to bracket the same way in the
+    batch and alone."""
     fields = [0.001, 0.3, 2.0, 5.0, 100.0, 400.0]
-    batch = at_line_betas(reference_spec, fields, rule)
-    alone = [at_line_betas(reference_spec, [h], rule)[0] for h in fields]
-    assert all(type(b) is float for b in batch[:4]) and batch[:4] == alone[:4]
-    assert [type(r) for r in batch[4:]] == [type(r) for r in alone[4:]] == [NotConverged, MskGlassError]
-    assert [str(r) for r in batch[4:]] == [str(r) for r in alone[4:]]
+    batch = at_line_betas(reference_spec, fields)
+    alone = [at_line_betas(reference_spec, [h])[0] for h in fields]
+    assert all(type(b) is float for b in batch[:5]) and batch[:5] == alone[:5]
+    assert type(batch[5]) is type(alone[5]) is MskGlassError and str(batch[5]) == str(alone[5])
+    short = with_constants(atline, lambda: (at_line_betas(reference_spec, fields), at_line_betas(reference_spec, [100.0])),
+                           _LINE_DOUBLINGS=1)
+    assert type(short[0][4]) is type(short[1][0]) is NotConverged and str(short[0][4]) == str(short[1][0])
+    assert short[0][:3] == batch[:3]  # below the shortened bracket's end
 
 
-@pytest.mark.parametrize("h", [0.001, 0.005, 0.05, 0.3, 2.0, 3.0, 5.0])
-def test_at_line_matches_the_tight_bisection(reference_spec, rule, h):
-    """beta_m at the default tol is within 1e-11 of bisection on solves run to
-    1e-15: at h <= 0.05 and h = 2 the safeguard bisects before Newton takes
-    over, and from h = 2 on the upper end doubles."""
-    assert abs(at_line_beta(reference_spec, h, rule) - at_line_bisection(reference_spec, h, rule)) <= 1e-11
+@pytest.mark.parametrize("h", [0.001, 0.005, 0.05, 0.3, 2.0, 3.0, 5.0, 4.0, 8.0, 16.0])
+def test_at_line_matches_the_tight_bisection(reference_spec, h):
+    """beta_m at the default tol is within 1e-11 of the independent phase line
+    (`oracles.at_line_bisection`: scipy quad and Brent's method), which must
+    change sign within 0.1% of it: at h <= 0.05 and h = 2 the safeguard
+    bisects before Newton takes over, and from h = 2 on the upper end
+    doubles.  Out to h = 16, where the cavity scale beta sqrt(C) is about 9."""
+    beta = at_line_beta(reference_spec, h)
+    assert abs(beta - at_line_bisection(reference_spec, h, 0.999 * beta, 1.001 * beta)) <= 1e-11
 
 
 @pytest.mark.parametrize("h", [0.001, 0.3, 2.0])
-def test_at_line_scales_with_the_variances(reference_spec, rule, h):
+def test_at_line_scales_with_the_variances(reference_spec, h):
     """The model sees only beta^2 delta2, and the bracket starts from the h = 0
     threshold of the model at hand: beta_m(c delta2) = beta_m(delta2) / sqrt(c)
     over ten decades of c (a bracket from beta = 1e-3 lay above beta_m from
     c = 1e6 on)."""
-    ref = at_line_beta(reference_spec, h, rule)
+    ref = at_line_beta(reference_spec, h)
     for c in (1e-2, 4.0, 1e2, 1e6, 1e8):
         scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
-        assert math.sqrt(c) * at_line_beta(scaled, h, rule) == pytest.approx(ref, rel=1e-14, abs=0)
+        assert math.sqrt(c) * at_line_beta(scaled, h) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
-def test_at_line_bracket_failure(reference_spec, rule):
-    """At h = 100 g stays negative up to 128 sqrt(beta2_m(lambda)), whatever
-    the scale of the variances."""
+def test_at_line_bracket_failure(reference_spec):
+    """The line has a bracket from h = 2 to 160, near the large-field Laplace
+    asymptote (beta_m(100) about 25.7, beta_m(160) about 38.6, below the
+    bracket's end 128 sqrt(beta2_m(lambda)) = 81.8).  With the upper end held
+    at 4 sqrt(beta2_m(lambda)) = 2.6, g stays negative there at h = 100, and
+    the search raises NotConverged, whatever the scale of the variances."""
+    line = at_line_betas(reference_spec, [2.0, 16.0, 64.0, 100.0, 112.0, 160.0])
+    assert all(type(b) is float for b in line) and line == sorted(line)
+    assert line[3] == pytest.approx(25.7, abs=0.1) and line[5] == pytest.approx(38.6, abs=0.1)
     for c in (1.0, 1e6):
-        with pytest.raises(NotConverged):
-            at_line_beta(ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam), 100.0, rule)
+        spec = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
+        with pytest.raises(NotConverged, match="no bracket"):
+            with_constants(atline, lambda: at_line_beta(spec, 100.0), _LINE_DOUBLINGS=1)
 
 
 def _random_pd_spec(rng, min_cross=0.0):
@@ -448,7 +463,7 @@ def test_random_positive_definite_models_against_the_eigenvalue_oracle(rule):
     orders, verdicts = set(), set()
     for _ in range(300):
         spec = _random_pd_spec(rng)
-        report = verdict_one(spec, TempField(beta=rng.uniform(0.3, 1.6), h=rng.uniform(0.05, 1.0)), rule)
+        report = verdict_one(spec, TempField(beta=rng.uniform(0.3, 1.6), h=rng.uniform(0.05, 1.0)))
         assert report.beta2_m == pytest.approx(stability_threshold(spec, report.gamma), rel=1e-12)
         if report.verdict != Verdict.INDETERMINATE:
             top = np.linalg.eigvalsh(report.stability)[-1]
@@ -469,8 +484,8 @@ def test_scaled_variances_give_the_reference_verdict(reference_spec, rule, c):
     reference at (sqrt(c) beta, h), and its beta2_m is the reference's / c."""
     scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
     for beta, h in _SIDES:
-        ref = verdict_one(reference_spec, TempField(beta=beta, h=h), rule)
-        ours = verdict_one(scaled, TempField(beta=beta / math.sqrt(c), h=h), rule)
+        ref = verdict_one(reference_spec, TempField(beta=beta, h=h))
+        ours = verdict_one(scaled, TempField(beta=beta / math.sqrt(c), h=h))
         assert ours.verdict == ref.verdict
         assert c * ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
 
@@ -480,7 +495,7 @@ def test_swapped_species_give_the_reference_verdict(reference_spec, rule):
     swapped = ModelSpec(delta2=reference_spec.delta2[::-1, ::-1], lam=reference_spec.lam[::-1])
     for beta, h in _SIDES:
         tf = TempField(beta=beta, h=h)
-        ref, ours = verdict_one(reference_spec, tf, rule), verdict_one(swapped, tf, rule)
+        ref, ours = verdict_one(reference_spec, tf), verdict_one(swapped, tf)
         assert ours.verdict == ref.verdict
         assert ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
         if ref.witness_x is not None:
@@ -496,7 +511,7 @@ def test_vanishing_cross_variance_gets_a_verdict(rule, d12):
     verdicts = set()
     for beta in (0.5, 0.9, 1.2, 1.6):
         for h in (0.1, 0.4):
-            report = verdict_one(spec, TempField(beta=beta, h=h), rule)
+            report = verdict_one(spec, TempField(beta=beta, h=h))
             th = report.thresholds
             per_species = 1.0 / (2.0 * report.gamma * np.diag(spec.delta2))
             assert th.beta2_m == pytest.approx(per_species.min(), rel=1e-12)

@@ -139,7 +139,7 @@ def test_at_line_sk_matches_classical(sk_config, tmp_path):
 
 
 def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(cli, "at_line_betas", lambda spec, h, rule: [0.9, 1.5])
+    monkeypatch.setattr(cli, "at_line_betas", lambda spec, h: [0.9, 1.5])
     argv = ["at-line", "--config", ref_config, "--h-range", "0.3,0.31,2", "--out", str(tmp_path / "l.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv) == 0
@@ -147,9 +147,11 @@ def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, capl
     assert "boundary jump 0.6 at h = 0.31" in caplog.records[0].getMessage()
 
 
-def test_at_line_keeps_the_rows_after_a_failure(ref_config, tmp_path):
-    """At h = 100 g stays negative up to 128 sqrt(beta2_m(lambda)); at h = 400 gamma
-    underflows to 0.  Both rows are reported, and the scan exits 0."""
+def test_at_line_keeps_the_rows_after_a_failure(ref_config, tmp_path, monkeypatch):
+    """With the bracket's upper end held at 4 sqrt(beta2_m(lambda)), g stays negative
+    there at h = 100; at h = 400 gamma underflows to 0.  Both rows are reported, and
+    the scan exits 0."""
+    monkeypatch.setattr(atline, "_LINE_DOUBLINGS", 1)
     out = tmp_path / "line.csv"
     assert main(["at-line", "--config", ref_config, "--h-range", "100,400,2", "--out", str(out)]) == 0
     _, _, rows = _read_csv(out)
@@ -247,8 +249,8 @@ def test_phase_diagram_keeps_the_rows_after_a_failure(ref_config, tmp_path, monk
 
     solve = atline.solve_points
 
-    def failing_in_the_middle(spec, tf, rule):
-        solutions = solve(spec, tf, rule)
+    def failing_in_the_middle(spec, tf):
+        solutions = solve(spec, tf)
         return [mskglass.NotConverged("no start converged") if beta == 0.5 else solution
                 for beta, solution in zip(tf.beta, solutions)]
 
@@ -263,7 +265,7 @@ def test_phase_diagram_keeps_the_rows_after_a_failure(ref_config, tmp_path, monk
     ]
 
 
-def test_failed_points_are_logged_with_their_reason(ref_config, capsys, caplog):
+def test_failed_points_are_logged_with_their_reason(ref_config, capsys, caplog, monkeypatch):
     """Each failed point is logged under the mskglass logger with its (beta, h)
     and the exception's message; stdout carries the rows alone."""
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "1,1.2,2", "--h-range", "100,300,2"]
@@ -279,6 +281,7 @@ def test_failed_points_are_logged_with_their_reason(ref_config, capsys, caplog):
     assert "underflowed" not in stdout
 
     caplog.clear()
+    monkeypatch.setattr(atline, "_LINE_DOUBLINGS", 1)  # the upper bracket end at 4 sqrt(beta2_m(lambda))
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(["at-line", "--config", ref_config, "--h-range", "100,400,2"]) == 0
     messages = [r.getMessage() for r in caplog.records]
@@ -544,6 +547,8 @@ def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
         ["certify", "--beta", "1.2", "--h", "0.3", "--eps-grid", "0.05"],
         ["certify", "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0.9"],
         ["overlap-hist", "--beta", "0.3", "--n", "8", "--sweeps", "4", "--bins", "40"],
+        # the phase line uses no quadrature rule
+        ["at-line", "--h-range", "0.3,0.3,1", "--order", "61"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(ref_config, capsys, argv):
@@ -600,7 +605,7 @@ def test_readme_scans_kernel_calls(monkeypatch, capsys):
     for module in (rs, atline):
         fn = module.map_derivatives
         monkeypatch.setattr(module, "map_derivatives",
-                            lambda spec, tf, q, rule, fn=fn: rows.append(np.size(q) // spec.m) or fn(spec, tf, q, rule))
+                            lambda spec, tf, q, fn=fn: rows.append(np.size(q) // spec.m) or fn(spec, tf, q))
     argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
             "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
     assert main(argv) == 0

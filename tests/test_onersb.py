@@ -150,7 +150,7 @@ def test_integration_by_parts_identity(rule):
 def test_certificate_above_line(reference_spec, rule):
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     assert report.verdict == Verdict.RSB_CERTIFIED
     cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-10
@@ -166,7 +166,7 @@ def test_certificate_where_the_first_axis_is_flat(reference_spec, rule, beta, h)
     no gap; along the witness, which mixes both species, the default grid
     certifies."""
     tf = TempField(beta=beta, h=h)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     assert 0 < report.stability[0, 0] < 0.1 * np.linalg.eigvalsh(report.stability)[-1]
     cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-7
@@ -188,7 +188,7 @@ def test_certificate_value_matches_oracle(reference_spec, order):
     rule = gauss_hermite(order)
     for beta, h in ((_beta_at_ratio(reference_spec, rule, 1.5, 0.3), 0.3), (1.6, 0.3)):
         tf = TempField(beta=beta, h=h)
-        report = verdict_one(reference_spec, tf, rule)
+        report = verdict_one(reference_spec, tf)
         cert = certify_one(reference_spec, tf, report, rule)
         q = report.solution.q_star
         want = one_step_value(reference_spec, beta, h, q, q + cert.epsilon * cert.x, cert.zeta)
@@ -208,7 +208,7 @@ def test_certificate_mid_band_direction(reference_spec, rule):
             break
         beta = target
     tf = TempField(beta=beta, h=0.4)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     assert (report.witness_x > 0).all()
     cert = certify_one(reference_spec, tf, report, rule)
     assert cert.gap > 1e-10
@@ -223,7 +223,7 @@ def test_certificate_slope_sign(reference_spec, rule):
     """Positive slope at zeta = 1 means the value drops as zeta leaves 1."""
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     q = report.solution.q_star
     p = q + 0.1 * report.witness_x / report.witness_x.max()
     assert zeta_derivative(reference_spec, tf, q, p, rule) > 0
@@ -235,7 +235,7 @@ def test_certificate_slope_sign(reference_spec, rule):
 def test_no_gap_below_line(reference_spec, rule):
     """Below the line the manual scan finds nothing: the single-atom value wins."""
     tf = TempField(beta=0.45, h=0.3)  # well below the boundary at this field
-    report_check = verdict_one(reference_spec, tf, rule)
+    report_check = verdict_one(reference_spec, tf)
     assert report_check.verdict == Verdict.RS_CONSISTENT
     sol = report_check.solution
     rs_value = rs_functional(reference_spec, tf, sol.q_star, rule)
@@ -272,7 +272,7 @@ def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
 @pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.5, 0.6)])
 def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
     tf = TempField(beta=beta, h=h)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     eps_grid, zeta_grid = np.geomspace(1e-3, 1e-1, 10), ZETA_GRID
     cert = certify_one(reference_spec, tf, report, rule)
     eps, zeta, gap = _row_by_row_scan(reference_spec, tf, report, rule, eps_grid, zeta_grid)
@@ -283,7 +283,7 @@ def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
 def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
     """Large epsilons leave [0, 1] and are skipped; the rest still scan as one call."""
     tf = TempField(beta=1.5, h=0.6)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     q = report.solution.q_star
     x = report.witness_x / reference_spec.lam
     x = x / x.max()
@@ -301,7 +301,7 @@ def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
 def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
     beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     with pytest.raises(CertificateNotFound) as info:
         certify_one(reference_spec, tf, report, rule, eps_grid=[1e-3], zeta_grid=[0.5])
     assert not info.value.near_line
@@ -315,7 +315,7 @@ def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
     """The whole (1.6, 0.3) scan allocates at most 1 MB at its peak (about
     0.4 MB today): the evaluator holds one chunk of rows, not the batch."""
     tf = TempField(beta=1.6, h=0.3)
-    report = verdict_one(reference_spec, tf, rule)
+    report = verdict_one(reference_spec, tf)
     tracemalloc.start()
     try:
         certify_one(reference_spec, tf, report, rule)
@@ -330,7 +330,7 @@ def test_row_certificate_scan_allocation_guard(reference_spec, rule):
     peaks at no more than 1.5 MB of traced allocations (about 1.1 MB today),
     so tuning the evaluator's chunk cannot quietly grow the scan's memory."""
     betas = np.linspace(0.4, 1.6, 25)
-    reports = at_verdicts(reference_spec, TempField(beta=betas, h=np.full(betas.size, 0.1)), rule)
+    reports = at_verdicts(reference_spec, TempField(beta=betas, h=np.full(betas.size, 0.1)))
     rsb = [i for i, r in enumerate(reports) if r.verdict == Verdict.RSB_CERTIFIED]
     assert len(rsb) == 17
     tracemalloc.start()
@@ -352,7 +352,7 @@ def test_row_batched_certificates_match_one_point_scans(reference_spec, rule):
     points = 0
     for h in np.linspace(0.1, 1.0, 10):
         tf = TempField(beta=betas, h=np.full(betas.size, h))
-        rsb = [(beta, r) for beta, r in zip(betas, at_verdicts(reference_spec, tf, rule))
+        rsb = [(beta, r) for beta, r in zip(betas, at_verdicts(reference_spec, tf))
                if r.verdict == Verdict.RSB_CERTIFIED]
         batch = certify_points(reference_spec, TempField(beta=np.array([b for b, _ in rsb]), h=np.full(len(rsb), h)),
                                [r for _, r in rsb], rule)

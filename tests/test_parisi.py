@@ -26,7 +26,7 @@ def test_certificate_batch_matches_the_plain_sum(reference_spec, rule, monkeypat
         return evaluate(*args)
 
     monkeypatch.setattr(onersb, "evaluate", recording)
-    cert = certify_one(reference_spec, tf, verdict_one(reference_spec, tf, rule), rule)
+    cert = certify_one(reference_spec, tf, verdict_one(reference_spec, tf), rule)
     ((ladder_points, params),) = batches
     values = evaluate(reference_spec, ladder_points, params, rule)
     best = np.unravel_index(np.argmin(values), values.shape)

@@ -13,7 +13,7 @@ from mskglass import (
     uniqueness_threshold,
 )
 from mskglass import rs
-from .oracles import rs_gradient, single_species_rs_value, solve_one, two_species_bisection
+from .oracles import rs_gradient, sech_moment, single_species_rs_value, solve_one, two_species_bisection
 
 
 def test_functional_beta_to_zero(reference_spec, rule):
@@ -33,7 +33,7 @@ def test_functional_sk_reduction_matches_single_species(sk_spec, rule):
 def test_gradient_zero_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.5, h=0.4)
     sol = solve_one(reference_spec, tf, rule)
-    assert np.abs(rs_gradient(reference_spec, tf, sol.q_star, rule)).max() < 1e-9
+    assert np.abs(rs_gradient(reference_spec, tf, sol.q_star)).max() < 1e-9
 
 
 def test_gradient_matches_finite_differences(reference_spec, rule):
@@ -42,7 +42,7 @@ def test_gradient_matches_finite_differences(reference_spec, rule):
     step = 1e-5
     for _ in range(5):
         q = rng.uniform(0.05, 0.95, 2)
-        grad = rs_gradient(reference_spec, tf, q, rule)
+        grad = rs_gradient(reference_spec, tf, q)
         for t in range(2):
             e_t = np.eye(2)[t] * step
             fd = (
@@ -54,7 +54,7 @@ def test_gradient_matches_finite_differences(reference_spec, rule):
 
 def test_gradient_zero_field_zero_overlap(reference_spec, rule):
     tf = TempField(beta=0.8, h=0.0)
-    np.testing.assert_array_equal(rs_gradient(reference_spec, tf, np.zeros(2), rule), np.zeros(2))
+    np.testing.assert_array_equal(rs_gradient(reference_spec, tf, np.zeros(2)), np.zeros(2))
 
 
 def test_solver_zero_field_below_threshold(reference_spec, rule):
@@ -90,9 +90,9 @@ def test_solver_multistart_above_threshold(reference_spec, rule):
     assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star, rule) - min(values)) < 1e-14
 
 
-def _kernel_at(spec, beta, h, q, rule):
+def _kernel_at(spec, beta, h, q):
     """`map_derivatives` at one point (beta, h) and one overlap vector q, each field without its row axis."""
-    k = map_derivatives(spec, TempField(beta=beta, h=h), np.asarray(q, dtype=float)[None], rule)
+    k = map_derivatives(spec, TempField(beta=beta, h=h), np.asarray(q, dtype=float)[None])
     return k._make(f[0] for f in k)
 
 
@@ -101,9 +101,9 @@ def _counting_kernel(monkeypatch):
     calls = []
     kernel = rs.map_derivatives
 
-    def counting(spec, tf, q, rule):
+    def counting(spec, tf, q):
         calls.append((tf.beta, tf.h))
-        return kernel(spec, tf, q, rule)
+        return kernel(spec, tf, q)
 
     monkeypatch.setattr(rs, "map_derivatives", counting)
     return calls
@@ -160,11 +160,11 @@ def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
     rows = []
     kernel = rs.map_derivatives
     monkeypatch.setattr(rs, "map_derivatives",
-                        lambda spec, tf, q, rule: rows.append(np.size(q) // spec.m) or kernel(spec, tf, q, rule))
+                        lambda spec, tf, q: rows.append(np.size(q) // spec.m) or kernel(spec, tf, q))
     tf = TempField(beta=1.2, h=0.0)
     sol = solve_one(reference_spec, tf, rule)
     assert rows[0] == 2 and max(rows) == 2
-    limits = [rs._run(reference_spec, tf, rule, np.full(2, start))[0].q for start in (0.0, 1.0)]
+    limits = [rs._run(reference_spec, tf, np.full(2, start))[0].q for start in (0.0, 1.0)]
     assert len(sol.candidates) == 2
     assert all(np.array_equal(c, limit) for c, limit in zip(sol.candidates, limits))
     assert not limits[0].any() and np.array_equal(sol.q_star, limits[1])
@@ -190,55 +190,149 @@ def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
     unstable q = 0 for the glassy branch, to which Newton alone would fall."""
     tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
     glassy = max(solve_one(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
-    (run,) = rs._run(reference_spec, tf, rule, np.full(2, 1e-3))
+    (run,) = rs._run(reference_spec, tf, np.full(2, 1e-3))
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
 
-@pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.6, 0.5), (3.0, 0.05)])
-def test_kernel_derivatives_match_central_differences(reference_spec, rule, beta, h):
+@pytest.mark.parametrize("beta, h", [(1.2, 0.3), (1.6, 0.5), (3.0, 0.05), (1.2, 20.0), (1.2, 100.0)])
+def test_kernel_derivatives_match_central_differences(reference_spec, beta, h):
     """The kernel's derivatives in q and beta against central differences of
-    its own T and gamma, at an interior q and at q = 0, where C = 0 and the
-    q-derivatives take their limit form (one-sided second-order differences
-    there)."""
+    its own T and gamma, at an interior q and at q = 0, where s = 0 and the
+    closed form holds (one-sided second-order differences there, from the
+    rule or the Laplace form).  Bulk rows, and tail rows at h = 20 and
+    h = 100, where gamma is about 1e-35 and 1e-174: gamma is divided by its
+    value at the base point, so its derivatives are checked relative to it."""
     spec, step = reference_spec, 1e-5
 
-    def both(q, b):
-        k = _kernel_at(spec, b, h, q, rule)
-        return np.concatenate([k.t, k.gamma])
+    def both(q, b, scale):
+        k = _kernel_at(spec, b, h, q)
+        return np.concatenate([k.t, k.gamma / scale])
 
     for q in (np.array([0.43, 0.61]), np.zeros(2)):
-        k = _kernel_at(spec, beta, h, q, rule)
+        k = _kernel_at(spec, beta, h, q)
+        scale = k.gamma
         if q.any():
-            fd_q = np.column_stack([(both(q + step * e, beta) - both(q - step * e, beta)) / (2.0 * step)
+            fd_q = np.column_stack([(both(q + step * e, beta, scale) - both(q - step * e, beta, scale)) / (2.0 * step)
                                     for e in np.eye(2)])
         else:
             one = 0.1 * step
-            fd_q = np.column_stack([(4.0 * both(q + one * e, beta) - both(q + 2.0 * one * e, beta)
-                                     - 3.0 * both(q, beta)) / (2.0 * one) for e in np.eye(2)])
-        fd_beta = (both(q, beta + step) - both(q, beta - step)) / (2.0 * step)
-        np.testing.assert_allclose(np.vstack([k.dt_dq, k.dgamma_dq]), fd_q, rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(np.concatenate([k.dt_dbeta, k.dgamma_dbeta]), fd_beta, rtol=1e-7, atol=1e-9)
+            fd_q = np.column_stack([(4.0 * both(q + one * e, beta, scale) - both(q + 2.0 * one * e, beta, scale)
+                                     - 3.0 * both(q, beta, scale)) / (2.0 * one) for e in np.eye(2)])
+        fd_beta = (both(q, beta + step, scale) - both(q, beta - step, scale)) / (2.0 * step)
+        np.testing.assert_allclose(np.vstack([k.dt_dq, k.dgamma_dq / scale[:, None]]), fd_q, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(np.concatenate([k.dt_dbeta, k.dgamma_dbeta / scale]), fd_beta, rtol=1e-7, atol=1e-9)
 
 
-def test_kernel_gamma_matches_the_sech4_pass(reference_spec, rule):
-    """gamma from sech^2 = 4e / (1 + e)^2, e = exp(-2|y|), equals a 40-digit
-    sum lam_s sum_i w_i sech^4(y_si) at the rule's nodes to 1e-14 relative
-    out to h = 150, where 1 - tanh^2 would have underflowed to 0.  The
-    cavity fields y are formed in float64 as the kernel forms them: at
-    h = 150 one rounding of y moves sech^4 by 1e-13 relative."""
+def test_kernel_gamma_matches_the_sech4_pass(reference_spec):
+    """gamma equals lam_s E sech^4(y_s) by the 30-digit oracle to 1e-12
+    relative out to h = 150, where gamma is about 1e-250 and T = 1 - E sech^2
+    is 1 to the last bit.  The cavity scales are formed in float64 as the
+    kernel forms them."""
+    spec = reference_spec
+    for h in (10.0, 150.0):
+        for beta, q in ((0.5, np.array([0.3, 0.7])), (3.0, np.array([0.99, 0.98]))):
+            k = _kernel_at(spec, beta, h, q)
+            scales = beta * np.sqrt(2.0 * ((q * spec.lam) @ spec.delta2))
+            want = [lam * sech_moment(4, s, h) for lam, s in zip(spec.lam, scales.tolist())]
+            assert min(want) > 0
+            np.testing.assert_allclose(k.gamma, want, rtol=1e-12, atol=0)
+
+
+def _moments(s, h):
+    """rs._moments, (T, m2, m4, m6), at scales s and fields h (broadcast to 1-D)."""
+    s, h = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), np.asarray(h, dtype=float))
+    return rs._moments(s.ravel().copy(), h.ravel().copy())
+
+
+def test_sech_moment_oracle_matches_a_dense_trapezoid():
+    """At small s the mass of E sech^p(s Z + h) sits near z = -p s, far from
+    the sech peak at z = -h/s: the oracle agrees there with a step-0.01
+    trapezoid rule in z over [-12, 12] to 1e-13 relative."""
+    z = np.linspace(-12.0, 12.0, 2401)
+    weights = np.exp(-0.5 * z * z) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
+    for s, h in ((0.05, 2.0), (0.05, 8.0), (0.1, 0.3)):
+        for p in (2, 4):
+            dense = weights @ np.cosh(s * z + h) ** -float(p)
+            assert sech_moment(p, s, h) == pytest.approx(dense, rel=1e-13, abs=0)
+
+
+# (s, h) over [0, 200] x [0, 400]: the closed form, the rule at small and large s, and the Laplace form
+_ORACLE_POINTS = ((0.0, 0.0), (0.0, 400.0), (1e-6, 0.001), (1.0, 0.3), (10.0, 0.0), (0.05, 8.0), (0.3, 100.0),
+                  (3.0, 30.0), (200.0, 400.0))
+
+
+def test_kernel_matches_the_sech_moment_oracle():
+    """T and gamma of the classical model at q = (1/2, 1/2), where every
+    cavity scale is beta, against `oracles.sech_moment`: within 1e-12
+    absolute on T and gamma, and 1e-10 relative on gamma, from s = 0 to 200
+    and h = 0 to 400.  T stays in [0, 1] up to rounding, and gamma stays
+    positive until float64 underflows (h = 400, s <= 3)."""
+    spec = ModelSpec(delta2=np.ones((2, 2)), lam=[0.5, 0.5])
+    for s, h in _ORACLE_POINTS:
+        beta = s if s > 0 else 1.0
+        k = _kernel_at(spec, beta, h, np.full(2, 0.5 if s > 0 else 0.0))
+        t, gamma = 1.0 - sech_moment(2, s, h), 0.5 * sech_moment(4, s, h)
+        np.testing.assert_allclose(k.t, t, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k.gamma, gamma, rtol=1e-10, atol=0)
+        assert ((0.0 <= k.t) & (k.t <= 1.0 + 1e-15)).all() and ((k.gamma > 0) == (gamma > 0)).all()
+
+
+@pytest.mark.parametrize("s, h", [(0.4, 0.3), (2.5, 9.0)])
+def test_kernel_scale_derivatives_match_the_oracle(s, h):
+    """dT/d(s^2) and d E sech^4 / d(s^2), which Stein's identity makes
+    3 m4 - 2 m2 and 8 m4 - 10 m6, against mpmath.diff of the oracle's
+    quadrature at 20 digits, in the bulk and in the tail (E sech^4(2.5 Z + 9)
+    is 1e-6)."""
     import mpmath as mp
 
-    spec = reference_spec
-    for h in (0.1, 1.0, 10.0, 20.0, 50.0, 100.0, 150.0):
-        for beta in (0.5, 1.2, 3.0):
-            for q in (np.array([0.3, 0.7]), np.array([0.99, 0.98])):
-                k = _kernel_at(spec, beta, h, q, rule)
-                ys = (beta * np.sqrt(2.0 * ((q * spec.lam) @ spec.delta2)))[:, None] * rule.nodes + h
-                with mp.workdps(40):
-                    want = [float(lam * mp.fsum(mp.mpf(w) * mp.sech(mp.mpf(y)) ** 4 for w, y in zip(rule.weights, row)))
-                            for lam, row in zip(spec.lam, ys)]
-                assert min(want) > 0
-                np.testing.assert_allclose(k.gamma, want, rtol=1e-14, atol=0)
+    _, m2, m4, m6 = _moments(s, h)[:, 0]
+    with mp.workdps(20):
+        for p, got in ((2, 2.0 * m2 - 3.0 * m4), (4, 8.0 * m4 - 10.0 * m6)):
+            want = float(mp.diff(lambda v: _oracle_mp(p, mp.sqrt(v), h), mp.mpf(s) ** 2))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def _oracle_mp(p, s, h):
+    """E sech^p(s Z + h) as an mpf at the working precision, for mpmath.diff: the oracle's quadrature without
+    its float rounding or cache."""
+    import mpmath as mp
+
+    return mp.quad(lambda z: mp.exp(-z * z / 2) * mp.sech(s * z + h) ** p, [-mp.inf, -h / s, 0, mp.inf]) \
+        / mp.sqrt(2 * mp.pi)
+
+
+@pytest.mark.parametrize("s", [0.6, 2.0, 10.0, 60.0])
+def test_the_fourier_and_laplace_forms_agree_across_their_switch(s):
+    """The Fourier-side rule and the Laplace form agree to 1e-12 relative
+    on all three moments where E sech^4 is 0.2 to 5 times the switch value,
+    and the kernel takes the rule above it and the Laplace form below: no
+    jump where the form changes."""
+    lo, hi = 0.0, 400.0  # the field at which the rule's E sech^4 crosses the switch
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rs._fourier_moments(np.array([s]), np.array([mid]))[1, 0] > rs._LAPLACE_BELOW else (lo, mid)
+    for h in np.linspace(0.95, 1.05, 5) * hi:
+        fourier = rs._fourier_moments(np.array([s]), np.array([h]))
+        laplace = rs._laplace_moments(np.array([s]), np.array([h]))
+        assert 0.2 < fourier[1, 0] / rs._LAPLACE_BELOW < 5.0
+        np.testing.assert_allclose(fourier, laplace, rtol=1e-12, atol=0)
+        form = fourier if fourier[1, 0] >= rs._LAPLACE_BELOW else laplace
+        assert _moments(s, h)[1:].tobytes() == form.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3, 2.0, 4.0])
+def test_the_z_and_fourier_forms_agree_across_their_switch(h):
+    """At the cavity scale _Z_UP_TO = 0.5, below which the kernel sums in z
+    and above which on the Fourier side (the Laplace form where E sech^4 is
+    below the switch value, as at h = 4), the two sides give T and the
+    three moments to 1e-13 relative on either side of it."""
+    for s in (0.45, 0.5, 0.55):
+        z_side = rs._z_moments(np.array([s]), np.array([h]))
+        other = rs._fourier_moments(np.array([s]), np.array([h]))
+        if other[1, 0] < rs._LAPLACE_BELOW:
+            other = rs._laplace_moments(np.array([s]), np.array([h]))
+        np.testing.assert_allclose(z_side, np.vstack([1.0 - other[0], other]), rtol=1e-13, atol=0)
+        assert _moments(s, h).tobytes() == (z_side if s <= rs._Z_UP_TO else np.vstack([1.0 - other[0], other])).tobytes()
 
 
 def test_solver_not_converged():
@@ -282,7 +376,7 @@ def test_contraction_certificate(reference_spec, sk_spec, rule):
         worst = 0.0
         for _ in range(200):
             qa, qb = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
-            num = np.abs(_kernel_at(spec, beta, 0.0, qa, rule).t - _kernel_at(spec, beta, 0.0, qb, rule).t).max()
+            num = np.abs(_kernel_at(spec, beta, 0.0, qa).t - _kernel_at(spec, beta, 0.0, qb).t).max()
             worst = max(worst, num / np.abs(qa - qb).max())
         assert worst < 1.0
 
