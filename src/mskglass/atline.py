@@ -124,12 +124,13 @@ def positivity_witness(k_matrix) -> list:
         raise ValueError("expected a stack of square matrices")
     if k.shape[-1] != 2:
         raise Unsupported("the positivity witness is defined for two species only")
-    norm = np.linalg.norm(k, 2, axis=(-2, -1))
-    valid = (norm != 0.0) & np.isfinite(norm)
-    if (np.abs(k[..., 0, 1] - k[..., 1, 0]) > 1e-12 * np.maximum(1.0, norm))[valid].any():
-        raise ValueError("stability matrix must be symmetric")
+    valid = np.isfinite(k).all((-2, -1))
     k = np.where(valid[..., None, None], k, 0.0)  # eigh needs finite entries; these rows have no witness
-    x = np.abs(np.linalg.eigh(k)[1][..., -1])
+    eigenvalues, vectors = np.linalg.eigh(k)
+    norm = np.abs(eigenvalues).max(-1)  # the spectral norm, K being symmetric
+    if (np.abs(k[..., 0, 1] - k[..., 1, 0]) > 1e-12 * np.maximum(1.0, norm)).any():
+        raise ValueError("stability matrix must be symmetric")
+    x = np.abs(vectors[..., -1])
     x /= x.max(-1, keepdims=True)
     valid &= (x[..., None, :] @ k @ x[..., None])[..., 0, 0] > _WITNESS_REL_TOL * norm
     return [xi if ok else None for xi, ok in zip(x, valid)]

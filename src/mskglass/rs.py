@@ -18,15 +18,16 @@ susceptibility gamma, gives both and their derivatives in q and beta from
 E tanh^2 and the three moments E sech^p, p = 2, 4, 6, of each cavity field,
 with no quadrature order to choose: a trapezoid rule in the Gaussian
 variable at small cavity scale beta sqrt(C), one on the Fourier side above,
-whose error does not grow with the scale, and a Laplace form in the far
-tail, where gamma must keep its relative precision.  The solver takes the
-plain step q <- T(q) until the Jacobian J of T has spectral radius below 1,
-then the Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until
-that correction, its error estimate, is at most DEFAULT_TOL.  For two
-species with delta2 positive definite, or all entries equal, the critical
-point is unique whenever h > 0 or beta^2 is below `uniqueness_threshold`,
-and one start suffices; elsewhere up to three run, and the functional
-value is the minimum over their distinct limits (a heuristic, flagged via
+whose error does not grow with the scale, and in the far tail, where gamma
+must keep its relative precision, one in the field y = s Z + h, step 0.15,
+over a window that (s, h) alone fixes.  The solver takes the plain step
+q <- T(q) until the Jacobian J of T has spectral radius below 1, then the
+Newton step q - (I - J)^-1 (q - T(q)), clipped to the box, until that
+correction, its error estimate, is at most DEFAULT_TOL.  For two species
+with delta2 positive definite, or all entries equal, the critical point is
+unique whenever h > 0 or beta^2 is below `uniqueness_threshold`, and one
+start suffices; elsewhere up to three run, and the functional value is the
+minimum over their distinct limits (a heuristic, flagged via
 `guaranteed_unique`).
 
 The kernel and the solver act row by row, each row at its own point of a
@@ -91,10 +92,8 @@ _Z = np.linspace(-12.0, 12.0, 81)  # step 0.3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _Z_WEIGHTS = np.exp(-0.5 * _Z * _Z) * (0.3 / _SQRT_2PI)
 _ALIAS = 20.0  # the Fourier rule's aliases lie 8 standard deviations plus this far in y from the field
-_LAPLACE_BELOW = 1e-2  # E sech^4 below which the Laplace form replaces the Fourier sum
-_LAPLACE_STEP = 0.15
-_PEAK_STEPS = 40  # Newton steps to the Laplace integrand's peak, which approach it monotonically
-_LN2 = math.log(2.0)
+_TAIL_BELOW = 1e-2  # E sech^4 below which the tail form replaces the Fourier sum
+_TAIL_STEP = 0.15
 _TOTAL = np.array([2.0, 4.0 / 3.0, 16.0 / 15.0])  # integrals of sech^2, sech^4, sech^6 over the line
 
 
@@ -152,49 +151,34 @@ def _fourier_moments(s, h):
     return (2.0 / period) * (0.5 * _TOTAL[:, None] + np.add.reduceat(terms, starts, axis=1))
 
 
-def _log_sech(y):
-    a = np.abs(y)
-    return _LN2 - a - np.log1p(np.exp(-2.0 * a))
-
-
-def _laplace_moments(s, h):
-    """E sech^p(s Z + h), p = 2, 4, 6, for s > _Z_UP_TO, to relative precision down to the float64
-    underflow: the trapezoid rule in the field y = h + t on the log-concave integrand
-
-        exp(L(t)),  L(t) = p log sech(h + t) - t^2 / (2 s^2),
-
-    summed as exp(L(t*)) Sum exp(L(t) - L(t*)) about its peak t* (Newton on h + t + p s^2
-    tanh(h + t) = h, from the left).  The step 0.15 keeps the poles of sech at +-i pi / 2 and the
-    Gaussian's growth off the real line out of reach (relative error below 1e-13); the nodes run
-    until L has fallen by 40 both ways, by the bounds L(t) <= L(t*) - (t - t*)^2 / (2 s^2) and
-    L(t) <= p (log 2 - |h + t|).
-    """
-    out = np.empty((3, s.size))
-    for row, p in enumerate((2, 4, 6)):
-        ps2 = p * s * s
-        y = h / (1.0 + ps2)  # the root of the linearised equation, at or below the peak
-        for _ in range(_PEAK_STEPS):
-            th = np.tanh(y)
-            y = y - (y + ps2 * th - h) / (1.0 + ps2 * (1.0 - th * th))
-        peak = y - h
-        top = p * _log_sech(y) - 0.5 * (peak / s) ** 2
-        reach = (p * _LN2 - top + 40.0) / p
-        below = ((peak - np.maximum(peak - 9.0 * s, -reach - h)) / _LAPLACE_STEP).astype(int)
-        counts = below + ((np.minimum(peak + 9.0 * s, reach - h) - peak) / _LAPLACE_STEP).astype(int) + 1
-        starts, k = _segments(counts)
-        t = np.repeat(peak, counts) + _LAPLACE_STEP * (k - np.repeat(below, counts))
-        rel = p * _log_sech(np.repeat(h, counts) + t) - 0.5 * (t / np.repeat(s, counts)) ** 2 - np.repeat(top, counts)
-        out[row] = np.exp(top + np.log(np.add.reduceat(np.exp(rel), starts) * (_LAPLACE_STEP / _SQRT_2PI / s)))
-    return out
+def _tail_moments(s, h):
+    """E sech^p(s Z + h), p = 2, 4, 6 (rows of a 3 x n array), for s > _Z_UP_TO, to relative precision
+    down to the float64 underflow: the trapezoid rule, step 0.15, on sech^p(y) phi((y - h) / s) / s over
+    y in [max(-20, max(0, h - 6 s^2) - 9 s), h + min(9 s, 20)].  That integrand is log-concave with
+    log-curvature below -1 / s^2 and peaks where y = h - p s^2 tanh y, in [max(0, h - p s^2), h]; it is
+    below e^-40 of its peak 9 s beyond it, and below 2^p e^(-20 p) of its value at 0 (at h) below -20
+    (above h + 20).  The poles of sech at +-i pi / 2, where the Gaussian grows by at most
+    e^(pi^2 / (8 s^2)) < e^5, keep the step's error below 1e-16 relative.  Each term, a power of
+    sech^2 = 4 e / (1 + e)^2 (e = exp(-2 |y|)) times the Gaussian, keeps its relative precision until
+    it underflows.  The nodes follow from the entry's own (s, h)."""
+    lo = np.maximum(-20.0, np.maximum(0.0, h - 6.0 * s * s) - 9.0 * s)
+    counts = ((h + np.minimum(9.0 * s, 20.0) - lo) / _TAIL_STEP).astype(int) + 1
+    starts, k = _segments(counts)
+    y = np.repeat(lo, counts) + _TAIL_STEP * k
+    e = np.exp(-2.0 * np.abs(y))
+    sech2 = e * (2.0 / (1.0 + e)) ** 2
+    t2 = sech2 * np.exp(-0.5 * ((y - np.repeat(h, counts)) / np.repeat(s, counts)) ** 2)
+    t4 = t2 * sech2
+    return np.add.reduceat(np.stack([t2, t4, t4 * sech2]), starts, axis=1) * (_TAIL_STEP / _SQRT_2PI / s)
 
 
 def _moments(s, h):
     """(T, m_2, m_4, m_6) = (E tanh^2, E sech^2, E sech^4, E sech^6)(s Z + h), Z standard normal, for
     entries s >= 0 and h >= 0 of equal length: a 4 x n array.  Up to s = _Z_UP_TO the z-side rule
     (`_z_moments`); above it the Fourier-side rule (`_fourier_moments`), exact to about 4e-16
-    absolute, with T = 1 - m_2 >= 0.18, and where that leaves E sech^4 below _LAPLACE_BELOW the
-    Laplace form (`_laplace_moments`), exact to about 1e-13 relative.  Each entry's form and nodes
-    follow from its own (s, h), so it has the same bits in any batch."""
+    absolute, with T = 1 - m_2 >= 0.18, and where that leaves E sech^4 below _TAIL_BELOW the trapezoid rule
+    in y = s Z + h (`_tail_moments`), step 0.15 on [max(-20, max(0, h - 6 s^2) - 9 s), h + min(9 s, 20)], exact
+    to about 1e-14 relative.  Each entry's form and nodes follow from its own (s, h): the same bits in any batch."""
     out = np.empty((4, s.size))
     small = s <= _Z_UP_TO
     if small.any():
@@ -202,9 +186,9 @@ def _moments(s, h):
     bulk = np.flatnonzero(~small)
     if bulk.size:
         out[1:, bulk] = _fourier_moments(s[bulk], h[bulk])
-        tail = bulk[out[2, bulk] < _LAPLACE_BELOW]
+        tail = bulk[out[2, bulk] < _TAIL_BELOW]
         if tail.size:
-            out[1:, tail] = _laplace_moments(s[tail], h[tail])
+            out[1:, tail] = _tail_moments(s[tail], h[tail])
         out[0, bulk] = 1.0 - out[1, bulk]
     return out
 

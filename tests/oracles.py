@@ -363,21 +363,18 @@ def single_species_qstar(beta, h, tol=1e-13):
     raise AssertionError("single-species oracle did not converge")
 
 
+@functools.lru_cache(maxsize=None)
 def single_species_at_beta(h, lo=0.2, hi=4.0):
-    """Classical phase-boundary beta(h): zero of 2 beta^2 E sech^4 - 1."""
+    """Classical phase-boundary beta(h): the zero of 2 beta^2 E sech^4 - 1 in [lo, hi], which must
+    bracket it, by Brent's method to 1e-15 (cached: several tests ask for the same field)."""
 
     def gap(beta):
         q = single_species_qstar(beta, h)
         sech4 = gauss_expect(lambda y: np.cosh(y) ** -4.0, beta * np.sqrt(2.0 * q), h)
         return 2.0 * beta * beta * sech4 - 1.0
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    assert gap(lo) < 0 < gap(hi), f"[{lo}, {hi}] does not bracket the classical phase line at h = {h}"
+    return brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15, maxiter=200)
 
 
 def directional_second_derivative(func, delta, direction):

@@ -56,7 +56,7 @@ def _cases(spec, rule):
         return parisi_value(spec, TempField(beta=beta, h=h), ParisiParams(zeta=[[0.1], [0.45], [0.95]], q=q), rule)
 
     return {
-        # q = 0 at h > 0 and at h = 0 takes the closed form, h = 30 and 100 the Laplace form, the others the rule,
+        # q = 0 at h > 0 and at h = 0 takes the closed form, h = 30 and 100 the tail form, the others the rule,
         # each row with its own nodes
         "map_derivatives": ((np.array([0.4, 1.2, 1.6, 3.0, 0.9, 1.2, 2.0]), np.array([0.3, 0.3, 0.5, 0.05, 0.0, 100.0, 30.0]),
                              np.array([[0.1, 0.2], [0.0, 0.0], [0.7, 0.4], [0.9, 0.95], [0.0, 0.0], [0.9, 0.8], [0.5, 0.6]])),

@@ -135,7 +135,7 @@ def test_at_line_sk_matches_classical(sk_config, tmp_path):
     assert main(["at-line", "--config", sk_config, "--h-range", "0.2,0.2,1", "--out", str(out)]) == 0
     _, _, rows = _read_csv(out)
     beta = float(rows[0][1])
-    assert abs(beta - single_species_at_beta(0.2)) < 1e-6
+    assert abs(beta - single_species_at_beta(0.2)) < 1e-10
 
 
 def test_at_line_boundary_jump_is_logged(ref_config, tmp_path, monkeypatch, caplog):

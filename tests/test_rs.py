@@ -199,7 +199,7 @@ def test_kernel_derivatives_match_central_differences(reference_spec, beta, h):
     """The kernel's derivatives in q and beta against central differences of
     its own T and gamma, at an interior q and at q = 0, where s = 0 and the
     closed form holds (one-sided second-order differences there, from the
-    rule or the Laplace form).  Bulk rows, and tail rows at h = 20 and
+    rule or the tail form).  Bulk rows, and tail rows at h = 20 and
     h = 100, where gamma is about 1e-35 and 1e-174: gamma is divided by its
     value at the base point, so its derivatives are checked relative to it."""
     spec, step = reference_spec, 1e-5
@@ -256,9 +256,11 @@ def test_sech_moment_oracle_matches_a_dense_trapezoid():
             assert sech_moment(p, s, h) == pytest.approx(dense, rel=1e-13, abs=0)
 
 
-# (s, h) over [0, 200] x [0, 400]: the closed form, the rule at small and large s, and the Laplace form
+# (s, h) over [0, 200] x [0, 400]: the closed form, the rule at small and large s, and the tail form, where
+# (5, 100) has its E sech^4 and E sech^6 peaks near y = 2 and 1, far below h - 9 s, (0.6, 30) a window
+# just below h, and (38, 160) lies where the phase line ends
 _ORACLE_POINTS = ((0.0, 0.0), (0.0, 400.0), (1e-6, 0.001), (1.0, 0.3), (10.0, 0.0), (0.05, 8.0), (0.3, 100.0),
-                  (3.0, 30.0), (200.0, 400.0))
+                  (3.0, 30.0), (200.0, 400.0), (5.0, 100.0), (0.6, 30.0), (38.0, 160.0))
 
 
 def test_kernel_matches_the_sech_moment_oracle():
@@ -275,6 +277,24 @@ def test_kernel_matches_the_sech_moment_oracle():
         np.testing.assert_allclose(k.t, t, rtol=0, atol=1e-12)
         np.testing.assert_allclose(k.gamma, gamma, rtol=1e-10, atol=0)
         assert ((0.0 <= k.t) & (k.t <= 1.0 + 1e-15)).all() and ((k.gamma > 0) == (gamma > 0)).all()
+
+
+def test_the_tail_form_matches_the_sech_moment_oracle():
+    """The tail form (`rs._tail_moments`) at every oracle point above
+    s = _Z_UP_TO, and where E sech^4 reaches the float64 underflow, against
+    `oracles.sech_moment`: all three moments within 5e-14 relative wherever
+    the oracle's value is a normal float, and positive exactly where it is
+    (E sech^4(0.51 Z + 185) is subnormal, E sech^6 there and every moment at
+    h = 400 round to 0).  Each point gives the same bits alone and in one
+    batch with the others."""
+    points = [(s, h) for s, h in _ORACLE_POINTS if s > rs._Z_UP_TO] + [(0.51, 185.0), (0.51, 400.0)]
+    batch = rs._tail_moments(*np.array(points).T.copy())
+    for j, (s, h) in enumerate(points):
+        got = rs._tail_moments(np.array([s]), np.array([h]))[:, 0]
+        want = np.array([sech_moment(p, s, h) for p in (2, 4, 6)])
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], want[normal], rtol=5e-14, atol=0)
+        assert ((got > 0) == (want > 0)).all() and got.tobytes() == batch[:, j].tobytes()
 
 
 @pytest.mark.parametrize("s, h", [(0.4, 0.3), (2.5, 9.0)])
@@ -303,34 +323,34 @@ def _oracle_mp(p, s, h):
 
 @pytest.mark.parametrize("s", [0.6, 2.0, 10.0, 60.0])
 def test_the_fourier_and_laplace_forms_agree_across_their_switch(s):
-    """The Fourier-side rule and the Laplace form agree to 1e-12 relative
-    on all three moments where E sech^4 is 0.2 to 5 times the switch value,
-    and the kernel takes the rule above it and the Laplace form below: no
-    jump where the form changes."""
+    """The Fourier-side rule and the tail form (`rs._tail_moments`) agree
+    to 1e-12 relative on all three moments where E sech^4 is 0.2 to 5 times
+    the switch value, and the kernel takes the rule above it and the tail
+    form below: no jump where the form changes."""
     lo, hi = 0.0, 400.0  # the field at which the rule's E sech^4 crosses the switch
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if rs._fourier_moments(np.array([s]), np.array([mid]))[1, 0] > rs._LAPLACE_BELOW else (lo, mid)
+        lo, hi = (mid, hi) if rs._fourier_moments(np.array([s]), np.array([mid]))[1, 0] > rs._TAIL_BELOW else (lo, mid)
     for h in np.linspace(0.95, 1.05, 5) * hi:
         fourier = rs._fourier_moments(np.array([s]), np.array([h]))
-        laplace = rs._laplace_moments(np.array([s]), np.array([h]))
-        assert 0.2 < fourier[1, 0] / rs._LAPLACE_BELOW < 5.0
-        np.testing.assert_allclose(fourier, laplace, rtol=1e-12, atol=0)
-        form = fourier if fourier[1, 0] >= rs._LAPLACE_BELOW else laplace
+        tail = rs._tail_moments(np.array([s]), np.array([h]))
+        assert 0.2 < fourier[1, 0] / rs._TAIL_BELOW < 5.0
+        np.testing.assert_allclose(fourier, tail, rtol=1e-12, atol=0)
+        form = fourier if fourier[1, 0] >= rs._TAIL_BELOW else tail
         assert _moments(s, h)[1:].tobytes() == form.tobytes()
 
 
 @pytest.mark.parametrize("h", [0.0, 0.3, 2.0, 4.0])
 def test_the_z_and_fourier_forms_agree_across_their_switch(h):
     """At the cavity scale _Z_UP_TO = 0.5, below which the kernel sums in z
-    and above which on the Fourier side (the Laplace form where E sech^4 is
+    and above which on the Fourier side (the tail form where E sech^4 is
     below the switch value, as at h = 4), the two sides give T and the
     three moments to 1e-13 relative on either side of it."""
     for s in (0.45, 0.5, 0.55):
         z_side = rs._z_moments(np.array([s]), np.array([h]))
         other = rs._fourier_moments(np.array([s]), np.array([h]))
-        if other[1, 0] < rs._LAPLACE_BELOW:
-            other = rs._laplace_moments(np.array([s]), np.array([h]))
+        if other[1, 0] < rs._TAIL_BELOW:
+            other = rs._tail_moments(np.array([s]), np.array([h]))
         np.testing.assert_allclose(z_side, np.vstack([1.0 - other[0], other]), rtol=1e-13, atol=0)
         assert _moments(s, h).tobytes() == (z_side if s <= rs._Z_UP_TO else np.vstack([1.0 - other[0], other])).tobytes()
 
