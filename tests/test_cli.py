@@ -13,7 +13,7 @@ import pytest
 
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional
-from mskglass import atline, cli, rs, simulate
+from mskglass import atline, cli, parisi, rs, simulate
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta, solve_one
@@ -370,6 +370,21 @@ def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spe
     assert main(["parisi-eval", "--config", str(batch), "--beta", "0.5", "--h", "0.4", "--zeta", "0.6"]) == 1
 
 
+@pytest.mark.parametrize(
+    "point, want",
+    [
+        (["--beta", "0.5", "--h", "0.4", "--zeta", "0.6", "--q", "0.2,0.5;0.3,0.6"], 0.92309164129108),
+        (["--beta", "1.2", "--h", "0.3", "--zeta", "0.4,0.8", "--q", "0.2,0.4,0.6;0.2,0.5,0.7"], 1.5192236554176781),
+    ],
+)
+def test_parisi_eval_below_every_level_order(ref_config, capsys, point, want):
+    """At --order 5, below the smallest order a level takes from its scale, every level keeps the
+    configured rule: k = 1 and k = 2 print, bit for bit, the values recorded when one rule served
+    every level."""
+    doc = _run_json(capsys, ["parisi-eval", "--config", ref_config, "--order", "5", *point])
+    assert doc["result"]["value"] == want
+
+
 def test_mc_free_energy_pass_through(ref_config, capsys, reference_spec):
     doc = _run_json(
         capsys,
@@ -610,6 +625,25 @@ def test_readme_scans_kernel_calls(monkeypatch, capsys):
             "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
     assert main(argv) == 0
     assert sum(rows) <= 2000
+
+
+def test_readme_certificate_scan_node_pairs(monkeypatch):
+    """The README phase-diagram's one-step certificate scan evaluates at most 2,600,000 node pairs
+    (rows x outer nodes x inner nodes, summed over the evaluator's two-level chunks): each level
+    takes the smallest Gauss-Hermite order its own noise scale allows (5,083,020 with order 61 at
+    every level)."""
+    pairs, x_zero = [], parisi._x_zero
+
+    def counting(h, scales, zetas, levels):
+        if len(levels) == 2:
+            pairs.append(len(h) * len(levels[0][0]) * len(levels[1][0]))
+        return x_zero(h, scales, zetas, levels)
+
+    monkeypatch.setattr(parisi, "_x_zero", counting)
+    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
+            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
+    assert main(argv) == 0
+    assert 0 < sum(pairs) <= 2_600_000
 
 
 def test_phase_diagram_where_gamma_is_subnormal(ref_config, capsys):

@@ -312,8 +312,8 @@ def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
 
 
 def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
-    """The whole (1.6, 0.3) scan allocates at most 1 MB at its peak (about
-    0.4 MB today): the evaluator holds one chunk of rows, not the batch."""
+    """The whole (1.6, 0.3) scan allocates at most 1 MiB at its peak (0.82 MB
+    measured): the evaluator holds one chunk of rows, not the batch."""
     tf = TempField(beta=1.6, h=0.3)
     report = verdict_one(reference_spec, tf)
     tracemalloc.start()
@@ -327,7 +327,7 @@ def test_certificate_scan_memory_stays_bounded(reference_spec, rule):
 
 def test_row_certificate_scan_allocation_guard(reference_spec, rule):
     """The README h = 0.1 row (17 RSB points) scanned in one evaluator call
-    peaks at no more than 1.5 MB of traced allocations (about 1.1 MB today),
+    peaks at no more than 1.5 MiB of traced allocations (1.41 MB measured),
     so tuning the evaluator's chunk cannot quietly grow the scan's memory."""
     betas = np.linspace(0.4, 1.6, 25)
     reports = at_verdicts(reference_spec, TempField(beta=betas, h=np.full(betas.size, 0.1)))
