@@ -5,9 +5,9 @@ any run parameters; command-line flags override file fields, and a file key
 that names no field is refused.  Every output embeds the resolved config and
 the library version so a result file is a complete experiment record.  CSV
 floats carry 17 significant digits so regression baselines round-trip
-bit-faithfully.  Grid scans run in one process, `phase-diagram` one batch per
-h row and `at-line` one batch over all h, and write their rows in grid order
-(h outer, beta inner).
+bit-faithfully.  Grid scans run in one process, `phase-diagram` in batches of
+up to _BLOCK_POINTS grid points and `at-line` one batch over all h, and write
+their rows in grid order (h outer, beta inner).
 
 Exit codes: 0 ok, 1 usage/config error (an input outside the supported model
 class or range included), 2 numerical failure.
@@ -36,7 +36,9 @@ from .rs import rs_functional, solve_points
 from .simulate import free_energy_exact, overlap_histogram
 
 _log = logging.getLogger("mskglass")
-_BLOCK_POINTS = 64  # phase-diagram points solved and certified as one batch; longer h rows run in blocks
+# Grid points, in output order, that phase-diagram solves and certifies as one batch: the README's
+# 25 x 10 grid is one block.  A batch's traced memory grows with its points (about 2.3 MB at 123 RSB points).
+_BLOCK_POINTS = 256
 
 
 class ConfigError(ValueError):
@@ -349,19 +351,18 @@ def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
 
 def cmd_phase_diagram(cfg: dict, v: dict) -> int:
     spec, rule, betas = _model_spec(v), v["order"], v["beta_range"]
-    rows: list = []
-    for h in v["h_range"]:
-        blocks = [betas[at : at + _BLOCK_POINTS] for at in range(0, betas.size, _BLOCK_POINTS)]
-        h_slice = [row for b in blocks for row in _phase_rows(spec, TempField(beta=b, h=np.full(b.size, h)), rule)]
-        verdicts = [row[2] for row in h_slice if row[2] != "numerical-failure"]
+    beta, h = np.tile(betas, v["h_range"].size), np.repeat(v["h_range"], betas.size)  # grid order
+    rows = [row for at in range(0, beta.size, _BLOCK_POINTS) for row in
+            _phase_rows(spec, TempField(beta=beta[at : at + _BLOCK_POINTS], h=h[at : at + _BLOCK_POINTS]), rule)]
+    for start in range(0, len(rows), betas.size):
+        verdicts = [row[2] for row in rows[start : start + betas.size] if row[2] != "numerical-failure"]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
         if flips > 1:
             _log.warning(
                 "verdict flips %d times along the h-slice starting at row %d; expected a single transition",
                 flips,
-                len(rows),
+                start,
             )
-        rows += h_slice
     _emit_csv(cfg, ("beta", "h", "verdict", "beta2_m", "gap"), rows, v["out"])
     return 0
 

@@ -95,15 +95,16 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> l
         values = evaluate(spec, TempField(beta=tf.beta[point], h=tf.h[point]), params, rule)
 
     certificates: list = []
+    bounds = np.searchsorted(point, np.arange(len(reports) + 1)).tolist()  # point is sorted: one block per point
     for n, report in enumerate(reports):
-        mine = point == n
+        lo, hi = bounds[n], bounds[n + 1]
         best, best_gap = None, -math.inf
-        if mine.any():
-            gaps = rs_values[n] - values[mine]
+        if hi > lo:
+            gaps = rs_values[n] - values[lo:hi]
             i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
             best_gap = float(gaps[i, j])
-            best = dict(epsilon=float(EPSILON_GRID[eps[mine][i]]), zeta=float(ZETA_GRID[j]),
-                        value=float(values[mine][i, j]))
+            best = dict(epsilon=float(EPSILON_GRID[eps[lo + i]]), zeta=float(ZETA_GRID[j]),
+                        value=float(values[lo + i, j]))
         if best is None or best_gap <= DEFAULT_GAP_FLOOR:
             near = bool(tf.beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
             certificates.append(CertificateNotFound(

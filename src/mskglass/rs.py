@@ -261,13 +261,15 @@ def _run(spec, tf, q) -> list:
         error, residual = np.abs(step).max(-1), np.abs(r).max(-1)
         done = error <= DEFAULT_TOL
         stopped = done.nonzero()[0]
-        for j in stopped:
-            runs[live[j]] = _Run(np.clip(q[j] - step[j], 0.0, 1.0), k.gamma[j] - k.dgamma_dq[j] @ step[j],
-                                 float(residual[j]), float(error[j]), it, True)
-        if len(stopped) == len(live):
-            return runs
-        if len(stopped):  # drop the rows that stopped
-            keep = ~done
+        if len(stopped):
+            s = step[stopped]
+            gamma = k.gamma[stopped] - (k.dgamma_dq[stopped] @ s[..., None])[..., 0]
+            for row, *final in zip(live[stopped].tolist(), np.clip(q[stopped] - s, 0.0, 1.0), gamma,
+                                   residual[stopped].tolist(), error[stopped].tolist()):
+                runs[row] = _Run(*final, it, True)
+            if len(stopped) == len(live):
+                return runs
+            keep = ~done  # drop the rows that stopped
             live, newton, q, step, error, residual = (x[keep] for x in (live, newton, q, step, error, residual))
             k = MapDerivatives(*(f[keep] for f in k))
             points = TempField(beta=tf.beta[live], h=tf.h[live])
@@ -328,10 +330,15 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: Optional[QuadRule] = None
             values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]),
                                    gauss_hermite() if rule is None else rule)
             win = distinct[int(np.argmin(values))]
-        solutions.append(RSSolution(
-            q_star=win.q, coupling=overlap_contractions(spec, win.q).species, gamma=win.gamma, residual=win.residual,
+        solutions.append((win, distinct))  # an RSSolution below, once every winner's coupling is known
+    won = [i for i, solution in enumerate(solutions) if isinstance(solution, tuple)]
+    couplings = overlap_contractions(spec, np.reshape([solutions[i][0].q for i in won], (-1, spec.m))).species
+    for i, coupling in zip(won, couplings):
+        win, distinct = solutions[i]
+        solutions[i] = RSSolution(
+            q_star=win.q, coupling=coupling, gamma=win.gamma, residual=win.residual,
             error=win.error, iterations=win.iterations, converged=True,
             on_boundary=(win.q <= _BOUNDARY_TOL) | (win.q >= 1.0 - _BOUNDARY_TOL),
             candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed[i],
-        ))
+        )
     return solutions

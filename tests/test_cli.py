@@ -13,7 +13,7 @@ import pytest
 
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional
-from mskglass import atline, cli, parisi, rs, simulate
+from mskglass import atline, cli, onersb, parisi, rs, simulate
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta, solve_one
@@ -203,18 +203,18 @@ def test_phase_diagram_grid(ref_config, tmp_path):
 
 
 def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatch):
-    """An h row longer than the block size runs as several batches: the rows,
-    verdicts and beta2_m come out as from one batch per row, and the gaps
-    agree to 1e-13."""
+    """A grid larger than the block size runs as several batches of grid points in
+    output order, across h rows: the rows, verdicts and beta2_m come out as from one
+    batch, and the gaps agree to 1e-13."""
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.5,1.4,7", "--h-range", "0.2,0.4,2"]
-    assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
     batches = []
     rows = cli._phase_rows
     monkeypatch.setattr(cli, "_phase_rows", lambda spec, tf, rule: batches.append(tf.beta.size) or rows(spec, tf, rule))
     monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)
     assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
-    assert batches == [3, 3, 1] * 2
-    whole, blocks = _read_csv(tmp_path / "rows.csv")[2], _read_csv(tmp_path / "blocks.csv")[2]
+    assert batches == [3, 3, 3, 3, 2]
+    whole, blocks = _read_csv(tmp_path / "whole.csv")[2], _read_csv(tmp_path / "blocks.csv")[2]
     assert [r[:4] for r in blocks] == [r[:4] for r in whole]
     assert any(r[4] for r in whole)
     for r, ref in zip(blocks, whole):
@@ -222,18 +222,26 @@ def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatc
 
 
 def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatch, caplog):
+    """Two h rows in one batch: each slice that flips more than once gets its own
+    warning, naming the row the slice starts at."""
     verdicts = itertools.cycle(["RS-consistent", "RSB-certified"])
+    batches = []
 
     def alternating(spec, tf, rule):
+        batches.append(tf.beta.size)
         return [(beta, h, next(verdicts), 0.5, None) for beta, h in zip(tf.beta, tf.h)]
 
     monkeypatch.setattr(cli, "_phase_rows", alternating)
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.4,1.0,4",
-            "--h-range", "0.3,0.3,1", "--out", str(tmp_path / "pd.csv")]
+            "--h-range", "0.2,0.3,2", "--out", str(tmp_path / "pd.csv")]
     with caplog.at_level(logging.WARNING, logger="mskglass"):
         assert main(argv) == 0
-    assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)]
-    assert "verdict flips 3 times along the h-slice starting at row 0" in caplog.records[0].getMessage()
+    assert batches == [8]
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mskglass", logging.WARNING)] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"verdict flips 3 times along the h-slice starting at row {row}; expected a single transition"
+        for row in (0, 4)
+    ]
 
 
 def test_phase_diagram_keeps_the_rows_after_a_failure(ref_config, tmp_path, monkeypatch, caplog):
@@ -625,6 +633,24 @@ def test_readme_scans_kernel_calls(monkeypatch, capsys):
             "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
     assert main(argv) == 0
     assert sum(rows) <= 2000
+
+
+def test_readme_phase_diagram_runs_as_one_batch(monkeypatch):
+    """The README phase-diagram scan's 250 points are one block: one at_verdicts call, one
+    certify_points call and two parisi.evaluate calls (one-step values and single-atom values),
+    where one batch per h row made 10, 10 and 20."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
+
+    for module, name in ((cli, "at_verdicts"), (cli, "certify_points"), (rs, "evaluate"), (onersb, "evaluate")):
+        counted(module, name)
+    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
+            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
+    assert main(argv) == 0
+    assert sorted(calls) == ["at_verdicts", "certify_points", "evaluate", "evaluate"]
 
 
 def test_readme_certificate_scan_node_pairs(monkeypatch):

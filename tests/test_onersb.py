@@ -343,26 +343,47 @@ def test_row_certificate_scan_allocation_guard(reference_spec, rule):
     assert peak <= 1.5 * 2**20
 
 
+def _readme_rsb_points(spec):
+    """The README grid's RSB points in grid order (h outer, beta inner): a TempField and their reports."""
+    betas, fields = np.linspace(0.4, 1.6, 25), np.linspace(0.1, 1.0, 10)
+    tf = TempField(beta=np.tile(betas, fields.size), h=np.repeat(fields, betas.size))
+    reports = at_verdicts(spec, tf)
+    rsb = [i for i, r in enumerate(reports) if r.verdict == Verdict.RSB_CERTIFIED]
+    return TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb]
+
+
 def test_row_batched_certificates_match_one_point_scans(reference_spec, rule):
     """On the README grid the certificates of each h row's RSB points, scanned
-    in one evaluator call, match one-point scans: the same (epsilon, zeta),
-    and gaps (best gaps where none is found) within 1e-15, at all 123
-    points."""
-    betas = np.linspace(0.4, 1.6, 25)
-    points = 0
-    for h in np.linspace(0.1, 1.0, 10):
-        tf = TempField(beta=betas, h=np.full(betas.size, h))
-        rsb = [(beta, r) for beta, r in zip(betas, at_verdicts(reference_spec, tf))
-               if r.verdict == Verdict.RSB_CERTIFIED]
-        batch = certify_points(reference_spec, TempField(beta=np.array([b for b, _ in rsb]), h=np.full(len(rsb), h)),
-                               [r for _, r in rsb], rule)
-        for (beta, report), got in zip(rsb, batch):
-            points += 1
-            try:
-                want = certify_one(reference_spec, TempField(beta=float(beta), h=float(h)), report, rule)
-            except CertificateNotFound as exc:
+    in one evaluator call, and of all 123 RSB points of the grid, scanned in one
+    more, match one-point scans: the same (epsilon, zeta), and gaps (best gaps
+    where none is found) within 1e-15."""
+    tf, reports = _readme_rsb_points(reference_spec)
+    assert len(reports) == 123
+    rows = [certificate for h in np.unique(tf.h) for certificate in certify_points(
+        reference_spec, TempField(beta=tf.beta[tf.h == h], h=tf.h[tf.h == h]),
+        [r for r, field in zip(reports, tf.h) if field == h], rule)]
+    grid = certify_points(reference_spec, tf, reports, rule)
+    for beta, h, report, *batched in zip(tf.beta, tf.h, reports, rows, grid):
+        try:
+            want = certify_one(reference_spec, TempField(beta=float(beta), h=float(h)), report, rule)
+        except CertificateNotFound as exc:
+            for got in batched:
                 assert isinstance(got, CertificateNotFound) and abs(got.best_gap - exc.best_gap) <= 1e-15
-                continue
+            continue
+        for got in batched:
             assert (got.epsilon, got.zeta) == (want.epsilon, want.zeta)
             assert abs(got.gap - want.gap) <= 1e-15
-    assert points == 123
+
+
+def test_grid_certificate_scan_allocation_guard(reference_spec, rule):
+    """The README grid's 123 RSB points scanned in one evaluator call peak at no
+    more than 2.5 MiB of traced allocations (about 2.3 MB measured): the evaluator's
+    E-sized arrays grow with the batch, its chunks do not."""
+    tf, reports = _readme_rsb_points(reference_spec)
+    tracemalloc.start()
+    try:
+        certify_points(reference_spec, tf, reports, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
