@@ -24,7 +24,7 @@ from .rs import (
 from .atline import (
     ATReport, Verdict, at_line_betas, at_verdicts, positivity_witness, stability_matrices,
 )
-from .onersb import OneRSBCertificate, certify_points
+from .onersb import OneRSBCertificate, certify_points, certify_slopes
 from .simulate import (
     DisorderSample, FreeEnergyEstimate, OverlapHistogram, free_energy_exact, overlap_histogram,
     sample_disorder,

@@ -29,7 +29,7 @@ from . import __version__
 from .atline import ATReport, Verdict, at_line_betas, at_verdicts
 from .errors import MskGlassError, NotConverged, CertificateNotFound, Unsupported
 from .model import VALIDATION_MODES, ModelSpec, TempField, validate
-from .onersb import OneRSBCertificate, certify_points
+from .onersb import certify_points, certify_slopes
 from .parisi import ParisiParams, evaluate as parisi_value
 from .quadrature import DEFAULT_ORDER, gauss_hermite
 from .rs import rs_functional, solve_points
@@ -37,7 +37,7 @@ from .simulate import free_energy_exact, overlap_histogram
 
 _log = logging.getLogger("mskglass")
 # Grid points, in output order, that phase-diagram solves and certifies as one batch: the README's
-# 25 x 10 grid is one block.  A batch's traced memory grows with its points (about 2.3 MB at 123 RSB points).
+# 25 x 10 grid is one block.  A batch's traced memory grows with its points (1.3 MB for those 250, mostly solves).
 _BLOCK_POINTS = 256
 
 
@@ -334,11 +334,12 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
 
 def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
     """Phase-diagram rows (beta, h, verdict, beta2_m, gap) of a batch of points: a failed verdict is a
-    numerical-failure row, and a gap stays empty where none is certified (quadratically small near the line)."""
+    numerical-failure row, and the gap is the certified one-step slope dP/dzeta at zeta = 1 (`certify_slopes`),
+    empty where none is certified."""
     reports = at_verdicts(spec, tf)
     rsb = [i for i, r in enumerate(reports) if isinstance(r, ATReport) and r.verdict == Verdict.RSB_CERTIFIED]
-    certificates = certify_points(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb], rule)
-    gaps = {i: c.gap for i, c in zip(rsb, certificates) if isinstance(c, OneRSBCertificate)}
+    _, slopes, _ = certify_slopes(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb], rule)
+    gaps = dict(zip(rsb, slopes))
     rows = []
     for i, (beta, h, report) in enumerate(zip(tf.beta, tf.h, reports)):
         if isinstance(report, MskGlassError):

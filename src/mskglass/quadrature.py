@@ -9,10 +9,10 @@ weights integrate against the standard normal measure directly:
 
     E f(eta) ~= sum_i w_i f(z_i),    sum_i w_i = 1.
 
-One consumer applies the rule: the hierarchical functional (`parisi.py`),
-which nests it level by level in the log domain with the overflow-free
-`log_cosh`; through it the single-atom value `rs.rs_functional`, the
-one-step certificates and `parisi-eval` depend on the order.  Its
+Two consumers apply the rule: the hierarchical functional (`parisi.py`),
+nested level by level in the log domain with the overflow-free `log_cosh`
+(`rs.rs_functional`, `certify_points` and `parisi-eval` run through it),
+and the inner expectation of the slope certificate (`onersb`).  The
 integrand log cosh has poles at y = +-i pi/2, so the rule loses accuracy as
 beta sqrt(C) grows.  The configured order (61 by default) is the most a
 level takes; one with a small noise scale takes 8 to 48 nodes (`parisi`).

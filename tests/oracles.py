@@ -472,8 +472,19 @@ def sech_moment(p, s, h, dps=30):
         return float(mp.exp(top) * total / mp.sqrt(2 * mp.pi))
 
 
+def trapezoid_rule(step=0.05, reach=10.0):
+    """The trapezoid rule for a standard-normal expectation: nodes k step on [-reach, reach], weights
+    step phi(z).  Its error falls geometrically in 1 / step for integrands analytic in a strip, whatever
+    the cavity scale, where Gauss-Hermite converges slowly."""
+    from mskglass import QuadRule
+
+    z = step * np.arange(-round(reach / step), round(reach / step) + 1)
+    return QuadRule(order=z.size, nodes=z, weights=step * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+
+
 def zeta_derivative(spec, tf, q_star, p, rule):
-    """Slope of the one-step functional in zeta at zeta = 1, as a function of p.
+    """Slope of the one-step functional in zeta at zeta = 1, as a function of p, on the tensor grid of
+    `rule` (a Gauss-Hermite rule or `trapezoid_rule`).
 
     Evaluates, per species,
 
@@ -499,10 +510,15 @@ def zeta_derivative(spec, tf, q_star, p, rule):
         if d[s] == 0.0:
             continue
         y1 = beta * math.sqrt(max(c_q.species[s], 0.0)) * nodes + h
-        t = np.clip(beta * math.sqrt(d[s]) * nodes, -700.0, 700.0)
-        # log cosh(y1 + t) - log cosh(y1) = log1p(2 sinh^2(t/2) + sinh(t) tanh(y1)),
-        # accurate to relative precision even when the increment is tiny
-        r = np.log1p(2.0 * np.sinh(0.5 * t[None, :]) ** 2 + np.sinh(t)[None, :] * np.tanh(y1)[:, None])
+        t = np.clip(beta * math.sqrt(d[s]) * nodes, -700.0, 700.0)[None, :]
+        # log cosh(y1 + t) - log cosh(y1) = log1p(u), u = 2 sinh^2(t/2) + sinh(t) tanh(y1), accurate to
+        # relative precision when the increment is tiny; where t opposes y1 and u < -1/2, u cancels, so
+        # 1 + u = e^-|t| + |sinh t| (1 - |tanh y1|), 1 - |tanh y1| = 2 e / (1 + e) with e = e^-2|y1|, is
+        # taken to its log instead
+        u = 2.0 * np.sinh(0.5 * t) ** 2 + np.sinh(t) * np.tanh(y1)[:, None]
+        e1 = np.exp(-2.0 * np.abs(y1))[:, None]
+        r = np.where(u < -0.5, np.log(np.exp(-np.abs(t)) + np.abs(np.sinh(t)) * (2.0 * e1 / (1.0 + e1))),
+                     np.log1p(np.maximum(u, -0.5)))
         shift = r.max(axis=1, keepdims=True)
         e = np.exp(r - shift)
         ratio = ((r * e) @ w) / (e @ w)

@@ -17,6 +17,10 @@ from mskglass import atline, cli, onersb, parisi, rs, simulate
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta, solve_one
+from .test_onersb import _readme_rsb_points
+
+README_PHASE_DIAGRAM = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode",
+                        "two-species-standard", "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
 
 
 @pytest.fixture()
@@ -204,8 +208,8 @@ def test_phase_diagram_grid(ref_config, tmp_path):
 
 def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatch):
     """A grid larger than the block size runs as several batches of grid points in
-    output order, across h rows: the rows, verdicts and beta2_m come out as from one
-    batch, and the gaps agree to 1e-13."""
+    output order, across h rows: the rows, verdicts, beta2_m and gaps come out as from
+    one batch, bit for bit (each slope's nodes follow from its own point)."""
     argv = ["phase-diagram", "--config", ref_config, "--beta-range", "0.5,1.4,7", "--h-range", "0.2,0.4,2"]
     assert main(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
     batches = []
@@ -215,10 +219,8 @@ def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatc
     assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert batches == [3, 3, 3, 3, 2]
     whole, blocks = _read_csv(tmp_path / "whole.csv")[2], _read_csv(tmp_path / "blocks.csv")[2]
-    assert [r[:4] for r in blocks] == [r[:4] for r in whole]
+    assert blocks == whole
     assert any(r[4] for r in whole)
-    for r, ref in zip(blocks, whole):
-        assert (r[4] == "") == (ref[4] == "") and (not ref[4] or abs(float(r[4]) - float(ref[4])) <= 1e-13)
 
 
 def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatch, caplog):
@@ -584,14 +586,13 @@ def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
 
     The recorded config must match exactly, key order included.  Verdicts
     and which cells carry a gap must match exactly.  beta2_m must agree to
-    1e-13 relative.  A gap is a difference of two functional values of
-    order 1, so it must agree to 1e-13 of those values (absolute).
+    1e-13 relative.  A gap is a certified one-step slope at zeta = 1, within
+    an error estimate below 2e-14 of the slope it names, so it must agree to
+    1e-15 (absolute).
     """
     golden = pathlib.Path(__file__).parent / "data" / "phase_diagram_readme.csv"
     out = tmp_path / "phase.csv"
-    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
-            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
-    assert main(argv) == 0
+    assert main(README_PHASE_DIAGRAM) == 0
     out.write_text(capsys.readouterr().out)
     want_header, want_columns, want = _read_csv(golden)
     header, columns, rows = _read_csv(out)
@@ -602,7 +603,7 @@ def test_readme_phase_diagram_matches_golden_output(tmp_path, capsys):
         assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-13, abs=0)
         assert (row[4] == "") == (ref[4] == "")
         if ref[4]:
-            assert abs(float(row[4]) - float(ref[4])) <= 1e-13
+            assert abs(float(row[4]) - float(ref[4])) <= 1e-15
 
 
 def test_readme_at_line_matches_golden(tmp_path, capsys):
@@ -629,32 +630,32 @@ def test_readme_scans_kernel_calls(monkeypatch, capsys):
         fn = module.map_derivatives
         monkeypatch.setattr(module, "map_derivatives",
                             lambda spec, tf, q, fn=fn: rows.append(np.size(q) // spec.m) or fn(spec, tf, q))
-    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
-            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
-    assert main(argv) == 0
+    assert main(README_PHASE_DIAGRAM) == 0
     assert sum(rows) <= 2000
 
 
 def test_readme_phase_diagram_runs_as_one_batch(monkeypatch):
-    """The README phase-diagram scan's 250 points are one block: one at_verdicts call, one
-    certify_points call and two parisi.evaluate calls (one-step values and single-atom values),
-    where one batch per h row made 10, 10 and 20."""
+    """The README phase-diagram scan's 250 points are one block: one at_verdicts call and at most two
+    slope-certificate calls (the first epsilon of all 123 RSB points, then the rest of the 3 it leaves),
+    with no grid certificate and no parisi.evaluate call (one batch per h row made 10 at_verdicts,
+    10 certify_points and 20 evaluator calls, and the grid as one block 1, 1 and 2)."""
     calls = []
 
     def counted(module, name):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
 
-    for module, name in ((cli, "at_verdicts"), (cli, "certify_points"), (rs, "evaluate"), (onersb, "evaluate")):
+    for module, name in ((cli, "at_verdicts"), (cli, "certify_points"), (rs, "evaluate"), (onersb, "evaluate"),
+                         (onersb, "_slopes")):
         counted(module, name)
-    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
-            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
-    assert main(argv) == 0
-    assert sorted(calls) == ["at_verdicts", "certify_points", "evaluate", "evaluate"]
+    assert main(README_PHASE_DIAGRAM) == 0
+    assert calls.count("at_verdicts") == 1 and 1 <= calls.count("_slopes") <= 2
+    assert "certify_points" not in calls and "evaluate" not in calls
 
 
-def test_readme_certificate_scan_node_pairs(monkeypatch):
-    """The README phase-diagram's one-step certificate scan evaluates at most 2,600,000 node pairs
+def test_readme_certificate_scan_node_pairs(monkeypatch, reference_spec, rule):
+    """The grid certificate on the README phase-diagram's 123 RSB points (what phase-diagram scanned
+    before the slope certificate, and certify still scans) evaluates at most 2,600,000 node pairs
     (rows x outer nodes x inner nodes, summed over the evaluator's two-level chunks): each level
     takes the smallest Gauss-Hermite order its own noise scale allows (5,083,020 with order 61 at
     every level)."""
@@ -665,11 +666,19 @@ def test_readme_certificate_scan_node_pairs(monkeypatch):
             pairs.append(len(h) * len(levels[0][0]) * len(levels[1][0]))
         return x_zero(h, scales, zetas, levels)
 
+    tf, reports = _readme_rsb_points(reference_spec)
     monkeypatch.setattr(parisi, "_x_zero", counting)
-    argv = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode", "two-species-standard",
-            "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
-    assert main(argv) == 0
-    assert 0 < sum(pairs) <= 2_600_000
+    onersb.certify_points(reference_spec, tf, reports, rule)
+    assert len(reports) == 123 and 0 < sum(pairs) <= 2_600_000
+
+
+def test_readme_phase_diagram_certifies_every_rsb_cell(capsys):
+    """Every one of the README grid's 123 RSB cells carries a positive gap, the 4 near-line cells
+    (beta^2 / beta2_m <= 1.012) included, which the grid certificate left empty; no other cell has one."""
+    assert main(README_PHASE_DIAGRAM) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+    assert sum(r[2] == "RSB-certified" and float(r[4]) > 0 for r in rows) == 123
+    assert all(r[4] == "" for r in rows if r[2] != "RSB-certified")
 
 
 def test_phase_diagram_where_gamma_is_subnormal(ref_config, capsys):
