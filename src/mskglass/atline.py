@@ -84,22 +84,22 @@ def stability_matrices(spec: ModelSpec, tf: TempField, gamma) -> tuple[np.ndarra
     return k, beta2 * k * np.outer(spec.lam, spec.lam)
 
 
-def _check_ordering(spec: ModelSpec, th: Thresholds) -> None:
-    # Strict ordering holds for positive-definite D with a nonzero cross
-    # variance.  Its gaps shrink like d12^2 and like the determinant: at
-    # d12 = 0 beta2_u and beta2_t meet beta2_m and beta2_M, and in the
-    # classical reduction beta2_v = beta2_m and beta2_M = inf.  Near either
-    # edge only the ordering up to rounding is checked.  Where gamma is
-    # subnormal the thresholds are inf, and equal infinite ones are ordered.
+def _ordered(spec: ModelSpec, th: Thresholds) -> np.ndarray:
+    # Per row of threshold arrays, whether they are ordered.  Strict ordering
+    # holds for positive-definite D with a nonzero cross variance.  Its gaps
+    # shrink like d12^2 and like the determinant: at d12 = 0 beta2_u and
+    # beta2_t meet beta2_m and beta2_M, and in the classical reduction
+    # beta2_v = beta2_m and beta2_M = inf.  Near either edge only the ordering
+    # up to rounding is checked.  Where gamma is subnormal the thresholds are
+    # inf, and equal infinite ones are ordered.  A NaN fails every comparison.
     fuzz = 1.0 + 1e-12
-    lo, hi = min(th.beta2_u, th.beta2_t), max(th.beta2_u, th.beta2_t)
+    lo, hi = np.minimum(th.beta2_u, th.beta2_t), np.maximum(th.beta2_u, th.beta2_t)
     pairs = ((th.beta2_v, th.beta2_m), (th.beta2_m, lo), (hi, th.beta2_M))
-    ok = th.beta2_v > 0.0 and all(a <= b * fuzz for a, b in pairs)
+    ok = (th.beta2_v > 0.0) & np.logical_and.reduce([a <= b * fuzz for a, b in pairs])
     d11, d12, d22 = spec.delta2[0, 0], spec.delta2[0, 1], spec.delta2[1, 1]
     if min(d12 * d12, d11 * d22 - d12 * d12) > 1e-12 * d11 * d22:
-        ok = ok and all(a < b or a == b == math.inf for a, b in pairs)
-    if not ok:
-        raise InternalInconsistency(f"threshold ordering violated: {th}")
+        ok &= np.logical_and.reduce([(a < b) | ((a == b) & (b == math.inf)) for a, b in pairs])
+    return ok
 
 
 def _require_standard(spec: ModelSpec) -> None:
@@ -151,8 +151,8 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     (an axis when d12 = 0).  The sign test and the witness are
     cross-checked against each other in both directions.  All points are
     solved as one batch (`rs.solve_points`) and classified in one pass: one
-    threshold call on the gamma rows and stacked K, H and witnesses, with
-    the ordering check, the band and the cross-checks per point.  Each gets
+    threshold call on the gamma rows, stacked K, H and witnesses and one
+    ordering check, with the band and the cross-checks per point.  Each gets
     an ATReport, or the MskGlassError its solve or classification raised.
     Every point has h > 0 in the standard class, where one start suffices, so
     no quadrature rule is involved: the verdict and beta2_m do not depend on
@@ -168,11 +168,12 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     gamma = np.reshape([reports[i].gamma for i in rows], (-1, spec.m))
     thresholds = two_species_thresholds(spec, gamma)
     k, hessian = stability_matrices(spec, TempField(beta=tf.beta[rows], h=tf.h[rows]), gamma)
-    witnesses = positivity_witness(k)
+    witnesses, ordered = positivity_witness(k), _ordered(spec, thresholds)
     for j, (i, b2) in enumerate(zip(rows, np.float_power(tf.beta[rows], 2.0))):
         th, sol, witness = Thresholds._make(t[j] for t in thresholds), reports[i], witnesses[j]
         try:
-            _check_ordering(spec, th)
+            if not ordered[j]:
+                raise InternalInconsistency(f"threshold ordering violated: {th}")
             if abs(b2 - th.beta2_m) <= _VERDICT_BAND:
                 verdict, witness = Verdict.INDETERMINATE, None
             elif b2 > th.beta2_m:

@@ -95,7 +95,7 @@ def _slopes(spec: ModelSpec, beta, h, q, p, rule: QuadRule) -> tuple:
     counts, hs = 2 * half + 1, np.repeat(h, spec.m)
     orders = np.minimum([*_ORDERS, rule.order], rule.order)[np.searchsorted(_SCALE_LIMITS, np.sqrt(a2))]
     sums = np.empty((3, s1.size))  # per species row: E1 g by the fine and the coarse rule, and E1 |g|
-    for order in np.unique(orders).tolist():
+    for order in sorted(set(orders.tolist())):  # np.unique imports numpy.ma: a quarter of a cold phase diagram
         inner, rows = rule if order == rule.order else gauss_hermite(order), np.flatnonzero(orders == order)
         for rc in np.split(rows, np.flatnonzero(np.diff(np.cumsum(counts[rows] * order) // _SLOPE_CHUNK)) + 1):
             (starts, j), n = _segments(counts[rc]), np.repeat(np.arange(rc.size), counts[rc])
@@ -134,8 +134,9 @@ def certify_slopes(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> t
         if point.size:
             slope, error = _slopes(spec, tf.beta[point], tf.h[point], q_star[point], p[point, k], rule)
             hit = np.flatnonzero(slope > 2.0 * error)
-            done, at = np.unique(point[hit], return_index=True)  # entries run in (point, epsilon) order
-            out[:, done] = SLOPE_EPSILONS[k[hit[at]]], slope[hit[at]], error[hit[at]]
+            # point comes from np.nonzero, so it is sorted and runs in (point, epsilon) order: keep first hits
+            at = hit[np.flatnonzero(np.diff(point[hit], prepend=-1))]
+            out[:, point[at]] = SLOPE_EPSILONS[k[at]], slope[at], error[at]
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ from mskglass import (
     MskGlassError,
     NotConverged,
     TempField,
+    Thresholds,
     Unsupported,
     Verdict,
     at_line_betas,
@@ -288,6 +289,30 @@ def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypat
     assert kinds == [Verdict.RS_CONSISTENT, Verdict.RSB_CERTIFIED, NotConverged, Verdict.RSB_CERTIFIED,
                      MskGlassError, Verdict.RSB_CERTIFIED, InternalInconsistency, Verdict.RS_CONSISTENT,
                      Verdict.INDETERMINATE]
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "beta2_u", "beta2_t", "beta2_v", "beta2_m", "beta2_M"])
+def test_threshold_ordering_failure_stays_on_its_own_point(reference_spec, monkeypatch, corrupt):
+    """Thresholds out of order in one row of a 5-point block (beta2_m and beta2_M swapped, or one of them
+    NaN, which fails every comparison) make that point, and only that point, an InternalInconsistency
+    that names its thresholds; the other points are bit-equal to an unpatched run."""
+    tf = TempField(beta=[0.6, 1.2, 1.5, 0.8, 1.4], h=[0.4, 0.3, 0.6, 1.0, 0.2])
+    plain, thresholds, bad = at_verdicts(reference_spec, tf), atline.two_species_thresholds, []
+
+    def corrupted(spec, gamma):
+        th = [t.copy() for t in thresholds(spec, gamma)]
+        if corrupt == "swap":
+            th[3][2], th[4][2] = th[4][2], th[3][2]
+        else:
+            th[Thresholds._fields.index(corrupt)][2] = math.nan
+        bad.append(Thresholds._make(t[2] for t in th))
+        return Thresholds._make(th)
+
+    monkeypatch.setattr(atline, "two_species_thresholds", corrupted)
+    patched = at_verdicts(reference_spec, tf)
+    assert not any(isinstance(r, MskGlassError) for r in plain)
+    assert _report_fields(patched[2]) == (InternalInconsistency, f"threshold ordering violated: {bad[0]}")
+    assert [_report_fields(r) for r in patched[:2] + patched[3:]] == [_report_fields(r) for r in plain[:2] + plain[3:]]
 
 
 def test_witness_three_species_search():

@@ -542,17 +542,52 @@ def test_inputs_outside_the_supported_class_exit_one(capsys, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_every_bench_command_exits_zero(capsys):
-    """Each command of the benchmark's workloads at seed 0 runs through the CLI and exits 0,
-    so a CLI change that would break the benchmark (a flag it passes, say) fails here."""
+def _bench_workloads(seed: int) -> dict:
+    """The benchmark's command lists per workload, read from bench/run.py."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
     spec = importlib.util.spec_from_file_location("bench_run", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    for name, commands in bench.workloads(0).items():
+    return bench.workloads(seed)
+
+
+def test_every_bench_command_exits_zero(capsys):
+    """Each command of the benchmark's workloads at seed 0 runs through the CLI and exits 0,
+    so a CLI change that would break the benchmark (a flag it passes, say) fails here."""
+    for name, commands in _bench_workloads(0).items():
         for argv in commands:
             assert main(argv) == 0, (name, argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+_IMPORT_PROBE = """\
+import contextlib, io, json, sys
+import mskglass.cli as cli
+commands = json.loads(sys.argv[1])
+cli.build_parser().parse_args(commands[0])
+before = set(sys.modules)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+print(json.dumps([sorted({"numpy.ma", "numpy.random"} & before), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_bench_workloads_import_nothing_while_they_run():
+    """In a fresh interpreter set up as the benchmark sets one up (import the CLI, parse the first command),
+    running a workload's commands imports no further module.  A lazy import (numpy.ma, which np.unique
+    loads, cost a quarter of a phase diagram) would be paid inside the timed run; moving it to module level
+    would move it into the set-up, so numpy.ma must not be loaded there either, nor numpy.random, which the
+    splitmix64 draws of the finite-N commands replace."""
+    src = os.path.dirname(os.path.dirname(mskglass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    found = {}
+    for name, commands in _bench_workloads(0).items():
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (name, proc.stderr)
+        found[name] = json.loads(proc.stdout.splitlines()[-1])
+    assert found == {name: [[], []] for name in found}
 
 
 def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):

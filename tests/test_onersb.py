@@ -477,3 +477,41 @@ def test_slope_certificate_scans_in_two_rounds(reference_spec, rule, monkeypatch
     monkeypatch.setattr(onersb, "SLOPE_EPSILONS", np.array([2.0, 5.0]))
     rows.clear()
     assert np.isnan(certify_slopes(reference_spec, tf, reports[:3], rule)).all() and rows == []
+
+
+@pytest.mark.parametrize(
+    "hits, want, calls",
+    [
+        # point 0 clears at the first epsilon and later, 1 first at the fourth of several, 2 never
+        ({0: [0, 4], 1: [3, 5, 9]}, [0, 3, None], [3, 24]),
+        # no hit in the first round, several for point 1 in the second
+        ({1: [2, 7, 12]}, [None, 2, None], [3, 36]),
+        # no hit in either round
+        ({}, [None, None, None], [3, 36]),
+    ],
+)
+def test_slope_certificate_takes_each_points_first_certifying_epsilon(reference_spec, rule, monkeypatch,
+                                                                       hits, want, calls):
+    """With `_slopes` replaced by a table of slopes that clear twice their error at the listed epsilon
+    indices only, each point gets its first certifying epsilon in SLOPE_EPSILONS order with that entry's
+    slope and error, a point that never clears stays NaN, and a round without a hit changes nothing."""
+    tf = TempField(beta=[1.2, 1.5, 1.6], h=[0.3, 0.6, 0.1])
+    reports = at_verdicts(reference_spec, tf)
+    table = np.array([[1.0 + n + k / 100.0 if k in hits.get(n, ()) else -1.0 for k in range(SLOPE_EPSILONS.size)]
+                      for n in range(3)])
+    seen = []
+
+    def slopes(spec, beta, h, q, p, rule):
+        seen.append(len(beta))
+        point = np.searchsorted(tf.beta, beta)  # the betas are distinct and ascending
+        k = np.abs(np.log(np.max(p - q, axis=-1))[:, None] - np.log(SLOPE_EPSILONS)).argmin(-1)
+        return table[point, k], 0.25 + k / 1000.0
+
+    monkeypatch.setattr(onersb, "_slopes", slopes)
+    epsilon, slope, error = certify_slopes(reference_spec, tf, reports, rule)
+    assert seen == calls
+    for n, k in enumerate(want):
+        if k is None:
+            assert math.isnan(epsilon[n]) and math.isnan(slope[n]) and math.isnan(error[n])
+        else:
+            assert (epsilon[n], slope[n], error[n]) == (SLOPE_EPSILONS[k], table[n, k], 0.25 + k / 1000.0)

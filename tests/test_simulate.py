@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +14,6 @@ from mskglass import (
     overlap_histogram,
     sample_disorder,
 )
-import mskglass
 from mskglass import simulate
 from mskglass.simulate import (
     derive_seed,
@@ -310,19 +306,6 @@ def test_overlap_histogram_frees_each_sample_before_the_next(reference_spec):
         return _traced_peak(lambda: overlap_histogram(reference_spec, tf, n=128, sweeps=20, n_disorder=count, seed=7))
 
     assert peak(2) <= 1.05 * peak(1)
-
-
-def test_overlap_hist_leaves_numpy_random_unimported():
-    """A fresh interpreter running overlap-hist never imports numpy.random."""
-    src = os.path.dirname(os.path.dirname(mskglass.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["overlap-hist", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--beta", "0.3", "--h", "0.4",
-            "--n", "16", "--sweeps", "20", "--n-disorder", "2"]
-    code = ("import contextlib, io, sys\nfrom mskglass.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
-            "print(code, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_overlap_size_guard(sk_spec):
