@@ -143,7 +143,8 @@ FIELDS = {
     "h": Field(float, _real, 0.0, _POINT),
     "lambda": Field(_float_list, _floats, _REQUIRED, _ALL, "species proportions, comma-separated"),
     "mode": Field(str, _mode, "convex", _ALL, " | ".join(VALIDATION_MODES)),
-    "order": Field(int, _rule, DEFAULT_ORDER, _QUADRATURE, f"largest quadrature order per level (default {DEFAULT_ORDER})"),
+    "order": Field(int, _rule, DEFAULT_ORDER, _QUADRATURE,
+                   f"Gauss-Hermite order of every level; caps the slope's inner order (default {DEFAULT_ORDER})"),
     "seed": Field(int, _count, 0, _FINITE_N),
     "out": Field(str, _path, None, _ALL, "output path (default stdout)"),
     "beta_range": Field(_range_triple, _range, (0.2, 1.2, 10), ("phase-diagram",), "min,max,steps"),

@@ -29,7 +29,7 @@ import numpy as np
 from .atline import Verdict
 from .errors import BadPoint, CertificateNotFound
 from .model import ModelSpec, TempField, overlap_contractions
-from .parisi import _ORDERS, _SCALE_LIMITS, ParisiParams, evaluate
+from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule, gauss_hermite
 from .rs import _segments, rs_functional
 
@@ -60,6 +60,9 @@ ZETA_GRID = 1.0 - np.geomspace(0.5, 0.01, 10)
 SLOPE_EPSILONS = 10.0 ** (-2.0 - np.arange(13) / 4.0)
 EPSILON_GRID.flags.writeable = ZETA_GRID.flags.writeable = SLOPE_EPSILONS.flags.writeable = False
 _SLOPE_CHUNK = 10_000  # outer x inner node pairs per chunk, give or take one row
+# E2 takes _ORDERS[i] for the first limit i its noise scale is within, else (and at most) the configured order
+_ORDERS = (8, 16, 32, 48)
+_SCALE_LIMITS = (0.09, 0.235, 0.41, 0.54)
 
 
 def _displacements(spec: ModelSpec, reports) -> tuple:
@@ -80,12 +83,14 @@ def _slopes(spec: ModelSpec, beta, h, q, p, rule: QuadRule) -> tuple:
 
         S = sum_s lam_s (E1[E2[(1 + u) log1p u] / E2[1 + u]] - a^2/2) - (beta^2/2) (E(p) - E(q)).
 
-    E2 takes `parisi`'s Gauss-Hermite order for a, capped by `rule`; E2[1 + u] = E2 cosh t + tanh y E2 sinh t,
-    and u (rounded to about 2^-53 cosh t) is kept above -1 + 2^-53.  E1 is the trapezoid rule on |Z1| <= 9,
-    step min(0.3, 0.15 / s1), even steps a side; its integrand is analytic for |Im Z1| < pi / (2 s1), so its
-    error is about e^(-pi^2 / (s1 step)) <= e^-65, e^-32 on every other node (Trefethen & Weideman, SIAM
-    Review 56, 2014).  The error estimate is their difference plus 2^-52 (n sum|terms| of n outer terms, and
-    C and E, whose rounding a^2 and E(p) - E(q) carry).  Nodes follow from the row alone: same bits in any batch.
+    E2 takes the least Gauss-Hermite order of _ORDERS whose limit covers a, else (and at most) `rule`'s; its
+    integrand is analytic for |Im Z2| < pi / (2a), so up to its limit each order is within 1e-16 of order 61.
+    E2[1 + u] = E2 cosh t + tanh y E2 sinh t, and u (rounded to about 2^-53 cosh t) is kept above -1 + 2^-53.
+    E1 is the trapezoid rule on |Z1| <= 9, step min(0.3, 0.15 / s1), even steps a side; its integrand is
+    analytic for |Im Z1| < pi / (2 s1), so its error is about e^(-pi^2 / (s1 step)) <= e^-65, e^-32 on every
+    other node (Trefethen & Weideman, SIAM Review 56, 2014).  The error estimate is their difference plus
+    2^-52 (n sum|terms| of n outer terms, and C and E, whose rounding a^2 and E(p) - E(q) carry).  Nodes
+    follow from the row alone: same bits in any batch.
     """
     cq, cp = overlap_contractions(spec, q), overlap_contractions(spec, p)
     b2 = (beta * beta)[:, None]

@@ -32,15 +32,6 @@ bound on |X_1| is below 2^-64.  A level then moves by at most
 order * 2^-64 of its value (absolutely, at the mean).  Once beta sqrt(C)
 is large (about 4 at order 61) the log-sum-exp level keeps every node.
 
-Each level of each row takes the least Gauss-Hermite order of 8, 16, 32
-and 48 whose limit (0.09, 0.235, 0.41, 0.54) covers its noise scale a, else
-the configured order, which caps all.  Its integrand is analytic for
-|Im y| < pi/2, a strip of half-width pi/(2a) in the level's Gaussian
-variable, where the rule converges geometrically: up to its limit each
-order is within 1e-16 of order 61 (relative above 1).  A row's orders do
-not depend on its batch.  The README certificate scan sums 2,550,240 node
-pairs, 28% of order 61's 9,153,660 (55% with node skipping alone).
-
 Levels whose overlap increment vanishes are integrated out exactly (the
 reduction is the identity there), which keeps coalesced ladders
 bit-stable.  A batch of Z weight vectors shares every log-cosh grid and
@@ -59,16 +50,13 @@ import numpy as np
 
 from .errors import BadZeta, NonmonotoneOverlap
 from .model import ModelSpec, TempField, overlap_contractions
-from .quadrature import QuadRule, gauss_hermite, log_cosh
+from .quadrature import QuadRule, log_cosh
 
 _LOG2 = math.log(2.0)
 _INCREMENT_TOL = 1e-12
 _EXP_LIMIT = 700.0  # e^700 times any order's node count stays inside float64
 _NEGLIGIBLE = 2.0**-64  # share of a level's value a skipped node may carry
-_CHUNK_FLOATS = 160_000  # exponentials held at once: 4 rows of a 10-weight scan at 61 x 61 nodes, 32 at 61 x 8
-# a level takes _ORDERS[i] for the first limit i its noise scale is within, else (and at most) the configured order
-_ORDERS = (8, 16, 32, 48)
-_SCALE_LIMITS = (0.09, 0.235, 0.41, 0.54)
+_CHUNK_FLOATS = 160_000  # exponentials held at once: 4 rows of a 10-weight scan at 61 x 61 nodes
 
 
 @dataclass(frozen=True)
@@ -117,11 +105,11 @@ class ParisiParams:
         return self.q.shape[1]
 
 
-def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarray, lift: float) -> np.ndarray:
+def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(1/z) log sum_j w_j e^{z x_j} over the last axis of `x`, one row per
     exponent z in `zeta` (shape (Z,)); `x` leads with an axis of length Z or 1,
     is overwritten, and `peak` (x's shape without its last axis) bounds it
-    from above.  `lift` is added to log S (see `_chunks`).
+    from above.
 
     x is first centred on its weighted mean m, so the sum S of e^{z (x - m)}
     is at least about 1 (Jensen); where x reaches more than _EXP_LIMIT above
@@ -139,19 +127,18 @@ def _log_mean_exp(x: np.ndarray, peak: np.ndarray, zeta: np.ndarray, w: np.ndarr
     else:
         log_s = np.log(np.exp(e, out=e) @ w)
     del e  # frees the Z-sized array before the result's temporaries are made
-    return (log_s + lift) / z + centre
+    return log_s / z + centre
 
 
-def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray, lift: float) -> np.ndarray:
+def _reduce(values: np.ndarray, zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Integrate the last axis, one row per exponent in `zeta` (shape (Z,)): a plain
-    mean times 1 + `lift` where all are 0 (the outermost level), else (1/z) log E e^{z x}.
+    mean where all are 0 (the outermost level), else (1/z) log E e^{z x}.
 
     `values` leads with the batch axis, of length Z or 1 (shared by every row).
     """
     if not zeta.any():
-        mean = values @ w
-        return mean + lift * mean
-    return _log_mean_exp(values, values.max(axis=-1), zeta, w, lift)
+        return values @ w
+    return _log_mean_exp(values, values.max(axis=-1), zeta, w)
 
 
 def _kept(rule: QuadRule, zeta: np.ndarray, widest: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -180,7 +167,7 @@ def _x_zero(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, levels: list) 
     `h` (R x 1) holds each row's field, `scales` (R x L) its noise
     amplitudes of its live (nonzero) levels, outermost first, `zetas`
     (Z x L) the exponents applied when each is integrated out and `levels`
-    the (nodes, weights, lift) kept at each.  The two innermost levels are
+    the (nodes, weights) kept at each.  The two innermost levels are
     evaluated for the whole chunk at once: the log-cosh grid is formed once
     and exponentiated per weight vector into one Z x R x n x n array.  Outer
     levels recurse node by node, so that array is the peak memory whatever
@@ -190,40 +177,36 @@ def _x_zero(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, levels: list) 
     depth = scales.shape[1]
 
     def rec(i: int, shift):
-        z, w, lift = levels[i]
+        z, w = levels[i]
         if i == depth - 1:
             x = log_cosh(shift + scales[:, i, None] * z)
-            return _reduce(x[None], zetas[:, i], w, lift)
+            return _reduce(x[None], zetas[:, i], w)
         if i < depth - 2:
             x = np.stack([rec(i + 1, shift + scales[:, i, None] * node) for node in z], axis=-1)
-            return _reduce(x, zetas[:, i], w, lift)
-        inner, w_inner, lift_inner = levels[i + 1]
+            return _reduce(x, zetas[:, i], w)
+        inner, w_inner = levels[i + 1]
         x = log_cosh((shift + scales[:, i, None] * z)[..., None] + scales[:, i + 1, None, None] * inner)[None]
         # log cosh grows with |field| and the nodes ascend, so each row peaks at an end node
         peak = np.maximum(x[..., 0], x[..., -1])
-        return _reduce(_log_mean_exp(x, peak, zetas[:, i + 1], w_inner, lift_inner), zetas[:, i], w, lift)
+        return _reduce(_log_mean_exp(x, peak, zetas[:, i + 1], w_inner), zetas[:, i], w)
 
     return rec(0, h)
 
 
-def _chunks(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, rules: list, rule: QuadRule) -> np.ndarray:
-    """X_0 (R x Z) of R rows that share their live levels and each level's rule, chunk by chunk.
+def _chunks(h: np.ndarray, scales: np.ndarray, zetas: np.ndarray, rule: QuadRule) -> np.ndarray:
+    """X_0 (R x Z) of R rows that share their live levels, chunk by chunk.
 
-    A chunk's two innermost levels span Z x rows x nodes x nodes <=
-    _CHUNK_FLOATS; its nodes are kept per chunk (`_kept`).  A level with a
-    smaller rule than `rule` is lifted by the difference of their weight
-    sums (about 1e-16, which 1/zeta would amplify), so both integrate a
-    constant alike.
+    A chunk's two innermost levels span Z x rows x order x order <=
+    _CHUNK_FLOATS; its nodes are kept per chunk (`_kept`).
     """
-    rows = max(1, _CHUNK_FLOATS // (len(zetas) * math.prod(r.order for r in rules[-2:])))
+    rows = max(1, _CHUNK_FLOATS // (len(zetas) * rule.order**2))
     starts = np.arange(0, len(h), rows)
     widest = np.maximum.reduceat(scales, starts, axis=0)  # (chunks, L)
-    zmax = max(np.abs(r.nodes).max() for r in rules)
+    zmax = np.abs(rule.nodes).max()
     reach = np.maximum.reduceat(h, starts)[:, None] + zmax * (np.cumsum(widest[:, ::-1], axis=1)[:, ::-1] - widest)
-    masks = [_kept(r, zetas[:, i], widest[:, i], reach[:, i]) for i, r in enumerate(rules)]
-    lifts = [math.fsum(np.concatenate([rule.weights, -r.weights])) for r in rules]
+    masks = [_kept(rule, zetas[:, i], widest[:, i], reach[:, i]) for i in range(scales.shape[1])]
     x = [_x_zero(h[at : at + rows, None], scales[at : at + rows], zetas,
-                 [(r.nodes[m[c]], r.weights[m[c]], lift) for r, m, lift in zip(rules, masks, lifts)])
+                 [(rule.nodes[m[c]], rule.weights[m[c]]) for m in masks])
          for c, at in enumerate(starts)]
     return np.concatenate(x, axis=-1).T
 
@@ -258,13 +241,7 @@ def evaluate(spec: ModelSpec, tf: TempField, params: ParisiParams, rule: QuadRul
         if not live.any():
             x0[e, s] = (log_cosh(h[e]) + top[e, s])[:, None]
             continue
-        sc = scales[e, :, s][:, live]
-        orders = np.minimum([*_ORDERS, rule.order], rule.order)[np.searchsorted(_SCALE_LIMITS, sc)]  # (rows, L)
-        perm = np.lexsort(orders.T)  # stable, so a group keeps its rows' order
-        cuts = np.flatnonzero((np.diff(orders[perm], axis=0) != 0).any(-1)) + 1
-        for g in np.split(perm, cuts):
-            rules = [rule if n == rule.order else gauss_hermite(n) for n in orders[g[0]].tolist()]
-            x0[e[g], s[g]] = _chunks(h[e[g]], sc[g], zetas[:, :-1][:, live], rules, rule) + top[e[g], s[g], None]
+        x0[e, s] = _chunks(h[e], scales[e, :, s][:, live], zetas[:, :-1][:, live], rule) + top[e, s, None]
 
     correction = np.sum(zetas[:, 1:] * np.diff(cons.scalar, axis=-1)[:, None, 1:], axis=-1)
     return _LOG2 + spec.lam @ x0 - (0.5 * beta * beta)[:, None] * correction

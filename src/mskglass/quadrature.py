@@ -14,8 +14,9 @@ nested level by level in the log domain with the overflow-free `log_cosh`
 (`rs.rs_functional`, `certify_points` and `parisi-eval` run through it),
 and the inner expectation of the slope certificate (`onersb`).  The
 integrand log cosh has poles at y = +-i pi/2, so the rule loses accuracy as
-beta sqrt(C) grows.  The configured order (61 by default) is the most a
-level takes; one with a small noise scale takes 8 to 48 nodes (`parisi`).
+beta sqrt(C) grows.  Every level of the functional takes the configured
+order (61 by default); the slope's inner expectation takes 8 to 48 nodes
+where its noise scale is small, the configured order capping it (`onersb`).
 T = E tanh^2 and gamma = lam E sech^4, and with them every verdict and the
 phase line, need no rule (`rs.map_derivatives`).
 """

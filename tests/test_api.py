@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import mskglass
-from mskglass import parisi
 from mskglass import (
     BadDimension, NonmonotoneOverlap, ParisiParams, TempField, Unsupported, gauss_hermite, log_cosh,
     map_derivatives, overlap_contractions, parisi_value, positivity_witness, rs_functional, stability_matrices,
@@ -56,21 +55,6 @@ def _cases(spec, rule):
     def ladder_values(beta, h, q):
         return parisi_value(spec, TempField(beta=beta, h=h), ParisiParams(zeta=[[0.1], [0.45], [0.95]], q=q), rule)
 
-    def level_orders(beta, h, q):
-        """Per point (told apart by h), its species rows' Gauss-Hermite orders per level, sorted."""
-        seen, chunks = [], parisi._chunks
-
-        def spy(h_rows, scales, zetas, rules, configured):
-            seen.extend((x, [r.order for r in rules]) for x in h_rows.tolist())
-            return chunks(h_rows, scales, zetas, rules, configured)
-
-        parisi._chunks = spy
-        try:
-            ladder_values(beta, h, q)
-        finally:
-            parisi._chunks = chunks
-        return np.array([sorted(orders for x, orders in seen if x == point) for point in h])
-
     return {
         # q = 0 at h > 0 and at h = 0 takes the closed form, h = 30 and 100 the tail form, the others the rule,
         # each row with its own nodes
@@ -93,11 +77,6 @@ def _cases(spec, rule):
                           lambda beta, h, q: rs_functional(spec, TempField(beta=beta, h=h), q, rule), 0, False),
         "evaluate-ladders": ((np.array([1.3, 1.3, 1.3, 1.3, 0.8]), np.array([0.35, 0.35, 0.35, 0.35, 0.6]), ladders),
                              ladder_values, 0, False),
-        # every level live, with scales from 0.05 to 1.7, so that the rows take every order from 8 to 61
-        "evaluate-orders": ((np.array([0.3, 0.6, 0.9, 1.2, 1.5]), np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-                             np.array([[[0.01, 0.03], [0.02, 0.04]], [[0.04, 0.1], [0.05, 0.12]],
-                                       [[0.3, 0.4], [0.25, 0.45]], [[0.05, 0.9], [0.1, 0.8]],
-                                       [[0.5, 0.6], [0.4, 0.7]]])), level_orders, 0, True),
         "evaluate-weights-k1": ((zetas[:, 1:],), weights(ladder[:, 1:], rule), 1, False),
         "evaluate-weights-k2": ((zetas,), weights(ladder, gauss_hermite(15)), 1, False),
         "log_cosh": ((np.array([-800.0, -1.5, 0.0, 1e-9, 30.0]),), log_cosh, 0, True),
@@ -106,14 +85,13 @@ def _cases(spec, rule):
 
 @pytest.mark.parametrize("case", ["map_derivatives", "stability_matrices", "positivity_witness",
                                   "two_species_thresholds", "inverse_beta2_m", "overlap_contractions", "rs_functional",
-                                  "evaluate-ladders", "evaluate-orders", "evaluate-weights-k1", "evaluate-weights-k2",
+                                  "evaluate-ladders", "evaluate-weights-k1", "evaluate-weights-k2",
                                   "log_cosh"])
 def test_row_convention(case, reference_spec, rule):
     """A kernel given a batch of one returns results whose batch axis has length 1 (a one-entry list
     for the witness), never a Python float or a bare object; and each row of a batch gives the
     results of that row alone, bit for bit.  The functional's rows agree to 1e-14 instead: which
-    quadrature nodes it skips is decided per chunk of rows (`parisi._kept`); the Gauss-Hermite order
-    of each of a row's levels follows from its own scale, so it is the same alone and in a batch."""
+    quadrature nodes it skips is decided per chunk of rows (`parisi._kept`)."""
     rows, call, axis, exact = _cases(reference_spec, rule)[case]
     whole = call(*rows)
     for i in range(len(rows[0])):

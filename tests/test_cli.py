@@ -13,11 +13,10 @@ import pytest
 
 import mskglass
 from mskglass import TempField, free_energy_exact, rs_functional
-from mskglass import atline, cli, onersb, parisi, rs, simulate
+from mskglass import atline, cli, onersb, quadrature, rs, simulate
 from mskglass.cli import main
 from mskglass.parisi import ParisiParams, evaluate as parisi_value
 from .oracles import single_species_at_beta, solve_one
-from .test_onersb import _readme_rsb_points
 
 README_PHASE_DIAGRAM = ["phase-diagram", "--delta2", "1.5,1,1,1.2", "--lambda", "0.6,0.4", "--mode",
                         "two-species-standard", "--beta-range", "0.4,1.6,25", "--h-range", "0.1,1.0,10"]
@@ -388,9 +387,8 @@ def test_parisi_eval_matches_library(ref_config, tmp_path, capsys, reference_spe
     ],
 )
 def test_parisi_eval_below_every_level_order(ref_config, capsys, point, want):
-    """At --order 5, below the smallest order a level takes from its scale, every level keeps the
-    configured rule: k = 1 and k = 2 print, bit for bit, the values recorded when one rule served
-    every level."""
+    """At --order 5, far below the default, every level takes the configured rule: k = 1 and k = 2
+    print, bit for bit, the values recorded at that order."""
     doc = _run_json(capsys, ["parisi-eval", "--config", ref_config, "--order", "5", *point])
     assert doc["result"]["value"] == want
 
@@ -560,6 +558,22 @@ def test_every_bench_command_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_evaluator_builds_only_the_rule_it_is_given(monkeypatch, capsys):
+    """From an empty table cache, the benchmark's `certify` at (1.2, 0.3) and its k = 2 `parisi-eval` at
+    (0.5, 0.4) each build one Gauss-Hermite table, of the configured order 61: every level of the
+    evaluator takes the rule it is given."""
+    built, build = [], quadrature.hermgauss
+    monkeypatch.setattr(quadrature, "hermgauss", lambda n: built.append(n) or build(n))
+    point = _bench_workloads(0)["point-crosscheck"]
+    assert point[1][0] == "certify" and point[5][0] == "parisi-eval" and "0.3,0.7" in point[5]
+    for argv in (point[1], point[5]):
+        quadrature.gauss_hermite.cache_clear()
+        built.clear()
+        assert main(argv) == 0
+        assert built == [61], argv
+    capsys.readouterr()
+
+
 _IMPORT_PROBE = """\
 import contextlib, io, json, sys
 import mskglass.cli as cli
@@ -686,25 +700,6 @@ def test_readme_phase_diagram_runs_as_one_batch(monkeypatch):
     assert main(README_PHASE_DIAGRAM) == 0
     assert calls.count("at_verdicts") == 1 and 1 <= calls.count("_slopes") <= 2
     assert "certify_points" not in calls and "evaluate" not in calls
-
-
-def test_readme_certificate_scan_node_pairs(monkeypatch, reference_spec, rule):
-    """The grid certificate on the README phase-diagram's 123 RSB points (what phase-diagram scanned
-    before the slope certificate, and certify still scans) evaluates at most 2,600,000 node pairs
-    (rows x outer nodes x inner nodes, summed over the evaluator's two-level chunks): each level
-    takes the smallest Gauss-Hermite order its own noise scale allows (5,083,020 with order 61 at
-    every level)."""
-    pairs, x_zero = [], parisi._x_zero
-
-    def counting(h, scales, zetas, levels):
-        if len(levels) == 2:
-            pairs.append(len(h) * len(levels[0][0]) * len(levels[1][0]))
-        return x_zero(h, scales, zetas, levels)
-
-    tf, reports = _readme_rsb_points(reference_spec)
-    monkeypatch.setattr(parisi, "_x_zero", counting)
-    onersb.certify_points(reference_spec, tf, reports, rule)
-    assert len(reports) == 123 and 0 < sum(pairs) <= 2_600_000
 
 
 def test_readme_phase_diagram_certifies_every_rsb_cell(capsys):

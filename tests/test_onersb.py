@@ -399,6 +399,28 @@ def _slope_at(spec, tf, report, epsilon, rule):
     return q, p, slope, error
 
 
+_EDGE_CASES = [(order, h) for order in onersb._ORDERS for h in (0.0, 0.3, 5.0)]
+
+
+@pytest.mark.parametrize("order, h", _EDGE_CASES, ids=[f"{o}@h={h}" for o, h in _EDGE_CASES])
+def test_each_level_order_holds_at_its_scale_limit(reference_spec, rule, monkeypatch, order, h):
+    """At beta = 1, with both species' inner noise scale a at 0.99 of the limit of `order`, and
+    q* = 0.1 or 0.5 in both species, every row's E2 takes `order` nodes, and each slope stays within
+    1e-16 of the slope with the configured rule at every row."""
+    limit = dict(zip(onersb._ORDERS, onersb._SCALE_LIMITS))[order]
+    coupling = 2.0 * reference_spec.delta2 * reference_spec.lam  # C_s(q) = (coupling @ q)_s
+    q = np.array([[0.1, 0.1], [0.5, 0.5]])
+    p = q + np.linalg.solve(coupling, np.full(2, (0.99 * limit) ** 2))
+    beta, field = np.ones(2), np.full(2, h)
+    used, build = [], onersb.gauss_hermite
+    monkeypatch.setattr(onersb, "gauss_hermite", lambda n: used.append(n) or build(n))
+    got, _ = onersb._slopes(reference_spec, beta, field, q, p, rule)
+    assert used == [order]  # one inner rule for all four species rows
+    monkeypatch.setattr(onersb, "_SCALE_LIMITS", (0.0,) * len(onersb._ORDERS))  # no limit covers a scale
+    want, _ = onersb._slopes(reference_spec, beta, field, q, p, rule)
+    assert used == [order] and np.abs(got - want).max() <= 1e-16, got - want
+
+
 @pytest.mark.parametrize("beta, h", [(1.05, 0.6), (0.9, 0.3), (1.6, 0.3)])
 def test_slope_matches_the_trapezoid_oracle(reference_spec, rule, beta, h):
     """The slope at zeta = 1 against the tensor-grid oracle under the trapezoid rule (step 0.05 on

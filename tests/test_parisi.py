@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, gauss_hermite, onersb, parisi
+from mskglass import BadZeta, ModelSpec, NonmonotoneOverlap, TempField, gauss_hermite, onersb
 from mskglass.parisi import ParisiParams, evaluate
 
 from .oracles import certify_one, parisi_sum, rs_value, verdict_one
@@ -50,39 +50,6 @@ def test_matches_the_plain_sum(reference_spec, beta, h, zeta, ladder, order):
     quad = gauss_hermite(order)
     got = evaluate(reference_spec, TempField(beta=beta, h=h), ParisiParams(zeta=np.array(zeta), q=np.array(ladder)), quad)
     _assert_within_4_ulp(got, parisi_sum(reference_spec, beta, h, zeta, ladder, quad))
-
-
-def _ladder_at_scales(spec, scales):
-    """The ladder (M x len(scales)) at which, at beta = 1, every species' noise scale at level l
-    (outermost first) is scales[l]: C_s(q) = sum_t 2 delta2_st lam_t q_t rises by scales[l]^2."""
-    coupling = 2.0 * spec.delta2 * spec.lam
-    return np.cumsum([np.linalg.solve(coupling, np.full(spec.m, a * a)) for a in scales], axis=0).T
-
-
-_LIMIT = dict(zip(parisi._ORDERS, parisi._SCALE_LIMITS))
-_EDGE_H, _EDGE_ZETA = (0.0, 0.3, 5.0), (0.05, 0.3, 0.5, 0.99)
-_EDGE_CASES = (
-    [((o,), h, [], 61) for o in (8, 16, 32, 48) for h in _EDGE_H]
-    # each limit once at each level of k = 1; every weight meets three (levels, h) pairs
-    + [(orders, h, [_EDGE_ZETA[(i + j) % 4]], 61)
-       for i, orders in enumerate([(48, 8), (32, 16), (16, 32), (8, 48)]) for j, h in enumerate(_EDGE_H)]
-    # k = 2 at order 17, so that the oracle's order**3 terms stay few: 8 and 16 are the orders below it
-    + [((16, 8, 16), 0.0, [0.05, 0.3], 17), ((8, 16, 8), 0.3, [0.5, 0.99], 17), ((16, 16, 8), 5.0, [0.05, 0.99], 17)]
-)
-
-
-@pytest.mark.parametrize("orders, h, zeta, order", _EDGE_CASES,
-                         ids=[f"{'-'.join(map(str, o))}@h={h}" for o, h, _, _ in _EDGE_CASES])
-def test_each_level_order_holds_at_its_scale_limit(reference_spec, monkeypatch, orders, h, zeta, order):
-    """Each level's noise scale at 0.99 of the limit of the Gauss-Hermite order it takes (`orders`,
-    outermost first): the value stays within 4 ulp of the plain sum over every node of the
-    configured rule at every level."""
-    quad, ladder = gauss_hermite(order), _ladder_at_scales(reference_spec, [0.99 * _LIMIT[o] for o in orders])
-    used, chunks = [], parisi._chunks
-    monkeypatch.setattr(parisi, "_chunks", lambda *args: used.append([r.order for r in args[3]]) or chunks(*args))
-    got = evaluate(reference_spec, TempField(beta=1.0, h=h), ParisiParams(zeta=np.array(zeta), q=ladder), quad)
-    assert used == [list(orders)]  # both species' rows, in one group
-    _assert_within_4_ulp(got, parisi_sum(reference_spec, 1.0, h, zeta, ladder, quad))
 
 
 def test_params_validation():
