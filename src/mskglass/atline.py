@@ -154,8 +154,7 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     threshold call on the gamma rows, stacked K, H and witnesses and one
     ordering check, with the band and the cross-checks per point.  Each gets
     an ATReport, or the MskGlassError its solve or classification raised.
-    Every point has h > 0 in the standard class, where one start suffices, so
-    no quadrature rule is involved: the verdict and beta2_m do not depend on
+    No quadrature rule is involved: the verdict and beta2_m do not depend on
     one.  Raises Unsupported outside the two-species standard class and where
     h = 0.
     """
@@ -204,8 +203,7 @@ def at_line_betas(spec: ModelSpec, h) -> list:
     below half the step before last, is replaced by a bisection: a solve at the midpoint halves
     the bracket (rtsafe).  Newton stops once its correction is at most _LINE_TOL = 1e-10 in beta
     and in q, and returns the corrected beta, whose error is of the order of that correction
-    squared.  T, gamma and their derivatives come from `map_derivatives`, which needs no
-    quadrature rule, and every field here has h > 0, where one start suffices, so no rule is
+    squared.  T, gamma and their derivatives come from `map_derivatives`, so no quadrature rule is
     built: beta_m is within 1e-11 of an independent root search on adaptive quadrature from
     h = 0.001 to 16, and the line has a bracket up to h = 160 and beyond.
 

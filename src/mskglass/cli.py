@@ -123,7 +123,7 @@ _REQUIRED = object()
 
 _ALL = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
 _POINT = ("solve-rs", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
-_QUADRATURE = ("solve-rs", "phase-diagram", "certify", "parisi-eval")
+_QUADRATURE = ("phase-diagram", "certify", "parisi-eval")
 _FINITE_N = ("mc-free-energy", "overlap-hist")
 
 
@@ -144,7 +144,7 @@ FIELDS = {
     "lambda": Field(_float_list, _floats, _REQUIRED, _ALL, "species proportions, comma-separated"),
     "mode": Field(str, _mode, "convex", _ALL, " | ".join(VALIDATION_MODES)),
     "order": Field(int, _rule, DEFAULT_ORDER, _QUADRATURE,
-                   f"Gauss-Hermite order of every level; caps the slope's inner order (default {DEFAULT_ORDER})"),
+                   f"Gauss-Hermite order of the functional; caps the slope's inner order (default {DEFAULT_ORDER})"),
     "seed": Field(int, _count, 0, _FINITE_N),
     "out": Field(str, _path, None, _ALL, "output path (default stdout)"),
     "beta_range": Field(_range_triple, _range, (0.2, 1.2, 10), ("phase-diagram",), "min,max,steps"),
@@ -293,8 +293,8 @@ def _emit_csv(cfg: dict, columns, rows, out: str | None) -> None:
 
 
 def cmd_solve_rs(cfg: dict, v: dict) -> int:
-    spec, tf, rule = _model_spec(v), _temp_field(v), v["order"]
-    sol = _single(solve_points(spec, tf, rule))
+    spec, tf = _model_spec(v), _temp_field(v)
+    sol = _single(solve_points(spec, tf))
     result = {
         "q_star": sol.q_star,
         "coupling": sol.coupling,
@@ -305,7 +305,7 @@ def cmd_solve_rs(cfg: dict, v: dict) -> int:
         "on_boundary": sol.on_boundary,
         "candidates": [c for c in sol.candidates],
         "guaranteed_unique": sol.guaranteed_unique,
-        "rs_value": rs_functional(spec, tf, sol.q_star[None], rule)[0],
+        "rs_value": rs_functional(spec, tf, sol.q_star[None])[0],
     }
     _emit_json(cfg, result, v["out"])
     return 0

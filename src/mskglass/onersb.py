@@ -31,7 +31,7 @@ from .errors import BadPoint, CertificateNotFound
 from .model import ModelSpec, TempField, overlap_contractions
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule, gauss_hermite
-from .rs import _segments, rs_functional
+from .rs import _segments
 
 DEFAULT_GAP_FLOOR = 1e-10
 _NEAR_LINE_MARGIN = 1.05
@@ -148,38 +148,32 @@ def certify_slopes(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> t
 def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> list:
     """Scan (epsilon, zeta) at each point of `tf` for a one-step value strictly below the single-atom one.
 
-    The epsilons of EPSILON_GRID whose p = q* + epsilon x (`_displacements`)
-    stays in [0, 1] give each point a batch of ladders (q*, p); the ladders
-    of all points, each at its own (beta, h), are evaluated against
-    ZETA_GRID in one call of `parisi.evaluate`, and the single-atom values
-    in one more.  The first point in (epsilon, zeta) order with the largest
-    gap above DEFAULT_GAP_FLOOR wins; the floor sits above the quadrature
-    noise at the default order.  Returns per point a OneRSBCertificate, or a
-    CertificateNotFound when the scan found nothing; its `near_line` tells
-    the benign case beta^2 < 1.05 beta2_m, where the attainable gap is
-    quadratically small, from a genuine failure.
+    The epsilons of 0 and EPSILON_GRID whose p = q* + epsilon x (`_displacements`) stays in [0, 1] give each
+    point a batch of ladders (q*, p); the ladders of all points, each at its own (beta, h), are evaluated against
+    ZETA_GRID in one call of `parisi.evaluate`.  At epsilon = 0 the value is the single-atom one under the same
+    rule, whose error the gaps then cancel.  The first point in (epsilon, zeta) order with the largest gap above
+    DEFAULT_GAP_FLOOR wins; the floor sits above the quadrature noise at the default order.  Returns per point a
+    OneRSBCertificate, or a CertificateNotFound when the scan found nothing; its `near_line` tells the benign
+    case beta^2 < 1.05 beta2_m, where the attainable gap is quadratically small, from a genuine failure.
     """
     x, q_star = _displacements(spec, reports)
-    rs_values = rs_functional(spec, tf, q_star, rule)
-
-    p = q_star[:, None] + EPSILON_GRID[:, None] * x[:, None]  # (points, epsilons, M)
+    epsilons = np.concatenate([[0.0], EPSILON_GRID])
+    p = q_star[:, None] + epsilons[:, None] * x[:, None]  # (points, epsilons, M)
     point, eps = np.nonzero(((p >= 0.0) & (p <= 1.0)).all(axis=-1))
-    values = np.empty((point.size, ZETA_GRID.size))
-    if values.size:
-        params = ParisiParams(zeta=ZETA_GRID[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
-        values = evaluate(spec, TempField(beta=tf.beta[point], h=tf.h[point]), params, rule)
+    params = ParisiParams(zeta=ZETA_GRID[:, None], q=np.stack([q_star[point], p[point, eps]], axis=-1))
+    values = evaluate(spec, TempField(beta=tf.beta[point], h=tf.h[point]), params, rule)
 
     certificates: list = []
     bounds = np.searchsorted(point, np.arange(len(reports) + 1)).tolist()  # point is sorted: one block per point
     for n, report in enumerate(reports):
-        lo, hi = bounds[n], bounds[n + 1]
-        best, best_gap = None, -math.inf
-        if hi > lo:
-            gaps = rs_values[n] - values[lo:hi]
+        lo, hi = bounds[n], bounds[n + 1]  # row lo is epsilon = 0: the single-atom value in every column
+        rs_value, best, best_gap = values[lo, 0], None, -math.inf
+        if hi > lo + 1:
+            gaps = rs_value - values[lo + 1 : hi]
             i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # first maximum, row-major
             best_gap = float(gaps[i, j])
-            best = dict(epsilon=float(EPSILON_GRID[eps[lo + i]]), zeta=float(ZETA_GRID[j]),
-                        value=float(values[lo + i, j]))
+            best = dict(epsilon=float(epsilons[eps[lo + 1 + i]]), zeta=float(ZETA_GRID[j]),
+                        value=float(values[lo + 1 + i, j]))
         if best is None or best_gap <= DEFAULT_GAP_FLOOR:
             near = bool(tf.beta[n] ** 2 < _NEAR_LINE_MARGIN * report.beta2_m)
             certificates.append(CertificateNotFound(
@@ -187,5 +181,5 @@ def certify_points(spec: ModelSpec, tf: TempField, reports, rule: QuadRule) -> l
                 f"(best gap {best_gap:.3e}; {'near the phase line, expected' if near else 'unexpected'})",
                 best_gap=best_gap, near_line=near))
         else:
-            certificates.append(OneRSBCertificate(x=x[n], rs_value=float(rs_values[n]), gap=best_gap, **best))
+            certificates.append(OneRSBCertificate(x=x[n], rs_value=float(rs_value), gap=best_gap, **best))
     return certificates

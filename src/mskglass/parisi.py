@@ -12,7 +12,7 @@ where the X recursion runs backward from
 through X_l^s = (1/zeta_l) log E_{l+1} exp(zeta_l X_{l+1}^s), the l = 0 step
 being a plain expectation.  The top level has zeta_{k+1} = 1 and integrates
 out in closed form, log E cosh(y + s eta) = log cosh y + s^2 / 2, so k = 0 is
-the single-atom and k = 1 the one-step functional; nothing else evaluates them.
+the single-atom (closed-form in `rs`) and k = 1 the one-step functional.
 Each X_l^s depends on the noise only through the accumulated field, so the
 remaining k + 1 levels are evaluated bottom-up on the tensor grid of
 quadrature nodes.  The two innermost levels are formed for a chunk of

@@ -8,8 +8,8 @@ free-energy value is
 
 with C = coupling(q), C1 = coupling(1) and E the scalar contractions: the
 k = 0 case of the hierarchical functional, which `rs_functional` evaluates
-through `parisi.evaluate`.  A critical point solves the self-consistency
-system
+in closed form (`_mean_log_cosh`), with no Gauss-Hermite rule.  A critical
+point solves the self-consistency system
 
     q_s = T_s(q) = E tanh^2(beta eta sqrt(C_s) + h).
 
@@ -39,14 +39,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadDimension, NotConverged
 from .model import ModelSpec, TempField, overlap_contractions, two_species_thresholds
-from .parisi import ParisiParams, evaluate
-from .quadrature import QuadRule, gauss_hermite
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
@@ -223,10 +221,37 @@ def map_derivatives(spec: ModelSpec, tf: TempField, q) -> MapDerivatives:
     )
 
 
-def rs_functional(spec: ModelSpec, tf: TempField, q, rule: QuadRule):
-    """Free-energy value of the single-atom ansatz, one per row of q (E x M) at its point of `tf`:
-    the k = 0 functional."""
-    return evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=np.asarray(q, dtype=float)[..., None]), rule)[:, 0]
+def _mean_log_cosh(s, h):
+    """E log cosh(s Z + h) for entries s >= 0 and h >= 0 of equal length: Stein's identity, d/d(s^2) of it
+    is E sech^2(s Z + h) / 2, integrated in s^2 under the Fourier form of E sech^2 (f_2 of `_fourier_moments`),
+
+        log cosh h + (1/pi) int_0^inf f_2(w) cos(w h) (1 - exp(-s^2 w^2 / 2)) / w^2 dw,
+
+    by the trapezoid rule at `_fourier_moments`' step out to w = 25, where the integrand (s^2 at 0) is below
+    1e-17, with log cosh h = log1p(2 sinh^2(h / 2)) (h - log 2 past 700): within 2 ulp for s, h <= 20.  Each
+    entry's nodes follow from its own (s, h) and its sum runs over its own segment: same bits in any batch."""
+    period = h + 8.0 * s + _ALIAS
+    counts = (25.0 * period / (2.0 * math.pi)).astype(int)
+    starts, k = _segments(counts)
+    w = (k + 1.0) * np.repeat(2.0 * math.pi / period, counts)
+    terms = np.cos(w * np.repeat(h, counts)) * -np.expm1(-0.5 * w * w * np.repeat(s * s, counts)) \
+        * (math.pi / (w * np.sinh(0.5 * math.pi * w)))
+    log_cosh_h = np.log1p(2.0 * np.sinh(0.5 * np.minimum(h, 700.0)) ** 2) + np.maximum(h - 700.0, 0.0)
+    return log_cosh_h + (2.0 / period) * (0.5 * s * s + np.add.reduceat(terms, starts))
+
+
+def rs_functional(spec: ModelSpec, tf: TempField, q):
+    """Free-energy value of the single-atom ansatz, one per row of q (E x M, or one vector for one point)
+    at its point of `tf`: the k = 0 functional, in closed form but for `_mean_log_cosh`."""
+    q = np.array(q, dtype=float, ndmin=2)
+    if q.shape != (tf.beta.size, spec.m):
+        raise BadDimension(f"expected q of shape {(tf.beta.size, spec.m)}, one row per point, got {q.shape}")
+    if not ((q >= 0.0) & (q <= 1.0)).all():  # NaN fails too
+        raise ValueError("overlaps must lie in [0, 1]")
+    c, c1, b2 = overlap_contractions(spec, q), overlap_contractions(spec, np.ones(spec.m)), 0.5 * tf.beta**2
+    g = _mean_log_cosh((tf.beta[:, None] * np.sqrt(np.maximum(c.species, 0.0))).ravel(), np.repeat(tf.h, spec.m))
+    return math.log(2.0) + (g.reshape(q.shape) + b2[:, None] * (c1.species - c.species)) @ spec.lam \
+        - b2 * (c1.scalar - c.scalar)
 
 
 def uniqueness_threshold(spec: ModelSpec) -> float:
@@ -283,7 +308,7 @@ def _run(spec, tf, q) -> list:
     return runs
 
 
-def solve_points(spec: ModelSpec, tf: TempField, rule: Optional[QuadRule] = None) -> list:
+def solve_points(spec: ModelSpec, tf: TempField) -> list:
     """Solve the self-consistency system at each point of `tf`: plain steps
     where the map expands, Newton where it contracts.
 
@@ -294,11 +319,9 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: Optional[QuadRule] = None
     equal ones once; all starts of all points run as one batch (`_run`).  A
     run converges once the Newton correction |(I - J)^-1 (q - T(q))| is at
     most DEFAULT_TOL, and returns the corrected point.  Every distinct limit
-    is reported in `candidates`, and `q_star` minimizes the functional over
-    them, evaluated under `rule` (order-61 Gauss-Hermite when None, built only
-    then), the solver's one use of a quadrature rule.  Returns per point an
-    RSSolution, or a NotConverged when no start converged within
-    DEFAULT_MAX_ITER iterations.
+    is reported in `candidates`, and `q_star` minimizes `rs_functional` over
+    them.  Returns per point an RSSolution, or a NotConverged when no start
+    converged within DEFAULT_MAX_ITER iterations.
     """
     beta, h = tf.beta, tf.h
     standard = spec.standard
@@ -327,8 +350,7 @@ def solve_points(spec: ModelSpec, tf: TempField, rule: Optional[QuadRule] = None
         win = distinct[0]
         if len(distinct) > 1:
             at = [i] * len(distinct)
-            values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]),
-                                   gauss_hermite() if rule is None else rule)
+            values = rs_functional(spec, TempField(beta=beta[at], h=h[at]), np.array([r.q for r in distinct]))
             win = distinct[int(np.argmin(values))]
         solutions.append((win, distinct))  # an RSSolution below, once every winner's coupling is known
     won = [i for i, solution in enumerate(solutions) if isinstance(solution, tuple)]

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's numerics: expectations go
 through scipy's adaptive quadrature or 30-digit mpmath quadrature
-(`sech_moment`), fixed points and the phase line through bracketing root
+(`sech_moment`, `mean_log_cosh`), fixed points and the phase line through bracketing root
 searches, derivatives through finite differences, thresholds through an
 eigenvalue.  The exceptions take the library's kernels: the closed-form
 derivatives `rs_gradient` (through `map_derivatives`) and `zeta_derivative`
@@ -60,12 +60,12 @@ def with_constants(module, call, **constants):
             setattr(module, name, value)
 
 
-def solve_one(spec, tf, rule, tol=None, max_iter=None):
+def solve_one(spec, tf, tol=None, max_iter=None):
     """`solve_points` at one point, to Newton correction `tol` within `max_iter` iterations (the
     library's constants when None); raises its NotConverged."""
     from mskglass import rs
 
-    return with_constants(rs, lambda: one(rs.solve_points(spec, tf, rule)), DEFAULT_TOL=tol, DEFAULT_MAX_ITER=max_iter)
+    return with_constants(rs, lambda: one(rs.solve_points(spec, tf)), DEFAULT_TOL=tol, DEFAULT_MAX_ITER=max_iter)
 
 
 def thresholds_one(spec, gamma):
@@ -470,6 +470,22 @@ def sech_moment(p, s, h, dps=30):
         top = log_f(peak)
         total = mp.quad(lambda z: mp.exp(log_f(z) - top), [-mp.inf, *sorted(splits), mp.inf])
         return float(mp.exp(top) * total / mp.sqrt(2 * mp.pi))
+
+
+@functools.lru_cache(maxsize=None)
+def mean_log_cosh(s, h, dps=30):
+    """E log cosh(s Z + h), Z standard normal, by `dps`-digit mpmath quadrature (a float).  The
+    integrand bends at the zero z = -h/s of the field, over a width 1/s: quadrature splits there,
+    3/s either side of it and at z = 0."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s, h = mp.mpf(s), mp.mpf(h)
+        if s == 0:
+            return float(mp.log(mp.cosh(h)))
+        splits = sorted({mp.mpf(0)} | {(k - h) / s for k in (-3, 0, 3)})
+        total = mp.quad(lambda z: mp.log(mp.cosh(s * z + h)) * mp.exp(-z * z / 2), [-mp.inf, *splits, mp.inf])
+        return float(total / mp.sqrt(2 * mp.pi))
 
 
 def trapezoid_rule(step=0.05, reach=10.0):

@@ -56,11 +56,11 @@ def _random_standard_spec(rng):
             return ModelSpec(delta2=[[d1, 1.0], [1.0, d2]], lam=[lam1, 1.0 - lam1])
 
 
-def _beta_at_ratio(spec, rule, ratio, h):
+def _beta_at_ratio(spec, ratio, h):
     beta = 0.8
     for _ in range(60):
         tf = TempField(beta=beta, h=h)
-        sol = solve_one(spec, tf, rule)
+        sol = solve_one(spec, tf)
         target = math.sqrt(ratio * thresholds_one(spec, sol.gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             return target
@@ -95,7 +95,7 @@ def test_criterion_03_hessian_vs_finite_differences(reference_spec, rule):
     """Closed-form curvature vs finite differences of the slope, 1e-5 relative."""
     with criterion(3, "curvature closed form vs FD at the critical point", budget_seconds=30.0):
         tf = TempField(beta=0.6, h=0.4)
-        sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+        sol = solve_one(reference_spec, tf, tol=1e-13)
         _, (h_mat,) = stability_matrices(reference_spec, tf, sol.gamma[None])
 
         def v_of(z):
@@ -110,7 +110,7 @@ def test_criterion_04_slope_and_gradient_vanish(reference_spec, rule):
     """V(q*) = 0 within 1e-10 and its FD gradient within 1e-6."""
     with criterion(4, "slope and slope-gradient vanish at the critical point", budget_seconds=10.0):
         tf = TempField(beta=0.6, h=0.4)
-        sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+        sol = solve_one(reference_spec, tf, tol=1e-13)
         value = zeta_derivative(reference_spec, tf, sol.q_star, sol.q_star, rule)
         assert abs(value) < 1e-10
 
@@ -150,7 +150,7 @@ def test_criterion_05_zeta_one_collapse(reference_spec, rule):
 def test_criterion_06_rsb_certificate(reference_spec, rule):
     """Above the line (beta^2 = 1.5 beta2_m, h = 0.3) the certificate is strict."""
     with criterion(6, "constructive symmetry-breaking certificate", budget_seconds=120.0):
-        beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
+        beta = _beta_at_ratio(reference_spec, 1.5, 0.3)
         tf = TempField(beta=beta, h=0.3)
         report = verdict_one(reference_spec, tf)
         assert report.verdict == Verdict.RSB_CERTIFIED
@@ -189,22 +189,22 @@ def test_criterion_08_latala_guerra_monotonicity(rule):
             assert (np.diff(phi) < 0).all()
 
 
-def test_criterion_09_finite_size_cross_check(reference_spec, sk_spec, rule):
+def test_criterion_09_finite_size_cross_check(reference_spec, sk_spec):
     """Exact enumeration at N = 20 vs the variational value, within 3 se + 0.5/N."""
     with criterion(9, "finite-N enumeration vs variational value", budget_seconds=600.0):
         cases = ((sk_spec, 0.2, 0.3), (reference_spec, 0.3, 0.4))
         for spec, beta, h in cases:
             tf = TempField(beta=beta, h=h)
             estimate = free_energy_exact(spec, tf, n=20, n_disorder=200, seed=7)
-            sol = solve_one(spec, tf, rule)
-            (target,) = rs_functional(spec, tf, sol.q_star[None], rule)
+            sol = solve_one(spec, tf)
+            (target,) = rs_functional(spec, tf, sol.q_star[None])
             allowance = 3.0 * estimate.stderr + 0.5 / 20.0
             assert abs(estimate.mean - target) < allowance, (
                 f"|{estimate.mean} - {target}| >= {allowance}"
             )
 
 
-def test_criterion_10_fixed_point_robustness(reference_spec, rule):
+def test_criterion_10_fixed_point_robustness(reference_spec):
     """100 random starts at 20 phase-plane points reach a common fixed point."""
     rng = np.random.default_rng(10)
     with criterion(10, "fixed-point robustness (100 starts x 20 points)", budget_seconds=60.0):
@@ -223,5 +223,5 @@ def test_criterion_10_fixed_point_robustness(reference_spec, rule):
                 raise AssertionError("batched iteration did not converge")
             spread = np.abs(q - q.mean(axis=0)).max()
             assert spread < 1e-9, f"spread {spread} at beta={beta}, h={h}"
-            sol = solve_one(reference_spec, TempField(beta=beta, h=h), rule)
+            sol = solve_one(reference_spec, TempField(beta=beta, h=h))
             assert np.abs(sol.q_star - q.mean(axis=0)).max() < 1e-9

@@ -37,6 +37,17 @@ def test_every_public_definition_is_used_by_the_package():
     assert not unused, f"public definitions no package code uses: {unused}"
 
 
+def test_the_solver_layer_takes_no_quadrature_rule():
+    """rs.py, the solver and the single-atom value, imports nothing from parisi and names neither
+    gauss_hermite nor QuadRule: no Gauss-Hermite rule reaches `solve_points` or `rs_functional`."""
+    tree = ast.parse((SRC / "rs.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert not [m for m in modules if m and m.split(".")[-1] == "parisi"], modules
+    assert not {"gauss_hermite", "QuadRule"} & (set(names) | set(_uses(tree))), names
+
+
 def _cases(spec, rule):
     """Per kernel (or evaluator batch axis): the rows of a batch, arrays sharing a leading axis, the
     kernel called on them, the axis of its results that follows the rows, and whether a row alone is
@@ -74,7 +85,7 @@ def _cases(spec, rule):
                                  True),
         "rs_functional": ((np.array([0.9, 0.9, 0.9, 0.9, 1.6]), np.array([0.3, 0.3, 0.3, 0.3, 0.05]),
                            np.array([[0.0, 0.0], [0.2, 0.5], [0.7, 0.3], [1.0, 1.0], [0.5, 0.9]])),
-                          lambda beta, h, q: rs_functional(spec, TempField(beta=beta, h=h), q, rule), 0, False),
+                          lambda beta, h, q: rs_functional(spec, TempField(beta=beta, h=h), q), 0, True),
         "evaluate-ladders": ((np.array([1.3, 1.3, 1.3, 1.3, 0.8]), np.array([0.35, 0.35, 0.35, 0.35, 0.6]), ladders),
                              ladder_values, 0, False),
         "evaluate-weights-k1": ((zetas[:, 1:],), weights(ladder[:, 1:], rule), 1, False),
@@ -90,7 +101,7 @@ def _cases(spec, rule):
 def test_row_convention(case, reference_spec, rule):
     """A kernel given a batch of one returns results whose batch axis has length 1 (a one-entry list
     for the witness), never a Python float or a bare object; and each row of a batch gives the
-    results of that row alone, bit for bit.  The functional's rows agree to 1e-14 instead: which
+    results of that row alone, bit for bit.  The evaluator's rows agree to 1e-14 instead: which
     quadrature nodes it skips is decided per chunk of rows (`parisi._kept`)."""
     rows, call, axis, exact = _cases(reference_spec, rule)[case]
     whole = call(*rows)
@@ -111,12 +122,14 @@ def test_row_convention(case, reference_spec, rule):
 
 
 def test_kernels_refuse_other_shapes(reference_spec, rule):
-    """Kernels take rows only: one gamma vector, one matrix or a q without a row per point is refused;
-    ParisiParams makes a vector of weights and one ladder batches of one."""
+    """Kernels take rows only: one gamma vector, one matrix or a q without a row per point is refused, as
+    is an overlap outside [0, 1]; ParisiParams makes a vector of weights and one ladder batches of one, and
+    `rs_functional` one overlap vector."""
     spec, one, two = reference_spec, TempField(beta=1.0, h=0.3), TempField(beta=[1.0, 1.2], h=[0.3, 0.3])
     for call in (lambda: two_species_thresholds(spec, [0.6, 0.4]), lambda: inverse_beta2_m(spec, [0.6, 0.4]),
                  lambda: stability_matrices(spec, one, [0.3, 0.2]), lambda: positivity_witness(np.eye(2)),
                  lambda: stability_matrices(spec, two, np.full((2, 1), 0.3)),
+                 lambda: rs_functional(spec, two, [0.2, 0.5]), lambda: rs_functional(spec, one, [0.2, 1.5]),
                  lambda: positivity_witness(np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))):  # not symmetric
         with pytest.raises(ValueError):
             call()
@@ -124,6 +137,7 @@ def test_kernels_refuse_other_shapes(reference_spec, rule):
         positivity_witness(np.stack([np.diag([-1.0, -1.0, 1.0])] * 2))
     with pytest.raises(BadDimension):
         map_derivatives(spec, two, np.zeros(2))
+    assert rs_functional(spec, one, [0.2, 0.5]).shape == (1,)
     params = ParisiParams(zeta=[0.45], q=[[0.2, 0.5], [0.3, 0.6]])
     assert params.zeta.shape == (1, 1) and params.q.shape == (1, 2, 2)
     with pytest.raises(ValueError):

@@ -32,8 +32,8 @@ def at_line_beta(spec, h, tol=None):
     return with_constants(atline, lambda: one(at_line_betas(spec, [h])), _LINE_TOL=tol)
 
 
-def _solved(spec, tf, rule, tol=1e-12):
-    sol = solve_one(spec, tf, rule, tol=tol)
+def _solved(spec, tf, tol=1e-12):
+    sol = solve_one(spec, tf, tol=tol)
     return sol, sol.gamma
 
 
@@ -43,28 +43,28 @@ def _witness(k):
     return x
 
 
-def test_gamma_reduces_to_lam_at_zero_field(reference_spec, rule):
+def test_gamma_reduces_to_lam_at_zero_field(reference_spec):
     beta = math.sqrt(0.5 * uniqueness_threshold(reference_spec))
     tf = TempField(beta=beta, h=0.0)
-    sol, gamma = _solved(reference_spec, tf, rule)
+    sol, gamma = _solved(reference_spec, tf)
     np.testing.assert_array_equal(sol.q_star, np.zeros(2))
     np.testing.assert_allclose(gamma, reference_spec.lam, atol=1e-15)
 
 
-def test_gamma_beta_to_zero(reference_spec, rule):
+def test_gamma_beta_to_zero(reference_spec):
     tf = TempField(beta=1e-5, h=0.4)
-    _, gamma = _solved(reference_spec, tf, rule)
+    _, gamma = _solved(reference_spec, tf)
     want = reference_spec.lam / math.cosh(0.4) ** 4
     np.testing.assert_allclose(gamma, want, atol=1e-8)
 
 
-def test_gamma_against_frozen_monte_carlo(reference_spec, rule):
+def test_gamma_against_frozen_monte_carlo(reference_spec):
     # 10^7-sample oracle, seed 20260812 (tests/oracles.py: mc_gamma) evaluated
     # at the frozen couplings below
     frozen_coupling = np.array([0.606878206767, 0.499893573244])
     mc = [(0.378167468657, 5.693e-05), (0.258756006341, 3.654e-05)]
     tf = TempField(beta=0.6, h=0.4)
-    sol, gamma = _solved(reference_spec, tf, rule)
+    sol, gamma = _solved(reference_spec, tf)
     np.testing.assert_allclose(sol.coupling, frozen_coupling, atol=1e-9)
     for s in range(2):
         assert abs(gamma[s] - mc[s][0]) < 3.0 * mc[s][1]
@@ -91,11 +91,11 @@ def test_stability_matrix_entries_symbolic(reference_spec):
         assert abs(k[0, 1] - k[1, 0]) == 0.0
 
 
-def test_hessian_expanded_form(reference_spec, rule):
+def test_hessian_expanded_form(reference_spec):
     """Matrix form of the curvature equals its fully expanded species sum."""
     beta = 0.6
     tf = TempField(beta=beta, h=0.4)
-    sol, gamma = _solved(reference_spec, tf, rule)
+    sol, gamma = _solved(reference_spec, tf)
     _, (h_mat,) = stability_matrices(reference_spec, tf, gamma[None])
     sech4_moment = gamma / reference_spec.lam
     b2 = beta ** 2
@@ -215,13 +215,13 @@ def test_witness_maximises_the_form_over_the_quadrant():
     assert 0 < nones < 400
 
 
-def test_top_eigenvalue_sign_is_the_verdict(reference_spec, rule):
+def test_top_eigenvalue_sign_is_the_verdict(reference_spec):
     """Sylvester's law of inertia: lambda_max(K) > 0 exactly when beta^2 > beta2_m."""
     margins = []
     for h in (0.1, 0.4, 1.0):
         for beta in np.linspace(0.4, 1.6, 13):
             tf = TempField(beta=beta, h=h)
-            _, gamma = _solved(reference_spec, tf, rule)
+            _, gamma = _solved(reference_spec, tf)
             (k,), _ = stability_matrices(reference_spec, tf, gamma[None])
             margin = beta ** 2 - thresholds_one(reference_spec, gamma).beta2_m
             assert np.sign(np.linalg.eigvalsh(k)[-1]) == np.sign(margin)
@@ -229,12 +229,12 @@ def test_top_eigenvalue_sign_is_the_verdict(reference_spec, rule):
     assert min(margins) < 0 < max(margins)
 
 
-def test_witness_mid_band_strictly_positive(reference_spec, rule):
+def test_witness_mid_band_strictly_positive(reference_spec):
     """Between beta2_m and the smaller diagonal threshold both species enter."""
     beta = 0.8
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
-        _, gamma = _solved(reference_spec, tf, rule)
+        _, gamma = _solved(reference_spec, tf)
         th = thresholds_one(reference_spec, gamma)
         target = math.sqrt(0.5 * (th.beta2_m + min(th.beta2_u, th.beta2_t)))
         if abs(target - beta) < 1e-13:
@@ -332,11 +332,11 @@ def test_lambda_conjugation_preserves_witness(reference_spec, rule):
     assert y @ report.hessian @ y > 0
 
 
-def test_verdict_above_and_below_line(reference_spec, rule):
+def test_verdict_above_and_below_line(reference_spec):
     beta = 0.8
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
-        _, gamma = _solved(reference_spec, tf, rule)
+        _, gamma = _solved(reference_spec, tf)
         target = math.sqrt(1.5 * thresholds_one(reference_spec, gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             break

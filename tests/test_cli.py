@@ -60,20 +60,23 @@ def test_solve_rs_symmetric_model(sk_config, capsys):
     assert doc["config"]["beta"] == 0.1
 
 
-def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, rule, reference_spec):
+def test_solve_rs_matches_library_bit_for_bit(ref_config, capsys, reference_spec):
     doc = _run_json(capsys, ["solve-rs", "--config", ref_config, "--beta", "0.5", "--h", "0.4"])
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_one(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf)
     assert doc["result"]["q_star"] == list(sol.q_star)
-    assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star[None], rule)[0]
+    assert doc["result"]["rs_value"] == rs_functional(reference_spec, tf, sol.q_star[None])[0]
 
 
 def test_solve_rs_missing_field(ref_config, capsys):
     assert main(["solve-rs", "--config", ref_config]) == 1  # no beta
     assert main(["solve-rs", "--beta", "0.5"]) == 1  # no model
+
+
+def test_certify_refuses_orders_with_no_rule(ref_config, capsys):
     for order in ("0", "400", "10000000"):  # no Gauss-Hermite rule of that order
         capsys.readouterr()
-        assert main(["solve-rs", "--config", ref_config, "--beta", "0.5", "--order", order]) == 1
+        assert main(["certify", "--config", ref_config, "--beta", "1.2", "--h", "0.3", "--order", order]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -481,7 +484,7 @@ def test_finite_n_bad_counts_are_config_errors(ref_config, capsys, argv):
         # integer fields refuse fractional, boolean and infinite values instead of truncating
         ("mc-free-energy", {"beta": 0.3, "N": 6.9}),
         ("mc-free-energy", {"beta": 0.3, "N": 6, "n_disorder": True}),
-        ("solve-rs", {"beta": 0.3, "order": 61.7}),
+        ("certify", {"beta": 1.2, "h": 0.3, "order": 61.7}),
         # a key that names no field is refused, the retired species count M among them
         ("solve-rs", {"beta": 0.3, "M": 2}),
         ("overlap-hist", {"beta": 0.3, "N": 8, "sweeps": 4, "seed": 1e400}),
@@ -621,8 +624,9 @@ def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
         ["certify", "--beta", "1.2", "--h", "0.3", "--eps-grid", "0.05"],
         ["certify", "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0.9"],
         ["overlap-hist", "--beta", "0.3", "--n", "8", "--sweeps", "4", "--bins", "40"],
-        # the phase line uses no quadrature rule
+        # the phase line and the single-atom value use no quadrature rule
         ["at-line", "--h-range", "0.3,0.3,1", "--order", "61"],
+        ["solve-rs", "--beta", "0.5", "--order", "61"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(ref_config, capsys, argv):
@@ -694,8 +698,7 @@ def test_readme_phase_diagram_runs_as_one_batch(monkeypatch):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
 
-    for module, name in ((cli, "at_verdicts"), (cli, "certify_points"), (rs, "evaluate"), (onersb, "evaluate"),
-                         (onersb, "_slopes")):
+    for module, name in ((cli, "at_verdicts"), (cli, "certify_points"), (onersb, "evaluate"), (onersb, "_slopes")):
         counted(module, name)
     assert main(README_PHASE_DIAGRAM) == 0
     assert calls.count("at_verdicts") == 1 and 1 <= calls.count("_slopes") <= 2

@@ -16,7 +16,7 @@ from mskglass import (
     gauss_hermite,
     rs_functional,
 )
-from mskglass import onersb
+from mskglass import onersb, parisi
 from mskglass.onersb import SLOPE_EPSILONS, ZETA_GRID
 from mskglass.parisi import ParisiParams, evaluate
 
@@ -32,12 +32,12 @@ def _one_step(spec, tf, q, p, zeta, rule):
     return evaluate(spec, tf, ParisiParams(zeta=[zeta], q=np.column_stack([q, p])), rule)[0, 0]
 
 
-def _beta_at_ratio(spec, rule, ratio, h):
+def _beta_at_ratio(spec, ratio, h):
     """beta with beta^2 = ratio * beta2_m(beta) at field h."""
     beta = 0.8
     for _ in range(60):
         tf = TempField(beta=beta, h=h)
-        sol = solve_one(spec, tf, rule)
+        sol = solve_one(spec, tf)
         target = math.sqrt(ratio * thresholds_one(spec, sol.gamma).beta2_m)
         if abs(target - beta) < 1e-13:
             return target
@@ -52,7 +52,7 @@ def test_zeta_one_collapse(reference_spec, rule):
     for _ in range(10):
         q = rng.uniform(0.0, 1.0, 2)
         p = q + (1.0 - q) * rng.uniform(0.0, 1.0, 2)
-        gap = _one_step(reference_spec, tf, q, p, 1.0 - 1e-12, rule) - rs_functional(reference_spec, tf, q, rule)
+        gap = _one_step(reference_spec, tf, q, p, 1.0 - 1e-12, rule) - rs_functional(reference_spec, tf, q)
         assert abs(gap) < 1e-9
 
 
@@ -78,7 +78,7 @@ def test_generic_point_matches_k1_evaluator(reference_spec, rule):
 
 def test_slope_vanishes_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, tol=1e-13)
     assert abs(zeta_derivative(reference_spec, tf, sol.q_star, sol.q_star, rule)) < 1e-10
 
 
@@ -86,7 +86,7 @@ def test_slope_matches_one_sided_zeta_difference(reference_spec, rule):
     """The slope equals the zeta-derivative of the one-step value at zeta = 1,
     taken one-sidedly from below (zeta > 1 is outside the domain)."""
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, tol=1e-13)
     q = sol.q_star
     p = q + np.array([0.08, 0.072])
     step = 1e-4
@@ -94,14 +94,14 @@ def test_slope_matches_one_sided_zeta_difference(reference_spec, rule):
     def value(zeta):
         return _one_step(reference_spec, tf, q, p, zeta, rule)
 
-    at_one = rs_functional(reference_spec, tf, q, rule)
+    at_one = rs_functional(reference_spec, tf, q)
     fd = (3.0 * at_one - 4.0 * value(1.0 - step) + value(1.0 - 2.0 * step)) / (2.0 * step)
     assert abs(zeta_derivative(reference_spec, tf, q, p, rule) - fd) < 1e-5
 
 
 def test_slope_gradient_vanishes_at_critical_point(reference_spec, rule):
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, tol=1e-13)
     q = sol.q_star
 
     def v_of(z):
@@ -116,7 +116,7 @@ def test_slope_quadratic_taylor_matches_curvature(reference_spec, rule):
     from mskglass import stability_matrices
 
     tf = TempField(beta=0.6, h=0.4)
-    sol = solve_one(reference_spec, tf, rule, tol=1e-13)
+    sol = solve_one(reference_spec, tf, tol=1e-13)
     _, (h_mat,) = stability_matrices(reference_spec, tf, sol.gamma[None])
     rng = np.random.default_rng(31)
     for _ in range(3):
@@ -150,7 +150,7 @@ def test_integration_by_parts_identity(rule):
 
 
 def test_certificate_above_line(reference_spec, rule):
-    beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
+    beta = _beta_at_ratio(reference_spec, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
     report = verdict_one(reference_spec, tf)
     assert report.verdict == Verdict.RSB_CERTIFIED
@@ -188,7 +188,7 @@ def test_certificate_value_matches_oracle(reference_spec, order):
     """The certificate's value against nested scipy quadrature at its own
     (q*, q* + eps x, zeta), in the beta range the CLI scans."""
     rule = gauss_hermite(order)
-    for beta, h in ((_beta_at_ratio(reference_spec, rule, 1.5, 0.3), 0.3), (1.6, 0.3)):
+    for beta, h in ((_beta_at_ratio(reference_spec, 1.5, 0.3), 0.3), (1.6, 0.3)):
         tf = TempField(beta=beta, h=h)
         report = verdict_one(reference_spec, tf)
         cert = certify_one(reference_spec, tf, report, rule)
@@ -203,7 +203,7 @@ def test_certificate_mid_band_direction(reference_spec, rule):
     beta = 0.8
     for _ in range(40):
         tf = TempField(beta=beta, h=0.4)
-        sol = solve_one(reference_spec, tf, rule)
+        sol = solve_one(reference_spec, tf)
         th = thresholds_one(reference_spec, sol.gamma)
         target = math.sqrt(0.5 * (th.beta2_m + min(th.beta2_u, th.beta2_t)))
         if abs(target - beta) < 1e-13:
@@ -223,13 +223,13 @@ def test_certificate_mid_band_direction(reference_spec, rule):
 
 def test_certificate_slope_sign(reference_spec, rule):
     """Positive slope at zeta = 1 means the value drops as zeta leaves 1."""
-    beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
+    beta = _beta_at_ratio(reference_spec, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
     report = verdict_one(reference_spec, tf)
     q = report.solution.q_star
     p = q + 0.1 * report.witness_x / report.witness_x.max()
     assert zeta_derivative(reference_spec, tf, q, p, rule) > 0
-    rs_value = rs_functional(reference_spec, tf, q, rule)
+    rs_value = rs_functional(reference_spec, tf, q)
     near_one = _one_step(reference_spec, tf, q, p, 0.999, rule)
     assert near_one < rs_value
 
@@ -240,7 +240,7 @@ def test_no_gap_below_line(reference_spec, rule):
     report_check = verdict_one(reference_spec, tf)
     assert report_check.verdict == Verdict.RS_CONSISTENT
     sol = report_check.solution
-    rs_value = rs_functional(reference_spec, tf, sol.q_star, rule)
+    rs_value = rs_functional(reference_spec, tf, sol.q_star)
     best_gap = -math.inf
     for eps in np.geomspace(1e-3, 1e-1, 10):
         p = np.clip(sol.q_star + eps * np.ones(2), 0.0, 1.0)
@@ -254,11 +254,12 @@ def test_no_gap_below_line(reference_spec, rule):
 
 
 def _row_by_row_scan(spec, tf, report, rule, eps_grid, zeta_grid):
-    """The certificate scan one epsilon at a time: (eps, zeta, gap) of the first largest gap."""
+    """The certificate scan one epsilon at a time: (eps, zeta, gap) of the first largest gap, against the
+    single-atom value under the same rule (the k = 0 functional)."""
     q = report.solution.q_star
     x = report.witness_x / spec.lam
     x = x / x.max()
-    rs_value = rs_functional(spec, tf, q, rule)
+    rs_value = evaluate(spec, tf, ParisiParams(zeta=np.zeros(0), q=q[:, None]), rule)[0, 0]
     best = (None, None, -math.inf)
     for eps in eps_grid:
         p = q + eps * x
@@ -282,6 +283,25 @@ def test_one_call_scan_matches_row_by_row_scan(reference_spec, rule, beta, h):
     assert abs(cert.gap - gap) < 1e-14
 
 
+def test_scan_is_one_evaluator_call_that_holds_its_own_reference(reference_spec, rule, monkeypatch):
+    """The scan makes one `parisi.evaluate` call, with no k = 0 ladder: its single-atom value is the
+    one-step value at epsilon = 0 (p = q*, a dead level), within 1e-15 of the k = 0 functional under
+    the same rule, so the gap's two terms carry the same rule error.  Each evaluator call contracts its
+    ladders, boundary columns included, once: that call counts them, whichever module calls."""
+    ks, contract = [], parisi.overlap_contractions
+    monkeypatch.setattr(parisi, "overlap_contractions",
+                        lambda spec, q: ks.append(np.shape(q)[-2] - 3) or contract(spec, q))
+    for beta, h in ((1.2, 0.3), (1.5, 0.6)):
+        tf = TempField(beta=beta, h=h)
+        report = verdict_one(reference_spec, tf)
+        ks.clear()
+        cert = certify_one(reference_spec, tf, report, rule)
+        assert ks == [1]
+        q = report.solution.q_star
+        want = evaluate(reference_spec, tf, ParisiParams(zeta=np.zeros(0), q=q[:, None]), rule)[0, 0]
+        assert abs(cert.rs_value - want) <= 1e-15, cert.rs_value - want
+
+
 def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
     """Large epsilons leave [0, 1] and are skipped; the rest still scan as one call."""
     tf = TempField(beta=1.5, h=0.6)
@@ -301,7 +321,7 @@ def test_scan_skips_epsilons_that_push_p_past_one(reference_spec, rule):
 
 
 def test_certificate_not_found_on_hopeless_grid(reference_spec, rule):
-    beta = _beta_at_ratio(reference_spec, rule, 1.5, 0.3)
+    beta = _beta_at_ratio(reference_spec, 1.5, 0.3)
     tf = TempField(beta=beta, h=0.3)
     report = verdict_one(reference_spec, tf)
     with pytest.raises(CertificateNotFound) as info:

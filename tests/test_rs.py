@@ -13,30 +13,56 @@ from mskglass import (
     uniqueness_threshold,
 )
 from mskglass import rs
-from .oracles import rs_gradient, sech_moment, single_species_rs_value, solve_one, two_species_bisection
+from .oracles import (
+    mean_log_cosh, rs_gradient, rs_value, sech_moment, single_species_rs_value, solve_one, two_species_bisection,
+)
 
 
-def test_functional_beta_to_zero(reference_spec, rule):
+def test_functional_beta_to_zero(reference_spec):
     tf = TempField(beta=1e-5, h=0.3)
     want = math.log(2.0) + math.log(math.cosh(0.3))
     for q in (np.zeros(2), np.array([0.4, 0.6])):
-        assert abs(rs_functional(reference_spec, tf, q, rule) - want) < 1e-8
+        assert abs(rs_functional(reference_spec, tf, q) - want) < 1e-8
 
 
-def test_functional_sk_reduction_matches_single_species(sk_spec, rule):
+def test_functional_sk_reduction_matches_single_species(sk_spec):
     for beta, h, q in ((0.3, 0.5, 0.2), (0.6, 0.2, 0.35), (0.9, 1.0, 0.6)):
         tf = TempField(beta=beta, h=h)
-        ours = rs_functional(sk_spec, tf, np.array([q, q]), rule)
+        ours = rs_functional(sk_spec, tf, np.array([q, q]))
         assert abs(ours - single_species_rs_value(beta, h, q)) < 1e-10
 
 
-def test_gradient_zero_at_critical_point(reference_spec, rule):
+def test_mean_log_cosh_against_the_oracle():
+    """E log cosh(s Z + h) by Stein's identity and the Fourier-side trapezoid rule is within 2 ulp of a
+    30-digit mpmath quadrature from s = 0 to 20 and h = 0 to 20, and each entry gives the same bits
+    alone as in the batch."""
+    s, h = (v.ravel() for v in np.meshgrid([0.0, 0.05, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0, 5.0, 10.0, 20.0],
+                                           [0.0, 0.1, 0.3, 1.0, 3.0, 8.0, 20.0], indexing="ij"))
+    got = rs._mean_log_cosh(s, h)
+    for i in range(s.size):
+        want = mean_log_cosh(s[i], h[i])
+        assert abs(got[i] - want) <= 2.0 * np.spacing(want), (s[i], h[i], got[i] - want)
+        assert rs._mean_log_cosh(s[i : i + 1], h[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.8, 1.2, 1.6])
+def test_functional_against_the_quadrature_oracle(reference_spec, beta):
+    """The single-atom value against adaptive quadrature (`oracles.rs_value`) to 1e-13 from h = 0 to 8,
+    where the order-61 Gauss-Hermite rule it once took was off by up to 2.2e-5 (beta = 1.6, h = 8)."""
+    qs = np.array([[0.0, 0.0], [0.2, 0.5], [0.7, 0.3], [0.9, 0.95], [1.0, 1.0]])
+    for h in (0.0, 0.3, 1.0, 3.0, 8.0):
+        got = rs_functional(reference_spec, TempField(beta=np.full(len(qs), beta), h=np.full(len(qs), h)), qs)
+        for q, value in zip(qs, got):
+            assert abs(value - rs_value(reference_spec, beta, h, q)) < 1e-13, (h, q)
+
+
+def test_gradient_zero_at_critical_point(reference_spec):
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_one(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf)
     assert np.abs(rs_gradient(reference_spec, tf, sol.q_star)).max() < 1e-9
 
 
-def test_gradient_matches_finite_differences(reference_spec, rule):
+def test_gradient_matches_finite_differences(reference_spec):
     tf = TempField(beta=0.7, h=0.3)
     rng = np.random.default_rng(3)
     step = 1e-5
@@ -46,8 +72,8 @@ def test_gradient_matches_finite_differences(reference_spec, rule):
         for t in range(2):
             e_t = np.eye(2)[t] * step
             fd = (
-                rs_functional(reference_spec, tf, q + e_t, rule)
-                - rs_functional(reference_spec, tf, q - e_t, rule)
+                rs_functional(reference_spec, tf, q + e_t)
+                - rs_functional(reference_spec, tf, q - e_t)
             ) / (2.0 * step)
             assert abs(fd - grad[t]) < 1e-6 * max(1.0, abs(grad[t]))
 
@@ -57,23 +83,23 @@ def test_gradient_zero_field_zero_overlap(reference_spec, rule):
     np.testing.assert_array_equal(rs_gradient(reference_spec, tf, np.zeros(2)), np.zeros(2))
 
 
-def test_solver_zero_field_below_threshold(reference_spec, rule):
+def test_solver_zero_field_below_threshold(reference_spec):
     beta = math.sqrt(0.5 * uniqueness_threshold(reference_spec))
-    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0))
     np.testing.assert_array_equal(sol.q_star, np.zeros(2))
     assert sol.guaranteed_unique
     assert sol.on_boundary.all()
 
 
-def test_solver_beta_to_zero_decouples(reference_spec, rule):
-    sol = solve_one(reference_spec, TempField(beta=1e-4, h=0.4), rule)
+def test_solver_beta_to_zero_decouples(reference_spec):
+    sol = solve_one(reference_spec, TempField(beta=1e-4, h=0.4))
     want = math.tanh(0.4) ** 2
     assert np.abs(sol.q_star - want).max() < 1e-6
 
 
-def test_solver_against_bisection_oracle(reference_spec, rule):
+def test_solver_against_bisection_oracle(reference_spec):
     tf = TempField(beta=0.5, h=0.4)
-    sol = solve_one(reference_spec, tf, rule, tol=1e-12)
+    sol = solve_one(reference_spec, tf, tol=1e-12)
     q_oracle = two_species_bisection(reference_spec, 0.5, 0.4)
     assert np.abs(sol.q_star - q_oracle).max() < 1e-8
     # h > 0 forces a strictly interior point
@@ -81,13 +107,13 @@ def test_solver_against_bisection_oracle(reference_spec, rule):
     assert ((sol.q_star > 0) & (sol.q_star < 1)).all()
 
 
-def test_solver_multistart_above_threshold(reference_spec, rule):
+def test_solver_multistart_above_threshold(reference_spec):
     beta = math.sqrt(2.5 * uniqueness_threshold(reference_spec))
-    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0))
     assert not sol.guaranteed_unique
     assert len(sol.candidates) == 2  # paramagnetic and glassy branches
-    values = [rs_functional(reference_spec, TempField(beta=beta, h=0.0), q, rule) for q in sol.candidates]
-    assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star, rule) - min(values)) < 1e-14
+    values = [rs_functional(reference_spec, TempField(beta=beta, h=0.0), q) for q in sol.candidates]
+    assert abs(rs_functional(reference_spec, TempField(beta=beta, h=0.0), sol.q_star) - min(values)) < 1e-14
 
 
 def _kernel_at(spec, beta, h, q):
@@ -109,7 +135,7 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-def test_one_start_where_unique_and_few_kernel_calls(reference_spec, rule, monkeypatch):
+def test_one_start_where_unique_and_few_kernel_calls(reference_spec, monkeypatch):
     """Where the critical point is unique the solver runs one start, and
     Newton needs few kernel calls: at most 6 at (1.2, 0.3), 10 at (0.68,
     0.01), where beta^2 is above the h = 0 threshold, and 6 per point on 60
@@ -117,34 +143,34 @@ def test_one_start_where_unique_and_few_kernel_calls(reference_spec, rule, monke
     calls = _counting_kernel(monkeypatch)
     for beta, h, budget in ((1.2, 0.3, 6), (0.68, 0.01, 10)):
         calls.clear()
-        sol = solve_one(reference_spec, TempField(beta=beta, h=h), rule)
+        sol = solve_one(reference_spec, TempField(beta=beta, h=h))
         assert sol.guaranteed_unique and len(sol.candidates) == 1
         assert len(calls) == sol.iterations <= budget
     calls.clear()
     for h in (0.1, 0.5, 1.0):
         for beta in np.linspace(0.4, 1.6, 20):
-            solve_one(reference_spec, TempField(beta=float(beta), h=h), rule)
+            solve_one(reference_spec, TempField(beta=float(beta), h=h))
     assert len(calls) <= 6 * 60
 
 
-def test_error_estimate_bounds_the_error(reference_spec, rule):
+def test_error_estimate_bounds_the_error(reference_spec):
     """The reported error estimate |(I - J)^-1 (q - T(q))| is at most tol and
     bounds the distance to a tol-1e-15 solve, near the line at small h too."""
     for beta, h in ((1.2, 0.3), (0.66, 0.005), (1.6, 0.9), (0.5, 0.4)):
         tf = TempField(beta=beta, h=h)
-        sol = solve_one(reference_spec, tf, rule)
-        tight = solve_one(reference_spec, tf, rule, tol=1e-15)
+        sol = solve_one(reference_spec, tf)
+        tight = solve_one(reference_spec, tf, tol=1e-15)
         assert sol.error <= rs.DEFAULT_TOL and tight.error <= 1e-15
         assert np.abs(sol.q_star - tight.q_star).max() <= 2.0 * sol.error + 1e-15
 
 
-def test_zero_field_multistart_finds_both_branches(reference_spec, rule, monkeypatch):
+def test_zero_field_multistart_finds_both_branches(reference_spec, monkeypatch):
     """Above the h = 0 threshold three starts run: the zero start stays on the
     paramagnetic branch q = 0 (where the map expands, so the plain step
     holds it), and the all-ones start reaches the glassy branch."""
     calls = _counting_kernel(monkeypatch)
     beta = math.sqrt(2.5 * uniqueness_threshold(reference_spec))
-    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0), rule)
+    sol = solve_one(reference_spec, TempField(beta=beta, h=0.0))
     assert not sol.guaranteed_unique
     assert len(sol.candidates) == 2
     assert any((c == 0).all() for c in sol.candidates)
@@ -152,7 +178,7 @@ def test_zero_field_multistart_finds_both_branches(reference_spec, rule, monkeyp
     assert len(calls) <= 3 * 10
 
 
-def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
+def test_equal_starts_run_once(reference_spec, monkeypatch):
     """At h = 0 the decoupled start tanh^2(h) equals the zero start, so above
     the threshold, at (1.2, 0), two rows reach the kernel, not three.  The
     candidates are the limits of one-row runs from 0 and from 1, and q* is
@@ -162,34 +188,34 @@ def test_equal_starts_run_once(reference_spec, rule, monkeypatch):
     monkeypatch.setattr(rs, "map_derivatives",
                         lambda spec, tf, q: rows.append(np.size(q) // spec.m) or kernel(spec, tf, q))
     tf = TempField(beta=1.2, h=0.0)
-    sol = solve_one(reference_spec, tf, rule)
+    sol = solve_one(reference_spec, tf)
     assert rows[0] == 2 and max(rows) == 2
     limits = [rs._run(reference_spec, tf, np.full(2, start))[0].q for start in (0.0, 1.0)]
     assert len(sol.candidates) == 2
     assert all(np.array_equal(c, limit) for c, limit in zip(sol.candidates, limits))
     assert not limits[0].any() and np.array_equal(sol.q_star, limits[1])
-    assert rs_functional(reference_spec, tf, limits[1], rule) < rs_functional(reference_spec, tf, limits[0], rule)
+    assert rs_functional(reference_spec, tf, limits[1]) < rs_functional(reference_spec, tf, limits[0])
 
 
-def test_row_batches_match_one_point_solves(reference_spec, rule):
+def test_row_batches_match_one_point_solves(reference_spec):
     """Solving the README grid one h row at a time, each row one batch, gives
     every point's q*, gamma, error estimate and iteration count bit for bit
     as its own solve."""
     betas = np.linspace(0.4, 1.6, 25)
     for h in np.linspace(0.1, 1.0, 10):
-        batch = rs.solve_points(reference_spec, TempField(beta=betas, h=np.full(betas.size, h)), rule)
+        batch = rs.solve_points(reference_spec, TempField(beta=betas, h=np.full(betas.size, h)))
         for beta, got in zip(betas, batch):
-            want = solve_one(reference_spec, TempField(beta=float(beta), h=float(h)), rule)
+            want = solve_one(reference_spec, TempField(beta=float(beta), h=float(h)))
             assert np.array_equal(got.q_star, want.q_star) and np.array_equal(got.gamma, want.gamma)
             assert (got.error, got.iterations) == (want.error, want.iterations)
 
 
-def test_plain_steps_leave_an_unstable_fixed_point(reference_spec, rule):
+def test_plain_steps_leave_an_unstable_fixed_point(reference_spec):
     """Until the spectral radius of J drops below 1 the solver takes plain
     steps: from q = 1e-3 at h = 0 above the threshold a run leaves the
     unstable q = 0 for the glassy branch, to which Newton alone would fall."""
     tf = TempField(beta=math.sqrt(2.5 * uniqueness_threshold(reference_spec)), h=0.0)
-    glassy = max(solve_one(reference_spec, tf, rule).candidates, key=lambda q: q.sum())
+    glassy = max(solve_one(reference_spec, tf).candidates, key=lambda q: q.sum())
     (run,) = rs._run(reference_spec, tf, np.full(2, 1e-3))
     assert run.converged and np.abs(run.q - glassy).max() < 1e-9
 
@@ -357,10 +383,8 @@ def test_the_z_and_fourier_forms_agree_across_their_switch(h):
 
 def test_solver_not_converged():
     spec = ModelSpec(delta2=[[1.5, 1.0], [1.0, 1.2]], lam=[0.6, 0.4])
-    from mskglass import gauss_hermite
-
     with pytest.raises(NotConverged) as info:
-        solve_one(spec, TempField(beta=0.9, h=0.5), gauss_hermite(21), max_iter=2)
+        solve_one(spec, TempField(beta=0.9, h=0.5), max_iter=2)
     assert info.value.last_iterate is not None
 
 
@@ -401,11 +425,11 @@ def test_contraction_certificate(reference_spec, sk_spec, rule):
         assert worst < 1.0
 
 
-def test_interior_minimum_beats_boundary(reference_spec, rule):
+def test_interior_minimum_beats_boundary(reference_spec):
     """For h > 0 the critical point beats every boundary point of [0,1]^2."""
     tf = TempField(beta=0.6, h=0.5)
-    sol = solve_one(reference_spec, tf, rule)
-    best = rs_functional(reference_spec, tf, sol.q_star, rule)
+    sol = solve_one(reference_spec, tf)
+    best = rs_functional(reference_spec, tf, sol.q_star)
     ts = np.linspace(0.0, 1.0, 21)
     boundary = (
         [np.array([t, 0.0]) for t in ts]
@@ -414,4 +438,4 @@ def test_interior_minimum_beats_boundary(reference_spec, rule):
         + [np.array([1.0, t]) for t in ts]
     )
     for q in boundary:
-        assert best < rs_functional(reference_spec, tf, q, rule)
+        assert best < rs_functional(reference_spec, tf, q)
