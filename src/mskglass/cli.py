@@ -123,7 +123,6 @@ _REQUIRED = object()
 
 _ALL = ("solve-rs", "at-line", "phase-diagram", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
 _POINT = ("solve-rs", "certify", "parisi-eval", "mc-free-energy", "overlap-hist")
-_QUADRATURE = ("phase-diagram", "certify", "parisi-eval")
 _FINITE_N = ("mc-free-energy", "overlap-hist")
 
 
@@ -143,8 +142,8 @@ FIELDS = {
     "h": Field(float, _real, 0.0, _POINT),
     "lambda": Field(_float_list, _floats, _REQUIRED, _ALL, "species proportions, comma-separated"),
     "mode": Field(str, _mode, "convex", _ALL, " | ".join(VALIDATION_MODES)),
-    "order": Field(int, _rule, DEFAULT_ORDER, _QUADRATURE,
-                   f"Gauss-Hermite order of the functional; caps the slope's inner order (default {DEFAULT_ORDER})"),
+    "order": Field(int, _rule, DEFAULT_ORDER, ("certify", "parisi-eval"),
+                   f"Gauss-Hermite order of every level of the functional (default {DEFAULT_ORDER})"),
     "seed": Field(int, _count, 0, _FINITE_N),
     "out": Field(str, _path, None, _ALL, "output path (default stdout)"),
     "beta_range": Field(_range_triple, _range, (0.2, 1.2, 10), ("phase-diagram",), "min,max,steps"),
@@ -333,13 +332,13 @@ def cmd_at_line(cfg: dict, v: dict) -> int:
     return 0
 
 
-def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
+def _phase_rows(spec: ModelSpec, tf: TempField) -> list:
     """Phase-diagram rows (beta, h, verdict, beta2_m, gap) of a batch of points: a failed verdict is a
     numerical-failure row, and the gap is the certified one-step slope dP/dzeta at zeta = 1 (`certify_slopes`),
     empty where none is certified."""
     reports = at_verdicts(spec, tf)
     rsb = [i for i, r in enumerate(reports) if isinstance(r, ATReport) and r.verdict == Verdict.RSB_CERTIFIED]
-    _, slopes, _ = certify_slopes(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb], rule)
+    _, slopes, _ = certify_slopes(spec, TempField(beta=tf.beta[rsb], h=tf.h[rsb]), [reports[i] for i in rsb])
     gaps = dict(zip(rsb, slopes))
     rows = []
     for i, (beta, h, report) in enumerate(zip(tf.beta, tf.h, reports)):
@@ -352,10 +351,10 @@ def _phase_rows(spec: ModelSpec, tf: TempField, rule) -> list:
 
 
 def cmd_phase_diagram(cfg: dict, v: dict) -> int:
-    spec, rule, betas = _model_spec(v), v["order"], v["beta_range"]
+    spec, betas = _model_spec(v), v["beta_range"]
     beta, h = np.tile(betas, v["h_range"].size), np.repeat(v["h_range"], betas.size)  # grid order
     rows = [row for at in range(0, beta.size, _BLOCK_POINTS) for row in
-            _phase_rows(spec, TempField(beta=beta[at : at + _BLOCK_POINTS], h=h[at : at + _BLOCK_POINTS]), rule)]
+            _phase_rows(spec, TempField(beta=beta[at : at + _BLOCK_POINTS], h=h[at : at + _BLOCK_POINTS]))]
     for start in range(0, len(rows), betas.size):
         verdicts = [row[2] for row in rows[start : start + betas.size] if row[2] != "numerical-failure"]
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)

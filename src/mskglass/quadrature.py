@@ -15,8 +15,8 @@ nested level by level in the log domain with the overflow-free `log_cosh`
 expectation of the slope certificate (`onersb`).  The integrand log cosh has
 poles at y = +-i pi/2, so the rule loses accuracy as beta sqrt(C) grows.
 Every level of the functional takes the configured order (61 by default);
-the slope's inner expectation takes 8 to 48 nodes where its noise scale is
-small, the configured order capping it (`onersb`).  Neither T = E tanh^2 and
+the slope's inner expectation takes 8 to 61 nodes by its own noise scale and
+reads no configured order (`onersb`).  Neither T = E tanh^2 and
 gamma = lam E sech^4, and with them every verdict and the phase line, nor
 the single-atom value needs a rule (`rs`).
 """

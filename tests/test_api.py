@@ -48,6 +48,16 @@ def test_the_solver_layer_takes_no_quadrature_rule():
     assert not {"gauss_hermite", "QuadRule"} & (set(names) | set(_uses(tree))), names
 
 
+def test_the_phase_diagram_path_takes_no_quadrature_rule():
+    """`onersb._slopes`, `onersb.certify_slopes` and `cli._phase_rows`, the path of `phase-diagram`, take no
+    `rule` parameter: the slope's inner Gauss-Hermite orders follow from each row's own noise scale."""
+    wanted = {("onersb", "_slopes"), ("onersb", "certify_slopes"), ("cli", "_phase_rows")}
+    params = {(name, node.name): [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+              for name in ("onersb", "cli") for node in ast.parse((SRC / f"{name}.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and (name, node.name) in wanted}
+    assert params.keys() == wanted and not [key for key, args in params.items() if "rule" in args], params
+
+
 def _cases(spec, rule):
     """Per kernel (or evaluator batch axis): the rows of a batch, arrays sharing a leading axis, the
     kernel called on them, the axis of its results that follows the rows, and whether a row alone is

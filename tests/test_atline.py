@@ -70,7 +70,7 @@ def test_gamma_against_frozen_monte_carlo(reference_spec):
         assert abs(gamma[s] - mc[s][0]) < 3.0 * mc[s][1]
 
 
-def test_stability_matrix_small_beta_limit(reference_spec, rule):
+def test_stability_matrix_small_beta_limit(reference_spec):
     beta = 1e-8
     (k,), (h_mat,) = stability_matrices(reference_spec, TempField(beta=beta, h=0.2), reference_spec.lam[None])
     np.testing.assert_allclose(k, -reference_spec.delta2, atol=1e-14)
@@ -154,7 +154,7 @@ def test_thresholds_scale_exactly_with_gamma(reference_spec):
     assert thresholds_one(reference_spec, [1e-320, 1e-321]) == (math.inf,) * 5
 
 
-def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
+def test_verdict_where_gamma_is_subnormal(reference_spec):
     """At h = 185 gamma is subnormal and beta2_m is inf or close to the top of
     the float64 range: the verdict is RS-consistent, not a numerical failure."""
     for beta in (0.5, 1.2):
@@ -163,7 +163,7 @@ def test_verdict_where_gamma_is_subnormal(reference_spec, rule):
         assert report.gamma.min() < 2.3e-308 and report.beta2_m > 1e306
 
 
-def test_verdict_at_large_field(reference_spec, rule):
+def test_verdict_at_large_field(reference_spec):
     """At h = 100 gamma is about 1e-174; the thresholds stay ordered and match
     the eigenvalue oracle."""
     report = verdict_one(reference_spec, TempField(beta=1.2, h=100.0))
@@ -263,7 +263,7 @@ def _report_fields(result):
     return result.verdict, witness, sol.iterations, tuple(a.tobytes() for a in arrays)
 
 
-def test_batch_verdicts_equal_one_point_verdicts(reference_spec, rule, monkeypatch):
+def test_batch_verdicts_equal_one_point_verdicts(reference_spec, monkeypatch):
     """One batch of RS, RSB and indeterminate points with a forced solve failure, an underflowed
     gamma (h = 400) and a forced witness cross-check failure: each entry, in input order, is the
     one-point verdict bit for bit, and each error has its type and message."""
@@ -321,7 +321,7 @@ def test_witness_three_species_search():
         positivity_witness(np.diag([-1.0, -1.0, 1.0])[None])
 
 
-def test_lambda_conjugation_preserves_witness(reference_spec, rule):
+def test_lambda_conjugation_preserves_witness(reference_spec):
     tf = TempField(beta=1.2, h=0.3)
     report = verdict_one(reference_spec, tf)
     assert report.verdict == Verdict.RSB_CERTIFIED
@@ -349,13 +349,13 @@ def test_verdict_above_and_below_line(reference_spec):
     assert below.witness_x is None
 
 
-def test_verdict_indeterminate_on_the_line(reference_spec, rule):
+def test_verdict_indeterminate_on_the_line(reference_spec):
     beta = at_line_beta(reference_spec, 0.3, tol=1e-13)
     report = verdict_one(reference_spec, TempField(beta=beta, h=0.3))
     assert report.verdict == Verdict.INDETERMINATE
 
 
-def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
+def test_verdict_and_line_refuse_models_outside_the_standard_class():
     """Variance product below the squared cross variance (delta2 indefinite):
     the thresholds lose their ordering, so both entry points refuse instead
     of answering."""
@@ -366,12 +366,12 @@ def test_verdict_and_line_refuse_models_outside_the_standard_class(rule):
         at_line_beta(spec, 0.3)
 
 
-def test_verdict_requires_positive_field(reference_spec, rule):
+def test_verdict_requires_positive_field(reference_spec):
     with pytest.raises(Unsupported):
         verdict_one(reference_spec, TempField(beta=0.5, h=0.0))
 
 
-def test_beta2m_continuity_in_small_field(reference_spec, rule):
+def test_beta2m_continuity_in_small_field(reference_spec):
     """At small beta and h the reported threshold approaches the h = 0 closed form."""
     report = verdict_one(reference_spec, TempField(beta=0.3, h=0.01))
     b0 = uniqueness_threshold(reference_spec)
@@ -490,7 +490,7 @@ def test_threshold_ordering_random_sample():
     assert orders == {True, False}
 
 
-def test_random_positive_definite_models_against_the_eigenvalue_oracle(rule):
+def test_random_positive_definite_models_against_the_eigenvalue_oracle():
     """On 300 random positive-definite models, at random (beta, h), the verdict
     is the sign of lambda_max(K) and beta2_m is the eigenvalue form."""
     rng = np.random.default_rng(31)
@@ -513,7 +513,7 @@ _SIDES = ((1.2, 0.3), (0.5, 0.4), (0.9, 0.1))
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
-def test_scaled_variances_give_the_reference_verdict(reference_spec, rule, c):
+def test_scaled_variances_give_the_reference_verdict(reference_spec, c):
     """The model sees only beta^2 delta2: c delta2 at (beta, h) is the
     reference at (sqrt(c) beta, h), and its beta2_m is the reference's / c."""
     scaled = ModelSpec(delta2=c * reference_spec.delta2, lam=reference_spec.lam)
@@ -524,7 +524,7 @@ def test_scaled_variances_give_the_reference_verdict(reference_spec, rule, c):
         assert c * ours.beta2_m == pytest.approx(ref.beta2_m, rel=1e-13)
 
 
-def test_swapped_species_give_the_reference_verdict(reference_spec, rule):
+def test_swapped_species_give_the_reference_verdict(reference_spec):
     """Swapping the species only relabels them, witness included."""
     swapped = ModelSpec(delta2=reference_spec.delta2[::-1, ::-1], lam=reference_spec.lam[::-1])
     for beta, h in _SIDES:
@@ -537,7 +537,7 @@ def test_swapped_species_give_the_reference_verdict(reference_spec, rule):
 
 
 @pytest.mark.parametrize("d12", [0.0, 1e-9])
-def test_vanishing_cross_variance_gets_a_verdict(rule, d12):
+def test_vanishing_cross_variance_gets_a_verdict(d12):
     """At d12 -> 0 the species decouple: beta2_m is the larger species' own
     threshold, beta2_u and beta2_t meet beta2_m and beta2_M, and the verdict
     raises no ordering or witness inconsistency."""

@@ -216,7 +216,7 @@ def test_phase_diagram_runs_long_rows_in_blocks(ref_config, tmp_path, monkeypatc
     assert main(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
     batches = []
     rows = cli._phase_rows
-    monkeypatch.setattr(cli, "_phase_rows", lambda spec, tf, rule: batches.append(tf.beta.size) or rows(spec, tf, rule))
+    monkeypatch.setattr(cli, "_phase_rows", lambda spec, tf: batches.append(tf.beta.size) or rows(spec, tf))
     monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)
     assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert batches == [3, 3, 3, 3, 2]
@@ -231,7 +231,7 @@ def test_phase_diagram_verdict_flips_are_logged(ref_config, tmp_path, monkeypatc
     verdicts = itertools.cycle(["RS-consistent", "RSB-certified"])
     batches = []
 
-    def alternating(spec, tf, rule):
+    def alternating(spec, tf):
         batches.append(tf.beta.size)
         return [(beta, h, next(verdicts), 0.5, None) for beta, h in zip(tf.beta, tf.h)]
 
@@ -564,16 +564,21 @@ def test_every_bench_command_exits_zero(capsys):
 def test_evaluator_builds_only_the_rule_it_is_given(monkeypatch, capsys):
     """From an empty table cache, the benchmark's `certify` at (1.2, 0.3) and its k = 2 `parisi-eval` at
     (0.5, 0.4) each build one Gauss-Hermite table, of the configured order 61: every level of the
-    evaluator takes the rule it is given."""
+    evaluator takes the rule it is given.  The README `phase-diagram` builds once each the inner orders
+    its slope rows take, 8, 16 and 32, and never 61: it reads no configured rule."""
     built, build = [], quadrature.hermgauss
     monkeypatch.setattr(quadrature, "hermgauss", lambda n: built.append(n) or build(n))
+    taken, inner = set(), onersb.gauss_hermite
+    monkeypatch.setattr(onersb, "gauss_hermite", lambda n: taken.add(n) or inner(n))
     point = _bench_workloads(0)["point-crosscheck"]
     assert point[1][0] == "certify" and point[5][0] == "parisi-eval" and "0.3,0.7" in point[5]
-    for argv in (point[1], point[5]):
+    for argv in (point[1], point[5], README_PHASE_DIAGRAM):
         quadrature.gauss_hermite.cache_clear()
         built.clear()
         assert main(argv) == 0
-        assert built == [61], argv
+        if argv is not README_PHASE_DIAGRAM:
+            assert built == [61], argv
+    assert sorted(built) == sorted(taken) == [8, 16, 32]  # the orders the slope rows take, each built once
     capsys.readouterr()
 
 
@@ -624,9 +629,10 @@ def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
         ["certify", "--beta", "1.2", "--h", "0.3", "--eps-grid", "0.05"],
         ["certify", "--beta", "1.2", "--h", "0.3", "--zeta-grid", "0.9"],
         ["overlap-hist", "--beta", "0.3", "--n", "8", "--sweeps", "4", "--bins", "40"],
-        # the phase line and the single-atom value use no quadrature rule
+        # the phase line, the single-atom value and the slope certificate take no configured quadrature rule
         ["at-line", "--h-range", "0.3,0.3,1", "--order", "61"],
         ["solve-rs", "--beta", "0.5", "--order", "61"],
+        ["phase-diagram", "--order", "61"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(ref_config, capsys, argv):

@@ -411,54 +411,78 @@ def test_grid_certificate_scan_allocation_guard(reference_spec, rule):
     assert peak <= 2.5 * 2**20
 
 
-def _slope_at(spec, tf, report, epsilon, rule):
+def _slope_at(spec, tf, report, epsilon):
     """`onersb._slopes` at one point on its witness ray, p = q* + epsilon x: (q*, p, slope, error)."""
     (x,), (q,) = onersb._displacements(spec, [report])
     p = q + epsilon * x
-    (slope,), (error,) = onersb._slopes(spec, tf.beta, tf.h, q[None], p[None], rule)
+    (slope,), (error,) = onersb._slopes(spec, tf.beta, tf.h, q[None], p[None])
     return q, p, slope, error
 
 
-_EDGE_CASES = [(order, h) for order in onersb._ORDERS for h in (0.0, 0.3, 5.0)]
+_EDGE_CASES = [(order, limit, h) for order, limit in zip(onersb._ORDERS, onersb._SCALE_LIMITS)
+               for h in (0.0, 0.3, 5.0)]
 
 
-@pytest.mark.parametrize("order, h", _EDGE_CASES, ids=[f"{o}@h={h}" for o, h in _EDGE_CASES])
-def test_each_level_order_holds_at_its_scale_limit(reference_spec, rule, monkeypatch, order, h):
+def _at_scale(spec, q_star, scale):
+    """(q, p), one row per entry: q* in both species, and p at inner noise scale a = `scale` in both at beta = 1."""
+    coupling = 2.0 * spec.delta2 * spec.lam  # C_s(q) = (coupling @ q)_s
+    q = np.outer(q_star, np.ones(spec.m))
+    return q, q + np.outer(np.square(scale), np.linalg.solve(coupling, np.ones(spec.m)))
+
+
+@pytest.mark.parametrize("order, limit, h", _EDGE_CASES, ids=[f"{o}@h={h}" for o, _, h in _EDGE_CASES])
+def test_each_level_order_holds_at_its_scale_limit(reference_spec, monkeypatch, order, limit, h):
     """At beta = 1, with both species' inner noise scale a at 0.99 of the limit of `order`, and
     q* = 0.1 or 0.5 in both species, every row's E2 takes `order` nodes, and each slope stays within
-    1e-16 of the slope with the configured rule at every row."""
-    limit = dict(zip(onersb._ORDERS, onersb._SCALE_LIMITS))[order]
-    coupling = 2.0 * reference_spec.delta2 * reference_spec.lam  # C_s(q) = (coupling @ q)_s
-    q = np.array([[0.1, 0.1], [0.5, 0.5]])
-    p = q + np.linalg.solve(coupling, np.full(2, (0.99 * limit) ** 2))
+    1e-16 of the slope with every row on the top order, 61."""
+    q, p = _at_scale(reference_spec, [0.1, 0.5], np.full(2, 0.99 * limit))
     beta, field = np.ones(2), np.full(2, h)
     used, build = [], onersb.gauss_hermite
     monkeypatch.setattr(onersb, "gauss_hermite", lambda n: used.append(n) or build(n))
-    got, _ = onersb._slopes(reference_spec, beta, field, q, p, rule)
+    got, _ = onersb._slopes(reference_spec, beta, field, q, p)
     assert used == [order]  # one inner rule for all four species rows
-    monkeypatch.setattr(onersb, "_SCALE_LIMITS", (0.0,) * len(onersb._ORDERS))  # no limit covers a scale
-    want, _ = onersb._slopes(reference_spec, beta, field, q, p, rule)
-    assert used == [order] and np.abs(got - want).max() <= 1e-16, got - want
+    monkeypatch.setattr(onersb, "_SCALE_LIMITS", (0.0,) * len(onersb._SCALE_LIMITS))  # every row takes the top order
+    want, _ = onersb._slopes(reference_spec, beta, field, q, p)
+    assert used == [order, 61] and np.abs(got - want).max() <= 1e-16, got - want
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3, 5.0])
+def test_top_order_holds_to_its_measured_limit(reference_spec, monkeypatch, h):
+    """With every row forced onto the top order, 61, the slope at beta = 1 stays within 1e-15 of the
+    trapezoid oracle up to a = 1.0 at q* = 0.1 and 0.2 in both species (3.9e-16 measured), and up to
+    a = 0.7 at q* = 0 (2.2e-16), where no outer spread averages E2's error out: there it reaches
+    4.2e-15 at a = 0.8 and 1.0e-12 at a = 1.0."""
+    rows = [(q, a) for q in (0.1, 0.2) for a in (0.25, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)] + [(0.0, 0.5), (0.0, 0.7)]
+    q, p = _at_scale(reference_spec, *np.transpose(rows))
+    used, build = [], onersb.gauss_hermite
+    monkeypatch.setattr(onersb, "gauss_hermite", lambda n: used.append(n) or build(n))
+    monkeypatch.setattr(onersb, "_SCALE_LIMITS", (0.0,) * len(onersb._SCALE_LIMITS))
+    got, _ = onersb._slopes(reference_spec, np.ones(len(rows)), np.full(len(rows), h), q, p)
+    assert used == [61] and p.max() < 1.0
+    trap = trapezoid_rule()
+    for n in range(len(rows)):
+        want = zeta_derivative(reference_spec, TempField(beta=1.0, h=h), q[n], p[n], trap)
+        assert abs(got[n] - want) <= 1e-15, rows[n]
 
 
 @pytest.mark.parametrize("beta, h", [(1.05, 0.6), (0.9, 0.3), (1.6, 0.3)])
-def test_slope_matches_the_trapezoid_oracle(reference_spec, rule, beta, h):
+def test_slope_matches_the_trapezoid_oracle(reference_spec, beta, h):
     """The slope at zeta = 1 against the tensor-grid oracle under the trapezoid rule (step 0.05 on
     [-10, 10]), to 1e-15 absolute, at two near-line points (slopes 5e-11 and 5e-9) and at beta = 1.6,
     over the epsilons of the scan and 0.1."""
     tf = TempField(beta=beta, h=h)
     report = verdict_one(reference_spec, tf)
     for epsilon in [*SLOPE_EPSILONS[::4], 0.1]:
-        q, p, slope, error = _slope_at(reference_spec, tf, report, epsilon, rule)
+        q, p, slope, error = _slope_at(reference_spec, tf, report, epsilon)
         assert abs(slope - zeta_derivative(reference_spec, tf, q, p, trapezoid_rule())) <= 1e-15
         assert error < 1e-13
 
 
-def test_slope_matches_zeta_differences_of_the_value_oracle(reference_spec, rule):
+def test_slope_matches_zeta_differences_of_the_value_oracle(reference_spec):
     """The slope is dP/dzeta at zeta = 1: Richardson-extrapolated central differences in zeta, step 0.02,
     of the one-step value by nested scipy quadrature agree to 1e-8 relative (2e-9 measured)."""
     tf = TempField(beta=1.6, h=0.3)
-    q, p, slope, _ = _slope_at(reference_spec, tf, verdict_one(reference_spec, tf), 0.1, rule)
+    q, p, slope, _ = _slope_at(reference_spec, tf, verdict_one(reference_spec, tf), 0.1)
 
     def central(step):
         value = [one_step_value(reference_spec, 1.6, 0.3, q, p, 1.0 + sign * step) for sign in (1, -1)]
@@ -467,12 +491,12 @@ def test_slope_matches_zeta_differences_of_the_value_oracle(reference_spec, rule
     assert abs((4.0 * central(0.02) - central(0.04)) / 3.0 - slope) <= 1e-8 * slope
 
 
-def test_slope_certificates_cover_the_oracle_on_the_readme_grid(reference_spec, rule):
+def test_slope_certificates_cover_the_oracle_on_the_readme_grid(reference_spec):
     """All 123 README RSB points are certified, each at a slope above twice its error estimate, and each
     estimate covers the slope's difference from the trapezoid oracle at its point.  The grid certificate
     leaves 4 near-line points without a gap."""
     tf, reports = _readme_rsb_points(reference_spec)
-    epsilon, slope, error = certify_slopes(reference_spec, tf, reports, rule)
+    epsilon, slope, error = certify_slopes(reference_spec, tf, reports)
     assert (slope > 2.0 * error).all() and len(slope) == 123
     (x, q), trap = onersb._displacements(reference_spec, reports), trapezoid_rule()
     for n, (beta, h) in enumerate(zip(tf.beta, tf.h)):
@@ -480,45 +504,45 @@ def test_slope_certificates_cover_the_oracle_on_the_readme_grid(reference_spec, 
         assert abs(slope[n] - want) <= error[n]
 
 
-def test_slope_certificates_are_the_same_bits_alone_and_in_a_block(reference_spec, rule):
+def test_slope_certificates_are_the_same_bits_alone_and_in_a_block(reference_spec):
     """Each README RSB point's (epsilon, slope, error) is bit-equal certified alone, in the 123-point
     block and in the block reversed: a row's nodes follow from its own scales."""
     tf, reports = _readme_rsb_points(reference_spec)
-    block = np.array(certify_slopes(reference_spec, tf, reports, rule))
+    block = np.array(certify_slopes(reference_spec, tf, reports))
     reverse = TempField(beta=tf.beta[::-1], h=tf.h[::-1])
-    assert np.array_equal(np.array(certify_slopes(reference_spec, reverse, reports[::-1], rule))[:, ::-1], block)
+    assert np.array_equal(np.array(certify_slopes(reference_spec, reverse, reports[::-1]))[:, ::-1], block)
     for n, (beta, h) in enumerate(zip(tf.beta, tf.h)):
-        alone = certify_slopes(reference_spec, TempField(beta=beta, h=h), [reports[n]], rule)
+        alone = certify_slopes(reference_spec, TempField(beta=beta, h=h), [reports[n]])
         assert np.array_equal(np.concatenate(alone), block[:, n])
 
 
-def test_slope_certificate_scan_allocation_guard(reference_spec, rule):
+def test_slope_certificate_scan_allocation_guard(reference_spec):
     """The README grid's slope certificates peak at no more than 2 MiB of traced allocations (about
     1.7 MB measured on a first call, 0.6 MB once the inner rules are cached; the grid certificate's
     scan takes about 2.2 MB): the inner-rule arrays are held 10,000 floats at a time."""
     tf, reports = _readme_rsb_points(reference_spec)
     tracemalloc.start()
     try:
-        certify_slopes(reference_spec, tf, reports, rule)
+        certify_slopes(reference_spec, tf, reports)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
 
 
-def test_slope_certificate_scans_in_two_rounds(reference_spec, rule, monkeypatch):
+def test_slope_certificate_scans_in_two_rounds(reference_spec, monkeypatch):
     """The first epsilon of every point is one `_slopes` call, and the rest of the points it leaves (3 on
     the README grid) one more; a point with no epsilon inside [0, 1] is evaluated at none and left
     uncertified."""
     tf, reports = _readme_rsb_points(reference_spec)
     rows, slopes = [], onersb._slopes
     monkeypatch.setattr(onersb, "_slopes", lambda *args: rows.append(len(args[1])) or slopes(*args))
-    epsilon, slope, _ = certify_slopes(reference_spec, tf, reports, rule)
+    epsilon, slope, _ = certify_slopes(reference_spec, tf, reports)
     assert set(epsilon.tolist()) <= set(SLOPE_EPSILONS.tolist())
     assert rows == [123, 12 * np.count_nonzero(epsilon < SLOPE_EPSILONS[0])] == [123, 36]  # every p stays inside
     monkeypatch.setattr(onersb, "SLOPE_EPSILONS", np.array([2.0, 5.0]))
     rows.clear()
-    assert np.isnan(certify_slopes(reference_spec, tf, reports[:3], rule)).all() and rows == []
+    assert np.isnan(certify_slopes(reference_spec, tf, reports[:3])).all() and rows == []
 
 
 @pytest.mark.parametrize(
@@ -532,7 +556,7 @@ def test_slope_certificate_scans_in_two_rounds(reference_spec, rule, monkeypatch
         ({}, [None, None, None], [3, 36]),
     ],
 )
-def test_slope_certificate_takes_each_points_first_certifying_epsilon(reference_spec, rule, monkeypatch,
+def test_slope_certificate_takes_each_points_first_certifying_epsilon(reference_spec, monkeypatch,
                                                                        hits, want, calls):
     """With `_slopes` replaced by a table of slopes that clear twice their error at the listed epsilon
     indices only, each point gets its first certifying epsilon in SLOPE_EPSILONS order with that entry's
@@ -543,14 +567,14 @@ def test_slope_certificate_takes_each_points_first_certifying_epsilon(reference_
                       for n in range(3)])
     seen = []
 
-    def slopes(spec, beta, h, q, p, rule):
+    def slopes(spec, beta, h, q, p):
         seen.append(len(beta))
         point = np.searchsorted(tf.beta, beta)  # the betas are distinct and ascending
         k = np.abs(np.log(np.max(p - q, axis=-1))[:, None] - np.log(SLOPE_EPSILONS)).argmin(-1)
         return table[point, k], 0.25 + k / 1000.0
 
     monkeypatch.setattr(onersb, "_slopes", slopes)
-    epsilon, slope, error = certify_slopes(reference_spec, tf, reports, rule)
+    epsilon, slope, error = certify_slopes(reference_spec, tf, reports)
     assert seen == calls
     for n, k in enumerate(want):
         if k is None:

@@ -72,7 +72,7 @@ def test_rules_are_computed_once_per_order():
         rule.weights[0] = 1.0
 
 
-def test_expect_degenerate_scale(rule):
+def test_expect_degenerate_scale():
     # a zero coupling kills the noise regardless of order
     for order in (5, 21, 61):
         r = gauss_hermite(order)

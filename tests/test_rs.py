@@ -78,7 +78,7 @@ def test_gradient_matches_finite_differences(reference_spec):
             assert abs(fd - grad[t]) < 1e-6 * max(1.0, abs(grad[t]))
 
 
-def test_gradient_zero_field_zero_overlap(reference_spec, rule):
+def test_gradient_zero_field_zero_overlap(reference_spec):
     tf = TempField(beta=0.8, h=0.0)
     np.testing.assert_array_equal(rs_gradient(reference_spec, tf, np.zeros(2)), np.zeros(2))
 
@@ -412,7 +412,7 @@ def test_uniqueness_threshold_unsupported():
         uniqueness_threshold(spec)
 
 
-def test_contraction_certificate(reference_spec, sk_spec, rule):
+def test_contraction_certificate(reference_spec, sk_spec):
     """Empirical sup-norm contraction of the map below 0.9 x the threshold."""
     rng = np.random.default_rng(5)
     for spec in (reference_spec, sk_spec):
