@@ -2,12 +2,13 @@
 
 One JSON config file holds the model (delta2 row-major, lambda, mode) plus
 any run parameters; command-line flags override file fields, and a file key
-that names no field is refused.  Every output embeds the resolved config and
-the library version so a result file is a complete experiment record.  CSV
-floats carry 17 significant digits so regression baselines round-trip
-bit-faithfully.  Grid scans run in one process, `phase-diagram` in batches of
-up to _BLOCK_POINTS grid points and `at-line` one batch over all h, and write
-their rows in grid order (h outer, beta inner).
+that names no field is refused.  Every output embeds the resolved config, the
+fields the command read and nothing else, and the library version so a result
+file is a complete experiment record.  CSV floats carry 17 significant digits
+so regression baselines round-trip bit-faithfully.  Grid scans run in one
+process, `phase-diagram` in batches of up to _BLOCK_POINTS grid points and
+`at-line` one batch over all h, and write their rows in grid order (h outer,
+beta inner).
 
 Exit codes: 0 ok, 1 usage/config error (an input outside the supported model
 class or range included), 2 numerical failure.
@@ -176,9 +177,10 @@ def _jsonable(obj):
 def _resolve_config(args) -> tuple[dict, dict]:
     """(recorded config, converted value of each field the command reads).
 
-    The record holds the file fields with the flags overlaid.  An absent or
-    null field takes its default; a missing required field, or a value the
-    converter rejects, is a config error (exit 1).
+    The record holds the file fields the command reads, in file order, with
+    the flags overlaid; a file field it does not read is left out with one
+    warning.  An absent or null field takes its default; a missing required
+    field, or a value the converter rejects, is a config error (exit 1).
     """
     cfg: dict = {}
     if args.config:
@@ -192,6 +194,11 @@ def _resolve_config(args) -> tuple[dict, dict]:
         unknown = [key for key in cfg if key not in FIELDS]
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
+        unread = [key for key in cfg if args.command not in FIELDS[key].commands]
+        if unread:
+            _log.warning("%s does not read config field(s) %s; left out of the record",
+                         args.command, ", ".join(map(repr, unread)))
+        cfg = {key: value for key, value in cfg.items() if key not in unread}
     values = {}
     for key, field in FIELDS.items():
         if args.command not in field.commands:

@@ -36,14 +36,16 @@ t holds the word w = mix(mix(c ^ t) ^ k), the site ((w >> 32) * N) >> 32 in
 start spins, sigma^a_i = -1 if u < 1/2 else +1; row 1 + t is sweep t, whose
 step i proposes the site of slot k to replica a and accepts it against its u.
 
-Z is summed exactly for N <= 24: the sum over the second index half is one
-GEMM per chunk of first-half configurations (log_partition_exact).
+Z is summed exactly for N <= 24 (log_partition_exact): per chunk of first-half
+configurations, one product with a cached sign table, one exp and one GEMM over
+the second half, every product but the underflow re-sum's within _CHUNK_MACS.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,7 +58,7 @@ MAX_EXACT_N = 24
 MAX_MC_N = 256
 HISTOGRAM_BINS = 40  # equal bins of [0, 1] per species overlap histogram
 
-_CHUNK_MACS = 2**18  # per chunk GEMM of log_partition_exact: one OpenBLAS thread
+_CHUNK_MACS = 2**18  # multiply-adds per product of log_partition_exact, re-sum aside: one OpenBLAS thread
 _BLOCK_WORDS = 2**12  # generator words per vectorised draw: couplings or sweeps' proposals
 _TINY = 1e-280  # a factored row sum this small is re-summed directly
 
@@ -156,42 +158,68 @@ def _one_point(tf: TempField) -> tuple:
     return float(tf.beta[0]), float(tf.h[0])
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row chunks of at most _CHUNK_MACS multiply-adds each."""
+    out, step = np.empty((len(a), b.shape[1])), max(1, _CHUNK_MACS // b.size)
+    for start in range(0, len(a), step):
+        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    return out
+
+
+@functools.cache  # one entry per N <= MAX_EXACT_N; sign tables of 14 KB at most
+def _enumeration_tables(n: int) -> tuple:
+    """Read-only tables of log_partition_exact at size n: each half's spins and
+    magnetisations, the nb x 2 indicator of the low and high spins, the sign table."""
+    na = n // 2
+    nb, nl = n - na, (n - na) // 2
+    sa, sb, sl, sh = _all_spins(na), _all_spins(nb), _all_spins(nl), _all_spins(nb - nl)
+    table = np.zeros((nb + 2, len(sl) + len(sh)))
+    table[:nl, : len(sl)], table[nl:nb, len(sl) :] = sl.T, sh.T
+    table[nb, : len(sl)] = table[nb + 1, len(sl) :] = -1.0
+    tables = (sa, sb, sa.sum(axis=1), sb.sum(axis=1), np.repeat(np.eye(2), [nl, nb - nl], axis=0), table)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     """log Z by exact enumeration at the one point of `tf`, meet-in-the-middle over two index halves.
 
     Split the second half into its low nl = nb // 2 and high nh spins, so
     b = bh 2^nl + bl, and let (ml, mh) be first-half configuration a's field on
     them.  Row a of Z is e^{ea} sum_bh e^{mh.s_bh} sum_bl W[bh, bl] e^{ml.s_bl}
-    with W = e^{eb}.  Per chunk of _CHUNK_MACS / 2^nb rows that is one GEMM of
-    Pl = e^{ml.s_bl - sum|ml|} against W / max W, times Ph = e^{mh.s_bh - sum|mh|}:
-    2^na (2^nl + 2^nh) exps, not 2^N.  A row sum below _TINY (some underflow at
-    beta = 200, N = 18) is redone directly under the row's own maximum, so log Z
-    is exact to rounding at every beta.
+    with W = e^{eb}.  Row a of `field` is [ml | mh | sum|ml| | sum|mh|], and the
+    sign table is diag(s_bl^T, s_bh^T) over one -1 row per half, so a chunk of
+    rows is four calls: one product to [ml.s_bl - sum|ml| | mh.s_bh - sum|mh|],
+    one in-place exp to [Pl | Ph], the GEMM Pl @ (W / max W) and the row
+    contraction with Ph; 2^na (2^nl + 2^nh) exps, not 2^N.  Every product but
+    the re-sum's takes at most _CHUNK_MACS multiply-adds.  A row sum below _TINY
+    (some underflow at beta = 200, N = 18) is redone directly under the row's own
+    maximum, so log Z is exact to rounding at every beta.
     """
     n = d.n
     if n > MAX_EXACT_N:
         raise Unsupported(f"exact enumeration supports N <= {MAX_EXACT_N}, got {n}")
     (beta, h), na = _one_point(tf), n // 2
-    c, nl = beta / math.sqrt(n), (n - na) // 2
-    sa, sb = _all_spins(na), _all_spins(n - na)
-    sl, sh = _all_spins(nl), _all_spins(n - na - nl)
-    ea = c * np.einsum("ij,ij->i", sa @ d.g[:na, :na], sa) + h * sa.sum(axis=1)
-    eb = c * np.einsum("ij,ij->i", sb @ d.g[na:, na:], sb) + h * sb.sum(axis=1)
-    field = c * (sa @ (d.g[:na, na:] + d.g[na:, :na].T))
-    shift_l, shift_h = np.abs(field[:, :nl]).sum(axis=1), np.abs(field[:, nl:]).sum(axis=1)
-    top = eb.max()
-    wt = np.exp(eb - top).reshape(len(sh), len(sl)).T
-    shift, sums = shift_l + shift_h + top, np.empty(len(sa))
-    step = max(1, _CHUNK_MACS // len(sb))
+    c, nb = beta / math.sqrt(n), n - na
+    sa, sb, ma, mb, halves, table = _enumeration_tables(n)
+    ea = c * np.einsum("ij,ij->i", _matmul(sa, d.g[:na, :na]), sa) + h * ma
+    eb = c * np.einsum("ij,ij->i", _matmul(sb, d.g[na:, na:]), sb) + h * mb
+    field = np.empty((len(sa), nb + 2))
+    field[:, :nb] = c * _matmul(sa, d.g[:na, na:] + d.g[na:, :na].T)
+    field[:, nb:] = np.abs(field[:, :nb]) @ halves
+    top, split = eb.max(), 2 ** (nb // 2)
+    wt = np.exp(eb - top).reshape(-1, split).T
+    shift, sums = field[:, nb] + field[:, nb + 1] + top, np.empty(len(sa))
+    step = max(1, _CHUNK_MACS // max(len(sb), table.size))
     for start in range(0, len(sa), step):
-        rows = slice(start, start + step)
-        block = np.exp(field[rows, :nl] @ sl.T - shift_l[rows, None]) @ wt
-        block *= np.exp(field[rows, nl:] @ sh.T - shift_h[rows, None])
-        sums[rows] = block.sum(axis=1)
+        p = field[start : start + step] @ table
+        np.exp(p, out=p)
+        sums[start : start + step] = np.einsum("ij,ij->i", p[:, :split] @ wt, p[:, split:])
     redo = np.flatnonzero(sums < _TINY)
     for start in range(0, len(redo), step):
         rows = redo[start : start + step]
-        block = field[rows] @ sb.T + eb
+        block = field[rows, :nb] @ sb.T + eb
         shift[rows] = block.max(axis=1)
         sums[rows] = np.exp(block - shift[rows, None]).sum(axis=1)
     terms = ea + shift + np.log(sums)
@@ -286,9 +314,7 @@ def overlap_histogram(
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     burn_in = sweeps // 2
-    species = species_partition(spec, n)
-    sizes = species_sizes(spec, n)
-    masks = [species == s for s in range(spec.m)]
+    bounds = np.cumsum([0, *species_sizes(spec, n)]).tolist()  # species s holds sites bounds[s]:bounds[s + 1]
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros((spec.m, HISTOGRAM_BINS), dtype=int)
     samples: list[list[float]] = [[] for _ in range(spec.m)]
@@ -305,23 +331,22 @@ def overlap_histogram(
         draws = _proposals(derive_seed(seed, r, 2), n, sweeps)
         sigma = np.where(np.array(next(draws)[1]) < 0.5, -1.0, 1.0)
         field = np.ascontiguousarray((coupling @ sigma.T + h).T)  # (2, n) local fields
+        replicas = sigma.tolist()  # each replica's spins stay a list for the whole chain
 
         for sweep, (sites, uniforms) in enumerate(draws):
-            for rep in range(2):
-                spins, f = sigma[rep].tolist(), field[rep]
+            for spins, f, rep_sites, rep_uniforms in zip(replicas, field, sites, uniforms):
                 local, add = memoryview(f), f.__iadd__  # local reads f as Python floats, updates included
-                for i, u in zip(sites[rep], uniforms[rep]):
+                for i, u in zip(rep_sites, rep_uniforms):
                     spin = spins[i]
                     delta = -2.0 * spin * local[i]
                     if delta >= 0.0 or u < exp(delta):
                         add(down[i] if spin > 0.0 else up[i])
                         spins[i] = -spin
                         accepted += 1
-                sigma[rep] = spins
             if sweep >= burn_in:
-                prod = sigma[0] * sigma[1]
-                for s in range(spec.m):
-                    overlap = abs(prod[masks[s]].sum()) / sizes[s]
+                prod = list(map(operator.mul, *replicas))  # a sum of +-1 products is exact
+                for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                    overlap = abs(sum(prod[lo:hi])) / (hi - lo)
                     idx = min(int(overlap * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
                     counts[s, idx] += 1
                     samples[s].append(overlap)

@@ -525,6 +525,36 @@ def test_unknown_config_keys_are_named(ref_config, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: unknown config field(s): 'oder', 'M'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["phase-diagram", "--beta-range", "0.4,1.6,3", "--h-range", "0.3,0.6,2"], {"order": 5000}),
+        (["at-line", "--h-range", "0.3,0.6,2"], {"order": 5000}),
+        (["solve-rs", "--beta", "0.5", "--h", "0.4"], {"order": 5000}),
+        (["mc-free-energy", "--beta", "0.3", "--h", "0.4", "--n", "6"], {"zeta": [0.5]}),
+    ],
+)
+def test_unread_config_fields_are_left_out_of_the_record(ref_config, tmp_path, capsys, caplog, argv, fields):
+    """A file field the command does not read exits 0 as before, but is absent
+    from the recorded config, and one mskglass warning names it."""
+    with open(ref_config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({**doc, **fields}))
+    with caplog.at_level(logging.WARNING, logger="mskglass"):
+        assert main([*argv, "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    if out.startswith("#"):  # CSV: the record is the "# config:" line
+        config = json.loads(out.splitlines()[1].removeprefix("# config: "))
+    else:
+        config = json.loads(out)["config"]
+    assert list(config)[:3] == ["delta2", "lambda", "mode"] and not fields.keys() & config.keys()
+    (key,) = fields
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("mskglass", logging.WARNING, f"{argv[0]} does not read config field(s) {key!r}; left out of the record")
+    ]
+
+
 THREE_SPECIES = ["--delta2", "1,0.5,0.5,0.5,1,0.5,0.5,0.5,1", "--lambda", "0.3,0.3,0.4"]
 
 

@@ -164,8 +164,9 @@ def test_log_partition_uneven_split(reference_spec, n, beta):
     ids=["0.5", "4.0", "16.0", "80.0", "200.0", "200.0-seed3"],
 )
 def test_log_partition_multi_block(reference_spec, configs18, monkeypatch, beta, seed):
-    """N = 18 in one row chunk (all 512 first-half rows at the default 2^18
-    multiply-adds per chunk GEMM) and, with 2^12, in 64 chunks of 8 rows; log Z
+    """N = 18 in two row chunks of 496 and 16 first-half rows (at the default
+    2^18 multiply-adds per product, the sign-table product's 11 x 48 per row
+    sets the chunk) and, with 2^12, in 74 chunks of up to 7 rows; log Z
     matches the oracle log-sum-exp over all 2^18 configurations both ways, up
     to beta = 200.  There the factored sums of some rows underflow, some to 0
     (140 of 512 rows fall below _TINY for seed 6), and are re-summed directly;
@@ -175,6 +176,21 @@ def test_log_partition_multi_block(reference_spec, configs18, monkeypatch, beta,
     _assert_matches_oracle(d, tf, configs18)
     monkeypatch.setattr(simulate, "_CHUNK_MACS", 2**12)
     _assert_matches_oracle(d, tf, configs18)
+
+
+@pytest.mark.parametrize("n", [13, 18, 24])
+@pytest.mark.parametrize("beta", [0.5, 200.0])
+def test_log_partition_bit_identical_across_chunk_sizes(reference_spec, monkeypatch, n, beta):
+    """Each first-half row is summed on its own, so log Z keeps every bit
+    whether the rows go one per chunk or all in one; beta = 200 takes rows
+    through the direct re-sum."""
+    d = sample_disorder(reference_spec, n, seed=6)
+    tf = TempField(beta=beta, h=0.2)
+    values = []
+    for macs in (2**12, 2**14, 2**18):
+        monkeypatch.setattr(simulate, "_CHUNK_MACS", macs)
+        values.append(log_partition_exact(d, tf).hex())
+    assert values[0] == values[1] == values[2]
 
 
 def test_gauge_symmetry_zero_field(reference_spec):
@@ -226,6 +242,17 @@ def test_overlap_deterministic(sk_spec):
     np.testing.assert_array_equal(a.means, b.means)
 
 
+def test_overlap_histogram_keeps_the_frozen_values(reference_spec):
+    """Counts, means, stds and acceptance keep every bit of the values frozen
+    when each chain still went through NumPy arrays between sweeps."""
+    hist = overlap_histogram(reference_spec, TempField(beta=0.4, h=0.2), n=24, sweeps=60, n_disorder=2, seed=31)
+    nonzero = [{int(b): int(row[b]) for b in np.flatnonzero(row)} for row in hist.counts]
+    assert nonzero == [{0: 9, 5: 24, 11: 13, 17: 6, 22: 4, 28: 4}, {0: 11, 8: 28, 16: 14, 24: 5, 32: 2}]
+    assert [x.hex() for x in hist.means.tolist()] == ["0x1.fb1fb1fb1fb1fp-3", "0x1.0da740da740dap-2"]
+    assert [x.hex() for x in hist.stds.tolist()] == ["0x1.9635904835440p-3", "0x1.9289f61245bd4p-3"]
+    assert (hist.acceptance.hex(), hist.n_measurements) == ("0x1.0693e93e93e94p-1", 60)
+
+
 @pytest.mark.parametrize("beta, h", [(0.4, 0.2), (1.5, 0.1)])
 def test_overlap_matches_reference_sampler(reference_spec, beta, h):
     """Same counts as a sampler that takes every energy change from two full energies."""
@@ -264,14 +291,16 @@ def test_stacked_disorder_equals_per_seed_draws(reference_spec):
     "n, mean, stderr",
     [
         (2, "0x1.c95a0c2a2a075p-1", "0x1.c748bc36d1b15p-5"),
-        (13, "0x1.fa3ab562fdab0p-1", "0x1.4de9ce10a1bbcp-7"),
-        (24, "0x1.ffa87e6f711aap-1", "0x1.5d221317154aep-8"),
+        (13, "0x1.fa3ab562fdab0p-1", "0x1.4de9ce10a1bbbp-7"),
+        (24, "0x1.ffa87e6f711aap-1", "0x1.5d221317154adp-8"),
     ],
 )
 def test_free_energy_grouped_draws_keep_the_values(reference_spec, n, mean, stderr):
     """Drawing the couplings in groups leaves the estimate byte-equal to the
     values frozen from one draw per sample; 67 samples leave a partial last
-    group at every N (groups of 1024, 24 and 7 samples)."""
+    group at every N (groups of 1024, 24 and 7 samples).  The N = 13 and
+    N = 24 stderr were refrozen, 1 ulp each, when the enumeration chunk became
+    one sign-table product and one row contraction; every mean kept its bits."""
     est = free_energy_exact(reference_spec, TempField(beta=0.7, h=0.3), n=n, n_disorder=67, seed=5)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
@@ -287,10 +316,11 @@ def _traced_peak(fn):
 
 def test_finite_n_allocation_guard(reference_spec):
     """Traced peaks of the README finite-N runs stay small, so the disorder
-    groups and proposal blocks cannot quietly grow: about 0.5 MiB for the
-    N = 20 x 200 exact samples, and 0.95 MiB for N = 128 Metropolis.  Two
-    samples of 160 sweeps (ten proposal blocks) reach the peak of the README's
-    4 x 400 in a fifth of the traced time."""
+    groups, proposal blocks and enumeration tables cannot quietly grow: the
+    N = 20 x 200 exact samples peak at 0.53 MiB with the size's tables built
+    in the call (0.42 MiB once cached), and N = 128 Metropolis at 0.96 MiB
+    (numpy 2.4.6, Python 3.11).  Two samples of 160 sweeps (ten proposal
+    blocks) reach the peak of the README's 4 x 400 in a fifth of the traced time."""
     tf = TempField(beta=0.3, h=0.4)
     assert _traced_peak(lambda: free_energy_exact(reference_spec, tf, n=20, n_disorder=200, seed=7)) <= 2**20
     peak = _traced_peak(lambda: overlap_histogram(reference_spec, tf, n=128, sweeps=160, n_disorder=2, seed=7))
