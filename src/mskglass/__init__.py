@@ -5,7 +5,14 @@ model: replica-symmetric critical points and their uniqueness threshold, the
 de Almeida-Thouless boundary via closed-form stability thresholds, one-step
 symmetry-breaking certificates, a generic k-level hierarchical functional for
 cross-validation, and finite-N enumeration / Monte Carlo ground truth.
+
+Any process that loads numpy through mskglass runs BLAS on one thread: no product in the package
+is worth a second one, and OpenBLAS's idle worker busy-waits, doubling a command's CPU time.  An
+explicit OPENBLAS_NUM_THREADS wins; a program that imports numpy before mskglass keeps numpy's own.
 """
+
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when .model first imports numpy
 
 from .errors import (
     BadDimension, BadPoint, BadZeta, CertificateNotFound, InternalInconsistency, MskGlassError,

@@ -38,7 +38,7 @@ step i proposes the site of slot k to replica a and accepts it against its u.
 
 Z is summed exactly for N <= 24 (log_partition_exact): per chunk of first-half
 configurations, one product with a cached sign table, one exp and one GEMM over
-the second half, every product but the underflow re-sum's within _CHUNK_MACS.
+the second half, each of the chunk's products within _CHUNK_MACS multiply-adds.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ MAX_EXACT_N = 24
 MAX_MC_N = 256
 HISTOGRAM_BINS = 40  # equal bins of [0, 1] per species overlap histogram
 
-_CHUNK_MACS = 2**18  # multiply-adds per product of log_partition_exact, re-sum aside: one OpenBLAS thread
+_CHUNK_MACS = 2**18  # multiply-adds per product of a log_partition_exact main-loop chunk: its working set
 _BLOCK_WORDS = 2**12  # generator words per vectorised draw: couplings or sweeps' proposals
 _TINY = 1e-280  # a factored row sum this small is re-summed directly
 
@@ -158,14 +158,6 @@ def _one_point(tf: TempField) -> tuple:
     return float(tf.beta[0]), float(tf.h[0])
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row chunks of at most _CHUNK_MACS multiply-adds each."""
-    out, step = np.empty((len(a), b.shape[1])), max(1, _CHUNK_MACS // b.size)
-    for start in range(0, len(a), step):
-        np.matmul(a[start : start + step], b, out=out[start : start + step])
-    return out
-
-
 @functools.cache  # one entry per N <= MAX_EXACT_N; sign tables of 14 KB at most
 def _enumeration_tables(n: int) -> tuple:
     """Read-only tables of log_partition_exact at size n: each half's spins and
@@ -192,8 +184,8 @@ def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     sign table is diag(s_bl^T, s_bh^T) over one -1 row per half, so a chunk of
     rows is four calls: one product to [ml.s_bl - sum|ml| | mh.s_bh - sum|mh|],
     one in-place exp to [Pl | Ph], the GEMM Pl @ (W / max W) and the row
-    contraction with Ph; 2^na (2^nl + 2^nh) exps, not 2^N.  Every product but
-    the re-sum's takes at most _CHUNK_MACS multiply-adds.  A row sum below _TINY
+    contraction with Ph; 2^na (2^nl + 2^nh) exps, not 2^N.  Each product of a
+    main-loop chunk takes at most _CHUNK_MACS multiply-adds.  A row sum below _TINY
     (some underflow at beta = 200, N = 18) is redone directly under the row's own
     maximum, so log Z is exact to rounding at every beta.
     """
@@ -203,10 +195,10 @@ def log_partition_exact(d: DisorderSample, tf: TempField) -> float:
     (beta, h), na = _one_point(tf), n // 2
     c, nb = beta / math.sqrt(n), n - na
     sa, sb, ma, mb, halves, table = _enumeration_tables(n)
-    ea = c * np.einsum("ij,ij->i", _matmul(sa, d.g[:na, :na]), sa) + h * ma
-    eb = c * np.einsum("ij,ij->i", _matmul(sb, d.g[na:, na:]), sb) + h * mb
+    ea = c * np.einsum("ij,ij->i", sa @ d.g[:na, :na], sa) + h * ma
+    eb = c * np.einsum("ij,ij->i", sb @ d.g[na:, na:], sb) + h * mb
     field = np.empty((len(sa), nb + 2))
-    field[:, :nb] = c * _matmul(sa, d.g[:na, na:] + d.g[na:, :na].T)
+    field[:, :nb] = c * (sa @ (d.g[:na, na:] + d.g[na:, :na].T))
     field[:, nb:] = np.abs(field[:, :nb]) @ halves
     top, split = eb.max(), 2 ** (nb // 2)
     wt = np.exp(eb - top).reshape(-1, split).T

@@ -613,7 +613,7 @@ def test_evaluator_builds_only_the_rule_it_is_given(monkeypatch, capsys):
 
 
 _IMPORT_PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import mskglass.cli as cli
 commands = json.loads(sys.argv[1])
 cli.build_parser().parse_args(commands[0])
@@ -621,8 +621,22 @@ before = set(sys.modules)
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
-print(json.dumps([sorted({"numpy.ma", "numpy.random"} & before), sorted(set(sys.modules) - before)]))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([sorted({"numpy.ma", "numpy.random"} & before), sorted(set(sys.modules) - before),
+                  threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
+
+
+def _run_import_probe(commands, **environ) -> list:
+    """The probe's report on `commands` in a fresh interpreter whose environment has no
+    OPENBLAS_NUM_THREADS but what `environ` sets."""
+    src = os.path.dirname(os.path.dirname(mskglass.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, (commands, proc.stderr)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_bench_workloads_import_nothing_while_they_run():
@@ -630,16 +644,17 @@ def test_bench_workloads_import_nothing_while_they_run():
     running a workload's commands imports no further module.  A lazy import (numpy.ma, which np.unique
     loads, cost a quarter of a phase diagram) would be paid inside the timed run; moving it to module level
     would move it into the set-up, so numpy.ma must not be loaded there either, nor numpy.random, which the
-    splitmix64 draws of the finite-N commands replace."""
-    src = os.path.dirname(os.path.dirname(mskglass.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    found = {}
-    for name, commands in _bench_workloads(0).items():
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, (name, proc.stderr)
-        found[name] = json.loads(proc.stdout.splitlines()[-1])
-    assert found == {name: [[], []] for name in found}
+    splitmix64 draws of the finite-N commands replace.  Nor does the process run a second native thread
+    (counted where /proc/self/task exists): an idle OpenBLAS worker busy-waits, doubling its CPU time."""
+    threads = 1 if os.path.isdir("/proc/self/task") else None
+    found = {name: _run_import_probe(commands) for name, commands in _bench_workloads(0).items()}
+    assert found == {name: [[], [], threads, "1"] for name in found}
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    """mskglass only defaults OPENBLAS_NUM_THREADS: a user's own setting survives importing the CLI.
+    The variable is checked, not the thread count, which OpenBLAS caps at the CPU count."""
+    assert _run_import_probe(_bench_workloads(0)["at-line"], OPENBLAS_NUM_THREADS="2")[3] == "2"
 
 
 def test_unwritable_output_is_config_error(ref_config, tmp_path, capsys):
