@@ -8,7 +8,8 @@ file is a complete experiment record.  CSV floats carry 17 significant digits
 so regression baselines round-trip bit-faithfully.  Grid scans run in one
 process, `phase-diagram` in batches of up to _BLOCK_POINTS grid points and
 `at-line` one batch over all h, and write their rows in grid order (h outer,
-beta inner).
+beta inner).  Importing this module freezes (gc.freeze) the objects then alive:
+the collector, and its collections at exit, skip the import graph.
 
 Exit codes: 0 ok, 1 usage/config error (an input outside the supported model
 class or range included), 2 numerical failure.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import logging
 import math
@@ -492,6 +494,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
+
+gc.freeze()  # the ~23,000 objects the imports leave tracked live to exit; walking them there cost ~20 ms
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -394,6 +394,16 @@ def test_at_line_small_field_approaches_closed_form(reference_spec):
     assert dev[1] < 0.06
 
 
+def test_at_line_sk_small_field_law(sk_spec):
+    """On the classical reduction the line leaves beta_c = sqrt(uniqueness_threshold) as de Almeida and
+    Thouless's h^2 = (4/3) tau^3 (J. Phys. A 11, 983, 1978): with beta~^2 = 2 beta^2 here,
+    (beta_m(h) - beta_c) / h^(2/3) tends to (3/4)^(1/3) / sqrt(2).  The relative deviation shrinks
+    with h (6.1e-5, 3.0e-6, 1.4e-7 at h = 1e-3, 1e-4, 1e-5)."""
+    beta_c, law = math.sqrt(uniqueness_threshold(sk_spec)), (3 / 4) ** (1 / 3) / math.sqrt(2)
+    dev = [abs((at_line_beta(sk_spec, h) - beta_c) / h ** (2 / 3) / law - 1) for h in (1e-3, 1e-4, 1e-5)]
+    assert dev[0] > dev[1] > dev[2] and dev[2] < 1e-6
+
+
 def test_at_line_kernel_calls(reference_spec, monkeypatch):
     """Bracket solves and Newton steps together evaluate at most 230 kernel
     rows on the twenty README fields (the line bracketed from beta = 1e-3
