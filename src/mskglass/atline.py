@@ -151,8 +151,8 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     (an axis when d12 = 0).  The sign test and the witness are
     cross-checked against each other in both directions.  All points are
     solved as one batch (`rs.solve_points`) and classified in one pass: one
-    threshold call on the gamma rows, stacked K, H and witnesses and one
-    ordering check, with the band and the cross-checks per point.  Each gets
+    underflow test, threshold call and stack of K, H and witnesses, and the
+    ordering, band and sign tests as arrays, read back in one list.  Each gets
     an ATReport, or the MskGlassError its solve or classification raised.
     No quadrature rule is involved: the verdict and beta2_m do not depend on
     one.  Raises Unsupported outside the two-species standard class and where
@@ -161,21 +161,26 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
     _require_standard(spec)
     if (tf.h <= 0).any():
         raise Unsupported("the phase verdict is defined for h > 0")
-    reports = [_underflow(sol.gamma) if isinstance(sol, RSSolution) and not sol.gamma.all() else sol
-               for sol in solve_points(spec, tf)]
+    reports = solve_points(spec, tf)
     rows = [i for i, sol in enumerate(reports) if isinstance(sol, RSSolution)]
     gamma = np.reshape([reports[i].gamma for i in rows], (-1, spec.m))
-    thresholds = two_species_thresholds(spec, gamma)
-    k, hessian = stability_matrices(spec, TempField(beta=tf.beta[rows], h=tf.h[rows]), gamma)
-    witnesses, ordered = positivity_witness(k), _ordered(spec, thresholds)
-    for j, (i, b2) in enumerate(zip(rows, np.float_power(tf.beta[rows], 2.0))):
-        th, sol, witness = Thresholds._make(t[j] for t in thresholds), reports[i], witnesses[j]
+    if not gamma.all():  # one test for the batch; a row whose gamma underflowed to 0 gets that error
+        for i, ok in zip(rows, (finite := gamma.all(-1)).tolist()):
+            reports[i] = reports[i] if ok else _underflow(reports[i].gamma)
+        rows, gamma = [i for i in rows if isinstance(reports[i], RSSolution)], gamma[finite]
+    batch, solved = two_species_thresholds(spec, gamma), TempField(beta=tf.beta[rows], h=tf.h[rows])
+    k, hessian = stability_matrices(spec, solved, gamma)
+    witnesses, b2 = positivity_witness(k), np.float_power(solved.beta, 2.0)
+    columns = np.array([solved.beta, solved.h, _ordered(spec, batch), np.abs(b2 - batch.beta2_m) <= _VERDICT_BAND,
+                        b2 > batch.beta2_m, *batch]).T.tolist()  # one row per point; the three tests as 1.0 or 0.0
+    for j, (i, (beta, h, ordered, band, above, *th)) in enumerate(zip(rows, columns)):
+        th, sol, witness = Thresholds._make(th), reports[i], witnesses[j]
         try:
-            if not ordered[j]:
-                raise InternalInconsistency(f"threshold ordering violated: {th}")
-            if abs(b2 - th.beta2_m) <= _VERDICT_BAND:
+            if not ordered:
+                raise InternalInconsistency(f"threshold ordering violated: {Thresholds._make(t[j] for t in batch)}")
+            if band:
                 verdict, witness = Verdict.INDETERMINATE, None
-            elif b2 > th.beta2_m:
+            elif above:
                 if witness is None:
                     raise InternalInconsistency(
                         "beta^2 exceeds beta2_m but no nonnegative positive direction was found")
@@ -184,7 +189,7 @@ def at_verdicts(spec: ModelSpec, tf: TempField) -> list:
                 if witness is not None:
                     raise InternalInconsistency("beta^2 is below beta2_m yet a nonnegative positive direction exists")
                 verdict = Verdict.RS_CONSISTENT
-            reports[i] = ATReport(beta=float(tf.beta[i]), h=float(tf.h[i]), gamma=sol.gamma, stability=k[j],
+            reports[i] = ATReport(beta=beta, h=h, gamma=sol.gamma, stability=k[j],
                                   hessian=hessian[j], thresholds=th, verdict=verdict, witness_x=witness, solution=sol)
         except MskGlassError as exc:
             reports[i] = exc

@@ -15,8 +15,8 @@ with its gradient at the critical point, and its Hessian there is the closed
 form carried by `atline.stability_matrices`.  Where the slope along the
 witness turns positive, P falls below the single-atom value as zeta leaves 1:
 `certify_slopes` certifies RSB so, one Gaussian expectation per point and
-epsilon at the inner order its noise scale needs, and `certify_points` scans
-(epsilon, zeta) with `parisi.evaluate` for a one-step point below the collapse.
+epsilon at the inner order its noise scale needs, over padded (row x node x
+order) chunks; `certify_points` scans (epsilon, zeta) with `parisi.evaluate`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import BadPoint, CertificateNotFound
 from .model import ModelSpec, TempField, overlap_contractions
 from .parisi import ParisiParams, evaluate
 from .quadrature import QuadRule, gauss_hermite
-from .rs import _segments
 
 DEFAULT_GAP_FLOOR = 1e-10
 _NEAR_LINE_MARGIN = 1.05
@@ -59,7 +58,7 @@ EPSILON_GRID = np.geomspace(1e-3, 1e-1, 10)
 ZETA_GRID = 1.0 - np.geomspace(0.5, 0.01, 10)
 SLOPE_EPSILONS = 10.0 ** (-2.0 - np.arange(13) / 4.0)
 EPSILON_GRID.flags.writeable = ZETA_GRID.flags.writeable = SLOPE_EPSILONS.flags.writeable = False
-_SLOPE_CHUNK = 10_000  # outer x inner node pairs per chunk, give or take one row
+_SLOPE_CHUNK = 20_000  # outer x inner node pairs per chunk, padding included; a wider row is a chunk alone
 # E2 takes _ORDERS[i] for the first limit i its noise scale is within, else 61, whose reach `_slopes` states
 _ORDERS = (8, 16, 32, 48, 61)
 _SCALE_LIMITS = (0.09, 0.235, 0.41, 0.54)
@@ -90,8 +89,9 @@ def _slopes(spec: ModelSpec, beta, h, q, p) -> tuple:
     E1 is the trapezoid rule on |Z1| <= 9, step min(0.3, 0.15 / s1), even steps a side; its integrand is
     analytic for |Im Z1| < pi / (2 s1), so its error is about e^(-pi^2 / (s1 step)) <= e^-65, e^-32 on every
     other node (Trefethen & Weideman, SIAM Review 56, 2014).  The error estimate is their difference plus
-    2^-52 (n sum|terms| of n outer terms, and C and E, whose rounding a^2 and E(p) - E(q) carry).  Nodes
-    follow from the row alone: same bits in any batch.
+    2^-52 (n sum|terms| of n outer terms, and C and E, whose rounding a^2 and E(p) - E(q) carry).  Rows go by
+    inner order and node count, in chunks of at most _SLOPE_CHUNK outer x inner pairs padded to the widest row,
+    16 bytes a pair (u, log1p u); a row sums its own nodes, which follow from it alone: same bits in any batch.
     """
     cq, cp = overlap_contractions(spec, q), overlap_contractions(spec, p)
     b2 = (beta * beta)[:, None]
@@ -100,21 +100,27 @@ def _slopes(spec: ModelSpec, beta, h, q, p) -> tuple:
     half = 2 * np.ceil(30.0 * np.maximum(s1, 0.5)).astype(int)  # steps a side, 9 / step made even
     counts, hs = 2 * half + 1, np.repeat(h, spec.m)
     orders = np.array(_ORDERS)[np.searchsorted(_SCALE_LIMITS, np.sqrt(a2))]
-    sums = np.empty((3, s1.size))  # per species row: E1 g by the fine and the coarse rule, and E1 |g|
+    sums, by_size = np.empty((3, s1.size)), np.argsort(counts)  # per row: E1 g, fine and coarse rule, and E1 |g|
     for order in sorted(set(orders.tolist())):  # np.unique imports numpy.ma: a quarter of a cold phase diagram
-        inner, rows = gauss_hermite(order), np.flatnonzero(orders == order)
-        for rc in np.split(rows, np.flatnonzero(np.diff(np.cumsum(counts[rows] * order) // _SLOPE_CHUNK)) + 1):
-            (starts, j), n = _segments(counts[rc]), np.repeat(np.arange(rc.size), counts[rc])
-            step = 9.0 / half[rc]
-            z = (j - half[rc][n]) * step[n]
-            tanh_y = np.tanh(s1[rc][n] * z + hs[rc][n])
-            t = np.sqrt(a2[rc])[:, None] * inner.nodes
-            cosh_m1, sinh_t = 2.0 * np.sinh(0.5 * t) ** 2, np.sinh(t)
-            mean_one = ((1.0 + cosh_m1) * inner.weights).sum(-1)[n] + (sinh_t * inner.weights).sum(-1)[n] * tanh_y
-            u = np.maximum(cosh_m1[n] + sinh_t[n] * tanh_y[:, None], -1.0 + 2.0**-53)
-            wg = np.einsum("ij,ij,j->i", 1.0 + u, np.log1p(u), inner.weights) / mean_one \
-                * np.exp(-0.5 * z * z) * (step / math.sqrt(2.0 * math.pi))[n]
-            sums[:, rc] = np.add.reduceat([wg, np.where(j % 2 == 0, 2.0 * wg, 0.0), np.abs(wg)], starts, axis=1)
+        inner, rows, chunks = gauss_hermite(order), by_size[orders[by_size] == order], [0]
+        for k, width in enumerate(counts[rows].tolist()):  # by node count: a chunk's last row is its widest
+            if k > chunks[-1] and (k + 1 - chunks[-1]) * width * order > _SLOPE_CHUNK:
+                chunks.append(k)
+        t, w = np.sqrt(a2[rows])[:, None] * inner.nodes, inner.weights
+        cosh_m1, sinh_t = 2.0 * np.sinh(0.5 * t) ** 2, np.sinh(t)
+        e_cosh, e_sinh = ((1.0 + cosh_m1) * w).sum(-1), (sinh_t * w).sum(-1)
+        for a, b in zip(chunks, chunks[1:] + [rows.size]):
+            rc, j, step = rows[a:b], np.arange(counts[rows[b - 1]]), 9.0 / half[rows[a:b], None]
+            z = (j - half[rc, None]) * step  # (rows, width): a row's nodes past its count are padding
+            tanh_y = np.tanh(s1[rc, None] * z + hs[rc, None])
+            u = np.einsum("rw,ro->rwo", tanh_y, sinh_t[a:b])  # (rows, width, order), with no broadcast buffers
+            np.maximum(np.add(u, cosh_m1[a:b, None], out=u), -1.0 + 2.0**-53, out=u)  # then log1p u, 1 + u in place
+            e2 = np.einsum("ij,ij,j->i", *(x.reshape(-1, order) for x in (np.log1p(u), np.add(u, 1.0, out=u))), w)
+            wg = e2.reshape(z.shape) / (e_cosh[a:b, None] + e_sinh[a:b, None] * tanh_y) * np.exp(-0.5 * z * z) \
+                * (step / math.sqrt(2.0 * math.pi))
+            bounds = (np.arange(b - a)[:, None] * j.size + [0, 1] * counts[rc, None]).ravel()[:-1]  # own nodes only
+            g = [wg.ravel(), np.where(j % 2 == 0, 2.0 * wg, 0.0).ravel(), np.abs(wg).ravel()]
+            sums[:, rc] = np.add.reduceat(g, bounds, axis=1)[:, ::2]
     lam, scalar = np.tile(spec.lam, len(beta)), 0.5 * b2[:, 0] * (cp.scalar - cq.scalar)
     fine, coarse = (lam * (sums[:2] - 0.5 * a2)).reshape(2, -1, spec.m).sum(-1) - scalar
     charge = ((lam * (counts * sums[2] + a2)).reshape(-1, spec.m).sum(-1)

@@ -330,12 +330,12 @@ def solve_points(spec: ModelSpec, tf: TempField) -> list:
     points = [dict.fromkeys(([1.0] if field > 0 else [0.0]) if unique else [0.0, 1.0, math.tanh(field) ** 2])
               for field, unique in zip(h.tolist(), guaranteed)]  # each point's starts
     owner = [i for i, starts in enumerate(points) for _ in starts]
-    runs = _run(spec, TempField(beta=beta[owner], h=h[owner]),
-                [[start] * spec.m for starts in points for start in starts])
+    runs = iter(_run(spec, TempField(beta=beta[owner], h=h[owner]),
+                     [[start] * spec.m for starts in points for start in starts]))
 
     solutions: list = []
     for i, starts in enumerate(points):
-        point_runs, runs = runs[: len(starts)], runs[len(starts) :]
+        point_runs = [next(runs) for _ in starts]
         converged = [r for r in point_runs if r.converged]
         if not converged:
             best = min(point_runs, key=lambda r: r.error)
@@ -354,13 +354,11 @@ def solve_points(spec: ModelSpec, tf: TempField) -> list:
             win = distinct[int(np.argmin(values))]
         solutions.append((win, distinct))  # an RSSolution below, once every winner's coupling is known
     won = [i for i, solution in enumerate(solutions) if isinstance(solution, tuple)]
-    couplings = overlap_contractions(spec, np.reshape([solutions[i][0].q for i in won], (-1, spec.m))).species
-    for i, coupling in zip(won, couplings):
+    q = np.reshape([solutions[i][0].q for i in won], (-1, spec.m))
+    boundary = (q <= _BOUNDARY_TOL) | (q >= 1.0 - _BOUNDARY_TOL)
+    for i, coupling, on_boundary in zip(won, overlap_contractions(spec, q).species, boundary):
         win, distinct = solutions[i]
-        solutions[i] = RSSolution(
-            q_star=win.q, coupling=coupling, gamma=win.gamma, residual=win.residual,
-            error=win.error, iterations=win.iterations, converged=True,
-            on_boundary=(win.q <= _BOUNDARY_TOL) | (win.q >= 1.0 - _BOUNDARY_TOL),
-            candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed[i],
-        )
+        solutions[i] = RSSolution(q_star=win.q, coupling=coupling, gamma=win.gamma, residual=win.residual,
+                                  error=win.error, iterations=win.iterations, converged=True, on_boundary=on_boundary,
+                                  candidates=tuple(r.q for r in distinct), guaranteed_unique=guaranteed[i])
     return solutions

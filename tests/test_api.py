@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from mskglass import (
 from mskglass.model import inverse_beta2_m
 
 SRC = pathlib.Path(mskglass.__file__).parent
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def _uses(tree) -> Counter:
@@ -35,6 +37,16 @@ def test_every_public_definition_is_used_by_the_package():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and uses[node.name] == _uses(node)[node.name]]
     assert not unused, f"public definitions no package code uses: {unused}"
+
+
+def test_every_readme_python_block_runs(capsys):
+    """Each python block of the README runs as written, each in a fresh namespace, so a signature
+    change cannot leave the quickstart behind."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out  # the quickstart point is RSB-certified and prints its certificate
 
 
 def test_the_solver_layer_takes_no_quadrature_rule():

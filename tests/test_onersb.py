@@ -516,10 +516,51 @@ def test_slope_certificates_are_the_same_bits_alone_and_in_a_block(reference_spe
         assert np.array_equal(np.concatenate(alone), block[:, n])
 
 
+def test_slopes_bit_identical_across_chunk_sizes(reference_spec, monkeypatch):
+    """Each row is summed over its own nodes only, so the README RSB rows' (slope, error) keep every bit
+    whether the rows go one per chunk, in chunks of the default bound or all in one chunk; epsilon = 1e-2
+    and 1e-5 give them the inner orders 8, 16 and 32."""
+    tf, reports = _readme_rsb_points(reference_spec)
+    x, q = onersb._displacements(reference_spec, reports)
+    p = np.concatenate([q + SLOPE_EPSILONS[0] * x, q + SLOPE_EPSILONS[-1] * x])
+    args = (np.tile(tf.beta, 2), np.tile(tf.h, 2), np.tile(q, (2, 1)), p)
+    orders, gauss_hermite = set(), onersb.gauss_hermite
+    monkeypatch.setattr(onersb, "gauss_hermite", lambda order: orders.add(order) or gauss_hermite(order))
+    values = []
+    for bound in (1, onersb._SLOPE_CHUNK, 2**62):
+        monkeypatch.setattr(onersb, "_SLOPE_CHUNK", bound)
+        values.append([v.hex() for v in np.concatenate(onersb._slopes(reference_spec, *args)).tolist()])
+    assert orders == {8, 16, 32} and values[0] == values[1] == values[2]
+
+
+# (beta index, h index) on the README grid: (epsilon, slope, error) as float.hex
+_FROZEN_SLOPES = {
+    (13, 5): ("0x1.26d42cce9b24cp-11", "0x1.bb8a7d1800000p-35", "0x1.4ee8ad38eff82p-50"),
+    (10, 2): ("0x1.9e7c6e43390b7p-9", "0x1.6accf69cc0000p-28", "0x1.6aaf6fabe4d50p-48"),
+    (14, 6): ("0x1.7089380241edfp-8", "0x1.86d146d400000p-27", "0x1.78008dba1fb6ep-50"),
+    (15, 7): ("0x1.47ae147ae147bp-7", "0x1.a39fff1b60000p-23", "0x1.bcb41b25f5245p-48"),
+    (24, 0): ("0x1.47ae147ae147bp-7", "0x1.345a9eae86b00p-14", "0x1.ca1b464948918p-48"),
+    (24, 9): ("0x1.47ae147ae147bp-7", "0x1.9afa47619a400p-15", "0x1.a65b8a595a170p-48"),
+}
+
+
+def test_slope_certificates_keep_the_frozen_values(reference_spec):
+    """The README grid's 4 near-line RSB cells (beta^2 / beta2_m <= 1.012) and its beta = 1.6 corners at
+    h = 0.1 and 1.0, certified in the 123-point block, keep every bit of the (epsilon, slope, error) frozen
+    when each chunk still gathered its nodes from flat per-row segments."""
+    tf, reports = _readme_rsb_points(reference_spec)
+    out = np.array(certify_slopes(reference_spec, tf, reports))
+    betas, fields = np.linspace(0.4, 1.6, 25), np.linspace(0.1, 1.0, 10)
+    for (b, f), want in _FROZEN_SLOPES.items():
+        (n,) = np.flatnonzero((tf.beta == betas[b]) & (tf.h == fields[f]))
+        assert tuple(v.hex() for v in out[:, n].tolist()) == want, (b, f)
+
+
 def test_slope_certificate_scan_allocation_guard(reference_spec):
-    """The README grid's slope certificates peak at no more than 2 MiB of traced allocations (about
-    1.7 MB measured on a first call, 0.6 MB once the inner rules are cached; the grid certificate's
-    scan takes about 2.2 MB): the inner-rule arrays are held 10,000 floats at a time."""
+    """The README grid's slope certificates peak at no more than 2 MiB of traced allocations (0.53 MiB
+    measured; 0.60 MiB when a chunk gathered 10,000 unpadded node pairs; the grid certificate's scan takes
+    about 2.2 MB): a chunk holds u and log1p u over at most _SLOPE_CHUNK = 20,000 padded (outer x inner)
+    node pairs, 16 bytes each, and one chunk's are freed before the next chunk's are made."""
     tf, reports = _readme_rsb_points(reference_spec)
     tracemalloc.start()
     try:
